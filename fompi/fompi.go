@@ -473,9 +473,12 @@ type QueueStats struct {
 	// traffic actually collided on one region after lock sharding (always 0
 	// under the deterministic Sim engine).
 	RegionLockContention int64
-	// Faults is the job-wide fault plane + reliability layer snapshot:
+	// Faults is the fault plane + reliability layer snapshot (job-wide on
+	// the single-process engines, this process's fabric on TCP and shm):
 	// what the wire did to the traffic and what the protocol repaired.
-	// All-zero when the job runs without a FaultPlan.
+	// All-zero when the job runs without a FaultPlan, on every engine — a
+	// healthy TCP or shm link carries no sequence numbers, link acks or
+	// retransmissions; peer death is the link's own verdict there.
 	Faults fabric.FaultStats
 	// RetransmitCount is Faults.Retransmits, surfaced flat for quick
 	// goodput accounting.

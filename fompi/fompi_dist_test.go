@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"repro/fompi"
+	"repro/internal/fault"
 )
 
 // TestMain doubles as the child entry point for the two-process tests: the
@@ -179,44 +180,134 @@ func distSoakBody(record func(rank int, buf []byte)) func(p *fompi.Proc) {
 	}
 }
 
-// TestDistSoakMatchesSim runs the soak on the Sim engine and again over
-// TCP loopback, and requires the final window contents to match
-// byte-for-byte on every rank.
-func TestDistSoakMatchesSim(t *testing.T) {
-	run := func(tcp bool) [][]byte {
-		var mu sync.Mutex
-		snaps := make([][]byte, 2)
-		record := func(rank int, buf []byte) {
-			mu.Lock()
-			snaps[rank] = buf
-			mu.Unlock()
-		}
-		if tcp {
-			for r, err := range fompi.RunLocalCluster(fompi.Options{Ranks: 2}, distSoakBody(record)) {
-				if err != nil {
-					t.Fatalf("tcp rank %d: %v", r, err)
-				}
-			}
-		} else {
-			if err := fompi.Run(fompi.Options{Ranks: 2}, distSoakBody(record)); err != nil {
-				t.Fatalf("sim: %v", err)
-			}
-		}
-		return snaps
+// soakSnapshots runs the soak body on the Sim engine (tcp == false) or over
+// TCP loopback, optionally on a faulty wire, and returns every rank's
+// final window and fault-plane counters.
+func soakSnapshots(t *testing.T, tcp bool, plan *fault.Plan) ([][]byte, [2]fompi.FaultStats) {
+	t.Helper()
+	var mu sync.Mutex
+	snaps := make([][]byte, 2)
+	var faults [2]fompi.FaultStats
+	body := distSoakBody(func(rank int, buf []byte) {
+		mu.Lock()
+		snaps[rank] = buf
+		mu.Unlock()
+	})
+	opts := fompi.Options{Ranks: 2, FaultPlan: plan}
+	run := func(p *fompi.Proc) {
+		body(p)
+		faults[p.Rank()] = p.QueueStats().Faults
 	}
-	simSnaps := run(false)
-	tcpSnaps := run(true)
-	for r := 0; r < 2; r++ {
+	if !tcp {
+		if err := fompi.Run(opts, run); err != nil {
+			t.Fatalf("sim: %v", err)
+		}
+		return snaps, faults
+	}
+	for r, err := range fompi.RunLocalCluster(opts, run) {
+		if err != nil {
+			t.Fatalf("tcp rank %d: %v", r, err)
+		}
+	}
+	return snaps, faults
+}
+
+// requireSameWindows fails unless every rank's window matches the Sim
+// engine's byte for byte.
+func requireSameWindows(t *testing.T, simSnaps, tcpSnaps [][]byte) {
+	t.Helper()
+	for r := range simSnaps {
 		if simSnaps[r] == nil || tcpSnaps[r] == nil {
 			t.Fatalf("rank %d: missing snapshot (sim %v, tcp %v)", r, simSnaps[r] != nil, tcpSnaps[r] != nil)
 		}
-		if !bytes.Equal(simSnaps[r], tcpSnaps[r]) {
-			for i := range simSnaps[r] {
-				if simSnaps[r][i] != tcpSnaps[r][i] {
-					t.Fatalf("rank %d: window diverges from Sim at byte %d: sim %#x, tcp %#x",
-						r, i, simSnaps[r][i], tcpSnaps[r][i])
-				}
+		for i := range simSnaps[r] {
+			if simSnaps[r][i] != tcpSnaps[r][i] {
+				t.Fatalf("rank %d: window diverges from Sim at byte %d: sim %#x, tcp %#x",
+					r, i, simSnaps[r][i], tcpSnaps[r][i])
 			}
+		}
+	}
+}
+
+// TestDistSoakMatchesSim runs the soak on the Sim engine and again over
+// TCP loopback, and requires the final window contents to match
+// byte-for-byte on every rank. A healthy TCP link runs without the
+// reliable-delivery layer: nothing is sequenced, acked or retransmitted.
+func TestDistSoakMatchesSim(t *testing.T) {
+	simSnaps, _ := soakSnapshots(t, false, nil)
+	tcpSnaps, faults := soakSnapshots(t, true, nil)
+	requireSameWindows(t, simSnaps, tcpSnaps)
+	if faults != [2]fompi.FaultStats{} {
+		t.Errorf("plain TCP run shows reliable-layer traffic: %+v", faults)
+	}
+}
+
+// TestDistSoakMatchesSimUnderFaultPlan is the same soak over TCP with a
+// FaultPlan that drops, duplicates and reorders: the one configuration in
+// which the reliable-delivery layer runs on top of a socket. Its repairs
+// must be invisible to the application — windows still byte-identical to
+// Sim — and must have happened.
+func TestDistSoakMatchesSimUnderFaultPlan(t *testing.T) {
+	simSnaps, _ := soakSnapshots(t, false, nil)
+	plan := &fault.Plan{Seed: 19, Drop: 0.05, Duplicate: 0.02, Reorder: 0.05}
+	tcpSnaps, faults := soakSnapshots(t, true, plan)
+	requireSameWindows(t, simSnaps, tcpSnaps)
+	if faults[0].Injected.Dropped+faults[1].Injected.Dropped == 0 || faults[0].Retransmits+faults[1].Retransmits == 0 {
+		t.Errorf("lossy plan left no trace: %+v", faults)
+	}
+}
+
+// TestDistPairFIFOAcrossSizeClasses pins the ordering the matcher and the
+// kv lanes rely on, now that no sequence numbers restore it: frames one
+// goroutine sends to one peer arrive in program order whatever their size.
+// Rank 0 issues back-to-back unflushed notified puts alternating 256 KiB
+// and 8 B with tags 0..N-1; rank 1's wildcard request must match them in
+// tag order, and when tag k matches, payload k must already be in the
+// window.
+func TestDistPairFIFOAcrossSizeClasses(t *testing.T) {
+	const (
+		n    = 24
+		big  = 256 << 10
+		slot = big // put k lands at k*slot
+	)
+	size := func(k int) int {
+		if k%2 == 0 {
+			return big
+		}
+		return 8
+	}
+	pattern := func(k int) []byte {
+		b := make([]byte, size(k))
+		for i := range b {
+			b[i] = byte(k*37 + i*11 + 1)
+		}
+		return b
+	}
+	errs := fompi.RunLocalCluster(fompi.Options{Ranks: 2}, func(p *fompi.Proc) {
+		win := p.WinAllocate(n * slot)
+		defer win.Free()
+		if p.Rank() == 0 {
+			for k := 0; k < n; k++ {
+				win.PutNotify(1, k*slot, pattern(k), k)
+			}
+			win.Flush(1)
+			return
+		}
+		req := win.NotifyInit(0, fompi.AnyTag, 1)
+		defer req.Free()
+		for k := 0; k < n; k++ {
+			req.Start()
+			if st := req.Wait(); st.Tag != k {
+				t.Fatalf("match %d carries tag %d: a %d-byte put overtook or fell behind its neighbours", k, st.Tag, size(st.Tag))
+			}
+			if got := win.Buffer()[k*slot : k*slot+size(k)]; !bytes.Equal(got, pattern(k)) {
+				t.Fatalf("tag %d matched before its %d-byte payload was in the window", k, size(k))
+			}
+		}
+	})
+	for r, err := range errs {
+		if err != nil {
+			t.Errorf("rank %d: %v", r, err)
 		}
 	}
 }

@@ -266,7 +266,7 @@ func (e *amEngine) startWorkersLocked() {
 }
 
 // Unregister detaches the handler. Queued dispatches for it still run
-// (its counters keep updating until they finish); new notifications for
+// (and are counted in the class's retired record); new notifications for
 // the class fall through to the request matcher again. When the last
 // handler at the rank unregisters, the worker pool shuts down (drain
 // first). Idempotent.
@@ -478,10 +478,22 @@ func (e *amEngine) run(ev amEvent) (aborted bool) {
 		return true
 	}
 	s.mu.Lock()
-	if panicked {
-		ev.reg.panics++
+	if ev.reg.dead {
+		// Unregistered (or its window freed) while this dispatch was queued
+		// or running: its counters were already folded into the class's
+		// retired record, which nothing re-reads from the registration.
+		st := e.retired[ev.reg.key.tag]
+		st.Dispatched++
+		if panicked {
+			st.Panics++
+		}
+		e.retired[ev.reg.key.tag] = st
+	} else {
+		ev.reg.dispatched++
+		if panicked {
+			ev.reg.panics++
+		}
 	}
-	ev.reg.dispatched++
 	e.completed++
 	s.mu.Unlock()
 	s.gate.Broadcast()

@@ -66,13 +66,6 @@ type Config struct {
 	// iff FaultPlan != nil or Reliability.Force; otherwise the lossless
 	// data path is completely untouched.
 	Reliability ReliabilityConfig
-	// RendezvousThreshold is the payload size (bytes) at which a
-	// distributed fabric switches a transfer from eager (payload rides the
-	// first frame) to rendezvous (RTS/CTS handshake, payload landing
-	// directly in a pre-reserved buffer). 0 means the adaptive default
-	// (64 KiB floor, raised with the observed per-peer RTT); negative
-	// disables rendezvous entirely. Single-process fabrics ignore it.
-	RendezvousThreshold int
 	// FailureHook, when non-nil, is called exactly once per rank the
 	// peer-failure detector declares dead (observer is the detecting
 	// rank). Called from delivery/timer context: must not block on fabric
@@ -221,19 +214,11 @@ type Fabric struct {
 	netOpSeq      uint64
 	remoteRegions map[int]map[int]int // rank -> regionID -> size
 
-	// Rendezvous engine state (distributed fabrics only; see netlink.go).
-	// rndvOut retains outbound payloads awaiting a CTS; rndvIn holds the
-	// reserved landing buffer and inner header of each announced inbound
-	// transfer.
-	rndvMu  sync.Mutex
-	rndvSeq uint64
-	rndvOut map[uint64]*rndvOutEntry
-	rndvIn  map[rndvKey]*rndvInEntry
-
-	// Peer-failure bookkeeping for lossless distributed links (rel == nil):
-	// the reliable layer owns failure declaration when present, but a
-	// lossless link (shared-memory rings) runs without it and still must
-	// convert peer death into typed ErrPeerFailed completions exactly once.
+	// Peer-failure bookkeeping for distributed fabrics without the reliable
+	// layer (rel == nil, the default): the layer owns failure declaration
+	// when present, but a link runs without it unless a fault plan asks and
+	// still must convert peer death into typed ErrPeerFailed completions
+	// exactly once.
 	failMu sync.Mutex
 	failed map[int]bool
 }
@@ -259,19 +244,27 @@ func New(env exec.Env, cfg Config) *Fabric {
 	for r := 0; r < cfg.Ranks; r++ {
 		f.nics[r] = newNIC(f, r)
 	}
-	if cfg.FaultPlan != nil || cfg.Reliability.Force {
-		var inj *fault.Injector
-		if cfg.FaultPlan != nil {
-			inj = fault.NewInjector(*cfg.FaultPlan)
-		}
-		f.rel = newReliability(f, cfg.Reliability, inj)
-	}
+	f.startReliability()
 	if env.Mode().Wallclock() {
 		for _, n := range f.nics {
 			n.startRxWorkers()
 		}
 	}
 	return f
+}
+
+// startReliability instantiates the reliable-delivery layer iff the config
+// carries a fault plan or Reliability.Force — the one rule for every
+// fabric, single-process or distributed, whatever the link.
+func (f *Fabric) startReliability() {
+	if f.cfg.FaultPlan == nil && !f.cfg.Reliability.Force {
+		return
+	}
+	var inj *fault.Injector
+	if f.cfg.FaultPlan != nil {
+		inj = fault.NewInjector(*f.cfg.FaultPlan)
+	}
+	f.rel = newReliability(f, f.cfg.Reliability, inj)
 }
 
 // NIC returns rank r's network interface.
@@ -336,12 +329,11 @@ func (f *Fabric) zeroCopyEligible(origin, target, size int) bool {
 }
 
 // sendBorrowEligible reports that a cross-process send to target departs
-// synchronously on the posting goroutine — lossless link, no reliability
-// layer retaining bytes for retransmission, no fault-injection delay —
-// so the packet may reference the caller's buffer directly instead of a
-// pooled bounce copy: the link has finished serializing it (for the
-// segment ring, copied it into shared memory) by the time transmit
-// returns.
+// synchronously on the posting goroutine — no reliability layer retaining
+// bytes for retransmission, no fault-injection delay — so the packet may
+// reference the caller's buffer directly instead of a pooled bounce copy:
+// the link has finished serializing it (copied it into shared memory or
+// into the stream's encode buffer) by the time transmit returns.
 func (f *Fabric) sendBorrowEligible(target int) bool {
 	return f.link != nil && f.rel == nil && target != f.self
 }

@@ -23,6 +23,13 @@ func runBoth(t *testing.T, ranks int, cfg func(*Config), body func(f *Fabric, p 
 			if cfg != nil {
 				cfg(&c)
 			}
+			if mode == exec.Real && c.Reliability.RTO == 0 {
+				// The Sim-scale 10µs RTO is a 3.4ms failure budget: on wall
+				// clock under -race one scheduler stall exhausts it and a
+				// healthy rank is convicted. (Unused without the layer.)
+				c.Reliability.RTO = simtime.Millisecond
+				c.Reliability.RTOMax = 20 * simtime.Millisecond
+			}
 			f := New(env, c)
 			defer f.Close()
 			if err := env.Run(ranks, func(p *exec.Proc) { body(f, p) }); err != nil {

@@ -1,21 +1,22 @@
 package fabric
 
 // The distributed engine seam: a Fabric whose remote NICs live in other OS
-// processes, reached through a Link (implemented by netfab.Mesh over TCP).
-// Only the local rank's NIC exists; dispatch routes any packet addressed to
-// a remote rank through netSend (packet → wire.Frame → socket) and inbound
-// frames re-enter through netRecv (frame → packet → the local NIC's
-// per-origin receive lane), so ordering, backpressure, and delivery-time
-// semantics are identical to the single-process Real engine.
+// processes, reached through a Link (netfab.Mesh over TCP, shmfab.Mesh over
+// shared-memory segment rings). Only the local rank's NIC exists; dispatch
+// routes any packet addressed to a remote rank through netSend (packet →
+// wire.Frame → link) and inbound frames re-enter through netRecv (frame →
+// packet → the local NIC's per-origin receive lane), so ordering,
+// backpressure, and delivery-time semantics are identical to the
+// single-process Real engine.
 //
-// The reliable-delivery layer is always active on a distributed fabric: it
-// provides the sequence numbers that make the TCP path safe under fault
-// injection, and — more importantly — its peer-failure machinery is what
-// converts a lost connection into typed ErrPeerFailed completions. TCP
-// gives per-stream reliability but says nothing about a peer that dies; the
-// rel layer's retransmit budget covers silent hangs and the Link's
-// peerDown callback covers abrupt closes, both funneling into the same
-// declarePeerFailed path.
+// A Link is lossless and FIFO per pair in Send-call order — a TCP stream
+// and an SPSC ring both are — so a distributed fabric follows the rule of
+// every other fabric: the reliable-delivery layer exists iff the config
+// carries a fault plan (or Reliability.Force). What a link cannot do by
+// itself is say that a peer died; that is the Link's peerDown callback
+// (connection loss, or a stream/segment whose heartbeat stalled — the hung
+// process), which funnels into declarePeerFailed exactly as the layer's
+// retransmit-budget exhaustion does when it is present.
 //
 // Op handles cannot cross a process boundary, so the origin registers each
 // op under a process-local wire ID at post time (transmit); acks and get
@@ -27,7 +28,6 @@ import (
 	"fmt"
 
 	"repro/internal/exec"
-	"repro/internal/fault"
 	"repro/internal/simtime"
 	"repro/internal/wire"
 )
@@ -40,24 +40,24 @@ type Link interface {
 	Self() int
 	N() int
 	// Send writes one frame to target. It must not retain fr or its
-	// slices after returning.
+	// slices after returning. Frames to one target arrive exactly once, in
+	// the order of the Send calls.
 	Send(target int, fr *wire.Frame) error
 	// Start installs the receive callbacks: rx for every data/control
 	// frame (its slices alias a reused buffer — copy before returning),
-	// peerDown exactly once per peer whose stream ends without a clean
-	// goodbye.
+	// peerDown exactly once per peer whose stream ends or goes silent
+	// without a clean goodbye.
 	Start(rx func(from int, fr *wire.Frame), peerDown func(rank int, err error))
 }
 
 // NewDistributed creates the local-rank slice of a distributed fabric on
 // top of an established link. env must be a wall-clock engine (DistEnv).
-// On a lossy link (TCP) the reliable-delivery layer is forced on, with
-// retransmission timers re-tuned for real sockets when the caller left
-// them at the Sim-scale defaults; a link reporting Lossless() true (the
-// shared-memory ring transport) runs without it — see below.
-// cfg.Ranks/RanksPerNode are overridden by the link geometry (one rank
-// per process means one rank per "node": the SHM and inline fast paths
-// never trigger).
+// As in New, the reliable-delivery layer is active iff cfg carries a fault
+// plan or Reliability.Force (startReliability); its retransmission timers
+// are then re-tuned for wall-clock links when the caller left them at the
+// Sim-scale defaults. cfg.Ranks/RanksPerNode are overridden by the link geometry
+// (one rank per process means one rank per "node": the SHM and inline fast
+// paths never trigger).
 func NewDistributed(env exec.Env, cfg Config, link Link) *Fabric {
 	if !env.Mode().Wallclock() {
 		panic("fabric: NewDistributed needs a wall-clock engine")
@@ -65,44 +65,15 @@ func NewDistributed(env exec.Env, cfg Config, link Link) *Fabric {
 	cfg.Ranks = link.N()
 	cfg.RanksPerNode = 1
 	cfg.ChargeOverheads = false
-	lossless := false
-	if ll, ok := link.(interface{ Lossless() bool }); ok && ll.Lossless() {
-		// A lossless in-order link (the shared-memory ring transport)
-		// needs no sequencing, retransmission, or checksums: publication
-		// on the ring is delivery. The reliable layer stays off unless a
-		// fault plan demands it, and the rendezvous engine is disabled —
-		// bulk payloads already travel zero-copy through the segment's
-		// bulk region, so an RTS/CTS round trip only adds latency (and
-		// its adaptive threshold needs the rel layer's RTT estimator).
-		lossless = cfg.FaultPlan == nil && !cfg.Reliability.Force
-	}
-	if lossless {
-		cfg.RendezvousThreshold = -1
-	} else {
-		cfg.Reliability.Force = true
-	}
 	if cfg.Reliability.RTO == 0 {
 		// The Sim-tuned 10µs base RTO would spuriously retransmit on any
-		// real socket; these cover localhost jitter and scheduler stalls
+		// real link; these cover localhost jitter and scheduler stalls
 		// while keeping the failure budget (~3s) inside a test timeout.
 		cfg.Reliability.RTO = 50 * simtime.Millisecond
 		cfg.Reliability.RTOMax = 400 * simtime.Millisecond
 		if cfg.Reliability.MaxAttempts == 0 {
 			cfg.Reliability.MaxAttempts = 10
 		}
-	}
-	if cfg.Reliability.AckDelay == 0 {
-		// Real sockets want ack coalescing: hold cumulative acks briefly so
-		// reverse data piggybacks them. Negative means explicitly eager.
-		cfg.Reliability.AckDelay = 100 * simtime.Microsecond
-	} else if cfg.Reliability.AckDelay < 0 {
-		cfg.Reliability.AckDelay = 0
-	}
-	if cfg.Reliability.Window == 0 {
-		// The Sim-scale 512-packet window underruns a batched TCP path that
-		// can have megabytes in flight; rendezvous data completing out of
-		// order must still land inside it.
-		cfg.Reliability.Window = 4096
 	}
 	f := &Fabric{
 		cfg:           cfg,
@@ -115,25 +86,8 @@ func NewDistributed(env exec.Env, cfg Config, link Link) *Fabric {
 		remoteRegions: make(map[int]map[int]int),
 	}
 	f.nics[f.self] = newNIC(f, f.self)
-	if !lossless {
-		var inj *fault.Injector
-		if cfg.FaultPlan != nil {
-			inj = fault.NewInjector(*cfg.FaultPlan)
-		}
-		f.rel = newReliability(f, cfg.Reliability, inj)
-	}
-	if cfg.RendezvousThreshold >= 0 {
-		f.rndvOut = make(map[uint64]*rndvOutEntry)
-		f.rndvIn = make(map[rndvKey]*rndvInEntry)
-	}
+	f.startReliability()
 	f.nics[f.self].startRxWorkers()
-	if db, ok := link.(interface {
-		SetDirectBuf(func(from int, fr *wire.Frame) []byte)
-	}); ok && f.rndvIn != nil {
-		// The mesh can land announced rendezvous payloads straight into
-		// their reserved buffers, skipping its read buffer entirely.
-		db.SetDirectBuf(f.rndvDirectBuf)
-	}
 	if bl, ok := link.(interface {
 		StartBorrowed(rx func(from int, fr *wire.Frame, free func()), peerDown func(rank int, err error))
 	}); ok && f.rel == nil {
@@ -205,40 +159,6 @@ func (f *Fabric) netSweepFailed(failed int) {
 		}
 	}
 	f.netMu.Unlock()
-	if f.rndvOut == nil {
-		return
-	}
-	// Release rendezvous state parked on the failed rank: outbound payloads
-	// whose CTS will never come, inbound reservations whose data never will.
-	var bufs [][]byte
-	f.rndvMu.Lock()
-	for id, e := range f.rndvOut {
-		if e.target == failed {
-			bufs = append(bufs, e.data)
-			delete(f.rndvOut, id)
-		}
-	}
-	for k, st := range f.rndvIn {
-		if k.from == failed {
-			bufs = append(bufs, st.buf)
-			delete(f.rndvIn, k)
-		}
-	}
-	f.rndvMu.Unlock()
-	for _, b := range bufs {
-		f.pool.put(b)
-	}
-}
-
-// RndvPending reports the number of in-flight rendezvous handshakes this
-// fabric retains state for: outbound payloads awaiting CTS and inbound
-// reservations awaiting data. Both must drain to zero once every transfer
-// completes or its peer is declared failed — tests use it to prove the
-// failure sweep leaks nothing.
-func (f *Fabric) RndvPending() (out, in int) {
-	f.rndvMu.Lock()
-	defer f.rndvMu.Unlock()
-	return len(f.rndvOut), len(f.rndvIn)
 }
 
 // ---------------------------------------------------------------------------
@@ -348,8 +268,6 @@ func (f *Fabric) netFrame(pkt *packet, fr *wire.Frame) {
 		Operand:    pkt.operand,
 		Compare:    pkt.compare,
 		Seq:        pkt.seq,
-		Ack:        pkt.ack,
-		AckValid:   pkt.ackValid,
 		Csum:       pkt.csum,
 		Imm:        pkt.imm.Val,
 		ImmValid:   pkt.imm.Valid,
@@ -391,16 +309,11 @@ func (f *Fabric) netDispose(pkt *packet, target int, err error) {
 	}
 }
 
-// netSend serializes one transmission attempt onto the link. pkt is a wire
-// clone (or link control packet) under the always-on reliability layer:
-// after the frame is written this copy is disposed of. Payloads at or
-// above the rendezvous threshold detour through the RTS/CTS handshake
-// instead of riding the frame.
+// netSend serializes one transmission attempt onto the link: encode, send,
+// dispose. The link has finished with the packet's bytes when Send returns
+// (under the reliability layer pkt is a wire clone or link control packet,
+// and the retained original lives on).
 func (f *Fabric) netSend(pkt *packet) {
-	if f.rndvEligible(pkt) {
-		f.netSendRTS(pkt)
-		return
-	}
 	var fr wire.Frame
 	f.netFrame(pkt, &fr)
 	err := f.link.Send(pkt.target, &fr)
@@ -412,8 +325,8 @@ func (f *Fabric) netSend(pkt *packet) {
 // ---------------------------------------------------------------------------
 
 // netRecv converts an arriving frame into a packet on the local NIC's
-// per-origin receive lane. It runs on the mesh's per-peer reader
-// goroutine: the frame's slices alias the read buffer, so payload bytes
+// per-origin receive lane. It runs on the mesh's rx goroutine: the
+// frame's slices alias the read buffer, so payload bytes
 // are staged into pooled buffers here (the rx copy of a real transport),
 // keeping the hot path allocation-free. Backpressure is physical: a full
 // lane blocks this reader, which stops draining the socket, which pushes
@@ -430,7 +343,7 @@ func (f *Fabric) netRecv(from int, fr *wire.Frame) {
 // staged as usual and the loan returned before this call ends.
 func (f *Fabric) netRecvBorrowed(from int, fr *wire.Frame, free func()) {
 	switch fr.Kind {
-	case wire.KindReg, wire.KindDereg, wire.KindRTS, wire.KindCTS, wire.KindRndvData:
+	case wire.KindReg, wire.KindDereg:
 		// Control kinds are handled synchronously; any loan ends here.
 		if free != nil {
 			defer free()
@@ -452,43 +365,26 @@ func (f *Fabric) netRecvBorrowed(from int, fr *wire.Frame, free func()) {
 		delete(f.remoteRegions[fr.Origin], fr.RegionID)
 		f.netMu.Unlock()
 		return
-	case wire.KindRTS:
-		f.handleRTS(from, fr)
-		return
-	case wire.KindCTS:
-		f.handleCTS(from, fr)
-		return
-	case wire.KindRndvData:
-		f.handleRndvData(from, fr)
-		return
 	}
-	f.ingestFrame(fr, nil, free)
+	f.ingestFrame(fr, free)
 }
 
 // ingestFrame converts a data/control frame into a packet on the local
-// NIC's per-origin receive lane. When staged is non-nil it is a pooled
-// buffer already holding the frame's payload bytes (a rendezvous landing);
-// ownership transfers here — otherwise fr.Data aliases the read buffer and
-// is staged into a fresh pooled copy. A non-nil free marks fr.Data as a
-// loan from the link's receive buffers: put packets carry the loan to
-// commit (zero staging copy) and the fabric calls free when done; every
+// NIC's per-origin receive lane. fr.Data aliases the link's read buffer
+// and is staged into a pooled copy — unless free is non-nil, which marks
+// it as a loan from the link's receive buffers: put packets carry the loan
+// to commit (zero staging copy) and the fabric calls free when done; every
 // other kind copies as usual and the loan is returned before this call
 // ends.
-func (f *Fabric) ingestFrame(fr *wire.Frame, staged []byte, free func()) {
+func (f *Fabric) ingestFrame(fr *wire.Frame, free func()) {
 	kind, ok := wireKindToPkt(fr.Kind)
 	if !ok || fr.Target != f.self {
-		if staged != nil {
-			f.pool.put(staged)
-		}
 		if free != nil {
 			free()
 		}
 		return // control frame the mesh already handled, or not ours: drop
 	}
 	stage := func() ([]byte, bool) {
-		if staged != nil {
-			return staged, true
-		}
 		if len(fr.Data) == 0 {
 			return nil, false
 		}
@@ -505,22 +401,20 @@ func (f *Fabric) ingestFrame(fr *wire.Frame, staged []byte, free func()) {
 		opID: fr.OpID, operand: fr.Operand, compare: fr.Compare,
 		aop: AtomicOp(fr.AtomicOp), accOp: AccumOp(fr.AccumOp),
 		rel: fr.Rel, seq: fr.Seq, csum: fr.Csum,
-		ack: fr.Ack, ackValid: fr.AckValid,
 	}
 	switch kind {
 	case pktCtrl, pktData:
 		payload, err := wire.DecodePayload(fr.Payload)
 		if err != nil {
-			// An undecodable header cannot be committed; drop the packet
-			// and let the reliability layer's checksum/retransmit machinery
-			// (or, for persistent garbage, the failure detector) handle it.
-			if staged != nil {
-				f.pool.put(staged)
-			}
+			// An undecodable header cannot be committed, and on a lossless
+			// link nothing will send it again: whoever waits for this
+			// message would wait forever. The peer is speaking garbage —
+			// fail it, so the waiter unblocks with a typed error.
 			if free != nil {
 				free()
 			}
 			releasePacket(pkt)
+			f.declarePeerFailed(f.self, fr.Origin, fmt.Sprintf("undecodable payload: %v", err))
 			return
 		}
 		data, _ := stage()
@@ -561,18 +455,18 @@ func (f *Fabric) ingestFrame(fr *wire.Frame, staged []byte, free func()) {
 	f.lanePush(dst, pkt, false)
 }
 
-// netPeerDown maps an abrupt connection loss (RST, EOF without goodbye,
-// write timeout) onto the peer-failure detector: the same declarePeerFailed
-// path a retransmit-budget exhaustion takes, so waiters unblock with the
-// same typed ErrPeerFailed.
+// netPeerDown maps the link's verdict on a peer (RST, EOF without goodbye,
+// write timeout, stalled heartbeat) onto the peer-failure detector: the
+// same declarePeerFailed path a retransmit-budget exhaustion takes, so
+// waiters unblock with the same typed ErrPeerFailed.
 func (f *Fabric) netPeerDown(rank int, err error) {
-	f.declarePeerFailed(f.self, rank, fmt.Sprintf("connection lost: %v", err))
+	f.declarePeerFailed(f.self, rank, fmt.Sprintf("link down: %v", err))
 }
 
 // declarePeerFailed converts a dead peer into typed ErrPeerFailed
 // completions. The reliable layer owns the declaration when present (it
-// also has retained window state to release); a lossless link (rel == nil,
-// shared-memory rings) performs the same idempotent fan-out here: sweep
+// also has retained window state to release); without it (rel == nil, the
+// default on every link) the same idempotent fan-out happens here: sweep
 // registered wire ops, fail the local NIC's pending state and waiters, and
 // fire the job-level hook.
 func (f *Fabric) declarePeerFailed(observer, failed int, reason string) {
@@ -608,263 +502,3 @@ func (f *Fabric) declarePeerFailed(observer, failed int, reason string) {
 // NetStatsSource returns the link so callers holding only the fabric can
 // surface transport statistics; nil on single-process fabrics.
 func (f *Fabric) NetStatsSource() Link { return f.link }
-
-// ---------------------------------------------------------------------------
-// Rendezvous: adaptive eager/RTS-CTS switch for large payloads
-// ---------------------------------------------------------------------------
-//
-// An eager transfer carries its payload on the first frame, which the
-// receiver must stage through the mesh read buffer and a pooled copy. At
-// some size the copy and buffer churn cost more than a round trip, so
-// large payloads switch to rendezvous: the origin sends a small RTS
-// carrying the transfer's encoded inner header and size, the target
-// reserves an exact-size pooled buffer and answers CTS, and the payload
-// then travels as a bare KindRndvData frame the mesh lands *directly* in
-// the reserved buffer (wire.Framer.ReadDirect) — zero staging copies at
-// the receiver. The inner header is reunited with the landed payload and
-// ingested exactly as an eager arrival would be; the reliable-delivery
-// layer above sees the same sequenced packet either way, so ordering,
-// dedup, and retransmission are untouched. The crossover adapts to the
-// observed per-peer RTT: a slower link must amortize a costlier handshake.
-
-// rndvDefaultThreshold is the eager/rendezvous crossover floor.
-const rndvDefaultThreshold = 64 << 10
-
-type rndvKey struct {
-	from int
-	id   uint64
-}
-
-// rndvOutEntry retains one outbound payload between RTS and CTS. It holds
-// its own pooled copy — the reliability layer may release the retained
-// original (late cumulative ack orderings) while the handshake is still in
-// flight, so sharing that buffer would race its recycling.
-type rndvOutEntry struct {
-	target int
-	seq    uint64 // inner sequence number (dedups retransmitted RTS)
-	data   []byte // pooled; released after the data frame is written
-}
-
-// rndvInEntry is one announced inbound transfer: the decoded inner header
-// and the reserved landing buffer the mesh may fill directly.
-type rndvInEntry struct {
-	fr  wire.Frame
-	buf []byte // pooled, exactly the announced size
-}
-
-// rndvThreshold returns the eager/rendezvous crossover toward a peer in
-// bytes (0 = rendezvous disabled). The configured floor rises with the
-// observed RTT: at ~4 bytes/ns of loopback-ish bandwidth, a payload
-// cheaper to ship than the handshake's extra round trip stays eager.
-func (f *Fabric) rndvThreshold(target int) int {
-	if f.rndvOut == nil {
-		return 0
-	}
-	base := f.cfg.RendezvousThreshold
-	if base == 0 {
-		base = rndvDefaultThreshold
-	}
-	if srtt := f.rel.srttOf(target); srtt > 0 {
-		if adaptive := int(srtt) * 4; adaptive > base {
-			base = adaptive
-		}
-	}
-	return base
-}
-
-// rndvEligible reports whether this transmission attempt should detour
-// through the RTS/CTS handshake: a sequenced, message-free payload at or
-// above the peer's crossover.
-func (f *Fabric) rndvEligible(pkt *packet) bool {
-	if f.rndvOut == nil || pkt.msg != nil || !pkt.rel || len(pkt.data) == 0 {
-		return false
-	}
-	t := f.rndvThreshold(pkt.target)
-	return t > 0 && len(pkt.data) >= t
-}
-
-// netSendRTS announces a large transfer instead of sending it eagerly.
-// pkt is a wire clone; its payload is copied into an entry the handshake
-// owns, so the attempt is disposed of exactly like an eager send. A
-// retransmission of the same sequenced packet reuses the existing entry
-// (same id), so the target sees one announcement to re-CTS.
-func (f *Fabric) netSendRTS(pkt *packet) {
-	var inner wire.Frame
-	f.netFrame(pkt, &inner)
-	inner.Data = nil // the payload travels separately
-	size := len(pkt.data)
-
-	f.rndvMu.Lock()
-	var id uint64
-	for eid, e := range f.rndvOut {
-		if e.target == pkt.target && e.seq == pkt.seq {
-			id = eid
-			break
-		}
-	}
-	if id == 0 {
-		f.rndvSeq++
-		id = f.rndvSeq
-		data := f.pool.get(size)
-		copy(data, pkt.data)
-		f.rndvOut[id] = &rndvOutEntry{target: pkt.target, seq: pkt.seq, data: data}
-	}
-	f.rndvMu.Unlock()
-
-	// The reliability layer checked the peer before this attempt, but the
-	// failure declaration may land between that check and the park above —
-	// the sweep would then run against an empty map and the entry leak
-	// forever. Park and sweep serialize on rndvMu, so whichever ran second
-	// sees the other: if the peer is failed now, the sweep already missed
-	// us and the entry is ours to unpark.
-	if ferr := f.rel.peerError(pkt.target); ferr != nil {
-		f.rndvMu.Lock()
-		if e := f.rndvOut[id]; e != nil {
-			delete(f.rndvOut, id)
-			f.pool.put(e.data)
-		}
-		f.rndvMu.Unlock()
-		f.netDispose(pkt, pkt.target, nil)
-		return
-	}
-
-	rts := wire.Frame{
-		Kind: wire.KindRTS, Origin: f.self, Target: pkt.target,
-		OpID: id, Operand: uint64(size), Data: wire.Append(nil, &inner),
-	}
-	target := pkt.target
-	err := f.link.Send(target, &rts)
-	f.netDispose(pkt, target, err)
-}
-
-// handleRTS reserves the landing buffer for an announced transfer and
-// answers CTS. A duplicate announcement (retransmitted RTS) finds its
-// entry and just re-CTSes.
-func (f *Fabric) handleRTS(from int, fr *wire.Frame) {
-	key := rndvKey{from: from, id: fr.OpID}
-	size := int(fr.Operand)
-	f.rndvMu.Lock()
-	if f.rndvIn == nil {
-		f.rndvMu.Unlock()
-		return
-	}
-	st := f.rndvIn[key]
-	if st == nil {
-		var inner wire.Frame
-		if err := wire.Decode(fr.Data, &inner); err != nil ||
-			size <= 0 || size > wire.MaxFrame {
-			f.rndvMu.Unlock()
-			return // garbage announcement: the sender's RTO covers it
-		}
-		// The decode aliases the mesh read buffer; own the header's slices.
-		inner.Payload = append([]byte(nil), inner.Payload...)
-		st = &rndvInEntry{fr: inner, buf: f.pool.get(size)}
-		f.rndvIn[key] = st
-	}
-	f.rndvMu.Unlock()
-	// Same park-vs-sweep race as the send side: an RTS can arrive while the
-	// announcing peer is being declared failed (retransmit exhaustion keeps
-	// the reader alive). Re-checking after the park closes it — the two
-	// sides serialize on rndvMu.
-	if f.rel.peerError(from) != nil {
-		f.rndvMu.Lock()
-		if e := f.rndvIn[key]; e != nil {
-			delete(f.rndvIn, key)
-			f.pool.put(e.buf)
-		}
-		f.rndvMu.Unlock()
-		return
-	}
-	cts := wire.Frame{Kind: wire.KindCTS, Origin: f.self, Target: from, OpID: fr.OpID}
-	f.link.Send(from, &cts) // best effort: a lost CTS is re-driven by the RTO
-}
-
-// handleCTS releases the announced payload onto the wire. The send runs on
-// its own goroutine: a large write can block on the stream's backpressure
-// bound, and this callback runs on the mesh's reader goroutine, which must
-// keep draining (the peer may be mid-burst toward us on the same pair).
-func (f *Fabric) handleCTS(from int, fr *wire.Frame) {
-	f.rndvMu.Lock()
-	e := f.rndvOut[fr.OpID]
-	if e != nil && e.target == from {
-		delete(f.rndvOut, fr.OpID)
-	} else {
-		e = nil // stale or duplicated CTS
-	}
-	f.rndvMu.Unlock()
-	if e == nil {
-		return
-	}
-	id := fr.OpID
-	go func() {
-		data := wire.Frame{
-			Kind: wire.KindRndvData, Origin: f.self, Target: from,
-			OpID: id, Operand: uint64(len(e.data)), Data: e.data,
-		}
-		err := f.link.Send(from, &data)
-		f.pool.put(e.data)
-		if err != nil {
-			f.declarePeerFailed(f.self, from, fmt.Sprintf("rendezvous send failed: %v", err))
-		}
-	}()
-}
-
-// handleRndvData reunites a landed payload with its inner header and
-// ingests the whole transfer as if it had arrived eagerly. When the mesh
-// landed the bytes directly in the reserved buffer (rndvDirectBuf) no copy
-// happens at all; the buffered fallback pays the one staging copy an eager
-// arrival would have.
-func (f *Fabric) handleRndvData(from int, fr *wire.Frame) {
-	key := rndvKey{from: from, id: fr.OpID}
-	f.rndvMu.Lock()
-	st := f.rndvIn[key]
-	if st != nil {
-		delete(f.rndvIn, key)
-	}
-	f.rndvMu.Unlock()
-	if st == nil {
-		return // duplicate data for an already-completed transfer
-	}
-	if len(fr.Data) != len(st.buf) {
-		f.pool.put(st.buf) // size mismatch: unusable; the RTO re-drives
-		return
-	}
-	if &fr.Data[0] != &st.buf[0] {
-		copy(st.buf, fr.Data)
-	}
-	inner := st.fr
-	inner.Data = st.buf
-	f.ingestFrame(&inner, st.buf, nil)
-}
-
-// rndvDirectBuf is the mesh's direct-landing hook: it maps an arriving
-// KindRndvData frame to its reserved buffer so the payload bypasses the
-// read buffer. Runs on the mesh reader goroutine.
-func (f *Fabric) rndvDirectBuf(from int, fr *wire.Frame) []byte {
-	f.rndvMu.Lock()
-	defer f.rndvMu.Unlock()
-	st := f.rndvIn[rndvKey{from: from, id: fr.OpID}]
-	if st == nil || uint64(len(st.buf)) != fr.Operand {
-		return nil
-	}
-	return st.buf
-}
-
-// rndvGapPending reports whether the reliability layer's expected sequence
-// number from a peer is a rendezvous transfer still in flight: its frame
-// is coming (the handshake, not loss, delays it), so a gap nack — and the
-// retransmission it would trigger — is suppressed. Called under rl.mu;
-// takes only rndvMu.
-func (f *Fabric) rndvGapPending(from int, seq uint64) bool {
-	if f.rndvIn == nil {
-		return false
-	}
-	f.rndvMu.Lock()
-	defer f.rndvMu.Unlock()
-	for k, st := range f.rndvIn {
-		if k.from == from && st.fr.Seq == seq {
-			return true
-		}
-	}
-	return false
-}

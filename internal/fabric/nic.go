@@ -199,10 +199,6 @@ type packet struct {
 	rel  bool   // sequenced packet: ingress runs dedup/reorder before deliverNow
 	seq  uint64 // per-(origin,target) sequence number, starting at 1
 	csum uint32 // CRC-32 over the payload bytes (data + msg data)
-	// Piggybacked cumulative ack for the reverse direction (ack coalescing:
-	// a data packet carries the link ack a standalone pktLinkAck would).
-	ack      uint64
-	ackValid bool
 }
 
 // Op is the origin-side handle of an outstanding remote operation. Done
@@ -449,8 +445,8 @@ type NIC struct {
 	closeOnce sync.Once
 	rxWG      sync.WaitGroup
 
-	// Peer-failure state (distributed fabrics: the reliability layer or a
-	// lossless link whose mesh detects dead peers; all nil/false elsewhere).
+	// Peer-failure state (the reliability layer, or a distributed fabric
+	// whose link detects dead peers; all nil/false elsewhere).
 	// peerErr[r] is the failure recorded against rank r; relPending[r]
 	// holds this NIC's ops outstanding to r so a failure declaration can
 	// complete them with the error (guarded by mu, lazily allocated).
@@ -651,8 +647,8 @@ func (n *NIC) beginOp(target int, kind OpKind) *Op {
 	}
 	if n.anyPeerFailed && n.peerErr[target] != nil {
 		// The target was already declared dead: the declaration's sweep ran
-		// before this op existed, so complete it here — otherwise a lossless
-		// link (shm rings) would park its awaiter forever.
+		// before this op existed, so complete it here — otherwise a link
+		// without the reliability layer would park its awaiter forever.
 		n.failOpLocked(op, n.peerErr[target])
 	}
 	n.mu.Unlock()
@@ -825,9 +821,9 @@ func (n *NIC) Put(p *exec.Proc, target, regionID, offset int, data []byte, imm I
 	case n.f.zeroCopyEligible(n.rank, target, len(data)):
 		payload = data
 	case n.f.sendBorrowEligible(target):
-		// The lossless link serializes the payload synchronously inside
-		// transmit, so the packet can borrow the caller's buffer for the
-		// duration of this call.
+		// The link serializes the payload synchronously inside transmit,
+		// so the packet can borrow the caller's buffer for the duration
+		// of this call.
 		payload = data
 	default:
 		payload = n.f.pool.get(len(data))

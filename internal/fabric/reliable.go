@@ -89,16 +89,6 @@ type ReliabilityConfig struct {
 	// Window is the receive-side reorder/dedup window in packets
 	// (default 512); stragglers beyond it are dropped and retransmitted.
 	Window int
-	// AckDelay enables ack coalescing: instead of answering every in-order
-	// arrival with a standalone pktLinkAck, the receiver holds the
-	// cumulative ack for up to this long so a reverse-direction data packet
-	// can piggyback it for free; a short timer flushes it when traffic is
-	// one-sided. Zero keeps acks eager — the default, so Sim-engine
-	// timings are bit-identical with the layer's historical behavior —
-	// and negative means explicitly eager for callers whose zero would
-	// otherwise be re-tuned (NewDistributed turns 0 into 100µs).
-	// Duplicates and gap nacks are always answered immediately.
-	AckDelay simtime.Duration
 }
 
 func (c ReliabilityConfig) withDefaults() ReliabilityConfig {
@@ -167,13 +157,6 @@ type relTx struct {
 	unacked    []*packet // ascending seq
 	attempts   int       // consecutive timeouts without ack progress
 	timerArmed bool
-
-	// Karn-style single-probe RTT estimation: at most one sequenced packet
-	// is timed at a time, and a sample is taken only if that packet was
-	// never retransmitted. Feeds the adaptive eager/rendezvous threshold.
-	probeSeq uint64 // seq being timed (0 = no probe in flight)
-	probeAt  simtime.Time
-	srtt     simtime.Duration // smoothed RTT, EWMA 7/8 (0 = no sample yet)
 }
 
 // relRx is the target-side state: the next expected sequence number and
@@ -182,13 +165,6 @@ type relRx struct {
 	next     uint64 // next seq to deliver (first assigned seq is 1)
 	window   map[uint64]*packet
 	lastNack uint64 // highest expected-seq we already nacked (suppress spam)
-
-	// Delayed-ack state (AckDelay > 0 only): ackOwed marks a cumulative
-	// ack not yet on the wire; it is cleared by whichever happens first —
-	// a reverse data packet piggybacking it, any standalone ctl for this
-	// pair, or the ack timer flushing it.
-	ackOwed       bool
-	ackTimerArmed bool
 }
 
 // reliability is the fabric-wide protocol engine. One mutex guards all
@@ -265,21 +241,6 @@ func (rl *reliability) send(pkt *packet) {
 	pkt.rel = true
 	pkt.seq = tx.nextSeq
 	pkt.csum = relChecksum(pkt)
-	if rl.cfg.AckDelay > 0 {
-		// Piggyback the reverse direction's cumulative ack on this data
-		// packet. Stamped on the retained original, so retransmission
-		// clones re-carry it — stale cumulative acks are harmless no-ops
-		// at the peer.
-		if rx := rl.rx[pairKey{origin: pkt.target, target: pkt.origin}]; rx != nil && rx.next > 1 {
-			pkt.ack = rx.next - 1
-			pkt.ackValid = true
-			rx.ackOwed = false // the timer finds nothing to flush
-		}
-	}
-	if tx.probeSeq == 0 {
-		tx.probeSeq = pkt.seq
-		tx.probeAt = rl.f.env.Now()
-	}
 	if pkt.pooled {
 		// Retained payloads are handed to the GC instead of the pool: a
 		// slow duplicate or retransmit clone may still be reading the
@@ -381,13 +342,6 @@ func (rl *reliability) ingress(n *NIC, pkt *packet) {
 	ctlKind := pktKind(-1)
 	var ctlSeq uint64
 
-	if pkt.ackValid {
-		// The data packet piggybacks the reverse direction's cumulative
-		// ack: apply it to our sender-side state before processing the
-		// payload, exactly as a standalone pktLinkAck would.
-		rl.applyAck(pairKey{origin: n.rank, target: pkt.origin}, pkt.ack, false)
-	}
-
 	rl.mu.Lock()
 	rx := rl.rx[pair]
 	if rx == nil {
@@ -426,17 +380,7 @@ func (rl *reliability) ingress(n *NIC, pkt *packet) {
 		// gap (if any) gets its own nack, and cumulatively ack the prefix.
 		rx.lastNack = 0
 		ctlKind, ctlSeq = pktLinkAck, rx.next-1
-		if rl.cfg.AckDelay > 0 {
-			// Hold the cumulative ack so reverse-direction data can carry
-			// it; the ack timer flushes it if the traffic is one-sided.
-			ctlKind = pktKind(-1)
-			rx.ackOwed = true
-			if !rx.ackTimerArmed {
-				rx.ackTimerArmed = true
-				rl.f.env.Schedule(rl.cfg.AckDelay, exec.PrioWake, func() { rl.onAckTimer(pair) })
-			}
-		}
-		if len(rx.window) > 0 && !rl.nackSuppressed(pair.origin, rx.next) {
+		if len(rx.window) > 0 {
 			// Stragglers above a fresh gap mean another loss in the same
 			// burst. At a burst tail no further arrival will ever nack it,
 			// so signal it now rather than stall a full RTO (a nack
@@ -457,14 +401,10 @@ func (rl *reliability) ingress(n *NIC, pkt *packet) {
 			rx.window[pkt.seq] = pkt
 			pkt = nil // retained in the window, checksum already verified
 		}
-		if rx.lastNack != rx.next && !rl.nackSuppressed(pair.origin, rx.next) {
+		if rx.lastNack != rx.next {
 			rx.lastNack = rx.next
 			ctlKind, ctlSeq = pktLinkNack, rx.next
 		}
-	}
-	if ctlKind != pktKind(-1) {
-		// Any standalone ctl cumulatively covers the owed ack.
-		rx.ackOwed = false
 	}
 	rl.mu.Unlock()
 
@@ -482,14 +422,6 @@ func (rl *reliability) ingress(n *NIC, pkt *packet) {
 	}
 }
 
-// nackSuppressed reports whether the gap at the expected seq is explained
-// by a rendezvous transfer still mid-handshake from origin (netlink): its
-// frame is delayed by design, not lost, so a gap nack would only trigger a
-// useless retransmission.
-func (rl *reliability) nackSuppressed(origin int, seq uint64) bool {
-	return rl.f.link != nil && rl.f.rndvGapPending(origin, seq)
-}
-
 // handleLinkCtl processes an ack or nack at the data sender. The control
 // packet's (origin, target) are the *reverse* of the data direction.
 func (rl *reliability) handleLinkCtl(pkt *packet) {
@@ -505,10 +437,9 @@ func (rl *reliability) handleLinkCtl(pkt *packet) {
 	rl.applyAck(pair, ackTo, nack)
 }
 
-// applyAck commits a cumulative ack (standalone or piggybacked) to the
-// sender-side state of the directed stream pair, releasing covered
-// retained packets, sampling the RTT probe, and fast-retransmitting a
-// nacked gap.
+// applyAck commits a cumulative ack to the sender-side state of the
+// directed stream pair, releasing covered retained packets and
+// fast-retransmitting a nacked gap.
 func (rl *reliability) applyAck(pair pairKey, ackTo uint64, nack bool) {
 	var released []*packet
 	var retrans *packet
@@ -528,26 +459,10 @@ func (rl *reliability) applyAck(pair pairKey, ackTo uint64, nack bool) {
 		tx.unacked = append(tx.unacked[:0], tx.unacked[i:]...)
 		tx.attempts = 0 // ack progress resets the failure budget
 	}
-	if tx.probeSeq != 0 && ackTo >= tx.probeSeq {
-		// Karn: the probe is sampled only if it was never retransmitted
-		// (retransmission paths zero probeSeq), so the sample cannot pair
-		// a retransmit's send time with the original's ack.
-		if s := rl.f.env.Now().Sub(tx.probeAt); s > 0 {
-			if tx.srtt == 0 {
-				tx.srtt = s
-			} else {
-				tx.srtt = (7*tx.srtt + s) / 8
-			}
-		}
-		tx.probeSeq = 0
-	}
 	if nack {
 		for _, sp := range tx.unacked {
 			if sp.seq == ackTo+1 {
 				retrans = wireClone(sp) // fast retransmit of the reported gap
-				if sp.seq == tx.probeSeq {
-					tx.probeSeq = 0 // Karn: retransmitted, sample invalid
-				}
 				break
 			}
 			if sp.seq > ackTo+1 {
@@ -564,40 +479,6 @@ func (rl *reliability) applyAck(pair pairKey, ackTo uint64, nack bool) {
 		rl.retransmits.Add(1)
 		rl.wireSend(retrans)
 	}
-}
-
-// onAckTimer flushes a delayed cumulative ack that no reverse-direction
-// data packet picked up within AckDelay.
-func (rl *reliability) onAckTimer(pair pairKey) {
-	rl.mu.Lock()
-	rx := rl.rx[pair]
-	if rx == nil || rl.closed {
-		rl.mu.Unlock()
-		return
-	}
-	rx.ackTimerArmed = false
-	if !rx.ackOwed || rl.failed[pair.origin] != nil {
-		rl.mu.Unlock()
-		return
-	}
-	rx.ackOwed = false
-	ackTo := rx.next - 1
-	rl.mu.Unlock()
-	rl.sendCtl(pktLinkAck, pair.target, pair.origin, ackTo)
-}
-
-// srttOf returns the smoothed RTT observed toward a rank (0 until a clean
-// sample exists). The adaptive eager/rendezvous threshold reads it.
-func (rl *reliability) srttOf(target int) simtime.Duration {
-	rl.mu.Lock()
-	defer rl.mu.Unlock()
-	var best simtime.Duration
-	for pk, tx := range rl.tx {
-		if pk.target == target && tx.srtt > best {
-			best = tx.srtt
-		}
-	}
-	return best
 }
 
 // releaseRetained frees a retained original once the target acknowledged
@@ -657,7 +538,6 @@ func (rl *reliability) onTimer(pair pairKey) {
 	for i, sp := range tx.unacked {
 		clones[i] = wireClone(sp)
 	}
-	tx.probeSeq = 0 // Karn: everything in flight is now a retransmission
 	rl.armTimerLocked(pair, tx)
 	rl.mu.Unlock()
 	rl.retransmits.Add(int64(len(clones)))

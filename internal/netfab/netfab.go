@@ -13,12 +13,17 @@
 // a rank that finishes its body sends Bye on every stream before closing.
 // A stream that ends without a Bye — RST, EOF, write timeout — is a peer
 // failure and is reported through the peerDown callback, which the fabric
-// maps onto its peer-failure detector (ErrPeerFailed).
+// maps onto its peer-failure detector (ErrPeerFailed). So is a stream that
+// stays open but goes silent: every rank keeps its outbound streams audibly
+// alive (an empty Beat frame whenever one carried nothing for an interval)
+// and a peer whose stream delivers no byte for the detector's timeout
+// (internal/beat, the policy the shared-memory mesh uses too) is a hung
+// process, convicted the same way.
 //
 // The package deliberately knows nothing about the fabric: it moves frames
 // between ranks. internal/fabric defines a Link interface that *Mesh
-// satisfies structurally, keeping this package a leaf over internal/wire
-// and the standard library.
+// satisfies structurally, keeping this package a leaf over internal/wire,
+// internal/beat and the standard library.
 package netfab
 
 import (
@@ -30,6 +35,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/beat"
 	"repro/internal/wire"
 )
 
@@ -122,8 +128,7 @@ type Stats struct {
 	// tx batching factor.
 	TxFlushes uint64
 	// RxReads counts read syscalls on established streams (one per framer
-	// fill; a direct-landed frame counts one regardless of how many reads
-	// its payload took).
+	// fill).
 	RxReads uint64
 	// RxCoalesce is a histogram of frames completed per read: buckets
 	// count reads yielding 0, 1, 2-4, 5-16, 17-64, and 65+ frames.
@@ -171,6 +176,7 @@ type peer struct {
 	pendingBytes  int
 	pendingFrames int
 	flushing      bool // a bypass write or writer-goroutine flush owns the conn
+	sent          bool // a frame was submitted since the beat loop last looked
 	closed        bool // local close: writes are errors
 	bye           bool // remote sent Bye: writes are silently dropped
 	down          bool // stream failed: writes are errors, peerDown fired
@@ -186,11 +192,10 @@ type Mesh struct {
 	rx       func(from int, fr *wire.Frame)
 	peerDown func(rank int, err error)
 
-	// directBuf, when set (before Start), lets the receive loop land a
-	// rendezvous data frame's payload straight into a caller-owned buffer:
-	// given the peeked header it returns a buffer of exactly the payload
-	// size, or nil to take the ordinary buffered path.
-	directBuf func(from int, fr *wire.Frame) []byte
+	// hb is the liveness timing: the shared detector's defaults, which
+	// in-package tests shorten before Start.
+	hb       beat.Policy
+	suppress atomic.Bool // heartbeat suppressed: this rank plays dead
 
 	framesSent, framesRecv atomic.Uint64
 	bytesSent, bytesRecv   atomic.Uint64
@@ -216,7 +221,7 @@ type Mesh struct {
 	closed    atomic.Bool
 	quit      chan struct{} // closed at teardown: writer goroutines exit
 	readersWG sync.WaitGroup
-	writersWG sync.WaitGroup
+	writersWG sync.WaitGroup // per-peer writers and the beat loop
 
 	byeMu   sync.Mutex
 	byeFrom map[int]bool
@@ -482,6 +487,7 @@ func newMesh(cfg Config) *Mesh {
 	return &Mesh{
 		cfg:     cfg,
 		peers:   make([]*peer, cfg.N),
+		hb:      beat.Policy{}.WithDefaults(),
 		quit:    make(chan struct{}),
 		byeFrom: make(map[int]bool),
 		byeCond: make(chan struct{}),
@@ -544,23 +550,14 @@ func (m *Mesh) Self() int { return m.cfg.Self }
 // N returns the job size.
 func (m *Mesh) N() int { return m.cfg.N }
 
-// SetDirectBuf installs the direct-landing hook for rendezvous data
-// frames: given the peeked fixed header of an arriving KindRndvData frame,
-// it returns a buffer of exactly the payload size the payload should land
-// in (skipping the framer's buffer entirely), or nil to take the ordinary
-// buffered path. Must be set before Start.
-func (m *Mesh) SetDirectBuf(f func(from int, fr *wire.Frame) []byte) {
-	m.directBuf = f
-}
-
 // Start installs the receive callbacks and launches the data-plane
-// goroutines: one writer per peer stream, and on the receive side a
-// single process-wide poller multiplexing every pollable stream (with a
-// fallback reader goroutine for streams the kernel cannot poll — see
-// rx.go and poller_linux.go). rx runs on the rx goroutine driving that
-// peer; the frame's Data/Payload slices alias the read buffer and must be
-// copied out before rx returns. peerDown fires at most once per peer,
-// only for streams that end without a clean Bye.
+// goroutines: one writer per peer stream, one beat loop, and on the
+// receive side a single process-wide poller multiplexing every pollable
+// stream (with a fallback reader goroutine for streams the kernel cannot
+// poll — see rx.go and poller_linux.go). rx runs on the rx goroutine
+// driving that peer; the frame's Data/Payload slices alias the read buffer
+// and must be copied out before rx returns. peerDown fires at most once
+// per peer, only for streams that end or fall silent without a clean Bye.
 func (m *Mesh) Start(rx func(from int, fr *wire.Frame), peerDown func(rank int, err error)) {
 	m.rx = rx
 	m.peerDown = peerDown
@@ -577,7 +574,11 @@ func (m *Mesh) Start(rx func(from int, fr *wire.Frame), peerDown func(rank int, 
 		}
 		fallback++
 		m.readersWG.Add(1)
-		go m.readLoop(newRxStream(p, p.conn))
+		go m.readLoop(newRxStream(p, &idleReader{conn: p.conn, idle: m.hb.Interval}))
+	}
+	if m.cfg.N > 1 {
+		m.writersWG.Add(1)
+		go m.beatLoop()
 	}
 	m.rxGoroutines = fallback
 	if m.poller != nil {
@@ -610,8 +611,8 @@ func (m *Mesh) streamEnded(p *peer, err error) {
 
 // markDown records a failed stream (idempotently): subsequent sends fail
 // fast, blocked senders wake, and peerDown fires exactly once. Reached
-// from the reader (stream error) and from a failed flush (write error);
-// whichever detects it first reports it.
+// from the reader (stream error, heartbeat stall) and from a failed flush
+// (write error); whichever detects it first reports it.
 func (m *Mesh) markDown(p *peer, err error) {
 	p.mu.Lock()
 	already := p.down
@@ -684,6 +685,7 @@ func (m *Mesh) writeFrame(p *peer, fr *wire.Frame) error {
 		p.mu.Unlock()
 		return fmt.Errorf("netfab: stream to rank %d is down", p.rank)
 	}
+	p.sent = true
 
 	if !p.flushing && p.pendingBytes == 0 {
 		// Low-latency bypass: nothing queued and the conn is idle — write
@@ -818,6 +820,50 @@ func (m *Mesh) drainPending(p *peer, bufs *net.Buffers) {
 		p.mu.Unlock()
 		if err != nil {
 			return // flushConn already marked the stream down
+		}
+	}
+}
+
+// SuppressHeartbeat stops this rank's Beat frames, so a mesh that also
+// sends nothing else looks to its peers exactly like a frozen process: an
+// open stream gone silent. Peer monitoring continues. Tests use it to play
+// the hung rank (shmfab.Mesh has the same method for the same purpose).
+func (m *Mesh) SuppressHeartbeat() { m.suppress.Store(true) }
+
+// beatLoop keeps every outbound stream audibly alive: once per interval, a
+// stream nothing was submitted on since the last look gets one empty Beat
+// frame, so the peer's detector never mistakes an idle job for a hung one.
+// The frame goes through the queue to the peer's writer goroutine — this
+// loop never blocks on a socket, so one stuck peer cannot silence the
+// beats to the others. While traffic flows no Beat is sent at all.
+func (m *Mesh) beatLoop() {
+	defer m.writersWG.Done()
+	t := time.NewTicker(m.hb.Interval)
+	defer t.Stop()
+	fr := &wire.Frame{Kind: wire.KindBeat, Origin: m.cfg.Self}
+	for {
+		select {
+		case <-m.quit:
+			return
+		case <-t.C:
+		}
+		if m.suppress.Load() {
+			continue
+		}
+		for _, p := range m.peers {
+			if p == nil {
+				continue
+			}
+			p.mu.Lock()
+			quiet := !p.sent && !p.flushing && p.pendingBytes == 0 && !p.bye && !p.closed && !p.down
+			p.sent = false
+			if quiet {
+				p.appendPendingLocked(fr)
+			}
+			p.mu.Unlock()
+			if quiet {
+				ringDoorbell(p)
+			}
 		}
 	}
 }

@@ -12,24 +12,21 @@ import (
 	"repro/internal/wire"
 )
 
-// Bootstrap a 3-rank mesh over localhost TCP, exchange frames every
-// direction, and shut down cleanly: no peerDown may fire.
-func TestBootstrapAndExchange(t *testing.T) {
-	const n = 3
+// tcpMeshes bootstraps an n-rank mesh over real localhost TCP.
+func tcpMeshes(tb testing.TB, n int) []*Mesh {
+	tb.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	root := ln.Addr().String()
-
 	meshes := make([]*Mesh, n)
-	var wg sync.WaitGroup
 	errs := make([]error, n)
+	var wg sync.WaitGroup
 	for r := 0; r < n; r++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			cfg := Config{Self: r, N: n, RootAddr: root, DialTimeout: 5 * time.Second}
+			cfg := Config{Self: r, N: n, RootAddr: ln.Addr().String(), DialTimeout: 5 * time.Second}
 			if r == 0 {
 				cfg.RootListener = ln
 			}
@@ -39,9 +36,17 @@ func TestBootstrapAndExchange(t *testing.T) {
 	wg.Wait()
 	for r, err := range errs {
 		if err != nil {
-			t.Fatalf("rank %d bootstrap: %v", r, err)
+			tb.Fatalf("rank %d bootstrap: %v", r, err)
 		}
 	}
+	return meshes
+}
+
+// Bootstrap a 3-rank mesh over localhost TCP, exchange frames every
+// direction, and shut down cleanly: no peerDown may fire.
+func TestBootstrapAndExchange(t *testing.T) {
+	const n = 3
+	meshes := tcpMeshes(t, n)
 
 	type rxKey struct{ at, from int }
 	var mu sync.Mutex

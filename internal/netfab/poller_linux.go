@@ -115,22 +115,31 @@ func (pl *poller) destroy() {
 // which would put a fixed floor under every message hop. Nonblocking
 // polls interleaved with Gosched keep mid-conversation latency at
 // syscall speed; only a mesh idle for the full budget pays the
-// blocking-wakeup cost, and from then on it costs zero CPU. 5ms
-// comfortably covers inter-hop gaps (rendezvous turnarounds, fabric
-// processing) without burning meaningful CPU on a mesh that went quiet.
+// blocking-wakeup cost, and from then on it costs one wake-up per beat
+// interval. 5ms comfortably covers inter-hop gaps (fabric processing at
+// the peer) without burning meaningful CPU on a mesh that went quiet.
 const pollSpin = 5 * time.Millisecond
 
 // pollLoop is the single rx goroutine: wait for readiness, pump the ready
 // stream until it would block, repeat. Level triggering makes partially
 // drained streams re-fire, so stopping at EAGAIN is the only obligation.
+// Once per beat interval — a blocking wait never sleeps longer — it also
+// samples every stream's liveness (checkStalls).
 func (m *Mesh) pollLoop(pl *poller) {
 	defer m.pollerWG.Done()
 	events := make([]syscall.EpollEvent, 128)
+	blockMs := max(1, int(m.hb.Interval/time.Millisecond))
 	var idleSince time.Time
+	lastCheck := time.Now()
 	for {
+		now := time.Now()
+		if now.Sub(lastCheck) >= m.hb.Interval {
+			lastCheck = now
+			m.checkStalls(pl, now)
+		}
 		wait := 0 // poll: see pollSpin
-		if !idleSince.IsZero() && time.Since(idleSince) >= pollSpin {
-			wait = -1 // idle for the whole spin budget: block until readiness
+		if !idleSince.IsZero() && now.Sub(idleSince) >= pollSpin {
+			wait = blockMs // idle for the whole spin budget: block until readiness or the next check
 		}
 		n, err := syscall.EpollWait(pl.epfd, events, wait)
 		if err == syscall.EINTR {
@@ -141,7 +150,7 @@ func (m *Mesh) pollLoop(pl *poller) {
 		}
 		if n == 0 {
 			if idleSince.IsZero() {
-				idleSince = time.Now()
+				idleSince = now
 			}
 			runtime.Gosched()
 			continue
@@ -157,11 +166,36 @@ func (m *Mesh) pollLoop(pl *poller) {
 				continue
 			}
 			if !m.drain(s) {
-				// Stream over (EOF keeps the fd readable forever under
-				// level triggering): deregister it.
-				syscall.EpollCtl(pl.epfd, syscall.EPOLL_CTL_DEL, fd, nil)
-				delete(pl.streams, fd)
+				pl.drop(fd)
 			}
+		}
+	}
+}
+
+// drop deregisters a finished stream (EOF keeps the fd readable forever
+// under level triggering).
+func (pl *poller) drop(fd int) {
+	syscall.EpollCtl(pl.epfd, syscall.EPOLL_CTL_DEL, fd, nil)
+	delete(pl.streams, fd)
+}
+
+// checkStalls runs every stream through the liveness detector. This
+// goroutine may just have spent the whole timeout parked in rx on one
+// stream while the others' bytes piled up in their sockets, so an apparent
+// stall is re-judged after a read: only a stream that is silent and has
+// nothing to read convicts its peer.
+func (m *Mesh) checkStalls(pl *poller, now time.Time) {
+	for fd, s := range pl.streams {
+		if _, dead := m.stalled(s, now); !dead {
+			continue
+		}
+		if !m.drain(s) {
+			pl.drop(fd) // ended on its own, already classified
+			continue
+		}
+		if d, dead := m.stalled(s, now); dead {
+			m.convict(s, d)
+			pl.drop(fd)
 		}
 	}
 }

@@ -2,58 +2,62 @@ package netfab
 
 // The receive path as a resumable state machine.
 //
-// Every peer stream owns an rxStream: the framer, the scratch frame, and
-// any half-landed direct transfer. Pumping the machine is identical
-// whether the bytes come from a blocking conn (fallback goroutine, one
-// per stream — in-memory pipes and platforms without a poller) or from a
-// nonblocking fd driven by the process-wide poller: the only difference
-// is that the nonblocking reader returns errWouldBlock where the blocking
-// one parks, and the machine simply stops mid-stride and resumes on the
-// next readiness event.
+// Every peer stream owns an rxStream: the framer, the scratch frame and the
+// peer's liveness monitor. Pumping the machine is identical whether the
+// bytes come from a blocking conn (fallback goroutine, one per stream —
+// in-memory pipes and platforms without a poller) or from a nonblocking fd
+// driven by the process-wide poller: either reader returns errWouldBlock
+// when it has nothing (the fd at once, the conn after one idle beat
+// interval), and the machine simply stops mid-stride and resumes on the
+// next call.
+//
+// Liveness is judged here and nowhere else, by the goroutine that reads
+// the stream, right after a read came up empty: a reader parked inside rx
+// (a full receive lane) judges nobody, and when it resumes it reads what
+// piled up in the socket before it measures any silence. A stalled local
+// reader therefore never convicts a healthy peer.
 
 import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
+	"os"
+	"time"
 
+	"repro/internal/beat"
 	"repro/internal/wire"
 )
 
-// errWouldBlock is the sentinel a nonblocking reader returns when the fd
-// has no bytes ready; the poller parks the stream until the next
-// readiness event instead of treating it as a stream error.
+// errWouldBlock is the sentinel a reader returns when the stream has no
+// bytes ready; the driver parks the stream instead of treating it as a
+// stream error.
 var errWouldBlock = errors.New("netfab: read would block")
 
 // rxStream is one peer stream's receive state, safe to abandon and resume
 // at any reader would-block point.
 type rxStream struct {
 	p    *peer
-	r    io.Reader // fdReader (poller) or the conn itself (fallback)
+	r    io.Reader // fdReader (poller) or idleReader (fallback)
 	fram *wire.Framer
-	fr   wire.Frame // scratch: peeked headers and decoded bodies
+	fr   wire.Frame // scratch: decoded bodies
 
-	// A rendezvous frame crosses three park-safe stages: dirWant holds the
-	// reserved landing buffer while the section prefixes finish arriving
-	// (so the directBuf hook runs once per frame, not once per wakeup),
-	// then dir carries the in-progress landing until the payload and
-	// trailer are fully consumed.
-	dirWant []byte
-	dirHdr  wire.Frame // peeked header of the reserved frame
-	dir     *wire.Direct
-	dirFr   wire.Frame
-	dirData []byte
+	// The peer's beat is any inbound byte: rxBytes is the counter mon
+	// watches. Both belong to the goroutine that reads the stream.
+	rxBytes uint64
+	mon     beat.Monitor
 
 	sinceRead int // frames completed since the last counted read
 	dead      bool
 }
 
 func newRxStream(p *peer, r io.Reader) *rxStream {
-	return &rxStream{p: p, r: r, fram: wire.NewFramer(rxBufSize)}
+	return &rxStream{p: p, r: r, fram: wire.NewFramer(rxBufSize), mon: beat.NewMonitor(time.Now())}
 }
 
-// drain pumps s until its reader would block (poller mode: park until the
-// next readiness event) or the stream ends, which it classifies through
-// streamEnded. It reports whether the stream is still alive.
+// drain pumps s until its reader would block or the stream ends, which it
+// classifies through streamEnded. It reports whether the stream is still
+// alive.
 func (m *Mesh) drain(s *rxStream) bool {
 	err := m.pump(s)
 	if err == errWouldBlock {
@@ -64,90 +68,23 @@ func (m *Mesh) drain(s *rxStream) bool {
 	return false
 }
 
-// pump advances s's state machine: parse buffered frames, route
-// rendezvous data through the direct-landing hook, read more when the
-// buffer runs dry. It returns only on a reader error (errWouldBlock from
-// a nonblocking reader, EOF or a real error otherwise) or a protocol
-// error; it never returns nil.
+// pump advances s's state machine: slice the buffered bytes into frames,
+// decode each and hand it to rx, read more when the buffer runs dry. It
+// returns only on a reader error (errWouldBlock, EOF or a real error) or a
+// protocol error; it never returns nil.
 func (m *Mesh) pump(s *rxStream) error {
 	p := s.p
-	fram := s.fram
 	for {
-		// An in-progress direct landing owns the stream until its payload
-		// and trailer are consumed.
-		if s.dir != nil {
-			if _, err := s.dir.Fill(s.r); err != nil {
-				return err
-			}
-			s.dir = nil
-			m.rxReads.Add(1)
-			m.framesRecv.Add(1)
-			m.bytesRecv.Add(uint64(wire.LengthPrefix + wire.FixedHeaderLen + 10 + len(s.dirData)))
-			s.dirFr.Data = s.dirData
-			if m.rx != nil {
-				m.rx(p.rank, &s.dirFr)
-			}
-			s.dirData = nil
-			continue
-		}
-
-		// Direct landing: when the next frame is rendezvous data with a
-		// reserved buffer, stream the payload straight into it.
-		if m.directBuf != nil && s.dirWant == nil {
-			ok, err := fram.PeekHeader(&s.fr)
-			if err != nil {
-				return fmt.Errorf("netfab: undecodable frame from rank %d: %w", p.rank, err)
-			}
-			if ok && s.fr.Kind == wire.KindRndvData {
-				if dst := m.directBuf(p.rank, &s.fr); dst != nil {
-					s.dirWant = dst
-					s.dirHdr = s.fr
-				}
-				// No reserved buffer (stale transfer): fall through — the
-				// buffered path parses the frame and the fabric drops it.
-			}
-		}
-		if s.dirWant != nil {
-			d, err := fram.StartDirect(s.dirWant)
-			switch {
-			case err == wire.ErrDirectMismatch:
-				// Header lied about the size: nothing consumed; the
-				// buffered path below re-parses it as a normal frame.
-				s.dirWant = nil
-			case err != nil:
-				return fmt.Errorf("netfab: bad frame from rank %d: %w", p.rank, err)
-			case d == nil:
-				// Section prefixes not fully buffered yet: a small read
-				// (never growing the buffer toward the payload) and retry.
-				if err := fram.FillSmall(s.r); err != nil {
-					return err
-				}
-				continue
-			default:
-				s.dir = d
-				s.dirFr = s.dirHdr
-				s.dirData = s.dirWant
-				s.dirWant = nil
-				continue
-			}
-		}
-
-		body, err := fram.Next()
+		body, err := s.fram.Next()
 		if err != nil {
 			return fmt.Errorf("netfab: bad frame from rank %d: %w", p.rank, err)
 		}
 		if body == nil {
-			// Keep the buffer small while the pending frame is a
-			// direct-landing candidate; otherwise let the framer grow to
-			// fit large eager frames.
-			if k, ok := fram.PendingKind(); ok && k == wire.KindRndvData && m.directBuf != nil {
-				err = fram.FillSmall(s.r)
-			} else {
-				_, err = fram.Fill(s.r)
-			}
+			n, err := s.fram.Fill(s.r)
 			if err != nil {
 				return err // errWouldBlock: sinceRead carries to the resume
 			}
+			s.rxBytes += uint64(n)
 			m.rxReads.Add(1)
 			m.rxCoalesce[coalesceBucket(s.sinceRead)].Add(1)
 			s.sinceRead = 0
@@ -159,20 +96,66 @@ func (m *Mesh) pump(s *rxStream) error {
 		s.sinceRead++
 		m.framesRecv.Add(1)
 		m.bytesRecv.Add(uint64(wire.LengthPrefix + len(body)))
-		if s.fr.Kind == wire.KindBye {
-			m.noteBye(p)
-			continue // keep draining: data may still arrive until FIN
-		}
-		if m.rx != nil {
-			m.rx(p.rank, &s.fr)
+		switch s.fr.Kind {
+		case wire.KindBeat: // its bytes were the message
+		case wire.KindBye:
+			m.noteBye(p) // keep draining: data may still arrive until FIN
+		default:
+			if m.rx != nil {
+				m.rx(p.rank, &s.fr)
+			}
 		}
 	}
 }
 
+// stalled samples s's peer at now: how long its stream has delivered
+// nothing, and whether that convicts it. A peer that said goodbye, a
+// stream already down and a mesh that is closing are exempt. Call it only
+// right after a read of s came up empty (see the file comment).
+func (m *Mesh) stalled(s *rxStream, now time.Time) (time.Duration, bool) {
+	d, dead := s.mon.Observe(m.hb, s.rxBytes, now)
+	if !dead || m.closed.Load() {
+		return d, false
+	}
+	s.p.mu.Lock()
+	exempt := s.p.bye || s.p.closed || s.p.down
+	s.p.mu.Unlock()
+	return d, !exempt
+}
+
+// convict ends s: its peer kept the connection but went silent for d.
+func (m *Mesh) convict(s *rxStream, d time.Duration) {
+	s.dead = true
+	m.markDown(s.p, fmt.Errorf("netfab: rank %d heartbeat stalled for %v", s.p.rank, d.Round(time.Millisecond)))
+}
+
 // readLoop is the fallback rx driver for streams the poller cannot take
 // (in-memory pipes, platforms without one): a blocking goroutine per
-// stream pumping the same state machine the poller drives.
+// stream pumping the same state machine the poller drives. Its idleReader
+// turns every beat interval without bytes into a would-block, which is
+// where the peer's silence is measured.
 func (m *Mesh) readLoop(s *rxStream) {
 	defer m.readersWG.Done()
-	m.drain(s)
+	for m.drain(s) {
+		if d, dead := m.stalled(s, time.Now()); dead {
+			m.convict(s, d)
+			return
+		}
+	}
+}
+
+// idleReader is a blocking conn that gives up after idle without a byte,
+// reporting errWouldBlock like the poller's nonblocking fdReader does.
+type idleReader struct {
+	conn net.Conn
+	idle time.Duration
+}
+
+func (r *idleReader) Read(b []byte) (int, error) {
+	r.conn.SetReadDeadline(time.Now().Add(r.idle))
+	n, err := r.conn.Read(b)
+	if n == 0 && errors.Is(err, os.ErrDeadlineExceeded) {
+		err = errWouldBlock
+	}
+	return n, err
 }

@@ -113,16 +113,15 @@ func newLinkWorld(opts Options, self int, link fabric.Link) *World {
 		opts.GetNotifyMode = fabric.GetNotifyDeferred
 	}
 	cfg := fabric.Config{
-		Ranks:               opts.Ranks,
-		RanksPerNode:        opts.RanksPerNode,
-		Model:               *opts.Model,
-		InlineThreshold:     opts.InlineThreshold,
-		ChargeOverheads:     !opts.DisableOverheads,
-		GetNotifyMode:       opts.GetNotifyMode,
-		Trace:               opts.Trace,
-		FaultPlan:           opts.FaultPlan,
-		Reliability:         opts.Reliability,
-		RendezvousThreshold: opts.RendezvousThreshold,
+		Ranks:           opts.Ranks,
+		RanksPerNode:    opts.RanksPerNode,
+		Model:           *opts.Model,
+		InlineThreshold: opts.InlineThreshold,
+		ChargeOverheads: !opts.DisableOverheads,
+		GetNotifyMode:   opts.GetNotifyMode,
+		Trace:           opts.Trace,
+		FaultPlan:       opts.FaultPlan,
+		Reliability:     opts.Reliability,
 	}
 	env := exec.NewDistEnv(self, opts.Ranks)
 	w := &World{opts: opts, env: env}

@@ -76,9 +76,6 @@ type Options struct {
 	// Reliability tunes the reliable-delivery layer (zero = defaults);
 	// Reliability.Force activates it even without a fault plan.
 	Reliability fabric.ReliabilityConfig
-	// RendezvousThreshold sets the distributed transport's eager/rendezvous
-	// crossover in bytes (0 = adaptive default, negative = disabled).
-	RendezvousThreshold int
 	// OnPeerFailure, when non-nil, is called once per rank the fabric's
 	// peer-failure detector declares dead. It runs in delivery/timer
 	// context and must not block on fabric operations.

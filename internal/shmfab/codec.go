@@ -47,8 +47,8 @@ func compactPut(fr *wire.Frame, self, target int) bool {
 		fr.Origin == self && fr.Target == target &&
 		fr.Payload == nil && len(fr.Strs) == 0 &&
 		fr.MsgClass == 0 && fr.Operand == 0 && fr.Compare == 0 &&
-		fr.Seq == 0 && fr.Ack == 0 && fr.Csum == 0 &&
-		!fr.Rel && !fr.AckValid && !fr.ChargeCopy &&
+		fr.Seq == 0 && fr.Csum == 0 &&
+		!fr.Rel && !fr.ChargeCopy &&
 		fr.AtomicOp == 0 && fr.AccumOp == 0 &&
 		fr.WireSize == len(fr.Data) &&
 		fr.RegionID >= 0 && fr.RegionID <= math.MaxUint32 &&
@@ -61,8 +61,8 @@ func compactAck(fr *wire.Frame, self, target int) bool {
 		fr.Origin == self && fr.Target == target &&
 		fr.Payload == nil && len(fr.Strs) == 0 && len(fr.Data) == 0 &&
 		fr.MsgClass == 0 && fr.Compare == 0 &&
-		fr.Seq == 0 && fr.Ack == 0 && fr.Csum == 0 && fr.Imm == 0 &&
-		!fr.ImmValid && !fr.NotifyBack && !fr.Rel && !fr.AckValid && !fr.ChargeCopy &&
+		fr.Seq == 0 && fr.Csum == 0 && fr.Imm == 0 &&
+		!fr.ImmValid && !fr.NotifyBack && !fr.Rel && !fr.ChargeCopy &&
 		fr.AtomicOp == 0 && fr.AccumOp == 0 &&
 		fr.RegionID == 0 && fr.Offset == 0 && fr.WireSize == 0
 }

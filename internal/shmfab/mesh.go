@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/beat"
 	"repro/internal/wire"
 )
 
@@ -44,11 +45,10 @@ type Stats struct {
 }
 
 // Mesh is one rank's endpoint of the shared-memory fabric: it satisfies
-// fabric.Link (structurally) and reports Lossless() so the fabric runs it
-// without the reliable-delivery layer. One poller goroutine drains every
-// inbound ring and one heartbeat goroutine covers liveness for all peers —
-// O(1) goroutines per process regardless of job size, matching the TCP
-// mesh's single-poller rx.
+// fabric.Link (structurally). One poller goroutine drains every inbound
+// ring and one heartbeat goroutine covers liveness for all peers — O(1)
+// goroutines per process regardless of job size, matching the TCP mesh's
+// single-poller rx.
 type Mesh struct {
 	self, n int
 	peers   []*shmPeer // nil at self
@@ -57,9 +57,7 @@ type Mesh struct {
 	rx       func(from int, fr *wire.Frame, free func())
 	peerDown func(rank int, err error)
 
-	beatInterval time.Duration
-	beatTimeout  time.Duration
-	startupGrace time.Duration
+	hb beat.Policy
 
 	closed   atomic.Bool
 	suppress atomic.Bool // heartbeat suppressed: this rank plays dead
@@ -93,10 +91,8 @@ type shmPeer struct {
 	down    atomic.Bool // peer declared dead
 	byeSeen atomic.Bool // clean goodbye observed (closed word + drained)
 
-	// Heartbeat-monitor state: touched only by the beat goroutine.
-	lastBeat   uint64
-	lastChange time.Time
-	everBeat   bool
+	// Heartbeat monitor: touched only by the beat goroutine.
+	mon beat.Monitor
 }
 
 // Attach builds this rank's mesh over the given segments. The segments
@@ -108,24 +104,17 @@ func Attach(cfg Config) (*Mesh, error) {
 	if len(cfg.Segments) != cfg.N {
 		return nil, fmt.Errorf("shmfab: %d segments for %d ranks", len(cfg.Segments), cfg.N)
 	}
-	if cfg.HeartbeatInterval <= 0 {
-		cfg.HeartbeatInterval = 25 * time.Millisecond
-	}
-	if cfg.HeartbeatTimeout <= 0 {
-		cfg.HeartbeatTimeout = 5 * time.Second
-	}
-	if cfg.StartupGrace <= 0 {
-		cfg.StartupGrace = 10 * time.Second
-	}
 	m := &Mesh{
-		self:         cfg.Self,
-		n:            cfg.N,
-		peers:        make([]*shmPeer, cfg.N),
-		segs:         cfg.Segments,
-		beatInterval: cfg.HeartbeatInterval,
-		beatTimeout:  cfg.HeartbeatTimeout,
-		startupGrace: cfg.StartupGrace,
-		quit:         make(chan struct{}),
+		self:  cfg.Self,
+		n:     cfg.N,
+		peers: make([]*shmPeer, cfg.N),
+		segs:  cfg.Segments,
+		hb: beat.Policy{
+			Interval:     cfg.HeartbeatInterval,
+			Timeout:      cfg.HeartbeatTimeout,
+			StartupGrace: cfg.StartupGrace,
+		}.WithDefaults(),
+		quit: make(chan struct{}),
 	}
 	now := time.Now()
 	for q := 0; q < cfg.N; q++ {
@@ -146,10 +135,10 @@ func Attach(cfg Config) (*Mesh, error) {
 			prodDir, consDir = 1, 0
 		}
 		m.peers[q] = &shmPeer{
-			rank:       q,
-			prod:       newProducer(newDirRing(s, prodDir)),
-			cons:       newConsumer(newDirRing(s, consDir)),
-			lastChange: now,
+			rank: q,
+			prod: newProducer(newDirRing(s, prodDir)),
+			cons: newConsumer(newDirRing(s, consDir)),
+			mon:  beat.NewMonitor(now),
 		}
 	}
 	return m, nil
@@ -160,10 +149,6 @@ func (m *Mesh) Self() int { return m.self }
 
 // N returns the job size.
 func (m *Mesh) N() int { return m.n }
-
-// Lossless reports that the ring delivers every published frame in order:
-// the fabric seam reads this and leaves the reliable layer off.
-func (m *Mesh) Lossless() bool { return true }
 
 // ReadStats snapshots the transport counters.
 func (m *Mesh) ReadStats() Stats {
@@ -521,7 +506,7 @@ func (m *Mesh) SuppressHeartbeat() { m.suppress.Store(true) }
 // dead peer.
 func (m *Mesh) beatLoop() {
 	defer m.wg.Done()
-	t := time.NewTicker(m.beatInterval)
+	t := time.NewTicker(m.hb.Interval)
 	defer t.Stop()
 	for {
 		select {
@@ -541,21 +526,9 @@ func (m *Mesh) beatLoop() {
 			if p.down.Load() || p.byeSeen.Load() {
 				continue
 			}
-			if hb := p.cons.heartbeatValue(); hb != p.lastBeat {
-				p.lastBeat = hb
-				p.lastChange = now
-				p.everBeat = true
-				continue
-			}
-			if p.cons.closedAndDrained() {
-				continue // clean goodbye pending the poller's drain
-			}
-			limit := m.beatTimeout
-			if !p.everBeat {
-				limit = m.startupGrace
-			}
-			if now.Sub(p.lastChange) > limit {
-				m.failPeer(p, fmt.Errorf("shmfab: peer %d heartbeat stalled for %v", p.rank, now.Sub(p.lastChange)))
+			stalled, dead := p.mon.Observe(m.hb, p.cons.heartbeatValue(), now)
+			if dead && !p.cons.closedAndDrained() { // else: clean goodbye pending the poller's drain
+				m.failPeer(p, fmt.Errorf("shmfab: peer %d heartbeat stalled for %v", p.rank, stalled))
 			}
 		}
 	}

@@ -11,9 +11,10 @@
 // acquire, all via sync/atomic on the mapped words.
 //
 // Like netfab, the package is a leaf: it depends only on internal/wire and
-// satisfies fabric.Link structurally. Unlike the TCP mesh it is lossless
-// and in-order by construction, so the fabric runs it with the
-// reliable-delivery layer off (see fabric.NewDistributed's Lossless seam).
+// internal/beat (the stall detector both meshes share) and satisfies
+// fabric.Link structurally — lossless and in-order by construction, like
+// the TCP stream, so the fabric runs either without the reliable-delivery
+// layer unless a fault plan asks for it.
 package shmfab
 
 import (

@@ -7,7 +7,6 @@ package wire
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 )
@@ -27,16 +26,11 @@ func AppendFrame(dst []byte, fr *Frame) []byte {
 	return dst
 }
 
-// ErrDirectMismatch reports that a frame offered to ReadDirect does not fit
-// the destination buffer; nothing has been consumed and the caller should
-// fall back to the buffered path.
-var ErrDirectMismatch = errors.New("wire: direct-landing size mismatch")
-
 // Framer incrementally splits a byte stream into length-prefixed frame
 // bodies. The caller alternates Next (until it reports it needs more
 // bytes) with Fill (one Read into the internal buffer), so a single
 // syscall can yield many frames; frame bodies returned by Next alias the
-// internal buffer and are valid only until the next Fill or ReadDirect.
+// internal buffer and are valid only until the next Fill.
 type Framer struct {
 	buf  []byte
 	r, w int // unconsumed bytes live in buf[r:w]
@@ -104,45 +98,6 @@ func (f *Framer) Fill(r io.Reader) (int, error) {
 	return 0, err
 }
 
-// PendingKind peeks the next frame's kind byte, which is available as soon
-// as the length prefix plus two header bytes are buffered. Receive loops
-// use it to decide whether to keep the buffer small for a direct landing
-// (FillSmall) before the full header has arrived.
-func (f *Framer) PendingKind() (Kind, bool) {
-	if f.Buffered() < LengthPrefix+2 {
-		return KindInvalid, false
-	}
-	return Kind(f.buf[f.r+LengthPrefix+1]), true
-}
-
-// FillSmall is Fill without the grow-to-frame step: the buffer grows only
-// when completely full (doubling). Receive loops use it while the pending
-// frame is a direct-landing candidate, where growing the internal buffer
-// to the full frame would defeat the point; ReadDirect uses it for header
-// peeking.
-func (f *Framer) FillSmall(r io.Reader) error { return f.fillSmall(r) }
-
-// fillSmall is Fill without the grow-to-frame step, for ReadDirect's
-// header peeking: it only ever needs a few dozen bytes, and growing the
-// buffer to the full frame would defeat direct landing.
-func (f *Framer) fillSmall(r io.Reader) error {
-	f.compact()
-	if f.w == len(f.buf) {
-		grown := make([]byte, 2*len(f.buf))
-		copy(grown, f.buf[:f.w])
-		f.buf = grown
-	}
-	n, err := r.Read(f.buf[f.w:])
-	f.w += n
-	if n > 0 {
-		return nil
-	}
-	if err == nil {
-		err = io.ErrNoProgress
-	}
-	return err
-}
-
 // Next returns the next complete frame body, or nil when more bytes are
 // needed (call Fill). The returned slice aliases the internal buffer.
 func (f *Framer) Next() ([]byte, error) {
@@ -156,136 +111,4 @@ func (f *Framer) Next() ([]byte, error) {
 	body := f.buf[f.r+LengthPrefix : f.r+LengthPrefix+n]
 	f.r += LengthPrefix + n
 	return body, nil
-}
-
-// PeekHeader decodes the next frame's fixed header without consuming it,
-// so the receive loop can route large frames to a direct-landing buffer
-// before their payload is buffered. ok is false when the header is not yet
-// fully buffered (Fill and retry); a decode failure is a stream error.
-func (f *Framer) PeekHeader(fr *Frame) (ok bool, err error) {
-	n, err := f.pendingLen()
-	if err != nil {
-		return false, err
-	}
-	if n < 0 || f.Buffered() < LengthPrefix+fixedHeaderLen {
-		return false, nil
-	}
-	if n < fixedHeaderLen {
-		return false, ErrTruncated
-	}
-	if err := decodeFixed(f.buf[f.r+LengthPrefix:f.r+LengthPrefix+fixedHeaderLen], fr); err != nil {
-		return false, err
-	}
-	return true, nil
-}
-
-// Direct is an in-progress direct landing: the frame's header and section
-// prefixes have been consumed and the data section is filling dst across
-// as many Fill calls as the reader needs. It exists so a nonblocking
-// receive loop can park a half-landed frame when the reader would block
-// and resume it on the next readiness event.
-type Direct struct {
-	f      *Framer
-	dst    []byte
-	filled int
-}
-
-// StartDirect begins landing the next frame's data section in dst. The
-// frame's fixed header plus both section prefixes must be buffered; when
-// they are not, StartDirect returns (nil, nil) and the caller should
-// FillSmall and retry. The frame must carry exactly a data section of
-// len(dst) bytes (no payload, no string table); on ErrDirectMismatch
-// nothing has been consumed and the caller can fall back to Next/Fill.
-// Any already-buffered data bytes are copied into dst immediately; drive
-// the rest with Direct.Fill.
-func (f *Framer) StartDirect(dst []byte) (*Direct, error) {
-	const want = LengthPrefix + fixedHeaderLen + 4 + 4
-	if f.Buffered() < want {
-		return nil, nil
-	}
-	total, err := f.pendingLen()
-	if err != nil {
-		return nil, err
-	}
-	body := f.buf[f.r+LengthPrefix:]
-	plen := int(binary.LittleEndian.Uint32(body[fixedHeaderLen:]))
-	dlen := int(binary.LittleEndian.Uint32(body[fixedHeaderLen+4:]))
-	if plen != 0 || dlen != len(dst) || total != fixedHeaderLen+4+4+dlen+2 {
-		return nil, ErrDirectMismatch
-	}
-	f.r += want
-	d := &Direct{f: f, dst: dst}
-	have := f.Buffered()
-	if have > dlen {
-		have = dlen
-	}
-	copy(dst, f.buf[f.r:f.r+have])
-	f.r += have
-	d.filled = have
-	return d, nil
-}
-
-// Fill makes progress on the landing, reading the remaining data bytes
-// from r straight into dst and then the 2-byte empty-string-table trailer
-// into the framer's buffer. done reports the frame fully consumed; when
-// done is false the returned error says why the reader stopped (a
-// would-block sentinel from a nonblocking reader means park and resume).
-func (d *Direct) Fill(r io.Reader) (done bool, err error) {
-	f := d.f
-	for d.filled < len(d.dst) {
-		n, err := r.Read(d.dst[d.filled:])
-		d.filled += n
-		if n == 0 {
-			if err == nil {
-				err = io.ErrNoProgress
-			}
-			return false, err
-		}
-		if err != nil && d.filled < len(d.dst) {
-			return false, err
-		}
-	}
-	for f.Buffered() < 2 { // trailing empty string table
-		if err := f.fillSmall(r); err != nil {
-			return false, err
-		}
-	}
-	if binary.LittleEndian.Uint16(f.buf[f.r:]) != 0 {
-		return false, errors.New("wire: direct frame carries a string table")
-	}
-	f.r += 2
-	return true, nil
-}
-
-// ReadDirect consumes the next frame — whose fixed header must already be
-// buffered (PeekHeader returned true) — landing its data section directly
-// in dst instead of the internal buffer: buffered payload bytes are copied
-// out once and the remainder is read from r straight into dst, so a large
-// frame never transits (or grows) the framer's buffer. It is the blocking
-// convenience over StartDirect/Fill; on ErrDirectMismatch nothing has
-// been consumed and the caller can fall back to Next/Fill.
-func (f *Framer) ReadDirect(r io.Reader, dst []byte) error {
-	for {
-		d, err := f.StartDirect(dst)
-		if err != nil {
-			return err
-		}
-		if d == nil {
-			// Header and prefixes are tiny, so fillSmall never grows the
-			// buffer meaningfully.
-			if err := f.fillSmall(r); err != nil {
-				return err
-			}
-			continue
-		}
-		for {
-			done, err := d.Fill(r)
-			if err != nil {
-				return err
-			}
-			if done {
-				return nil
-			}
-		}
-	}
 }

@@ -130,110 +130,6 @@ func TestFramerBadLengthPrefix(t *testing.T) {
 	}
 }
 
-// TestFramerReadDirect interleaves an eligible large frame between small
-// ones and lands it straight into a caller buffer, asserting neighbors
-// still parse and the framer's buffer never has to hold the payload.
-func TestFramerReadDirect(t *testing.T) {
-	payload := bytes.Repeat([]byte("abcdefgh"), 4096) // 32 KiB
-	pre := Frame{Kind: KindAck, Origin: 1, Target: 0, OpID: 3}
-	big := Frame{Kind: KindRndvData, Origin: 1, Target: 0, OpID: 9,
-		Operand: uint64(len(payload)), Data: payload}
-	post := Frame{Kind: KindBye, Origin: 1}
-
-	var stream []byte
-	stream = AppendFrame(stream, &pre)
-	stream = AppendFrame(stream, &big)
-	stream = AppendFrame(stream, &post)
-
-	for _, splits := range [][]int{nil, {1}, {200}, {LengthPrefix + fixedHeaderLen + 3}} {
-		r := &chunkReader{b: stream, splits: splits}
-		f := NewFramer(256)
-		var fr Frame
-
-		// Frame 1: the small ack, via the buffered path.
-		for {
-			body, err := f.Next()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if body != nil {
-				if err := Decode(body, &fr); err != nil || fr.Kind != KindAck {
-					t.Fatalf("first frame: %v %v", fr.Kind, err)
-				}
-				break
-			}
-			if _, err := f.Fill(r); err != nil {
-				t.Fatal(err)
-			}
-		}
-
-		// Frame 2: peek the header, then land the payload directly.
-		for {
-			ok, err := f.PeekHeader(&fr)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if ok {
-				break
-			}
-			if err := f.fillSmall(r); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if fr.Kind != KindRndvData || fr.Operand != uint64(len(payload)) {
-			t.Fatalf("peeked %v operand %d", fr.Kind, fr.Operand)
-		}
-		dst := make([]byte, len(payload))
-		if err := f.ReadDirect(r, dst); err != nil {
-			t.Fatalf("ReadDirect: %v", err)
-		}
-		if !bytes.Equal(dst, payload) {
-			t.Fatal("direct-landed payload mismatch")
-		}
-		if len(f.buf) >= len(payload) {
-			t.Fatalf("framer buffer grew to %d; direct landing should bypass it", len(f.buf))
-		}
-
-		// Frame 3: the stream stays parseable after a direct landing.
-		got, _ := drainFramer(t, f, r)
-		if len(got) != 1 || got[0].Kind != KindBye {
-			t.Fatalf("after direct landing parsed %+v, want one bye", got)
-		}
-	}
-}
-
-func TestFramerReadDirectMismatchFallsBack(t *testing.T) {
-	payload := []byte("0123456789abcdef")
-	big := Frame{Kind: KindRndvData, Origin: 1, Target: 0, OpID: 9,
-		Operand: uint64(len(payload)), Data: payload}
-	stream := AppendFrame(nil, &big)
-
-	r := bytes.NewReader(stream)
-	f := NewFramer(256)
-	var fr Frame
-	for {
-		ok, err := f.PeekHeader(&fr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ok {
-			break
-		}
-		if err := f.fillSmall(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	dst := make([]byte, len(payload)-1) // wrong size on purpose
-	if err := f.ReadDirect(r, dst); err != ErrDirectMismatch {
-		t.Fatalf("ReadDirect = %v, want ErrDirectMismatch", err)
-	}
-	// Nothing consumed: the buffered path still yields the full frame.
-	got, _ := drainFramer(t, f, r)
-	if len(got) != 1 || !bytes.Equal(got[0].Data, payload) {
-		t.Fatalf("fallback parse got %+v", got)
-	}
-}
-
 // FuzzFramer checks the framer against a trivial reference parser on
 // arbitrary streams and arbitrary read fragmentation: same frames out, no
 // panics, errors exactly where the reference sees a bad length prefix.

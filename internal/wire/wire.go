@@ -24,9 +24,10 @@ import (
 
 // Version is the wire-protocol version stamped on every frame. Peers with
 // mismatched versions refuse to mesh during the bootstrap handshake.
-// Version 2 added the piggybacked cumulative-ack field and the
-// rendezvous kinds (RTS/CTS/RndvData).
-const Version = 2
+// Version 3 dropped what version 2 had added for a reliability protocol
+// layered on the socket (the piggybacked cumulative-ack field and the
+// rendezvous kinds) and added the liveness beat.
+const Version = 3
 
 // MaxData bounds a frame's raw payload section (64 MiB): larger transfers
 // must be chunked by the layer above, and a length prefix beyond it is
@@ -72,15 +73,7 @@ const (
 	KindReg    // a memory region became remotely accessible: RegionID, Operand=size
 	KindDereg  // a memory region was revoked: RegionID
 	KindBye    // clean shutdown: the sender finished its rank body
-
-	// Rendezvous protocol for large puts: the origin sends the data-plane
-	// frame's header (encoded in Data) plus the payload size (Operand)
-	// under a transfer ID (OpID); the target reserves a staging buffer and
-	// answers CTS; the payload then travels alone in a RndvData frame that
-	// the receiver can land directly in the reserved buffer.
-	KindRTS      // request to send: OpID=transfer ID, Operand=payload bytes, Data=encoded inner frame header
-	KindCTS      // clear to send: OpID echoes the transfer ID
-	KindRndvData // the payload: OpID=transfer ID, Operand=payload bytes, Data=payload
+	KindBeat   // liveness: the stream carried nothing else for one beat interval; no fields, consumed by the mesh
 
 	// KindRejoin is the Hello variant a respawned rank sends during a
 	// recovery re-bootstrap: same layout as KindHello (Origin=rank,
@@ -131,12 +124,8 @@ func (k Kind) String() string {
 		return "dereg"
 	case KindBye:
 		return "bye"
-	case KindRTS:
-		return "rts"
-	case KindCTS:
-		return "cts"
-	case KindRndvData:
-		return "rndv-data"
+	case KindBeat:
+		return "beat"
 	case KindRejoin:
 		return "rejoin"
 	}
@@ -157,7 +146,6 @@ type Frame struct {
 	OpID             uint64 // origin-side op handle, echoed on acks/get responses
 	Operand, Compare uint64
 	Seq              uint64 // reliable-delivery sequence number
-	Ack              uint64 // piggybacked cumulative ack for the reverse direction
 	Imm              uint32 // 4-byte notified-access immediate
 	Csum             uint32 // reliable-delivery payload CRC
 
@@ -165,7 +153,6 @@ type Frame struct {
 	NotifyBack bool
 	ChargeCopy bool
 	Rel        bool // sequenced by the reliable-delivery layer
-	AckValid   bool // Ack carries a cumulative acknowledgement
 
 	AtomicOp uint8
 	AccumOp  uint8
@@ -180,19 +167,13 @@ const (
 	flagNotifyBack = 1 << 1
 	flagChargeCopy = 1 << 2
 	flagRel        = 1 << 3
-	flagAckValid   = 1 << 4
 )
 
 // fixedHeaderLen is the byte length of the fixed portion of a frame.
 const fixedHeaderLen = 1 + 1 + 1 + 1 + 1 + // version, kind, flags, aop, accop
 	5*4 + // origin, target, regionID, msgClass, wireSize
-	6*8 + // offset, opID, operand, compare, seq, ack
+	5*8 + // offset, opID, operand, compare, seq
 	2*4 // imm, csum
-
-// FixedHeaderLen exposes the fixed-header size for transports that account
-// stream bytes frame by frame (e.g. direct-landed frames that never transit
-// a decode buffer).
-const FixedHeaderLen = fixedHeaderLen
 
 // ErrTruncated reports a frame shorter than its length fields claim.
 var ErrTruncated = errors.New("wire: truncated frame")
@@ -243,9 +224,6 @@ func Append(dst []byte, fr *Frame) []byte {
 	if fr.Rel {
 		flags |= flagRel
 	}
-	if fr.AckValid {
-		flags |= flagAckValid
-	}
 	dst = append(dst, Version, byte(fr.Kind), flags, fr.AtomicOp, fr.AccumOp)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(fr.Origin))
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(fr.Target))
@@ -257,7 +235,6 @@ func Append(dst []byte, fr *Frame) []byte {
 	dst = binary.LittleEndian.AppendUint64(dst, fr.Operand)
 	dst = binary.LittleEndian.AppendUint64(dst, fr.Compare)
 	dst = binary.LittleEndian.AppendUint64(dst, fr.Seq)
-	dst = binary.LittleEndian.AppendUint64(dst, fr.Ack)
 	dst = binary.LittleEndian.AppendUint32(dst, fr.Imm)
 	dst = binary.LittleEndian.AppendUint32(dst, fr.Csum)
 
@@ -290,7 +267,7 @@ func decodeFixed(b []byte, fr *Frame) error {
 		return fmt.Errorf("wire: unknown frame kind %d", b[1])
 	}
 	flags := b[2]
-	if flags &^ (flagImmValid | flagNotifyBack | flagChargeCopy | flagRel | flagAckValid) != 0 {
+	if flags&^(flagImmValid|flagNotifyBack|flagChargeCopy|flagRel) != 0 {
 		return fmt.Errorf("wire: unknown flag bits %#x", flags)
 	}
 	*fr = Frame{
@@ -301,7 +278,6 @@ func decodeFixed(b []byte, fr *Frame) error {
 		NotifyBack: flags&flagNotifyBack != 0,
 		ChargeCopy: flags&flagChargeCopy != 0,
 		Rel:        flags&flagRel != 0,
-		AckValid:   flags&flagAckValid != 0,
 	}
 	fr.Origin = int(binary.LittleEndian.Uint32(b[5:]))
 	fr.Target = int(binary.LittleEndian.Uint32(b[9:]))
@@ -317,9 +293,8 @@ func decodeFixed(b []byte, fr *Frame) error {
 	fr.Operand = binary.LittleEndian.Uint64(b[41:])
 	fr.Compare = binary.LittleEndian.Uint64(b[49:])
 	fr.Seq = binary.LittleEndian.Uint64(b[57:])
-	fr.Ack = binary.LittleEndian.Uint64(b[65:])
-	fr.Imm = binary.LittleEndian.Uint32(b[73:])
-	fr.Csum = binary.LittleEndian.Uint32(b[77:])
+	fr.Imm = binary.LittleEndian.Uint32(b[65:])
+	fr.Csum = binary.LittleEndian.Uint32(b[69:])
 	return nil
 }
 

@@ -11,8 +11,7 @@ func sampleFrames() []Frame {
 		{Kind: KindPut, Origin: 3, Target: 7, RegionID: 2, Offset: 4096,
 			WireSize: 128, Data: []byte("hello, remote memory"), Rel: true, Seq: 42, Csum: 0xdeadbeef},
 		{Kind: KindPut, Origin: 7, Target: 3, RegionID: 2, Offset: 0,
-			WireSize: 8, Data: []byte("12345678"), Rel: true, Seq: 9, Csum: 1,
-			Ack: 41, AckValid: true},
+			WireSize: 8, Data: []byte("12345678"), Rel: true, Seq: 9, Csum: 1},
 		{Kind: KindNotify, Origin: 1, Target: 0, RegionID: 5, Offset: 64,
 			Imm: 0xcafe0001, ImmValid: true, NotifyBack: true, Data: []byte{1, 2, 3}},
 		{Kind: KindGetReq, Origin: 0, Target: 1, RegionID: 9, Offset: 1 << 20,
@@ -34,10 +33,9 @@ func sampleFrames() []Frame {
 		{Kind: KindReg, Origin: 1, RegionID: 4, Operand: 65536},
 		{Kind: KindDereg, Origin: 1, RegionID: 4},
 		{Kind: KindBye, Origin: 3},
-		{Kind: KindRTS, Origin: 0, Target: 1, OpID: 11, Operand: 1 << 20,
-			Data: []byte("encoded inner header")},
-		{Kind: KindCTS, Origin: 1, Target: 0, OpID: 11},
-		{Kind: KindRndvData, Origin: 0, Target: 1, OpID: 11, Operand: 5, Data: []byte("large")},
+		{Kind: KindBeat, Origin: 3},
+		{Kind: KindRejoin, Origin: 2, Operand: 3, Compare: Version, Seq: 1, Strs: []string{"127.0.0.1:4243"}},
+		{Kind: KindPut, Origin: 0, Target: 1, RegionID: 3, OpID: 12, Imm: 0x00010007, ImmValid: true}, // pure notification: no data
 	}
 }
 
