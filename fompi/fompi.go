@@ -565,7 +565,7 @@ type GetHandle struct {
 		Done() bool
 		Err() error
 	}
-	p  *Proc
+	p *Proc
 }
 
 // Await blocks until the get's data has landed locally.

@@ -131,7 +131,7 @@ func TestDistLoopbackQuickstart(t *testing.T) {
 func distSoakBody(record func(rank int, buf []byte)) func(p *fompi.Proc) {
 	const (
 		winSize   = 1 << 15
-		dataOff   = 0      // rank r's put region in the partner: r*8KiB
+		dataOff   = 0       // rank r's put region in the partner: r*8KiB
 		accumOff  = 1 << 14 // shared float64 accumulation area
 		rounds    = 12
 		chunkMax  = 4096

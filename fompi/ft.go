@@ -9,9 +9,7 @@ package fompi
 import (
 	"errors"
 	"fmt"
-	"net"
 	"os"
-	"sync"
 	"time"
 
 	"repro/internal/ft"
@@ -283,38 +281,13 @@ func runResilientDist(opts Options, m *ft.Manager, maxGen int, body func(p *Proc
 // generation.
 func RunLocalClusterResilient(opts Options, ropts ResilientOptions, body func(p *Proc)) []error {
 	opts.Transport = TransportTCP
-	n := opts.Ranks
-	if n <= 0 {
-		return []error{fmt.Errorf("fompi: invalid rank count %d", n)}
-	}
 	maxGen := ropts.MaxGenerations
 	if maxGen <= 0 {
 		maxGen = 8
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		errs := make([]error, n)
-		for i := range errs {
-			errs[i] = fmt.Errorf("fompi: cluster listen: %w", err)
-		}
-		return errs
-	}
-	defer ln.Close()
-	root := ln.Addr().String()
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for r := 0; r < n; r++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			o := opts
-			o.Dist = &DistConfig{Rank: r, Root: root}
-			if r == 0 {
-				o.Dist.Listener = ln
-			}
-			errs[r] = runResilientDist(o, ft.NewManager(), maxGen, body)
-		}()
-	}
-	wg.Wait()
-	return errs
+	return runtime.LocalTCPRanks(opts.Ranks, func(d runtime.DistOptions) error {
+		o := opts
+		o.Dist = &DistConfig{Rank: d.Self, Root: d.Root, Listener: d.RootListener}
+		return runResilientDist(o, ft.NewManager(), maxGen, body)
+	})
 }

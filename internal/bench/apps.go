@@ -44,13 +44,23 @@ func stencilSweep(ranks []int, mk func(p int) stencil.Options) map[stencil.Varia
 	return out
 }
 
+// stencilDim is a paper-scale stencil extent, or a tenth of it under Quick:
+// the same sweep, variants and validation over 1/100 of the cells.
+func stencilDim(paper int) int {
+	if Quick {
+		return paper / 10
+	}
+	return paper
+}
+
 // Fig1 reproduces the strong-scaling stencil (1280 columns x 12800 rows).
 func Fig1() *Table {
 	ranks := []int{2, 4, 8, 16, 32}
+	rows, cols := stencilDim(12800), stencilDim(1280)
 	series := stencilSweep(ranks, func(p int) stencil.Options {
-		return stencil.Options{Rows: 12800, Cols: 1280, Iters: 1}
+		return stencil.Options{Rows: rows, Cols: cols, Iters: 1}
 	})
-	t := &Table{Name: "fig1", Title: "Pipeline stencil strong scaling, 1280x12800 domain (GMOPS)",
+	t := &Table{Name: "fig1", Title: fmt.Sprintf("Pipeline stencil strong scaling, %dx%d domain (GMOPS)", cols, rows),
 		Columns: []string{"ranks", "fence", "pscw", "message-passing", "notified-access", "na/mp"}}
 	for i, n := range ranks {
 		na, mpv := series[stencil.NA][i], series[stencil.MP][i]
@@ -65,10 +75,11 @@ func Fig1() *Table {
 // Fig4b reproduces the weak-scaling stencil (1280x1280 per PE).
 func Fig4b() *Table {
 	ranks := []int{2, 4, 8, 16, 32}
+	side := stencilDim(1280)
 	series := stencilSweep(ranks, func(p int) stencil.Options {
-		return stencil.Options{Rows: 1280, Cols: 1280 * p, Iters: 1}
+		return stencil.Options{Rows: side, Cols: side * p, Iters: 1}
 	})
-	t := &Table{Name: "fig4b", Title: "Pipeline stencil weak scaling, 1280x1280 per PE (GMOPS)",
+	t := &Table{Name: "fig4b", Title: fmt.Sprintf("Pipeline stencil weak scaling, %dx%d per PE (GMOPS)", side, side),
 		Columns: []string{"ranks", "fence", "pscw", "message-passing", "notified-access", "na/mp"}}
 	for i, n := range ranks {
 		na, mpv := series[stencil.NA][i], series[stencil.MP][i]

@@ -61,7 +61,7 @@ func msgMatchPoll(k int) (perOp float64, highWater int) {
 	err := env.Run(1, func(p *exec.Proc) {
 		nic := f.NIC(0)
 		for i := 0; i < k; i++ {
-			nic.PostMsg(p, 0, msgMatchCold, nil, nil, false)
+			nic.PostMsg(p, 0, msgMatchCold, fabric.MsgHdr{}, nil, false)
 		}
 		for nic.MsgDepth() < k {
 			grt.Gosched() // self-sends deliver on the rx worker
@@ -101,7 +101,7 @@ func msgMatchWake(k int) float64 {
 		}
 		t0 := time.Now()
 		for i := 0; i < iters; i++ {
-			nic.PostMsg(p, 0, msgMatchHot, nil, nil, false)
+			nic.PostMsg(p, 0, msgMatchHot, fabric.MsgHdr{}, nil, false)
 			// Busy-poll the hot class so the measurement captures the
 			// delivery-side cost (who gets woken per arrival), not this
 			// consumer's own parking latency.
@@ -114,7 +114,7 @@ func msgMatchWake(k int) float64 {
 		}
 		perOp = float64(time.Since(t0).Nanoseconds()) / iters
 		for w := 0; w < k; w++ {
-			nic.PostMsg(p, 0, msgMatchCold+1+w, nil, nil, false)
+			nic.PostMsg(p, 0, msgMatchCold+1+w, fabric.MsgHdr{}, nil, false)
 		}
 		wg.Wait()
 	})

@@ -102,10 +102,10 @@ func fabricBarrier(f *fabric.Fabric, p *exec.Proc) {
 			nic.WaitMsgClass(p, class)
 		}
 		for i := 1; i < f.Ranks(); i++ {
-			nic.PostMsg(p, i, class+1, nil, nil, false)
+			nic.PostMsg(p, i, class+1, fabric.MsgHdr{}, nil, false)
 		}
 	} else {
-		nic.PostMsg(p, 0, class, nil, nil, false)
+		nic.PostMsg(p, 0, class, fabric.MsgHdr{}, nil, false)
 		nic.WaitMsgClass(p, class+1)
 	}
 }
@@ -173,10 +173,10 @@ func ClassDispatch() Workload {
 		return env.Run(2, func(p *exec.Proc) {
 			nic := f.NIC(p.Rank())
 			if p.Rank() == 0 {
-				nic.PostMsg(p, 1, classA, 1, nil, false)
-				nic.PostMsg(p, 1, classB, 2, nil, false)
-				nic.PostMsg(p, 1, classA, 3, nil, false)
-				nic.PostMsg(p, 1, classC, 4, nil, false)
+				nic.PostMsg(p, 1, classA, fabric.MsgHdr{1}, nil, false)
+				nic.PostMsg(p, 1, classB, fabric.MsgHdr{2}, nil, false)
+				nic.PostMsg(p, 1, classA, fabric.MsgHdr{3}, nil, false)
+				nic.PostMsg(p, 1, classC, fabric.MsgHdr{4}, nil, false)
 				return
 			}
 			// The A/B waits must interleave the two buckets in arrival
@@ -184,15 +184,15 @@ func ClassDispatch() Workload {
 			// (per-pair FIFO pins the arrival order itself).
 			for _, want := range []int{1, 2, 3} {
 				m := nic.WaitMsgClasses(p, classA, classB)
-				if m.Payload.(int) != want {
-					Violatef("dispatch: multi-class wait got payload %v want %d", m.Payload, want)
+				if m.Hdr[0] != want {
+					Violatef("dispatch: multi-class wait got header %v want %d", m.Hdr, want)
 				}
 			}
-			if m := nic.WaitMsgClass(p, classC); m.Payload.(int) != 4 {
-				Violatef("dispatch: class-C wait got payload %v want 4", m.Payload)
+			if m := nic.WaitMsgClass(p, classC); m.Hdr[0] != 4 {
+				Violatef("dispatch: class-C wait got header %v want 4", m.Hdr)
 			}
 			if m, ok := nic.PollMsgClasses(classA, classB, classC); ok {
-				Violatef("dispatch: stray message %v after drain", m.Payload)
+				Violatef("dispatch: stray message %v after drain", m.Hdr)
 			}
 		})
 	}
@@ -694,7 +694,7 @@ func AMExactlyOnce(planted bool) Workload {
 				},
 			},
 		}, func(p *runtime.Proc) {
-			win := rma.Allocate(p, 8 * k)
+			win := rma.Allocate(p, 8*k)
 			defer win.Free()
 			var mu sync.Mutex
 			counts := map[byte]int{}

@@ -150,11 +150,11 @@ type HandlerReg struct {
 
 // amEvent is one pending handler dispatch.
 type amEvent struct {
-	reg  *HandlerReg
-	src  int
-	tag  int
-	off  int
-	n    int
+	reg *HandlerReg
+	src int
+	tag int
+	off int
+	n   int
 }
 
 // amEngine is the per-rank dispatch state, guarded by naState.mu. The

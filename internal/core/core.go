@@ -106,7 +106,7 @@ type Request struct {
 	matched   int // matching notifications consumed since the last Start
 	uncharged int // credits whose modeled overhead Test/Wait has not yet charged
 	last      Status
-	posted    bool                          // linked in the matcher's armed-request index
+	posted    bool                         // linked in the matcher's armed-request index
 	entry     *match.PostedEntry[*Request] // live index entry handle
 }
 

@@ -572,9 +572,19 @@ func (e *RealEnv) Run(n int, body func(p *Proc)) error {
 	if n <= 0 {
 		return fmt.Errorf("exec: Run needs n > 0, got %d", n)
 	}
+	procs := make([]*Proc, n)
+	for i := range procs {
+		procs[i] = &Proc{rank: i, n: n, env: e, real: e}
+	}
+	return e.runProcs(procs, body)
+}
+
+// runProcs runs body on every proc, each on its own goroutine, waits for
+// all of them and returns the run error. A rank's panic becomes that error
+// (an abort unwind is the error's consequence, not a cause).
+func (e *RealEnv) runProcs(procs []*Proc, body func(p *Proc)) error {
 	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		p := &Proc{rank: i, n: n, env: e, real: e}
+	for _, p := range procs {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -689,24 +699,7 @@ func (e *DistEnv) Run(n int, body func(p *Proc)) error {
 	if n != e.n {
 		return fmt.Errorf("exec: DistEnv built for %d ranks, Run called with %d", e.n, n)
 	}
-	var wg sync.WaitGroup
-	p := &Proc{rank: e.self, n: e.n, env: e, real: e.RealEnv}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		defer func() {
-			if r := recover(); r != nil {
-				if _, isAbort := r.(procAbort); !isAbort {
-					e.setErr(PanicError(fmt.Sprintf("rank %d panicked", p.rank), r, debug.Stack()))
-				}
-			}
-		}()
-		body(p)
-	}()
-	wg.Wait()
-	e.errMu.Lock()
-	defer e.errMu.Unlock()
-	return e.err
+	return e.runProcs([]*Proc{{rank: e.self, n: e.n, env: e, real: e.RealEnv}}, body)
 }
 
 // New returns an engine for the requested mode.

@@ -205,14 +205,12 @@ type Fabric struct {
 	// Distributed-mode state (nil/zero on single-process fabrics): link is
 	// the cross-process transport, self the only rank with a local NIC.
 	// netOps maps wire op IDs back to origin-side op handles so acks and
-	// get responses can cross a process boundary; remoteRegions mirrors
-	// the registration announcements received from peers.
-	link          Link
-	self          int
-	netMu         sync.Mutex
-	netOps        map[uint64]*Op
-	netOpSeq      uint64
-	remoteRegions map[int]map[int]int // rank -> regionID -> size
+	// get responses can cross a process boundary.
+	link     Link
+	self     int
+	netMu    sync.Mutex
+	netOps   map[uint64]*Op
+	netOpSeq uint64
 
 	// Peer-failure bookkeeping for distributed fabrics without the reliable
 	// layer (rel == nil, the default): the layer owns failure declaration

@@ -54,10 +54,10 @@ func barrier(f *Fabric, p *exec.Proc) {
 			nic.WaitMsgClass(p, class)
 		}
 		for i := 1; i < n; i++ {
-			nic.PostMsg(p, i, class+1, nil, nil, false)
+			nic.PostMsg(p, i, class+1, MsgHdr{}, nil, false)
 		}
 	} else {
-		nic.PostMsg(p, 0, class, nil, nil, false)
+		nic.PostMsg(p, 0, class, MsgHdr{}, nil, false)
 		nic.WaitMsgClass(p, class+1)
 	}
 }
@@ -103,7 +103,7 @@ func TestPutWithoutImmNoNotification(t *testing.T) {
 		if p.Rank() == 0 {
 			nic.Put(p, 1, reg.ID, 0, []byte{1, 2, 3}, Imm{}).Await(p)
 			// Signal completion to rank 1 via a ctrl message.
-			nic.PostMsg(p, 1, 7, "done", nil, false)
+			nic.PostMsg(p, 1, 7, MsgHdr{}, nil, false)
 		} else {
 			nic.WaitMsgClass(p, 7)
 			if d := nic.DestDepth(); d != 0 {
@@ -136,7 +136,7 @@ func TestGetReadsRemoteAndNotifiesTarget(t *testing.T) {
 					t.Fatalf("dst[%d] = %d", i, dst[i])
 				}
 			}
-			nic.PostMsg(p, 1, 7, "done", nil, false)
+			nic.PostMsg(p, 1, 7, MsgHdr{}, nil, false)
 		} else {
 			// The data holder gets the buffer-reusable notification.
 			nic.WaitDest(p)
@@ -164,7 +164,7 @@ func TestAtomicFetchAdd(t *testing.T) {
 					t.Errorf("fetched value %d out of range", op.Result())
 				}
 			}
-			nic.PostMsg(p, 0, 7, "done", nil, false)
+			nic.PostMsg(p, 0, 7, MsgHdr{}, nil, false)
 		} else {
 			for done := 0; done < 2; done++ {
 				nic.WaitMsgClass(p, 7)
@@ -193,7 +193,7 @@ func TestAtomicCAS(t *testing.T) {
 			if op.Result() != 99 {
 				t.Fatalf("second CAS old = %d (should fail, value 99)", op.Result())
 			}
-			nic.PostMsg(p, 1, 7, "done", nil, false)
+			nic.PostMsg(p, 1, 7, MsgHdr{}, nil, false)
 		} else {
 			nic.WaitMsgClass(p, 7)
 			if v := binary.LittleEndian.Uint64(reg.Bytes()); v != 99 {
@@ -213,7 +213,7 @@ func TestAccumulateSumAndReplace(t *testing.T) {
 			nic.Accumulate(p, 1, reg.ID, 0, []float64{1, 2, 3, 4}, AccumSum, Imm{}).Await(p)
 			nic.Accumulate(p, 1, reg.ID, 0, []float64{10, 20, 30, 40}, AccumSum, Imm{}).Await(p)
 			nic.Accumulate(p, 1, reg.ID, 8, []float64{-5}, AccumReplace, WithImm(5)).Await(p)
-			nic.PostMsg(p, 1, 7, "done", nil, false)
+			nic.PostMsg(p, 1, 7, MsgHdr{}, nil, false)
 		} else {
 			nic.WaitMsgClass(p, 7)
 			want := []float64{11, -5, 33, 44}
@@ -389,20 +389,20 @@ func TestMsgClassMatching(t *testing.T) {
 	runBoth(t, 2, nil, func(f *Fabric, p *exec.Proc) {
 		nic := f.NIC(p.Rank())
 		if p.Rank() == 0 {
-			nic.PostMsg(p, 1, 1, "first", nil, false)
-			nic.PostMsg(p, 1, 2, "second", []byte("payload"), true)
-			nic.PostMsg(p, 1, 1, "third", nil, false)
+			nic.PostMsg(p, 1, 1, MsgHdr{1}, nil, false)
+			nic.PostMsg(p, 1, 2, MsgHdr{2, -1, 1 << 62}, []byte("payload"), true)
+			nic.PostMsg(p, 1, 1, MsgHdr{3}, nil, false)
 		} else {
 			// Wait for class 2 first: class-1 messages stay queued in
 			// their own bucket.
 			m2 := nic.WaitMsgClass(p, 2)
-			if m2.Payload.(string) != "second" || !bytes.Equal(m2.Data, []byte("payload")) || !m2.ChargeCopy {
+			if m2.Hdr != (MsgHdr{2, -1, 1 << 62}) || !bytes.Equal(m2.Data, []byte("payload")) || !m2.ChargeCopy {
 				t.Fatalf("m2 = %+v", m2)
 			}
 			a := nic.WaitMsgClass(p, 1)
 			b := nic.WaitMsgClass(p, 1)
-			if a.Payload.(string) != "first" || b.Payload.(string) != "third" {
-				t.Fatalf("order: %v, %v", a.Payload, b.Payload)
+			if a.Hdr[0] != 1 || b.Hdr[0] != 3 {
+				t.Fatalf("order: %v, %v", a.Hdr, b.Hdr)
 			}
 			if d := nic.MsgDepth(); d != 0 {
 				t.Fatalf("queue should be empty, depth %d", d)
@@ -421,7 +421,7 @@ func TestCountersClassifyTraffic(t *testing.T) {
 			nic.Put(p, 1, reg.ID, 0, make([]byte, 32), WithImm(1)).Await(p)
 			nic.Get(p, 1, reg.ID, 0, make([]byte, 16), Imm{}).Await(p)
 			nic.Atomic(p, 1, reg.ID, 0, AtomicFetchAdd, 1, 0, Imm{}).Await(p)
-			nic.PostMsg(p, 1, 9, nil, nil, false)
+			nic.PostMsg(p, 1, 9, MsgHdr{}, nil, false)
 		} else {
 			nic.WaitMsgClass(p, 9)
 		}
@@ -518,7 +518,7 @@ func TestDestHighWater(t *testing.T) {
 			for i := 0; i < 5; i++ {
 				nic.Put(p, 1, reg.ID, 0, []byte{byte(i)}, WithImm(uint32(i))).Await(p)
 			}
-			nic.PostMsg(p, 1, 7, nil, nil, false)
+			nic.PostMsg(p, 1, 7, MsgHdr{}, nil, false)
 		} else {
 			nic.WaitMsgClass(p, 7)
 			if hw := nic.DestHighWater(); hw != 5 {

@@ -28,7 +28,7 @@ func BenchmarkMsgMatch(b *testing.B) {
 			err := env.Run(1, func(p *exec.Proc) {
 				nic := f.NIC(0)
 				for i := 0; i < k; i++ {
-					nic.PostMsg(p, 0, cold, nil, nil, false)
+					nic.PostMsg(p, 0, cold, MsgHdr{}, nil, false)
 				}
 				for nic.MsgDepth() < k {
 					grt.Gosched()
@@ -61,7 +61,7 @@ func BenchmarkMsgMatch(b *testing.B) {
 				}
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					nic.PostMsg(p, 0, hot, nil, nil, false)
+					nic.PostMsg(p, 0, hot, MsgHdr{}, nil, false)
 					for {
 						if _, ok := nic.PollMsgClass(hot); ok {
 							break
@@ -71,7 +71,7 @@ func BenchmarkMsgMatch(b *testing.B) {
 				}
 				b.StopTimer()
 				for w := 0; w < k; w++ {
-					nic.PostMsg(p, 0, cold+1+w, nil, nil, false)
+					nic.PostMsg(p, 0, cold+1+w, MsgHdr{}, nil, false)
 				}
 				wg.Wait()
 			})

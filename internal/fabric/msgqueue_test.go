@@ -3,18 +3,16 @@ package fabric
 import (
 	"fmt"
 	"math/rand"
+	grt "runtime"
 	"sync"
 	"testing"
 
 	"repro/internal/exec"
 )
 
-// msgSeqPayload tags a test message with its class and per-class sequence
-// number so consumers can check FIFO order.
-type msgSeqPayload struct {
-	class int
-	seq   int
-}
+// seqHdr tags a test message with its class and per-class sequence number
+// so consumers can check FIFO order.
+func seqHdr(class, seq int) MsgHdr { return MsgHdr{class, seq} }
 
 // TestMsgClassFIFOProperty sends a random interleaving of messages across
 // several classes and checks, under both engines, that (a) each class is
@@ -42,10 +40,10 @@ func TestMsgClassFIFOProperty(t *testing.T) {
 			}
 			rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 			for _, c := range order {
-				nic.PostMsg(p, 1, base+c, msgSeqPayload{class: c, seq: next[c]}, nil, false)
+				nic.PostMsg(p, 1, base+c, seqHdr(c, next[c]), nil, false)
 				next[c]++
 			}
-			nic.PostMsg(p, 1, base+classes, "done", nil, false)
+			nic.PostMsg(p, 1, base+classes, MsgHdr{}, nil, false)
 			return
 		}
 		// Consume half the classes per-class (mixing poll and wait), the
@@ -62,9 +60,8 @@ func TestMsgClassFIFOProperty(t *testing.T) {
 					// Poll missed: hand over to a blocking wait.
 					m = nic.WaitMsgClass(p, base+c)
 				}
-				got := m.Payload.(msgSeqPayload)
-				if got.class != c || got.seq != i {
-					t.Errorf("class %d: got %+v, want seq %d", c, got, i)
+				if m.Hdr != seqHdr(c, i) {
+					t.Errorf("class %d: got %v, want seq %d", c, m.Hdr, i)
 					return
 				}
 			}
@@ -78,15 +75,15 @@ func TestMsgClassFIFOProperty(t *testing.T) {
 		seen := make([]int, classes)
 		for i := 0; i < (classes-classes/2)*perClass; i++ {
 			m := nic.WaitMsgClasses(p, multi...)
-			got := m.Payload.(msgSeqPayload)
-			if got.seq != seen[got.class] {
-				t.Errorf("multi-class pop: class %d seq %d, want %d", got.class, got.seq, seen[got.class])
+			class, seq := m.Hdr[0], m.Hdr[1]
+			if seq != seen[class] {
+				t.Errorf("multi-class pop: class %d seq %d, want %d", class, seq, seen[class])
 				return
 			}
-			seen[got.class]++
+			seen[class]++
 		}
-		if m := nic.WaitMsgClass(p, base+classes); m.Payload.(string) != "done" {
-			t.Errorf("trailer = %v", m.Payload)
+		if m := nic.WaitMsgClass(p, base+classes); m.Hdr != (MsgHdr{}) {
+			t.Errorf("trailer = %v", m.Hdr)
 		}
 		if d := nic.MsgDepth(); d != 0 {
 			t.Errorf("residual depth %d", d)
@@ -100,18 +97,18 @@ func TestMsgClassArrivalOrderAcrossClasses(t *testing.T) {
 	runBoth(t, 2, nil, func(f *Fabric, p *exec.Proc) {
 		nic := f.NIC(p.Rank())
 		if p.Rank() == 0 {
-			nic.PostMsg(p, 1, 52, "first", nil, false)  // higher class, earlier arrival
-			nic.PostMsg(p, 1, 51, "second", nil, false) // lower class, later arrival
-			nic.PostMsg(p, 1, 59, "done", nil, false)
+			nic.PostMsg(p, 1, 52, MsgHdr{1}, nil, false) // higher class, earlier arrival
+			nic.PostMsg(p, 1, 51, MsgHdr{2}, nil, false) // lower class, later arrival
+			nic.PostMsg(p, 1, 59, MsgHdr{}, nil, false)
 			return
 		}
 		nic.WaitMsgClass(p, 59)
 		m, ok := nic.PollMsgClasses(51, 52)
-		if !ok || m.Payload.(string) != "first" {
+		if !ok || m.Hdr[0] != 1 {
 			t.Fatalf("first multi-class pop = %v ok=%v", m, ok)
 		}
 		m, ok = nic.PollMsgClasses(51, 52)
-		if !ok || m.Payload.(string) != "second" {
+		if !ok || m.Hdr[0] != 2 {
 			t.Fatalf("second multi-class pop = %v ok=%v", m, ok)
 		}
 	})
@@ -145,7 +142,7 @@ func TestMsgWaitersDistinctClassesStress(t *testing.T) {
 			rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 			next := make([]int, waiters)
 			for _, w := range order {
-				nic.PostMsg(p, 1, base+w, msgSeqPayload{class: w, seq: next[w]}, nil, false)
+				nic.PostMsg(p, 1, base+w, seqHdr(w, next[w]), nil, false)
 				next[w]++
 			}
 			return
@@ -160,9 +157,8 @@ func TestMsgWaitersDistinctClassesStress(t *testing.T) {
 				defer wg.Done()
 				for i := 0; i < perClass; i++ {
 					m := nic.WaitMsgClass(p, base+w)
-					got := m.Payload.(msgSeqPayload)
-					if got.class != w || got.seq != i {
-						errs <- fmt.Errorf("waiter %d: got %+v, want seq %d", w, got, i)
+					if m.Hdr != seqHdr(w, i) {
+						errs <- fmt.Errorf("waiter %d: got %v, want seq %d", w, m.Hdr, i)
 						return
 					}
 				}
@@ -175,6 +171,37 @@ func TestMsgWaitersDistinctClassesStress(t *testing.T) {
 		}
 		if d := nic.MsgDepth(); d != 0 {
 			t.Errorf("residual depth %d", d)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestPostMsgHeaderNotBoxed pins the cost of a message's header: the three
+// words travel by value inside the Msg, so one posted-and-consumed message
+// allocates the Msg and nothing else (an interface-typed header would box
+// a second allocation per message).
+func TestPostMsgHeaderNotBoxed(t *testing.T) {
+	env := exec.New(exec.Real)
+	f := New(env, DefaultConfig(1))
+	defer f.Close()
+	err := env.Run(1, func(p *exec.Proc) {
+		nic := f.NIC(0)
+		roundTrip := func() {
+			nic.PostMsg(p, 0, 7, MsgHdr{-1, 1 << 62, 3}, nil, false)
+			for { // self-sends deliver on the rx worker; polling parks nothing
+				if _, ok := nic.PollMsgClass(7); ok {
+					return
+				}
+				grt.Gosched()
+			}
+		}
+		for i := 0; i < 64; i++ {
+			roundTrip() // warm the packet pool and the class queue
+		}
+		if avg := testing.AllocsPerRun(200, roundTrip); avg >= 2 {
+			t.Errorf("a posted message allocates %.2f allocs/op, want 1 (the Msg)", avg)
 		}
 	})
 	if err != nil {

@@ -4,8 +4,8 @@ package fabric
 // processes, reached through a Link (netfab.Mesh over TCP, shmfab.Mesh over
 // shared-memory segment rings). Only the local rank's NIC exists; dispatch
 // routes any packet addressed to a remote rank through netSend (packet →
-// wire.Frame → link) and inbound frames re-enter through netRecv (frame →
-// packet → the local NIC's per-origin receive lane), so ordering,
+// wire.Frame → link) and inbound frames re-enter through ingestFrame (frame
+// → packet → the local NIC's per-origin receive lane), so ordering,
 // backpressure, and delivery-time semantics are identical to the
 // single-process Real engine.
 //
@@ -20,7 +20,7 @@ package fabric
 //
 // Op handles cannot cross a process boundary, so the origin registers each
 // op under a process-local wire ID at post time (transmit); acks and get
-// responses echo the ID and netRecv resolves it back to the handle. IDs are
+// responses echo the ID and ingestFrame resolves it back to the handle. IDs are
 // never reused (monotonic counter), so a stale echo after the op completed
 // resolves to nothing and the packet is dropped by deliverNow's nil guard.
 
@@ -76,14 +76,13 @@ func NewDistributed(env exec.Env, cfg Config, link Link) *Fabric {
 		}
 	}
 	f := &Fabric{
-		cfg:           cfg,
-		env:           env,
-		nics:          make([]*NIC, cfg.Ranks),
-		lastArrive:    make([]simtime.Time, cfg.Ranks*cfg.Ranks),
-		link:          link,
-		self:          link.Self(),
-		netOps:        make(map[uint64]*Op),
-		remoteRegions: make(map[int]map[int]int),
+		cfg:        cfg,
+		env:        env,
+		nics:       make([]*NIC, cfg.Ranks),
+		lastArrive: make([]simtime.Time, cfg.Ranks*cfg.Ranks),
+		link:       link,
+		self:       link.Self(),
+		netOps:     make(map[uint64]*Op),
 	}
 	f.nics[f.self] = newNIC(f, f.self)
 	f.startReliability()
@@ -95,19 +94,15 @@ func NewDistributed(env exec.Env, cfg Config, link Link) *Fabric {
 		// until the fabric commits them, so put payloads skip the rx
 		// staging copy. Only without the reliability layer: its reorder
 		// and dedup paths hold or drop packets on their own schedule.
-		bl.StartBorrowed(f.netRecvBorrowed, f.netPeerDown)
+		bl.StartBorrowed(f.ingestFrame, f.netPeerDown)
 	} else {
-		link.Start(f.netRecv, f.netPeerDown)
+		link.Start(func(from int, fr *wire.Frame) { f.ingestFrame(from, fr, nil) }, f.netPeerDown)
 	}
 	return f
 }
 
 // Self returns the local rank of a distributed fabric (0 otherwise).
 func (f *Fabric) Self() int { return f.self }
-
-// Distributed reports whether this fabric routes remote traffic over a
-// process-crossing link.
-func (f *Fabric) Distributed() bool { return f.link != nil }
 
 // ---------------------------------------------------------------------------
 // Op wire identity
@@ -162,103 +157,13 @@ func (f *Fabric) netSweepFailed(failed int) {
 }
 
 // ---------------------------------------------------------------------------
-// Region announcements
-// ---------------------------------------------------------------------------
-
-// netAnnounceRegion broadcasts a local registration change to every peer.
-// Announcements ride the same per-pair FIFO streams as data, so a peer
-// always learns about a region before the first access addressed to it can
-// have been issued by any rank that waited on the registration barrier.
-func (f *Fabric) netAnnounceRegion(id, size int, registered bool) {
-	if f.link == nil {
-		return
-	}
-	fr := &wire.Frame{Kind: wire.KindDereg, Origin: f.self, RegionID: id}
-	if registered {
-		fr.Kind = wire.KindReg
-		fr.Operand = uint64(size)
-	}
-	for r := 0; r < f.cfg.Ranks; r++ {
-		if r == f.self {
-			continue
-		}
-		f.link.Send(r, fr) // best effort: a dead peer no longer needs it
-	}
-}
-
-// RemoteRegionSize returns the last announced size of a peer's region, and
-// whether the region is currently registered there.
-func (f *Fabric) RemoteRegionSize(rank, regionID int) (int, bool) {
-	f.netMu.Lock()
-	defer f.netMu.Unlock()
-	size, ok := f.remoteRegions[rank][regionID]
-	return size, ok
-}
-
-// ---------------------------------------------------------------------------
 // Outbound: packet → frame
 // ---------------------------------------------------------------------------
-
-func pktKindToWire(k pktKind) wire.Kind {
-	switch k {
-	case pktPut:
-		return wire.KindPut
-	case pktGetReq:
-		return wire.KindGetReq
-	case pktGetResp:
-		return wire.KindGetResp
-	case pktAtomic:
-		return wire.KindAtomic
-	case pktAccum:
-		return wire.KindAccum
-	case pktAck:
-		return wire.KindAck
-	case pktCtrl:
-		return wire.KindCtrl
-	case pktData:
-		return wire.KindData
-	case pktNotify:
-		return wire.KindNotify
-	case pktLinkAck:
-		return wire.KindLinkAck
-	case pktLinkNack:
-		return wire.KindLinkNack
-	}
-	panic(fmt.Sprintf("fabric: unwirable packet kind %v", k))
-}
-
-func wireKindToPkt(k wire.Kind) (pktKind, bool) {
-	switch k {
-	case wire.KindPut:
-		return pktPut, true
-	case wire.KindGetReq:
-		return pktGetReq, true
-	case wire.KindGetResp:
-		return pktGetResp, true
-	case wire.KindAtomic:
-		return pktAtomic, true
-	case wire.KindAccum:
-		return pktAccum, true
-	case wire.KindAck:
-		return pktAck, true
-	case wire.KindCtrl:
-		return pktCtrl, true
-	case wire.KindData:
-		return pktData, true
-	case wire.KindNotify:
-		return pktNotify, true
-	case wire.KindLinkAck:
-		return pktLinkAck, true
-	case wire.KindLinkNack:
-		return pktLinkNack, true
-	}
-	return 0, false
-}
 
 // netFrame fills fr from one transmission attempt's packet fields.
 func (f *Fabric) netFrame(pkt *packet, fr *wire.Frame) {
 	*fr = wire.Frame{
-		Kind:       pktKindToWire(pkt.kind),
+		Kind:       pkt.kind,
 		Origin:     pkt.origin,
 		Target:     pkt.target,
 		RegionID:   pkt.regionID,
@@ -281,15 +186,12 @@ func (f *Fabric) netFrame(pkt *packet, fr *wire.Frame) {
 		fr.RegionID = 0 // acks and messages carry no region; keep encodable
 	}
 	if m := pkt.msg; m != nil {
+		// A message is not an op and moves no region bytes: its header words
+		// ride in the three fixed fields an op would use.
 		fr.MsgClass = m.Class
 		fr.ChargeCopy = m.ChargeCopy
 		fr.Data = m.Data
-		var err error
-		fr.Payload, err = wire.EncodePayload(m.Payload)
-		if err != nil {
-			panic(fmt.Sprintf("fabric: rank %d cannot send message class %d across processes: %v (register the header type with wire.RegisterPayload)",
-				f.self, m.Class, err))
-		}
+		fr.OpID, fr.Operand, fr.Compare = uint64(m.Hdr[0]), uint64(m.Hdr[1]), uint64(m.Hdr[2])
 	}
 }
 
@@ -324,61 +226,19 @@ func (f *Fabric) netSend(pkt *packet) {
 // Inbound: frame → packet
 // ---------------------------------------------------------------------------
 
-// netRecv converts an arriving frame into a packet on the local NIC's
-// per-origin receive lane. It runs on the mesh's rx goroutine: the
-// frame's slices alias the read buffer, so payload bytes
-// are staged into pooled buffers here (the rx copy of a real transport),
-// keeping the hot path allocation-free. Backpressure is physical: a full
-// lane blocks this reader, which stops draining the socket, which pushes
-// back on the sender's TCP window.
-func (f *Fabric) netRecv(from int, fr *wire.Frame) {
-	f.netRecvBorrowed(from, fr, nil)
-}
-
-// netRecvBorrowed is netRecv for links that can lend their receive
-// buffers: when free is non-nil the frame's Data may be retained past
-// return, with free called exactly once when the fabric is done reading
-// it. Put payloads then skip the rx staging copy entirely — the NIC
-// commits segment bytes straight into the window; every other kind is
-// staged as usual and the loan returned before this call ends.
-func (f *Fabric) netRecvBorrowed(from int, fr *wire.Frame, free func()) {
-	switch fr.Kind {
-	case wire.KindReg, wire.KindDereg:
-		// Control kinds are handled synchronously; any loan ends here.
-		if free != nil {
-			defer free()
-		}
-	}
-	switch fr.Kind {
-	case wire.KindReg:
-		f.netMu.Lock()
-		m := f.remoteRegions[fr.Origin]
-		if m == nil {
-			m = make(map[int]int)
-			f.remoteRegions[fr.Origin] = m
-		}
-		m[fr.RegionID] = int(fr.Operand)
-		f.netMu.Unlock()
-		return
-	case wire.KindDereg:
-		f.netMu.Lock()
-		delete(f.remoteRegions[fr.Origin], fr.RegionID)
-		f.netMu.Unlock()
-		return
-	}
-	f.ingestFrame(fr, free)
-}
-
-// ingestFrame converts a data/control frame into a packet on the local
-// NIC's per-origin receive lane. fr.Data aliases the link's read buffer
-// and is staged into a pooled copy — unless free is non-nil, which marks
-// it as a loan from the link's receive buffers: put packets carry the loan
-// to commit (zero staging copy) and the fabric calls free when done; every
-// other kind copies as usual and the loan is returned before this call
-// ends.
-func (f *Fabric) ingestFrame(fr *wire.Frame, free func()) {
-	kind, ok := wireKindToPkt(fr.Kind)
-	if !ok || fr.Target != f.self {
+// ingestFrame converts an arriving frame into a packet on the local NIC's
+// per-origin receive lane. It runs on the mesh's rx goroutine, so
+// backpressure is physical: a full lane blocks this reader, which stops
+// draining the socket or ring, which pushes back on the sender. fr.Data
+// aliases the link's read buffer and is staged into a pooled copy (the rx
+// copy of a real transport, keeping the hot path allocation-free) — unless
+// free is non-nil, which marks it as a loan from the link's receive
+// buffers: put packets carry the loan to commit (zero staging copy) and the
+// fabric calls free exactly once when done; every other kind copies as
+// usual and the loan is returned before this call ends.
+func (f *Fabric) ingestFrame(_ int, fr *wire.Frame, free func()) {
+	kind := fr.Kind
+	if kind > pktLinkNack || fr.Target != f.self {
 		if free != nil {
 			free()
 		}
@@ -404,21 +264,11 @@ func (f *Fabric) ingestFrame(fr *wire.Frame, free func()) {
 	}
 	switch kind {
 	case pktCtrl, pktData:
-		payload, err := wire.DecodePayload(fr.Payload)
-		if err != nil {
-			// An undecodable header cannot be committed, and on a lossless
-			// link nothing will send it again: whoever waits for this
-			// message would wait forever. The peer is speaking garbage —
-			// fail it, so the waiter unblocks with a typed error.
-			if free != nil {
-				free()
-			}
-			releasePacket(pkt)
-			f.declarePeerFailed(f.self, fr.Origin, fmt.Sprintf("undecodable payload: %v", err))
-			return
-		}
+		// The three words are the message's header, not an op's (netFrame).
+		pkt.opID, pkt.operand, pkt.compare = 0, 0, 0
 		data, _ := stage()
-		pkt.msg = &Msg{Origin: fr.Origin, Class: fr.MsgClass, Payload: payload,
+		pkt.msg = &Msg{Origin: fr.Origin, Class: fr.MsgClass,
+			Hdr:  MsgHdr{int(fr.OpID), int(fr.Operand), int(fr.Compare)},
 			Data: data, ChargeCopy: fr.ChargeCopy}
 	case pktAck, pktGetResp:
 		pkt.op = f.netLookupOp(fr.OpID)

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/exec"
 	"repro/internal/match"
+	"repro/internal/wire"
 )
 
 // OpKind classifies remote operations as seen in completion-queue entries.
@@ -73,15 +74,22 @@ type NotifySink interface {
 	Deliver(cqe CQE)
 }
 
+// MsgHdr is a message's header: three words whose meaning the posting
+// layer defines per class (unused words stay zero). It is the whole
+// header on every engine — a few words written into a peer's mailbox, as
+// on the paper's platform — and crosses a process boundary in the frame's
+// fixed fields.
+type MsgHdr [3]int
+
 // Msg is a small control or data message delivered to the NIC's message
 // queue — the stand-in for FMA writes into per-rank mailbox rings. The
 // message-passing and RMA-synchronization layers build their protocols on
 // these.
 type Msg struct {
-	Origin  int
-	Class   int    // layer discriminator (each layer picks distinct classes)
-	Payload any    // layer-specific header
-	Data    []byte // optional payload bytes
+	Origin int
+	Class  int    // layer discriminator (each layer picks distinct classes)
+	Hdr    MsgHdr // layer-specific header words
+	Data   []byte // optional payload bytes
 	// ChargeCopy tells the receiver the bytes landed in a bounce buffer and
 	// the copy into the user buffer must be charged (eager protocol); when
 	// false the bytes were RDMA-written straight to their destination
@@ -114,52 +122,27 @@ const (
 	AccumReplace
 )
 
-type pktKind int
+// pktKind is the wire's frame kind: a packet's kind crosses a process
+// boundary unchanged, and the data-plane names below are the only ones the
+// fabric produces or accepts.
+type pktKind = wire.Kind
 
 const (
-	pktPut pktKind = iota
-	pktGetReq
-	pktGetResp
-	pktAtomic
-	pktAccum
-	pktAck
-	pktCtrl
-	pktData
-	pktNotify // deferred get notification (unreliable-network protocol)
+	pktPut     = wire.KindPut
+	pktGetReq  = wire.KindGetReq
+	pktGetResp = wire.KindGetResp
+	pktAtomic  = wire.KindAtomic
+	pktAccum   = wire.KindAccum
+	pktAck     = wire.KindAck
+	pktCtrl    = wire.KindCtrl
+	pktData    = wire.KindData
+	pktNotify  = wire.KindNotify // deferred get notification (unreliable-network protocol)
 
 	// Link-layer control for the reliable-delivery layer. These are
 	// unsequenced, uncounted in Fabric.Stats, and never reach deliverNow.
-	pktLinkAck  // cumulative ack: operand = highest contiguously received seq
-	pktLinkNack // gap report: operand = first missing seq (acks everything below)
+	pktLinkAck  = wire.KindLinkAck  // cumulative ack: operand = highest contiguously received seq
+	pktLinkNack = wire.KindLinkNack // gap report: operand = first missing seq (acks everything below)
 )
-
-func (k pktKind) String() string {
-	switch k {
-	case pktPut:
-		return "put"
-	case pktGetReq:
-		return "get-req"
-	case pktGetResp:
-		return "get-resp"
-	case pktAtomic:
-		return "atomic"
-	case pktAccum:
-		return "accum"
-	case pktAck:
-		return "ack"
-	case pktCtrl:
-		return "ctrl"
-	case pktData:
-		return "data"
-	case pktNotify:
-		return "notify"
-	case pktLinkAck:
-		return "link-ack"
-	case pktLinkNack:
-		return "link-nack"
-	}
-	return "unknown"
-}
 
 type packet struct {
 	kind           pktKind
@@ -213,7 +196,7 @@ type Op struct {
 	done     bool
 	detached bool // fire-and-forget: recycle into the NIC's op freelist at completion
 	result   uint64
-	err      error // peer-failure completion (reliability layer)
+	err      error  // peer-failure completion (reliability layer)
 	netID    uint64 // wire identity (distributed fabric); 0 = unregistered
 }
 
@@ -578,7 +561,6 @@ func (n *NIC) Register(buf []byte) *MemRegion {
 	r := &MemRegion{ID: len(n.regions), nic: n, buf: buf}
 	n.regions = append(n.regions, r)
 	n.regMu.Unlock()
-	n.f.netAnnounceRegion(r.ID, len(buf), true)
 	return r
 }
 
@@ -589,7 +571,6 @@ func (n *NIC) Deregister(r *MemRegion) {
 		n.regions[r.ID] = nil
 	}
 	n.regMu.Unlock()
-	n.f.netAnnounceRegion(r.ID, 0, false)
 }
 
 func (n *NIC) region(id int) *MemRegion {
@@ -914,11 +895,11 @@ func (n *NIC) Accumulate(p *exec.Proc, target, regionID, offset int, data []floa
 	return op
 }
 
-// PostMsg sends a small control/data message to target's message queue.
-// Payload bytes are staged in a pooled buffer; the consuming layer should
+// PostMsg sends a small control/data message — hdr plus optional payload
+// bytes — to target's message queue. Payload bytes are staged in a pooled buffer; the consuming layer should
 // hand the buffer back via RecycleMsgData once it has copied the payload
 // out (layers that retain Msg.Data simply leave it to the collector).
-func (n *NIC) PostMsg(p *exec.Proc, target int, class int, payload any, data []byte, chargeCopy bool) {
+func (n *NIC) PostMsg(p *exec.Proc, target int, class int, hdr MsgHdr, data []byte, chargeCopy bool) {
 	n.checkTarget(target)
 	n.f.chargeSend(p)
 	var cp []byte
@@ -926,7 +907,7 @@ func (n *NIC) PostMsg(p *exec.Proc, target int, class int, payload any, data []b
 		cp = n.f.pool.get(len(data))
 		copy(cp, data)
 	}
-	m := &Msg{Origin: n.rank, Class: class, Payload: payload, Data: cp, ChargeCopy: chargeCopy}
+	m := &Msg{Origin: n.rank, Class: class, Hdr: hdr, Data: cp, ChargeCopy: chargeCopy}
 	kind := pktCtrl
 	if len(cp) > 0 {
 		kind = pktData

@@ -17,9 +17,6 @@ func TestPktKindStrings(t *testing.T) {
 			t.Errorf("%d -> %q want %q", int(k), k.String(), s)
 		}
 	}
-	if pktKind(99).String() != "unknown" {
-		t.Error("unknown kind")
-	}
 }
 
 func TestGetNotifyModeUnknownString(t *testing.T) {
@@ -59,9 +56,9 @@ func TestPendingAndMsgDepth(t *testing.T) {
 			if nic.Pending(1) != 0 {
 				t.Errorf("Pending = %d after flush", nic.Pending(1))
 			}
-			nic.PostMsg(p, 1, 5, "a", nil, false)
-			nic.PostMsg(p, 1, 6, "b", nil, false)
-			nic.PostMsg(p, 1, 7, "done", nil, false)
+			nic.PostMsg(p, 1, 5, MsgHdr{1}, nil, false)
+			nic.PostMsg(p, 1, 6, MsgHdr{2}, nil, false)
+			nic.PostMsg(p, 1, 7, MsgHdr{}, nil, false)
 		} else {
 			nic.WaitMsgClass(p, 7)
 			if d := nic.MsgDepth(); d != 2 {
@@ -70,7 +67,7 @@ func TestPendingAndMsgDepth(t *testing.T) {
 			if _, ok := nic.PollMsgClass(99); ok {
 				t.Error("PollMsgClass matched nothing")
 			}
-			if m, ok := nic.PollMsgClass(6); !ok || m.Payload.(string) != "b" {
+			if m, ok := nic.PollMsgClass(6); !ok || m.Hdr[0] != 2 {
 				t.Errorf("PollMsgClass(6) = %+v ok=%v", m, ok)
 			}
 			if d := nic.MsgClassDepth(5); d != 1 {

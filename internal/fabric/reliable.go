@@ -43,6 +43,7 @@ import (
 	"repro/internal/exec"
 	"repro/internal/fault"
 	"repro/internal/simtime"
+	"repro/internal/wire"
 )
 
 // ErrPeerFailed is the sentinel all peer-failure errors unwrap to; check
@@ -339,7 +340,7 @@ func (rl *reliability) sendCtl(kind pktKind, from, to int, seq uint64) {
 func (rl *reliability) ingress(n *NIC, pkt *packet) {
 	pair := pairKey{pkt.origin, n.rank}
 	var deliver []*packet
-	ctlKind := pktKind(-1)
+	ctlKind := wire.KindInvalid
 	var ctlSeq uint64
 
 	rl.mu.Lock()
@@ -417,7 +418,7 @@ func (rl *reliability) ingress(n *NIC, pkt *packet) {
 	for _, p := range deliver {
 		n.deliverNow(p)
 	}
-	if ctlKind != pktKind(-1) {
+	if ctlKind != wire.KindInvalid {
 		rl.sendCtl(ctlKind, n.rank, pair.origin, ctlSeq)
 	}
 }

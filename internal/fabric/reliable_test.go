@@ -98,13 +98,13 @@ func TestReliableMsgStreamUnderLoss(t *testing.T) {
 			for j := range data {
 				data[j] = byte(i + j + p.Rank())
 			}
-			nic.PostMsg(p, next, class, i, data, false)
+			nic.PostMsg(p, next, class, MsgHdr{i}, data, false)
 		}
 		prev := (p.Rank() + n - 1) % n
 		for i := 0; i < msgs; i++ {
 			m := nic.WaitMsgClass(p, class)
-			if m.Payload.(int) != i {
-				t.Fatalf("msg %d: payload %v (stream reordered or duplicated)", i, m.Payload)
+			if m.Hdr[0] != i {
+				t.Fatalf("msg %d: header %v (stream reordered or duplicated)", i, m.Hdr)
 			}
 			for j, b := range m.Data {
 				if b != byte(i+j+prev) {

@@ -103,7 +103,7 @@ func TestLargeShmPutBypassesInline(t *testing.T) {
 		reg := nic.Register(make([]byte, 1024))
 		if p.Rank() == 0 {
 			nic.Put(p, 1, reg.ID, 0, payload, WithImm(9)).Await(p)
-			nic.PostMsg(p, 1, 7, nil, nil, false)
+			nic.PostMsg(p, 1, 7, MsgHdr{}, nil, false)
 		} else {
 			nic.WaitMsgClass(p, 7)
 			// Data committed at delivery, before any poll.
@@ -259,7 +259,7 @@ func TestShmRingSlowConsumerAtCapacity(t *testing.T) {
 				nic.Put(p, 1, reg.ID, i*8, payload[:], WithImm(uint32(i))).Detach()
 			}
 			nic.FlushAll(p)
-			nic.PostMsg(p, 1, 7, nil, nil, false)
+			nic.PostMsg(p, 1, 7, MsgHdr{}, nil, false)
 		} else {
 			nic.WaitMsgClass(p, 7)
 			if hw := nic.RingHighWater(); hw != RingCapacity {

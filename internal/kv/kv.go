@@ -56,9 +56,9 @@ const (
 	slotLive = 1
 )
 
-const slotHdr = 8   // state u8 | keyLen u8 | valLen u16 | keyHash u32
-const recHdr = 4    // count u8 | pad u8 | bodyLen u16
-const recOpHdr = 4  // kind u8 | keyLen u8 | valLen u16
+const slotHdr = 8  // state u8 | keyLen u8 | valLen u16 | keyHash u32
+const recHdr = 4   // count u8 | pad u8 | bodyLen u16
+const recOpHdr = 4 // kind u8 | keyLen u8 | valLen u16
 
 // Options sizes the store. Zero values select the defaults.
 type Options struct {

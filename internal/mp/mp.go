@@ -29,15 +29,7 @@ import (
 	"repro/internal/match"
 	"repro/internal/runtime"
 	"repro/internal/simtime"
-	"repro/internal/wire"
 )
-
-func init() {
-	// Headers cross process boundaries on the distributed engine.
-	wire.RegisterPayload(sendHeader{})
-	wire.RegisterPayload(ctsHeader{})
-	wire.RegisterPayload(dataHeader{})
-}
 
 // Wildcards for Recv/Probe matching.
 const (
@@ -64,24 +56,11 @@ func (e envelope) matches(source, tag int) bool {
 	return (source == AnySource || source == e.source) && (tag == AnyTag || tag == e.tag)
 }
 
-// sendHeader is the wire header for eager sends and rendezvous RTS.
-type sendHeader struct {
-	Tag    int
-	SendID int // rendezvous only
-	Count  int
-}
-
-// ctsHeader answers an RTS.
-type ctsHeader struct {
-	SendID int
-	RecvID int
-}
-
-// dataHeader carries a rendezvous payload to its posted receive.
-type dataHeader struct {
-	Tag    int
-	RecvID int
-}
+// Message header words (fabric.MsgHdr) per class:
+//
+//	ClassMPEager, ClassMPRTS  {tag, sendID, count}  (sendID: rendezvous only)
+//	ClassMPCTS                {sendID, recvID}      answers an RTS
+//	ClassMPData               {tag, recvID}         payload for a posted receive
 
 // uqEntry is an unexpected message: either a full eager payload or a
 // rendezvous RTS envelope awaiting a CTS.
@@ -168,8 +147,7 @@ func (c *Comm) handle(m *fabric.Msg) {
 	c.charge(c.p.Model().ORecv + c.p.Model().MPRecvExtra)
 	switch m.Class {
 	case runtime.ClassMPEager:
-		h := m.Payload.(sendHeader)
-		env := envelope{source: m.Origin, tag: h.Tag}
+		env := envelope{source: m.Origin, tag: m.Hdr[0]}
 		if req := c.matchPRQ(env); req != nil {
 			c.completeEager(req, env, m.Data)
 			return
@@ -177,40 +155,40 @@ func (c *Comm) handle(m *fabric.Msg) {
 		c.uq.Add(env.source, env.tag, &uqEntry{env: env, eager: true, data: m.Data, count: len(m.Data)})
 
 	case runtime.ClassMPRTS:
-		h := m.Payload.(sendHeader)
-		env := envelope{source: m.Origin, tag: h.Tag}
+		tag, sendID, count := m.Hdr[0], m.Hdr[1], m.Hdr[2]
+		env := envelope{source: m.Origin, tag: tag}
 		if req := c.matchPRQ(env); req != nil {
-			c.sendCTS(req, env, h.SendID)
+			c.sendCTS(req, env, sendID)
 			return
 		}
-		c.uq.Add(env.source, env.tag, &uqEntry{env: env, sendID: h.SendID, count: h.Count})
+		c.uq.Add(env.source, env.tag, &uqEntry{env: env, sendID: sendID, count: count})
 
 	case runtime.ClassMPCTS:
-		h := m.Payload.(ctsHeader)
-		req := c.pendingSends[h.SendID]
+		sendID, recvID := m.Hdr[0], m.Hdr[1]
+		req := c.pendingSends[sendID]
 		if req == nil {
-			panic(fmt.Sprintf("mp: rank %d: CTS for unknown send %d", c.p.Rank(), h.SendID))
+			panic(fmt.Sprintf("mp: rank %d: CTS for unknown send %d", c.p.Rank(), sendID))
 		}
-		delete(c.pendingSends, h.SendID)
+		delete(c.pendingSends, sendID)
 		// Ship the payload straight into the posted receive buffer
 		// (RDMA write in the real implementation: no receive-side copy).
 		c.nic.PostMsg(c.p.Proc, req.target, runtime.ClassMPData,
-			dataHeader{Tag: req.tag, RecvID: h.RecvID}, req.data, false)
+			fabric.MsgHdr{req.tag, recvID}, req.data, false)
 		c.nic.ReleaseBuf(req.data) // pooled staging copy, made at Isend
 		req.data = nil
 		req.done = true
 
 	case runtime.ClassMPData:
-		h := m.Payload.(dataHeader)
-		req := c.pendingRecvs[h.RecvID]
+		tag, recvID := m.Hdr[0], m.Hdr[1]
+		req := c.pendingRecvs[recvID]
 		if req == nil {
-			panic(fmt.Sprintf("mp: rank %d: data for unknown recv %d", c.p.Rank(), h.RecvID))
+			panic(fmt.Sprintf("mp: rank %d: data for unknown recv %d", c.p.Rank(), recvID))
 		}
-		delete(c.pendingRecvs, h.RecvID)
+		delete(c.pendingRecvs, recvID)
 		count := len(m.Data)
 		copy(req.buf, m.Data)
 		c.nic.RecycleMsgData(m)
-		req.status = Status{Source: m.Origin, Tag: h.Tag, Count: count}
+		req.status = Status{Source: m.Origin, Tag: tag, Count: count}
 		req.done = true
 	}
 }
@@ -254,7 +232,7 @@ func (c *Comm) sendCTS(req *RecvReq, env envelope, sendID int) {
 	id := c.nextID
 	c.pendingRecvs[id] = req
 	req.matched = true
-	c.nic.PostMsg(c.p.Proc, env.source, runtime.ClassMPCTS, ctsHeader{SendID: sendID, RecvID: id}, nil, false)
+	c.nic.PostMsg(c.p.Proc, env.source, runtime.ClassMPCTS, fabric.MsgHdr{sendID, id}, nil, false)
 }
 
 // charge applies a modeled software cost (no-op under the Real engine).
@@ -283,7 +261,7 @@ func (c *Comm) Isend(target, tag int, data []byte) *SendReq {
 	c.nextID++
 	req := &SendReq{id: c.nextID, target: target, tag: tag}
 	if len(data) <= c.eagerThreshold {
-		c.nic.PostMsg(c.p.Proc, target, runtime.ClassMPEager, sendHeader{Tag: tag, Count: len(data)}, data, true)
+		c.nic.PostMsg(c.p.Proc, target, runtime.ClassMPEager, fabric.MsgHdr{tag, 0, len(data)}, data, true)
 		req.done = true
 		return req
 	}
@@ -293,7 +271,7 @@ func (c *Comm) Isend(target, tag int, data []byte) *SendReq {
 	copy(cp, data)
 	req.data = cp
 	c.pendingSends[req.id] = req
-	c.nic.PostMsg(c.p.Proc, target, runtime.ClassMPRTS, sendHeader{Tag: tag, SendID: req.id, Count: len(data)}, nil, false)
+	c.nic.PostMsg(c.p.Proc, target, runtime.ClassMPRTS, fabric.MsgHdr{tag, req.id, len(data)}, nil, false)
 	return req
 }
 
@@ -423,18 +401,4 @@ func (c *Comm) Sendrecv(sendTo, sendTag int, sendData []byte, recvBuf []byte, re
 	sr := c.Isend(sendTo, sendTag, sendData)
 	c.WaitSend(sr)
 	return c.WaitRecv(rr)
-}
-
-// WaitAllRecv completes every receive request.
-func (c *Comm) WaitAllRecv(reqs []*RecvReq) {
-	for _, r := range reqs {
-		c.WaitRecv(r)
-	}
-}
-
-// WaitAllSend completes every send request.
-func (c *Comm) WaitAllSend(reqs []*SendReq) {
-	for _, r := range reqs {
-		c.WaitSend(r)
-	}
 }

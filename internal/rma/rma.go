@@ -17,14 +17,7 @@ import (
 
 	"repro/internal/fabric"
 	"repro/internal/runtime"
-	"repro/internal/wire"
 )
-
-func init() {
-	// Headers cross process boundaries on the distributed engine.
-	wire.RegisterPayload(pscwHeader{})
-	wire.RegisterPayload(fenceHeader{})
-}
 
 // winSysBytes is the per-window system region holding the passive-target
 // lock word (offset 0).
@@ -52,17 +45,10 @@ type Win struct {
 	startedTo  []int // PSCW: targets of the current access epoch
 }
 
-// pscwHeader tags PSCW control messages with their window.
-type pscwHeader struct {
-	WinID int
-}
-
-// fenceHeader tags fence-barrier rounds.
-type fenceHeader struct {
-	WinID int
-	Epoch int
-	Round int
-}
+// Message header words (fabric.MsgHdr) per class:
+//
+//	ClassRMAPost, ClassRMAComplete  {winID}
+//	ClassRMAFence                   {winID, epoch, round}
 
 // syncKey attaches the per-rank synchronization stash.
 type syncKey struct{}
@@ -228,11 +214,6 @@ func (w *Win) Flush(target int) { w.nic.Flush(w.p.Proc, target) }
 // their targets (MPI_Win_flush_all).
 func (w *Win) FlushAll() { w.nic.FlushAll(w.p.Proc) }
 
-// FlushLocal completes operations locally (MPI_Win_flush_local): origin
-// buffers are reusable. The fabric copies at post time, so this is
-// immediate.
-func (w *Win) FlushLocal(target int) {}
-
 // Fence completes the current epoch on all ranks (MPI_Win_fence): a full
 // flush followed by a dissemination barrier over the window.
 func (w *Win) Fence() {
@@ -245,12 +226,11 @@ func (w *Win) Fence() {
 	for k, round := 1, 0; k < n; k, round = k*2, round+1 {
 		to := (me + k) % n
 		from := (me - k + n) % n
-		w.nic.PostMsg(w.p.Proc, to, runtime.ClassRMAFence, fenceHeader{WinID: w.ID, Epoch: epoch, Round: round}, nil, false)
+		w.nic.PostMsg(w.p.Proc, to, runtime.ClassRMAFence, fabric.MsgHdr{w.ID, epoch, round}, nil, false)
 		want := fenceKey{w.ID, epoch, round, from}
 		for !take(st.fence, want) {
 			m := w.nic.WaitMsgClass(w.p.Proc, runtime.ClassRMAFence)
-			h := m.Payload.(fenceHeader)
-			st.fence[fenceKey{h.WinID, h.Epoch, h.Round, m.Origin}]++
+			st.fence[fenceKey{m.Hdr[0], m.Hdr[1], m.Hdr[2], m.Origin}]++
 		}
 	}
 }
@@ -263,7 +243,7 @@ func (w *Win) Post(origins []int) {
 	}
 	w.postedBy = append([]int(nil), origins...)
 	for _, o := range origins {
-		w.nic.PostMsg(w.p.Proc, o, runtime.ClassRMAPost, pscwHeader{WinID: w.ID}, nil, false)
+		w.nic.PostMsg(w.p.Proc, o, runtime.ClassRMAPost, fabric.MsgHdr{w.ID}, nil, false)
 	}
 }
 
@@ -279,8 +259,7 @@ func (w *Win) Start(targets []int) {
 		want := pscwKey{w.ID, t}
 		for !take(st.posts, want) {
 			m := w.nic.WaitMsgClass(w.p.Proc, runtime.ClassRMAPost)
-			h := m.Payload.(pscwHeader)
-			st.posts[pscwKey{h.WinID, m.Origin}]++
+			st.posts[pscwKey{m.Hdr[0], m.Origin}]++
 		}
 	}
 }
@@ -295,7 +274,7 @@ func (w *Win) Complete() {
 		w.nic.Flush(w.p.Proc, t)
 	}
 	for _, t := range w.startedTo {
-		w.nic.PostMsg(w.p.Proc, t, runtime.ClassRMAComplete, pscwHeader{WinID: w.ID}, nil, false)
+		w.nic.PostMsg(w.p.Proc, t, runtime.ClassRMAComplete, fabric.MsgHdr{w.ID}, nil, false)
 	}
 	w.startedTo = nil
 }
@@ -311,8 +290,7 @@ func (w *Win) Wait() {
 		want := pscwKey{w.ID, o}
 		for !take(st.completes, want) {
 			m := w.nic.WaitMsgClass(w.p.Proc, runtime.ClassRMAComplete)
-			h := m.Payload.(pscwHeader)
-			st.completes[pscwKey{h.WinID, m.Origin}]++
+			st.completes[pscwKey{m.Hdr[0], m.Origin}]++
 		}
 	}
 	w.postedBy = nil

@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/exec"
 	"repro/internal/fabric"
+	"repro/internal/fault"
 	"repro/internal/netfab"
 )
 
@@ -53,39 +54,12 @@ type DistOptions struct {
 }
 
 // RunDistributed bootstraps this process into the mesh, runs body as rank
-// Self of an Options.Ranks-rank job, and tears the mesh down. A final
-// barrier after body quiesces all ranks before teardown, so no rank closes
-// its sockets while peers still have traffic in flight. On a clean run the
-// teardown is a Bye handshake; after an error the sockets are closed
-// abruptly, which surviving peers report as ErrPeerFailed — exactly the
-// semantics of a crashed rank.
+// Self of an Options.Ranks-rank job, and tears the mesh down (see runRank
+// for the finalize barrier and close semantics).
 func RunDistributed(d DistOptions, opts Options, body func(p *Proc)) error {
-	w, mesh, err := newDistWorld(d, opts)
+	opts, err := linkOptions(opts, d.Self)
 	if err != nil {
 		return err
-	}
-	if d.OnBootstrap != nil {
-		d.OnBootstrap(mesh.Gen(), mesh.Rejoined())
-	}
-	runErr := w.Run(func(p *Proc) {
-		body(p)
-		p.Barrier() // finalize: all ranks quiesce before any tears down
-	})
-	mesh.Close(runErr == nil)
-	return runErr
-}
-
-// newDistWorld mirrors NewWorld for the distributed engine: same config
-// plumbing, but the env is a DistEnv hosting one rank and the fabric is
-// built over an established mesh.
-func newDistWorld(d DistOptions, opts Options) (*World, *netfab.Mesh, error) {
-	opts = opts.withDefaults()
-	opts.Mode = exec.Dist
-	if opts.Ranks <= 0 {
-		return nil, nil, fmt.Errorf("runtime: invalid rank count %d", opts.Ranks)
-	}
-	if d.Self < 0 || d.Self >= opts.Ranks {
-		return nil, nil, fmt.Errorf("runtime: rank %d outside job of %d", d.Self, opts.Ranks)
 	}
 	mesh, err := netfab.Bootstrap(netfab.Config{
 		Self:             d.Self,
@@ -98,36 +72,104 @@ func newDistWorld(d DistOptions, opts Options) (*World, *netfab.Mesh, error) {
 		Rejoin:           d.Rejoin,
 	})
 	if err != nil {
-		return nil, nil, err
+		return err
 	}
-	return newLinkWorld(opts, d.Self, mesh), mesh, nil
+	if d.OnBootstrap != nil {
+		d.OnBootstrap(mesh.Gen(), mesh.Rejoined())
+	}
+	return runRank(opts, mesh, body)
 }
 
-// newLinkWorld builds the one-rank World of a distributed job over an
-// already-established link (TCP mesh or shared-memory mesh): fabric config
-// from the job options, a DistEnv hosting rank self, and the fabric built
-// by NewDistributed over the link. opts must already have defaults applied
-// and Mode set.
-func newLinkWorld(opts Options, self int, link fabric.Link) *World {
-	if opts.UnreliableNetwork {
-		opts.GetNotifyMode = fabric.GetNotifyDeferred
+// linkOptions prepares job options for a one-rank-per-process engine:
+// defaults applied, Mode forced to Dist, rank count and self validated.
+func linkOptions(opts Options, self int) (Options, error) {
+	opts = opts.withDefaults()
+	opts.Mode = exec.Dist
+	if opts.Ranks <= 0 {
+		return opts, fmt.Errorf("runtime: invalid rank count %d", opts.Ranks)
 	}
-	cfg := fabric.Config{
-		Ranks:           opts.Ranks,
-		RanksPerNode:    opts.RanksPerNode,
-		Model:           *opts.Model,
-		InlineThreshold: opts.InlineThreshold,
-		ChargeOverheads: !opts.DisableOverheads,
-		GetNotifyMode:   opts.GetNotifyMode,
-		Trace:           opts.Trace,
-		FaultPlan:       opts.FaultPlan,
-		Reliability:     opts.Reliability,
+	if self < 0 || self >= opts.Ranks {
+		return opts, fmt.Errorf("runtime: rank %d outside job of %d", self, opts.Ranks)
 	}
-	env := exec.NewDistEnv(self, opts.Ranks)
-	w := &World{opts: opts, env: env}
-	cfg.FailureHook = w.announcePeerFailure
-	w.fab = fabric.NewDistributed(env, cfg, link)
-	return w
+	return opts, nil
+}
+
+// rankMesh is an established cross-process mesh (netfab over TCP, shmfab
+// over segment rings) as the rank runner uses it.
+type rankMesh interface {
+	fabric.Link
+	Close(graceful bool) error
+	SuppressHeartbeat()
+}
+
+// runRank runs body as rank mesh.Self() of the job over an established
+// mesh and tears the mesh down; opts come from linkOptions. A final barrier
+// after body quiesces all ranks before teardown, so no rank closes its
+// links while peers still have traffic in flight. A clean run closes
+// gracefully (a goodbye handshake); after an error the links are closed
+// abruptly, which surviving peers report as ErrPeerFailed — exactly the
+// semantics of a crashed rank.
+func runRank(opts Options, mesh rankMesh, body func(p *Proc)) error {
+	env := exec.NewDistEnv(mesh.Self(), opts.Ranks)
+	w, cfg := newWorld(opts, env)
+	w.fab = fabric.NewDistributed(env, cfg, mesh)
+	// Mirror injected rank failure into the mesh's heartbeat: a rank the
+	// fault plan crashes or hangs keeps its links open (and, for hang,
+	// keeps consuming), so the only way survivors can notice is the beat
+	// going quiet — exactly how a real frozen process looks.
+	if inj := w.fab.Injector(); inj != nil {
+		inj.SetDownHook(func(rank int, _ fault.RankMode) {
+			if rank == mesh.Self() {
+				mesh.SuppressHeartbeat()
+			}
+		})
+	}
+	runErr := w.Run(func(p *Proc) {
+		body(p)
+		p.Barrier() // finalize: all ranks quiesce before any tears down
+	})
+	mesh.Close(runErr == nil)
+	return runErr
+}
+
+// fanOut runs rank(r) for every r in [0, n), each on its own goroutine,
+// and returns the results in rank order: the body of every in-process
+// cluster launcher.
+func fanOut(n int, rank func(r int) error) []error {
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for r := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[r] = rank(r)
+		}()
+	}
+	wg.Wait()
+	return errs
+}
+
+// LocalTCPRanks hosts an n-rank TCP job inside this process: it binds a
+// kernel-assigned localhost rendezvous port and calls rank once per rank,
+// each on its own goroutine, with that rank's placement (Self, Root and,
+// for rank 0, the bound listener). The result has one entry per rank, in
+// rank order.
+func LocalTCPRanks(n int, rank func(d DistOptions) error) []error {
+	if n <= 0 {
+		return []error{fmt.Errorf("runtime: invalid rank count %d", n)}
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return fanOut(n, func(int) error { return fmt.Errorf("runtime: cluster listen: %w", err) })
+	}
+	defer ln.Close() // still open only if rank kept it across generations
+	return fanOut(n, func(r int) error {
+		d := DistOptions{Self: r, Root: ln.Addr().String()}
+		if r == 0 {
+			d.RootListener = ln
+		}
+		return rank(d)
+	})
 }
 
 // RunLocalCluster runs an Options.Ranks-rank distributed job inside this
@@ -135,32 +177,7 @@ func newLinkWorld(opts Options, self int, link fabric.Link) *World {
 // and World, rendezvousing over a kernel-assigned localhost port. The
 // result has one entry per rank, in rank order.
 func RunLocalCluster(opts Options, body func(p *Proc)) []error {
-	n := opts.withDefaults().Ranks
-	if n <= 0 {
-		return []error{fmt.Errorf("runtime: invalid rank count %d", n)}
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		errs := make([]error, n)
-		for i := range errs {
-			errs[i] = fmt.Errorf("runtime: cluster listen: %w", err)
-		}
-		return errs
-	}
-	root := ln.Addr().String()
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for r := 0; r < n; r++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			d := DistOptions{Self: r, Root: root}
-			if r == 0 {
-				d.RootListener = ln
-			}
-			errs[r] = RunDistributed(d, opts, body)
-		}()
-	}
-	wg.Wait()
-	return errs
+	return LocalTCPRanks(opts.Ranks, func(d DistOptions) error {
+		return RunDistributed(d, opts, body)
+	})
 }

@@ -137,10 +137,21 @@ func NewWorld(opts Options) *World {
 	} else if env.Mode() != opts.Mode {
 		panic(fmt.Sprintf("runtime: injected engine mode %v != Options.Mode %v", env.Mode(), opts.Mode))
 	}
+	w, cfg := newWorld(opts, env)
+	w.fab = fabric.New(env, cfg)
+	return w
+}
+
+// newWorld wires a world around env and assembles the fabric configuration
+// the options imply; the caller builds the interconnect from it (in-process
+// for NewWorld, one rank over a link for runRank). opts must already carry
+// defaults.
+func newWorld(opts Options, env Engine) (*World, fabric.Config) {
 	if opts.UnreliableNetwork {
 		opts.GetNotifyMode = fabric.GetNotifyDeferred
 	}
-	cfg := fabric.Config{
+	w := &World{opts: opts, env: env}
+	return w, fabric.Config{
 		Ranks:           opts.Ranks,
 		RanksPerNode:    opts.RanksPerNode,
 		Model:           *opts.Model,
@@ -150,11 +161,8 @@ func NewWorld(opts Options) *World {
 		Trace:           opts.Trace,
 		FaultPlan:       opts.FaultPlan,
 		Reliability:     opts.Reliability,
+		FailureHook:     w.announcePeerFailure,
 	}
-	w := &World{opts: opts, env: env}
-	cfg.FailureHook = w.announcePeerFailure
-	w.fab = fabric.New(env, cfg)
-	return w
 }
 
 // announcePeerFailure fans a detected rank failure out to every registered
@@ -305,24 +313,26 @@ func (p *Proc) Barrier() {
 	if n == 1 {
 		return
 	}
+	// ClassBarrier header: {phase} — 0 gather (rank → root), 1 release.
 	// Plain class-FIFO pops are safe here: rank 0 only ever receives the
-	// payload-0 gather messages (and cannot observe barrier k+1 arrivals
-	// before it finishes collecting barrier k), while non-roots only ever
-	// receive the payload-1 release.
+	// gather messages (and cannot observe barrier k+1 arrivals before it
+	// finishes collecting barrier k), while non-roots only ever receive the
+	// release.
+	const gather, release = 0, 1
 	if p.Rank() == 0 {
 		for i := 1; i < n; i++ {
 			m := p.nic.WaitMsgClass(p.Proc, ClassBarrier)
-			if m.Payload.(int) != 0 {
+			if m.Hdr[0] != gather {
 				panic("runtime: barrier release received at root")
 			}
 		}
 		for i := 1; i < n; i++ {
-			p.nic.PostMsg(p.Proc, i, ClassBarrier, 1, nil, false)
+			p.nic.PostMsg(p.Proc, i, ClassBarrier, fabric.MsgHdr{release}, nil, false)
 		}
 	} else {
-		p.nic.PostMsg(p.Proc, 0, ClassBarrier, 0, nil, false)
+		p.nic.PostMsg(p.Proc, 0, ClassBarrier, fabric.MsgHdr{gather}, nil, false)
 		m := p.nic.WaitMsgClass(p.Proc, ClassBarrier)
-		if m.Payload.(int) != 1 {
+		if m.Hdr[0] != release {
 			panic("runtime: barrier gather received at non-root")
 		}
 	}

@@ -12,11 +12,8 @@ package runtime
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
-	"repro/internal/exec"
-	"repro/internal/fault"
 	"repro/internal/shmfab"
 )
 
@@ -38,19 +35,13 @@ type ShmOptions struct {
 }
 
 // RunShm runs body as rank Self of an Options.Ranks-rank job over the
-// shared-memory fabric and tears the mesh down. The finalize barrier and
-// close semantics mirror RunDistributed: all ranks quiesce before any
-// tears down; a clean run closes gracefully (goodbye flag), an error run
-// closes abruptly, which surviving peers detect as a heartbeat stall and
-// report as ErrPeerFailed — exactly the semantics of a crashed rank.
+// shared-memory fabric and tears the mesh down, with RunDistributed's
+// finalize barrier and close semantics (runRank); an abrupt close shows to
+// surviving peers as a heartbeat stall.
 func RunShm(s ShmOptions, opts Options, body func(p *Proc)) error {
-	opts = opts.withDefaults()
-	opts.Mode = exec.Dist
-	if opts.Ranks <= 0 {
-		return fmt.Errorf("runtime: invalid rank count %d", opts.Ranks)
-	}
-	if s.Self < 0 || s.Self >= opts.Ranks {
-		return fmt.Errorf("runtime: rank %d outside job of %d", s.Self, opts.Ranks)
+	opts, err := linkOptions(opts, s.Self)
+	if err != nil {
+		return err
 	}
 	mesh, err := shmfab.Attach(shmfab.Config{
 		Self:              s.Self,
@@ -63,25 +54,7 @@ func RunShm(s ShmOptions, opts Options, body func(p *Proc)) error {
 	if err != nil {
 		return err
 	}
-	w := newLinkWorld(opts, s.Self, mesh)
-	// Mirror injected rank failure into the segment heartbeat: a rank the
-	// fault plan crashes or hangs keeps its segment mapped (and, for hang,
-	// keeps consuming), so the only way survivors can notice is the
-	// heartbeat word going quiet — exactly how a real frozen process looks.
-	if inj := w.fab.Injector(); inj != nil {
-		self := s.Self
-		inj.SetDownHook(func(rank int, _ fault.RankMode) {
-			if rank == self {
-				mesh.SuppressHeartbeat()
-			}
-		})
-	}
-	runErr := w.Run(func(p *Proc) {
-		body(p)
-		p.Barrier() // finalize: all ranks quiesce before any tears down
-	})
-	mesh.Close(runErr == nil)
-	return runErr
+	return runRank(opts, mesh, body)
 }
 
 // RunLocalShmCluster runs an Options.Ranks-rank shared-memory job inside
@@ -91,7 +64,7 @@ func RunShm(s ShmOptions, opts Options, body func(p *Proc)) error {
 // are ordinary Go memory and publication uses sync/atomic, the race
 // detector checks the full ring discipline here.
 func RunLocalShmCluster(opts Options, body func(p *Proc)) []error {
-	n := opts.withDefaults().Ranks
+	n := opts.Ranks
 	if n <= 0 {
 		return []error{fmt.Errorf("runtime: invalid rank count %d", n)}
 	}
@@ -102,26 +75,13 @@ func RunLocalShmCluster(opts Options, body func(p *Proc)) []error {
 			pair[[2]int{lo, hi}] = shmfab.NewHeapSegment(lo, hi)
 		}
 	}
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for r := 0; r < n; r++ {
+	return fanOut(n, func(r int) error {
 		segs := make([]*shmfab.Segment, n)
 		for q := 0; q < n; q++ {
-			if q == r {
-				continue
+			if q != r {
+				segs[q] = pair[[2]int{min(r, q), max(r, q)}]
 			}
-			lo, hi := r, q
-			if lo > hi {
-				lo, hi = hi, lo
-			}
-			segs[q] = pair[[2]int{lo, hi}]
 		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			errs[r] = RunShm(ShmOptions{Self: r, Segments: segs}, opts, body)
-		}()
-	}
-	wg.Wait()
-	return errs
+		return RunShm(ShmOptions{Self: r, Segments: segs}, opts, body)
+	})
 }

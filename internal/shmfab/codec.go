@@ -14,7 +14,7 @@ import (
 //	@24:    InlineCapacity payload bytes
 //
 // Compact kinds carry the hot-path frames (puts and acks) without the
-// 81-byte wire header; origin and target are implicit in the ring
+// 79-byte wire header; origin and target are implicit in the ring
 // direction. Everything else rides as a generically encoded wire frame in
 // the bulk region (entFrame), fragmented when the encoding exceeds
 // maxBulkAlloc (entFragFirst/entFragNext).
@@ -45,7 +45,7 @@ const fragChunk = 1 << 20
 func compactPut(fr *wire.Frame, self, target int) bool {
 	return fr.Kind == wire.KindPut &&
 		fr.Origin == self && fr.Target == target &&
-		fr.Payload == nil && len(fr.Strs) == 0 &&
+		len(fr.Strs) == 0 &&
 		fr.MsgClass == 0 && fr.Operand == 0 && fr.Compare == 0 &&
 		fr.Seq == 0 && fr.Csum == 0 &&
 		!fr.Rel && !fr.ChargeCopy &&
@@ -59,7 +59,7 @@ func compactPut(fr *wire.Frame, self, target int) bool {
 func compactAck(fr *wire.Frame, self, target int) bool {
 	return fr.Kind == wire.KindAck &&
 		fr.Origin == self && fr.Target == target &&
-		fr.Payload == nil && len(fr.Strs) == 0 && len(fr.Data) == 0 &&
+		len(fr.Strs) == 0 && len(fr.Data) == 0 &&
 		fr.MsgClass == 0 && fr.Compare == 0 &&
 		fr.Seq == 0 && fr.Csum == 0 && fr.Imm == 0 &&
 		!fr.ImmValid && !fr.NotifyBack && !fr.Rel && !fr.ChargeCopy &&

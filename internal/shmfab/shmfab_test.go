@@ -52,7 +52,6 @@ func (c *capture) rx(from int, fr *wire.Frame) {
 	defer c.mu.Unlock()
 	cp := *fr
 	cp.Data = append([]byte(nil), fr.Data...) // the Link contract: copy before returning
-	cp.Payload = append([]byte(nil), fr.Payload...)
 	c.frames = append(c.frames, cp)
 }
 
@@ -60,6 +59,28 @@ func (c *capture) down(rank int, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.downs = append(c.downs, rank)
+}
+
+// closePair closes both ends of a pair gracefully at the same time, as two
+// finishing ranks do. A graceful Close waits for the peer's goodbye, which
+// the peer only publishes from its own Close: closed one after the other,
+// the first would sit out its whole goodbye deadline. The bound asserts the
+// handshake completed rather than timed out.
+func closePair(t *testing.T, m0, m1 *Mesh) {
+	t.Helper()
+	start := time.Now()
+	var wg sync.WaitGroup
+	for _, m := range []*Mesh{m0, m1} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			m.Close(true)
+		}()
+	}
+	wg.Wait()
+	if d := time.Since(start); d > 4*time.Second { // Close gives up on the goodbye after 5 s
+		t.Errorf("graceful close of a live pair took %v: the goodbye handshake timed out", d)
+	}
 }
 
 func (c *capture) waitFrames(t *testing.T, n int) []wire.Frame {
@@ -138,8 +159,7 @@ func TestExchangeAllPaths(t *testing.T) {
 		t.Fatalf("unexpected tx stats: %+v", st)
 	}
 
-	m0.Close(true)
-	m1.Close(true)
+	closePair(t, m0, m1)
 	if len(c0.downs)+len(c1.downs) != 0 {
 		t.Fatalf("clean close produced peer-down: %v %v", c0.downs, c1.downs)
 	}
@@ -180,8 +200,7 @@ func TestBidirectionalStorm(t *testing.T) {
 			}
 		}
 	}
-	m0.Close(true)
-	m1.Close(true)
+	closePair(t, m0, m1)
 }
 
 // TestHeartbeatDeath kills one side abruptly (no goodbye) and expects the
@@ -239,8 +258,7 @@ func TestCleanGoodbyeNoFalseDeath(t *testing.T) {
 	m0.Start(c0.rx, c0.down)
 	m1.Start(c1.rx, c1.down)
 	time.Sleep(150 * time.Millisecond)
-	m0.Close(true)
-	m1.Close(true)
+	closePair(t, m0, m1)
 	if len(c0.downs)+len(c1.downs) != 0 {
 		t.Fatalf("false peer death: %v %v", c0.downs, c1.downs)
 	}
@@ -291,8 +309,7 @@ func TestFileSegmentRoundtrip(t *testing.T) {
 	if !bytes.Equal(got[0].Data, []byte{1, 2, 3}) {
 		t.Fatalf("mangled: %+v", got[0])
 	}
-	m0.Close(true)
-	m1.Close(true)
+	closePair(t, m0, m1)
 }
 
 // TestBulkWraparound drives enough varied bulk payloads through one
@@ -330,8 +347,7 @@ func TestBulkWraparound(t *testing.T) {
 			}
 		}
 	}
-	m0.Close(true)
-	m1.Close(true)
+	closePair(t, m0, m1)
 }
 
 func TestPairName(t *testing.T) {

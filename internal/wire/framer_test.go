@@ -69,7 +69,6 @@ func drainFramer(t *testing.T, f *Framer, r io.Reader) ([]Frame, int) {
 		}
 		// The decoded sections alias the framer buffer: copy out, as the
 		// mesh's rx dispatch contract requires of real consumers.
-		fr.Payload = append([]byte(nil), fr.Payload...)
 		fr.Data = append([]byte(nil), fr.Data...)
 		out = append(out, fr)
 	}

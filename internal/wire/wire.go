@@ -2,12 +2,11 @@
 // TCP fabric (internal/netfab) puts on the socket between OS processes.
 //
 // A frame is one fabric packet or one control message (bootstrap handshake,
-// memory-region registration/teardown, clean-shutdown goodbye), serialized
-// as a fixed little-endian header followed by three variable-length
-// sections: the gob-encoded message-payload header, the raw payload bytes,
-// and a string table (bootstrap addresses). On the stream every frame is
-// preceded by a uint32 length prefix; this package encodes and decodes the
-// frame body only.
+// liveness beat, clean-shutdown goodbye), serialized as a fixed
+// little-endian header followed by two variable-length sections: the raw
+// payload bytes and a string table (bootstrap addresses). On the stream
+// every frame is preceded by a uint32 length prefix; this package encodes
+// and decodes the frame body only.
 //
 // The format is strict by construction: Decode rejects unknown versions,
 // unknown kinds, length fields that overrun the buffer, and trailing
@@ -15,9 +14,7 @@
 package wire
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 )
@@ -26,8 +23,10 @@ import (
 // mismatched versions refuse to mesh during the bootstrap handshake.
 // Version 3 dropped what version 2 had added for a reliability protocol
 // layered on the socket (the piggybacked cumulative-ack field and the
-// rendezvous kinds) and added the liveness beat.
-const Version = 3
+// rendezvous kinds) and added the liveness beat. Version 4 dropped the
+// self-describing message-header section (a message's three header words
+// ride in OpID/Operand/Compare) and the region-announcement kinds.
+const Version = 4
 
 // MaxData bounds a frame's raw payload section (64 MiB): larger transfers
 // must be chunked by the layer above, and a length prefix beyond it is
@@ -39,14 +38,13 @@ const MaxFrame = MaxData + 1<<16
 
 // Limits on the decoded variable sections.
 const (
-	maxPayload = 1 << 20 // gob-encoded message header
-	maxStrs    = 1 << 12 // bootstrap roster entries
-	maxStrLen  = 1 << 12 // one roster address
+	maxStrs   = 1 << 12 // bootstrap roster entries
+	maxStrLen = 1 << 12 // one roster address
 )
 
-// Kind discriminates frames. The data-plane kinds mirror the fabric's
-// packet kinds one-to-one; the control kinds carry the bootstrap
-// rendezvous, region registration, and teardown.
+// Kind discriminates frames. The data-plane kinds are the fabric's packet
+// kinds (fabric.pktKind is this type); the control kinds carry the
+// bootstrap rendezvous, liveness, and teardown.
 type Kind uint8
 
 const (
@@ -66,14 +64,14 @@ const (
 	KindLinkNack
 
 	// Control plane.
-	KindHello  // dialer introduces itself: Origin=rank, Operand=job size, Compare=protocol version, Strs[0]=listener addr
-	KindRoster // root broadcasts the peer listener addresses: Strs[r]=rank r's addr
-	KindReady  // peer reports its mesh links are up
-	KindGo     // root releases the job
-	KindReg    // a memory region became remotely accessible: RegionID, Operand=size
-	KindDereg  // a memory region was revoked: RegionID
-	KindBye    // clean shutdown: the sender finished its rank body
-	KindBeat   // liveness: the stream carried nothing else for one beat interval; no fields, consumed by the mesh
+	KindHello        // dialer introduces itself: Origin=rank, Operand=job size, Compare=protocol version, Strs[0]=listener addr
+	KindRoster       // root broadcasts the peer listener addresses: Strs[r]=rank r's addr
+	KindReady        // peer reports its mesh links are up
+	KindGo           // root releases the job
+	kindRetiredReg   // v3's region announcements: the numbers are not reused,
+	kindRetiredDereg // so a stale kind byte is refused rather than misread
+	KindBye          // clean shutdown: the sender finished its rank body
+	KindBeat         // liveness: the stream carried nothing else for one beat interval; no fields, consumed by the mesh
 
 	// KindRejoin is the Hello variant a respawned rank sends during a
 	// recovery re-bootstrap: same layout as KindHello (Origin=rank,
@@ -85,6 +83,11 @@ const (
 
 	kindCount // sentinel
 )
+
+// valid reports whether k names a frame kind of this protocol version.
+func (k Kind) valid() bool {
+	return k != KindInvalid && k < kindCount && k != kindRetiredReg && k != kindRetiredDereg
+}
 
 func (k Kind) String() string {
 	switch k {
@@ -118,10 +121,6 @@ func (k Kind) String() string {
 		return "ready"
 	case KindGo:
 		return "go"
-	case KindReg:
-		return "reg"
-	case KindDereg:
-		return "dereg"
 	case KindBye:
 		return "bye"
 	case KindBeat:
@@ -132,8 +131,29 @@ func (k Kind) String() string {
 	return fmt.Sprintf("kind(%d)", uint8(k))
 }
 
-// Frame is the decoded form of one wire frame. Fabric packets map onto it
-// field-for-field; control frames use the subset their Kind documents.
+// Frame is the decoded form of one wire frame. Every frame carries Kind,
+// Origin and Target; beyond those a kind uses only the fixed fields listed
+// here (the rest stay zero). The three 64-bit words OpID, Operand and
+// Compare mean something different per kind:
+//
+//	kind            OpID       Operand        Compare      other fields
+//	put             op handle  -              -            RegionID Offset Imm ImmValid WireSize Data
+//	get-req         op handle  read length    -            RegionID Offset Imm ImmValid
+//	get-resp        op handle  read length    -            WireSize Data; NotifyBack with RegionID Offset Imm ImmValid
+//	atomic          op handle  operand        CAS compare  RegionID Offset Imm ImmValid AtomicOp WireSize
+//	accum           op handle  -              -            RegionID Offset Imm ImmValid AccumOp WireSize Data
+//	ack             op handle  fetched value  -            -
+//	ctrl, data      word 0     word 1         word 2       MsgClass WireSize; data adds ChargeCopy Data
+//	notify          -          read length    -            RegionID Offset Imm ImmValid
+//	link-ack/-nack  -          sequence       -            -
+//	hello, rejoin   -          job size       Version      Seq (world generation) Strs[0] (listener address)
+//	roster          -          generation     -            Strs (one address per rank)
+//	ready, go, bye, beat use none.
+//
+// A message (ctrl/data) is not an op and moves no region bytes, so its
+// three header words — ints stored as uint64, sign preserved — take the
+// words an op would use. Rel, Seq and Csum are the reliable-delivery
+// layer's, on whichever data-plane frames it sequences.
 type Frame struct {
 	Kind     Kind
 	Origin   int // sending rank
@@ -157,9 +177,8 @@ type Frame struct {
 	AtomicOp uint8
 	AccumOp  uint8
 
-	Payload []byte   // gob-encoded message-payload header (KindCtrl/KindData)
-	Data    []byte   // raw payload bytes; aliases the decode input
-	Strs    []string // bootstrap string table (addresses)
+	Data []byte   // raw payload bytes; aliases the decode input
+	Strs []string // bootstrap string table (addresses)
 }
 
 const (
@@ -192,7 +211,7 @@ func checkRange(name string, v int, max uint64) {
 // Append serializes fr onto dst and returns the extended slice. It panics
 // if a field is out of the encodable range (sender-side programming error).
 func Append(dst []byte, fr *Frame) []byte {
-	if fr.Kind == KindInvalid || fr.Kind >= kindCount {
+	if !fr.Kind.valid() {
 		panic(fmt.Sprintf("wire: encoding invalid kind %d", fr.Kind))
 	}
 	checkRange("origin", fr.Origin, 1<<32-1)
@@ -203,9 +222,6 @@ func Append(dst []byte, fr *Frame) []byte {
 	checkRange("offset", fr.Offset, 1<<62)
 	if len(fr.Data) > MaxData {
 		panic(fmt.Sprintf("wire: frame data too large: %d", len(fr.Data)))
-	}
-	if len(fr.Payload) > maxPayload {
-		panic(fmt.Sprintf("wire: frame payload header too large: %d", len(fr.Payload)))
 	}
 	if len(fr.Strs) > maxStrs {
 		panic(fmt.Sprintf("wire: too many frame strings: %d", len(fr.Strs)))
@@ -238,8 +254,6 @@ func Append(dst []byte, fr *Frame) []byte {
 	dst = binary.LittleEndian.AppendUint32(dst, fr.Imm)
 	dst = binary.LittleEndian.AppendUint32(dst, fr.Csum)
 
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(fr.Payload)))
-	dst = append(dst, fr.Payload...)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(fr.Data)))
 	dst = append(dst, fr.Data...)
 	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(fr.Strs)))
@@ -263,7 +277,7 @@ func decodeFixed(b []byte, fr *Frame) error {
 		return fmt.Errorf("%w: got %d, want %d", ErrVersion, b[0], Version)
 	}
 	k := Kind(b[1])
-	if k == KindInvalid || k >= kindCount {
+	if !k.valid() {
 		return fmt.Errorf("wire: unknown frame kind %d", b[1])
 	}
 	flags := b[2]
@@ -298,8 +312,8 @@ func decodeFixed(b []byte, fr *Frame) error {
 	return nil
 }
 
-// Decode parses one frame body into fr. The Payload and Data slices alias
-// b: the caller must copy them out before reusing the buffer. A non-nil
+// Decode parses one frame body into fr. The Data slice aliases b: the
+// caller must copy it out before reusing the buffer. A non-nil
 // error means b is not a well-formed frame; fr is then in an unspecified
 // state and must not be used.
 func Decode(b []byte, fr *Frame) error {
@@ -309,9 +323,6 @@ func Decode(b []byte, fr *Frame) error {
 	rest := b[fixedHeaderLen:]
 
 	var err error
-	if fr.Payload, rest, err = takeBytes(rest, maxPayload); err != nil {
-		return fmt.Errorf("payload section: %w", err)
-	}
 	if fr.Data, rest, err = takeBytes(rest, MaxData); err != nil {
 		return fmt.Errorf("data section: %w", err)
 	}
@@ -366,52 +377,4 @@ func takeBytes(b []byte, max int) (section, rest []byte, err error) {
 		return nil, b, nil
 	}
 	return b[:n], b[n:], nil
-}
-
-// ---------------------------------------------------------------------------
-// Message-payload headers
-// ---------------------------------------------------------------------------
-
-// payloadBox wraps the interface-typed message header for gob, which needs
-// a concrete top-level type to carry an interface value.
-type payloadBox struct{ V any }
-
-// RegisterPayload registers a concrete message-payload header type with
-// the codec. Every layer that posts NIC messages with a non-nil payload
-// must register its header types (in init) before they can cross a
-// process boundary; the registry is process-global, so the same binary on
-// both ends decodes symmetrically.
-func RegisterPayload(v any) { gob.Register(v) }
-
-func init() {
-	// Base types used directly as payloads (e.g. the runtime barrier's int).
-	RegisterPayload(int(0))
-	RegisterPayload(string(""))
-	RegisterPayload(bool(false))
-}
-
-// EncodePayload serializes a message-payload header. A nil payload encodes
-// to nil. Unregistered types error (fix: wire.RegisterPayload in the
-// layer's init).
-func EncodePayload(v any) ([]byte, error) {
-	if v == nil {
-		return nil, nil
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(payloadBox{V: v}); err != nil {
-		return nil, fmt.Errorf("wire: encoding message payload %T: %w", v, err)
-	}
-	return buf.Bytes(), nil
-}
-
-// DecodePayload reverses EncodePayload; nil input yields a nil payload.
-func DecodePayload(b []byte) (any, error) {
-	if len(b) == 0 {
-		return nil, nil
-	}
-	var box payloadBox
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&box); err != nil {
-		return nil, fmt.Errorf("wire: decoding message payload: %w", err)
-	}
-	return box.V, nil
 }

@@ -22,20 +22,22 @@ func sampleFrames() []Frame {
 		{Kind: KindAccum, Origin: 2, Target: 3, RegionID: 1, Offset: 16,
 			AccumOp: 1, Data: []byte{0, 0, 0, 1}},
 		{Kind: KindAck, Origin: 3, Target: 2, OpID: 5, Operand: 99},
-		{Kind: KindCtrl, Origin: 0, Target: 1, MsgClass: 12, Payload: []byte("gob-bytes"), ChargeCopy: true},
-		{Kind: KindData, Origin: 0, Target: 1, MsgClass: 13, Payload: []byte("hdr"), Data: []byte("body")},
+		{Kind: KindCtrl, Origin: 0, Target: 1, MsgClass: 22, WireSize: 16,
+			OpID: 3, Operand: 1 << 62, Compare: ^uint64(0)}, // message header words: {3, 1<<62, -1}
+		{Kind: KindData, Origin: 0, Target: 1, MsgClass: 13, OpID: 7, Operand: 2, Data: []byte("body"), ChargeCopy: true},
 		{Kind: KindLinkAck, Origin: 1, Target: 0, Operand: 17},
 		{Kind: KindLinkNack, Origin: 1, Target: 0, Operand: 17, Compare: 19},
 		{Kind: KindHello, Origin: 4, Operand: 8, Compare: Version, Strs: []string{"127.0.0.1:4242"}},
 		{Kind: KindRoster, Strs: []string{"127.0.0.1:1", "127.0.0.1:2", "127.0.0.1:3"}},
 		{Kind: KindReady, Origin: 2},
 		{Kind: KindGo},
-		{Kind: KindReg, Origin: 1, RegionID: 4, Operand: 65536},
-		{Kind: KindDereg, Origin: 1, RegionID: 4},
 		{Kind: KindBye, Origin: 3},
 		{Kind: KindBeat, Origin: 3},
 		{Kind: KindRejoin, Origin: 2, Operand: 3, Compare: Version, Seq: 1, Strs: []string{"127.0.0.1:4243"}},
 		{Kind: KindPut, Origin: 0, Target: 1, RegionID: 3, OpID: 12, Imm: 0x00010007, ImmValid: true}, // pure notification: no data
+		{Kind: KindGetResp, Origin: 1, Target: 0, OpID: 7778, Operand: 4, WireSize: 4, RegionID: 9, Offset: 64,
+			Imm: 0xcafe0002, ImmValid: true, NotifyBack: true, Data: []byte{9, 8, 7, 6}}, // deferred-notify get response
+		{Kind: KindCtrl, Origin: 1, Target: 0, MsgClass: 1, WireSize: 16, OpID: 1}, // one-word header: barrier release {1}
 	}
 }
 
@@ -74,14 +76,43 @@ func TestTrailingGarbageRejected(t *testing.T) {
 	}
 }
 
+// Any other version stamp is refused, the previous one (v3, which carried
+// one more section) included.
 func TestBadVersionRejected(t *testing.T) {
+	fr := Frame{Kind: KindCtrl, Origin: 1, Target: 0, MsgClass: 1}
+	for _, v := range []byte{Version - 1, Version + 1} {
+		b := Append(nil, &fr)
+		b[0] = v
+		var got Frame
+		if err := Decode(b, &got); !errors.Is(err, ErrVersion) {
+			t.Fatalf("Decode(v%d frame) = %v, want ErrVersion", v, err)
+		}
+	}
+}
+
+// v3's region announcements were kinds 16 (reg) and 17 (dereg). The
+// numbers are retired, not reassigned: Decode refuses them, Append refuses
+// to produce them, and the kinds after them keep their values.
+func TestRetiredKindsRejected(t *testing.T) {
+	if KindGo != 15 || KindBye != 18 {
+		t.Fatalf("kind numbering moved: go=%d bye=%d", KindGo, KindBye)
+	}
 	fr := Frame{Kind: KindAck, Origin: 1, Target: 0}
 	b := Append(nil, &fr)
-	b[0] = Version + 1
-	var got Frame
-	err := Decode(b, &got)
-	if !errors.Is(err, ErrVersion) {
-		t.Fatalf("Decode = %v, want ErrVersion", err)
+	for _, k := range []byte{16, 17} {
+		b[1] = k
+		var got Frame
+		if err := Decode(b, &got); err == nil {
+			t.Errorf("Decode accepted retired kind byte %d", k)
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Append encoded retired kind %d", k)
+				}
+			}()
+			Append(nil, &Frame{Kind: Kind(k)})
+		}()
 	}
 }
 
@@ -105,8 +136,8 @@ func TestBadKindAndFlagsRejected(t *testing.T) {
 func TestOversizedSectionRejected(t *testing.T) {
 	fr := Frame{Kind: KindPut, Origin: 0, Target: 1, Data: []byte("x")}
 	b := Append(nil, &fr)
-	// The data-length u32 sits right after the (empty) payload section.
-	dataLenOff := fixedHeaderLen + 4
+	// The data-length u32 sits right after the fixed header.
+	dataLenOff := fixedHeaderLen
 	b[dataLenOff] = 0xff
 	b[dataLenOff+1] = 0xff
 	b[dataLenOff+2] = 0xff
@@ -114,31 +145,5 @@ func TestOversizedSectionRejected(t *testing.T) {
 	var got Frame
 	if err := Decode(b, &got); err == nil {
 		t.Fatal("Decode accepted oversized data length")
-	}
-}
-
-func TestPayloadCodec(t *testing.T) {
-	type hdr struct {
-		Tag, Count int
-	}
-	RegisterPayload(hdr{})
-
-	cases := []any{nil, int(42), "roster", true, hdr{Tag: 9, Count: 3}}
-	for _, want := range cases {
-		b, err := EncodePayload(want)
-		if err != nil {
-			t.Fatalf("EncodePayload(%v): %v", want, err)
-		}
-		got, err := DecodePayload(b)
-		if err != nil {
-			t.Fatalf("DecodePayload(%v): %v", want, err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("payload round trip: got %v (%T), want %v (%T)", got, got, want, want)
-		}
-	}
-
-	if _, err := DecodePayload([]byte("not gob")); err == nil {
-		t.Fatal("DecodePayload accepted garbage")
 	}
 }
