@@ -80,6 +80,16 @@ func (p *bufPool) get(n int) []byte {
 	return make([]byte, n, 1<<(ci+minBufClassBits))
 }
 
+// clone returns a pooled copy of b, nil when b is empty.
+func (p *bufPool) clone(b []byte) []byte {
+	if len(b) == 0 {
+		return nil
+	}
+	c := p.get(len(b))
+	copy(c, b)
+	return c
+}
+
 // put returns a buffer obtained from get. The caller must not touch b
 // afterwards. Buffers whose capacity is not an exact class size (oversize
 // allocations) are left to the collector.

@@ -454,10 +454,7 @@ func (f *Fabric) lanePush(dst *NIC, pkt *packet, unwindOnAbort bool) {
 // wire clones own nothing (the retained original does); lossless packets
 // own their staged payload and message data.
 func (f *Fabric) discardPacket(pkt *packet) {
-	if pkt.free != nil {
-		pkt.free()
-		pkt.free = nil
-	} else if pkt.pooled {
+	if pkt.pooled {
 		f.pool.put(pkt.data)
 	}
 	if pkt.msg != nil && pkt.msg.Data != nil && !pkt.rel {

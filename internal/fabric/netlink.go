@@ -5,9 +5,19 @@ package fabric
 // shared-memory segment rings). Only the local rank's NIC exists; dispatch
 // routes any packet addressed to a remote rank through netSend (packet →
 // wire.Frame → link) and inbound frames re-enter through ingestFrame (frame
-// → packet → the local NIC's per-origin receive lane), so ordering,
-// backpressure, and delivery-time semantics are identical to the
-// single-process Real engine.
+// → packet → committed on the link's rx goroutine before rx returns). No
+// receive lane sits between the bytes and the commit: the reader is the
+// target NIC, as in the paper, and per-pair FIFO is the stream's own order.
+//
+// The one rule that makes inline delivery safe: a send issued from delivery
+// never parks. Acks, get responses and notify-back notes are produced on
+// the reading goroutine; if it blocked on a full link it would stop reading
+// every stream, the peer's reader would do the same, and the job would
+// wedge. Such packets are marked reply and leave through Link.SendReply,
+// which queues what the link cannot take at once. The queue is bounded by
+// what the peer has outstanding against us: its posted get bytes (for which
+// it already holds destination memory) plus one ack per put in flight
+// (which its own send-side bound limits).
 //
 // A Link is lossless and FIFO per pair in Send-call order — a TCP stream
 // and an SPSC ring both are — so a distributed fabric follows the rule of
@@ -41,10 +51,15 @@ type Link interface {
 	N() int
 	// Send writes one frame to target. It must not retain fr or its
 	// slices after returning. Frames to one target arrive exactly once, in
-	// the order of the Send calls.
+	// the order of the Send and SendReply calls. Send may block while the
+	// link is full (rank context: that is the backpressure).
 	Send(target int, fr *wire.Frame) error
+	// SendReply is Send for frames produced by delivery on the rx
+	// goroutine: it never parks, queueing whatever the link cannot take
+	// at once, and it is exempt from Send's bound on queued bytes.
+	SendReply(target int, fr *wire.Frame) error
 	// Start installs the receive callbacks: rx for every data/control
-	// frame (its slices alias a reused buffer — copy before returning),
+	// frame (its slices alias a reused buffer, valid until rx returns),
 	// peerDown exactly once per peer whose stream ends or goes silent
 	// without a clean goodbye.
 	Start(rx func(from int, fr *wire.Frame), peerDown func(rank int, err error))
@@ -87,17 +102,7 @@ func NewDistributed(env exec.Env, cfg Config, link Link) *Fabric {
 	f.nics[f.self] = newNIC(f, f.self)
 	f.startReliability()
 	f.nics[f.self].startRxWorkers()
-	if bl, ok := link.(interface {
-		StartBorrowed(rx func(from int, fr *wire.Frame, free func()), peerDown func(rank int, err error))
-	}); ok && f.rel == nil {
-		// The link can lend its receive buffers (segment-ring bulk spans)
-		// until the fabric commits them, so put payloads skip the rx
-		// staging copy. Only without the reliability layer: its reorder
-		// and dedup paths hold or drop packets on their own schedule.
-		bl.StartBorrowed(f.ingestFrame, f.netPeerDown)
-	} else {
-		link.Start(func(from int, fr *wire.Frame) { f.ingestFrame(from, fr, nil) }, f.netPeerDown)
-	}
+	link.Start(f.ingestFrame, f.netPeerDown)
 	return f
 }
 
@@ -214,11 +219,17 @@ func (f *Fabric) netDispose(pkt *packet, target int, err error) {
 // netSend serializes one transmission attempt onto the link: encode, send,
 // dispose. The link has finished with the packet's bytes when Send returns
 // (under the reliability layer pkt is a wire clone or link control packet,
-// and the retained original lives on).
+// and the retained original lives on). Packets produced by delivery take
+// SendReply, which never parks the rx goroutine.
 func (f *Fabric) netSend(pkt *packet) {
 	var fr wire.Frame
 	f.netFrame(pkt, &fr)
-	err := f.link.Send(pkt.target, &fr)
+	var err error
+	if pkt.reply {
+		err = f.link.SendReply(pkt.target, &fr)
+	} else {
+		err = f.link.Send(pkt.target, &fr)
+	}
 	f.netDispose(pkt, fr.Target, err)
 }
 
@@ -226,36 +237,23 @@ func (f *Fabric) netSend(pkt *packet) {
 // Inbound: frame → packet
 // ---------------------------------------------------------------------------
 
-// ingestFrame converts an arriving frame into a packet on the local NIC's
-// per-origin receive lane. It runs on the mesh's rx goroutine, so
-// backpressure is physical: a full lane blocks this reader, which stops
-// draining the socket or ring, which pushes back on the sender. fr.Data
-// aliases the link's read buffer and is staged into a pooled copy (the rx
-// copy of a real transport, keeping the hot path allocation-free) — unless
-// free is non-nil, which marks it as a loan from the link's receive
-// buffers: put packets carry the loan to commit (zero staging copy) and the
-// fabric calls free exactly once when done; every other kind copies as
-// usual and the loan is returned before this call ends.
-func (f *Fabric) ingestFrame(_ int, fr *wire.Frame, free func()) {
+// ingestFrame converts an arriving frame into a packet and delivers it on
+// the link's rx goroutine before returning. fr.Data aliases the link's
+// receive buffer, valid until rx returns, so puts, get responses,
+// accumulates, atomics and notifications commit straight from it. Only two
+// payloads are copied into the pool: a message's, which its class queue
+// keeps past this call, and a sequenced packet's, which the reliable layer
+// may hold in its reorder window. Backpressure is the socket or ring
+// itself: the reader stops only while it commits.
+func (f *Fabric) ingestFrame(_ int, fr *wire.Frame) {
 	kind := fr.Kind
 	if kind > pktLinkNack || fr.Target != f.self {
-		if free != nil {
-			free()
-		}
 		return // control frame the mesh already handled, or not ours: drop
-	}
-	stage := func() ([]byte, bool) {
-		if len(fr.Data) == 0 {
-			return nil, false
-		}
-		data := f.pool.get(len(fr.Data))
-		copy(data, fr.Data)
-		return data, true
 	}
 	pkt := newPacket()
 	*pkt = packet{
 		kind: kind, origin: fr.Origin, target: fr.Target,
-		regionID: fr.RegionID, offset: fr.Offset,
+		regionID: fr.RegionID, offset: fr.Offset, data: fr.Data,
 		imm:      Imm{Valid: fr.ImmValid, Val: fr.Imm},
 		wireSize: fr.WireSize, notifyBack: fr.NotifyBack,
 		opID: fr.OpID, operand: fr.Operand, compare: fr.Compare,
@@ -266,43 +264,22 @@ func (f *Fabric) ingestFrame(_ int, fr *wire.Frame, free func()) {
 	case pktCtrl, pktData:
 		// The three words are the message's header, not an op's (netFrame).
 		pkt.opID, pkt.operand, pkt.compare = 0, 0, 0
-		data, _ := stage()
+		pkt.data = nil
 		pkt.msg = &Msg{Origin: fr.Origin, Class: fr.MsgClass,
 			Hdr:  MsgHdr{int(fr.OpID), int(fr.Operand), int(fr.Compare)},
-			Data: data, ChargeCopy: fr.ChargeCopy}
+			Data: f.pool.clone(fr.Data), ChargeCopy: fr.ChargeCopy}
 	case pktAck, pktGetResp:
 		pkt.op = f.netLookupOp(fr.OpID)
-		pkt.data, pkt.pooled = stage()
-	case pktPut:
-		if free != nil {
-			// Borrowed payload: commit straight from the link's buffer.
-			pkt.data, pkt.free = fr.Data, free
-			free = nil // the packet owns the loan now
-		} else {
-			pkt.data, pkt.pooled = stage()
-		}
-	default:
-		pkt.data, pkt.pooled = stage()
 	}
-	if free != nil {
-		free() // staged kinds: the copy is made, return the loan
+	if pkt.rel && len(pkt.data) > 0 {
+		pkt.data, pkt.pooled = f.pool.clone(pkt.data), true
 	}
 	dst := f.nics[f.self]
-	if kind == pktAck && f.rel == nil {
-		// Pure completion, no payload: the commit it acknowledges happened
-		// at the peer before the ack was sent, so there is no ordering
-		// constraint against data packets still queued in the lane.
-		// Completing here skips a lane handoff per acked op — half of all
-		// inbound traffic on a put storm — and completeOp only touches the
-		// op table mutex, so the poller cannot block on it.
-		if dst.closed.Load() {
-			f.discardPacket(pkt)
-			return
-		}
-		dst.deliverGuarded(exec.RealOf(f.env), pkt)
+	if dst.closed.Load() {
+		f.discardPacket(pkt)
 		return
 	}
-	f.lanePush(dst, pkt, false)
+	dst.deliverGuarded(exec.RealOf(f.env), pkt)
 }
 
 // netPeerDown maps the link's verdict on a peer (RST, EOF without goodbye,

@@ -67,9 +67,10 @@ type CQE struct {
 // at delivery time, instead of the region's consumer draining the shared
 // destination CQ. A sink's Deliver is invoked outside the NIC lock: under
 // Sim in kernel context at the packet's arrival time, under Real on a
-// receive worker goroutine — it must not block in either case. Under the
-// Real engine deliveries from different origins run on different workers,
-// so Deliver must be safe for concurrent calls.
+// receive worker goroutine or a link's rx goroutine — it must not block in
+// any case. Under the wall-clock engines deliveries from different origins
+// may run on different goroutines, so Deliver must be safe for concurrent
+// calls.
 type NotifySink interface {
 	Deliver(cqe CQE)
 }
@@ -151,17 +152,13 @@ type packet struct {
 	offset         int
 	data           []byte
 	pooled         bool // data came from the fabric's buffer pool; recycle at commit
-	// free releases a payload borrowed from the link's receive buffers (a
-	// segment-ring bulk span): called exactly once when the fabric is done
-	// reading data — commit, handover copy, or discard. Mutually exclusive
-	// with pooled.
-	free           func()
 	dstDirect      bool // getResp: payload already committed straight into op.dst (zero-copy)
 	imm            Imm
 	wireSize       int
 	inlineEligible bool
 	notifyBack     bool  // getResp: origin must send a pktNotify back
 	extraDelay     int64 // ns added before the packet departs (target CPU/NIC processing)
+	reply          bool  // produced by delivery: a link send must never park (netSend)
 
 	op *Op // origin-side handle, echoed back on acks/responses
 
@@ -352,9 +349,10 @@ type msgWaiter struct {
 	classes []int
 }
 
-// rxQueueDepth is the per-origin receive queue capacity under the Real
-// engine (per-origin lanes preserve the per-(origin,target) FIFO the
-// protocols rely on while letting different origins deliver concurrently).
+// rxQueueDepth is the per-origin receive queue capacity under the
+// in-process Real engine (per-origin lanes preserve the per-(origin,target)
+// FIFO the protocols rely on while letting different origins deliver
+// concurrently).
 const rxQueueDepth = 1024
 
 // opFreeCap bounds the NIC's recycled-op freelist.
@@ -406,10 +404,13 @@ type NIC struct {
 	destHighWater int
 	ring          shmRing // intra-node notification ring (paper §IV-C)
 
-	// rx holds one inbound lane per origin rank (Real engine): lane i
-	// carries packets whose origin is rank i, drained by a dedicated
-	// worker. Per-pair FIFO survives; different origins deliver in
-	// parallel against the sharded data plane.
+	// rx holds one inbound lane per origin rank (in-process Real engine,
+	// where the sending rank goroutine must not run the target's commit):
+	// lane i carries packets whose origin is rank i, drained by a
+	// dedicated worker. Per-pair FIFO survives; different origins deliver
+	// in parallel against the sharded data plane. A distributed fabric has
+	// only the self lane (self-targeted packets); link frames are
+	// delivered on the link's rx goroutine and never enter a lane.
 	//
 	// Checker-audit note: rx, quit, rxWG and the realGate internals are the
 	// only blocking primitives in this package that bypass exec.Gate, and
@@ -450,7 +451,9 @@ func newNIC(f *Fabric, rank int) *NIC {
 	if f.env.Mode().Wallclock() {
 		n.rx = make([]chan *packet, f.cfg.Ranks)
 		for i := range n.rx {
-			n.rx[i] = make(chan *packet, rxQueueDepth)
+			if f.link == nil || i == rank {
+				n.rx[i] = make(chan *packet, rxQueueDepth)
+			}
 		}
 	}
 	return n
@@ -469,9 +472,12 @@ func (n *NIC) startRxWorkers() {
 	if re != nil {
 		abort = re.Aborted()
 	}
-	n.rxWG.Add(len(n.rx))
 	for _, ch := range n.rx {
+		if ch == nil {
+			continue // distributed fabric: a remote origin's frames skip lanes
+		}
 		ch := ch
+		n.rxWG.Add(1)
 		go func() {
 			defer n.rxWG.Done()
 			for {
@@ -490,9 +496,10 @@ func (n *NIC) startRxWorkers() {
 	}
 }
 
-// drainLane discards everything queued in one receive lane at shutdown.
+// drainLane discards everything queued in one receive lane at shutdown
+// (nil lanes hold nothing).
 func (n *NIC) drainLane(ch chan *packet) {
-	for {
+	for ch != nil {
 		select {
 		case pkt := <-ch:
 			n.f.discardPacket(pkt)
@@ -902,11 +909,7 @@ func (n *NIC) Accumulate(p *exec.Proc, target, regionID, offset int, data []floa
 func (n *NIC) PostMsg(p *exec.Proc, target int, class int, hdr MsgHdr, data []byte, chargeCopy bool) {
 	n.checkTarget(target)
 	n.f.chargeSend(p)
-	var cp []byte
-	if len(data) > 0 {
-		cp = n.f.pool.get(len(data))
-		copy(cp, data)
-	}
+	cp := n.f.pool.clone(data)
 	m := &Msg{Origin: n.rank, Class: class, Hdr: hdr, Data: cp, ChargeCopy: chargeCopy}
 	kind := pktCtrl
 	if len(cp) > 0 {
@@ -940,12 +943,10 @@ func (n *NIC) RecycleMsgData(m *Msg) {
 }
 
 // recycleData releases the packet's payload buffer: pooled copies return
-// to the pool, borrowed link buffers are handed back to the link.
+// to the pool; anything else (a link's receive buffer, a shared
+// retransmission payload) is not this packet's to free.
 func (n *NIC) recycleData(pkt *packet) {
-	if pkt.free != nil {
-		pkt.free()
-		pkt.free = nil
-	} else if pkt.pooled {
+	if pkt.pooled {
 		n.f.pool.put(pkt.data)
 	}
 	pkt.data, pkt.pooled = nil, false
@@ -971,9 +972,10 @@ func (n *NIC) deliver(pkt *packet) {
 
 // deliverNow commits an arriving packet against this NIC. Under Sim it
 // runs in kernel context at the packet's arrival time; under Real it runs
-// on the origin lane's receive worker, concurrently with other origins'
-// workers — payload copies take only the target region's lock, queue
-// state only the control-plane mu. The packet descriptor is recycled on
+// on the origin lane's receive worker (in-process) or on the link's rx
+// goroutine (distributed), concurrently with the rank and other receivers —
+// payload copies take only the target region's lock, queue state only the
+// control-plane mu. The packet descriptor is recycled on
 // return. Every side effect of a packet happens here, and the reliability
 // layer guarantees at most one call per sequence number — the exactly-once
 // half of the delivery argument.
@@ -994,8 +996,9 @@ func (n *NIC) deliverNow(pkt *packet) {
 			break
 		}
 		if !pkt.dstDirect {
-			// The copy is unsynchronized: only this rank's lane touches
-			// dst, and completeOp's mutex publishes it to the origin.
+			// The copy is unsynchronized: only this rank's receiver for
+			// the pair touches dst, and completeOp's mutex publishes it to
+			// the origin.
 			copy(pkt.op.dst, pkt.data)
 		}
 		length := int(pkt.operand)
@@ -1010,6 +1013,7 @@ func (n *NIC) deliverNow(pkt *packet) {
 				kind: pktNotify, origin: n.rank, target: pkt.origin,
 				regionID: pkt.regionID, offset: pkt.offset,
 				imm: pkt.imm, wireSize: 0, operand: uint64(length),
+				reply: true,
 			}
 			n.f.transmit(note)
 		}
@@ -1105,26 +1109,17 @@ func (n *NIC) deliverPut(pkt *packet) {
 				RegionID: pkt.regionID, Offset: pkt.offset, Len: length})
 			n.recycleData(pkt)
 		} else {
-			entryData, entryPooled := pkt.data, pkt.pooled
-			if pkt.rel || pkt.free != nil {
-				// The ring may outlive this packet's claim on the bytes:
-				// under reliability the wire copy's payload belongs to the
-				// origin (retained for retransmission, recycled at
-				// link-ack), and a borrowed link buffer goes back to the
-				// link at recycle. Either way the ring gets its own copy.
-				entryData = n.f.pool.get(len(pkt.data))
-				copy(entryData, pkt.data)
-				entryPooled = true
+			entryData := pkt.data
+			if !pkt.pooled {
+				// The ring outlives the packet's claim on bytes it does not
+				// own (a reliability wire clone shares the origin's retained
+				// payload): the ring gets its own copy.
+				entryData = n.f.pool.clone(pkt.data)
 			}
 			n.ring.push(ringEntry{source: pkt.origin, imm: pkt.imm.Val, kind: OpPut,
 				regionID: pkt.regionID, offset: pkt.offset, length: len(pkt.data),
-				inline: entryData, pooled: entryPooled})
-			switch {
-			case pkt.free != nil:
-				n.recycleData(pkt) // the ring took a copy; the borrow goes home
-			case !pkt.rel:
-				pkt.data, pkt.pooled = nil, false // the ring owns the buffer now
-			}
+				inline: entryData, pooled: true})
+			pkt.data, pkt.pooled = nil, false // the ring owns the buffer now
 			n.mu.Unlock()
 			n.destGate.Broadcast()
 		}
@@ -1152,6 +1147,7 @@ func (n *NIC) deliverGetReq(pkt *packet) {
 	*resp = packet{
 		kind: pktGetResp, origin: n.rank, target: pkt.origin,
 		wireSize: length, op: pkt.op, opID: pkt.opID, operand: uint64(length),
+		reply: true,
 	}
 	if n.f.zeroCopyEligible(n.rank, pkt.origin, length) {
 		// The origin may not touch dst until the op completes, so the
@@ -1224,6 +1220,7 @@ func (n *NIC) sendAck(op *Op, opID uint64, origin int, value uint64, extraDelay 
 	*pkt = packet{
 		kind: pktAck, origin: n.rank, target: origin,
 		wireSize: 0, op: op, opID: opID, operand: value, extraDelay: extraDelay,
+		reply: true,
 	}
 	n.f.transmit(pkt)
 }

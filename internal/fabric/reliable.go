@@ -316,7 +316,8 @@ func (rl *reliability) discardWire(pkt *packet) {
 
 // sendCtl emits a link-layer ack or nack. Control packets are unsequenced
 // (kind check precedes the rel check at ingress) and uncounted in
-// Fabric.Stats, but they do traverse the faulty wire.
+// Fabric.Stats, but they do traverse the faulty wire. They are produced by
+// delivery (ingress), so they are replies: a link send never parks.
 func (rl *reliability) sendCtl(kind pktKind, from, to int, seq uint64) {
 	if kind == pktLinkAck {
 		rl.linkAcks.Add(1)
@@ -324,7 +325,7 @@ func (rl *reliability) sendCtl(kind pktKind, from, to int, seq uint64) {
 		rl.linkNacks.Add(1)
 	}
 	pkt := newPacket()
-	*pkt = packet{kind: kind, origin: from, target: to, operand: seq}
+	*pkt = packet{kind: kind, origin: from, target: to, operand: seq, reply: true}
 	rl.wireSend(pkt)
 }
 
@@ -464,6 +465,7 @@ func (rl *reliability) applyAck(pair pairKey, ackTo uint64, nack bool) {
 		for _, sp := range tx.unacked {
 			if sp.seq == ackTo+1 {
 				retrans = wireClone(sp) // fast retransmit of the reported gap
+				retrans.reply = true    // sent from delivery: must not park
 				break
 			}
 			if sp.seq > ackTo+1 {

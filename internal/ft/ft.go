@@ -334,11 +334,16 @@ func (m *Manager) AllocateReplicated(size int) *Win {
 	// chained notified put (legal from handler context — no origin rank to
 	// charge). The chain targets this window's buddy instance: windows are
 	// SPMD-symmetric, so the local mirror handle addresses every rank's.
+	// The bytes are read under the region lock, not in place: the put was
+	// acknowledged at commit, so the origin may already be overwriting the
+	// slot.
 	w.regMirror = core.RegisterHandlerCfg(w.prim, TagMirror, func(msg *core.AMsg) {
 		if m.skipMirror() {
 			return
 		}
-		core.ChainPutNotify(w.mir, m.buddy(), msg.Offset, msg.Data(), TagApply)
+		data := make([]byte, msg.Len)
+		w.prim.ReadLocal(msg.Offset, data)
+		core.ChainPutNotify(w.mir, m.buddy(), msg.Offset, data, TagApply)
 		m.mu.Lock()
 		m.stats.Mirrored++
 		m.mu.Unlock()

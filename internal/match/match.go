@@ -15,9 +15,12 @@
 //     a consumer with or without wildcards pops the oldest matching
 //     arrival in O(1) in the store depth.
 //
-// Both containers remove lazily: a dequeued or cancelled entry is marked
-// and skipped when it later surfaces at a list head, which keeps Remove
-// O(1) without doubly-linked bookkeeping.
+// Posted removes lazily: a cancelled entry is marked and skipped when it
+// later surfaces at a list head, which keeps Remove O(1) without
+// doubly-linked bookkeeping. Store cannot: a consumer popping through one
+// view never looks at the other three, so a lazily removed node would stay
+// linked there for good. Its views are intrusive doubly-linked lists and
+// Pop unlinks the node from all four.
 package match
 
 // AnySource and AnyTag are the wildcard values understood by Posted and
@@ -217,40 +220,84 @@ func pushBucket[K comparable, E any](m map[K]*FIFO[E], k K, e E) {
 // StoreNode is one buffered arrival in a Store. Its concrete Source and
 // Tag are exposed so wildcard consumers learn what they matched.
 type StoreNode[T any] struct {
-	Item     T
-	Source   int
-	Tag      int
-	seq      uint64
-	consumed bool
+	Item   T
+	Source int
+	Tag    int
+	links  [numViews]struct{ prev, next *StoreNode[T] }
+}
+
+// The four views every stored node is linked into.
+const (
+	viewExact = iota
+	viewSrc
+	viewTag
+	viewOrder
+	numViews
+)
+
+// storeList is one view: an intrusive doubly-linked list in arrival order
+// threaded through the nodes' links[v].
+type storeList[T any] struct {
+	head, tail *StoreNode[T]
+	n          int
+}
+
+// Len reports the number of nodes linked into the view.
+func (l *storeList[T]) Len() int { return l.n }
+
+func (l *storeList[T]) push(nd *StoreNode[T], v int) {
+	nd.links[v].prev = l.tail
+	if l.tail != nil {
+		l.tail.links[v].next = nd
+	} else {
+		l.head = nd
+	}
+	l.tail = nd
+	l.n++
+}
+
+func (l *storeList[T]) unlink(nd *StoreNode[T], v int) {
+	ln := &nd.links[v]
+	if ln.prev != nil {
+		ln.prev.links[v].next = ln.next
+	} else {
+		l.head = ln.next
+	}
+	if ln.next != nil {
+		ln.next.links[v].prev = ln.prev
+	} else {
+		l.tail = ln.prev
+	}
+	ln.prev, ln.next = nil, nil
+	l.n--
 }
 
 // Store is the bucketed unexpected-arrival queue. Every node is linked
 // into four views — its exact <source, tag> bucket, a per-source list, a
 // per-tag list, and the global arrival order — so Peek/Pop serve any
-// wildcard combination from a single list head.
+// wildcard combination from a single list head. A bucket is dropped as
+// soon as its last node is popped.
 type Store[T any] struct {
-	exact     map[key]*FIFO[*StoreNode[T]]
-	bySrc     map[int]*FIFO[*StoreNode[T]]
-	byTag     map[int]*FIFO[*StoreNode[T]]
-	order     FIFO[*StoreNode[T]]
-	seq       uint64
+	exact     map[key]*storeList[T]
+	bySrc     map[int]*storeList[T]
+	byTag     map[int]*storeList[T]
+	order     storeList[T]
 	depth     int
 	highWater int
 }
 
 // Add buffers an arrival with concrete <source, tag>.
 func (s *Store[T]) Add(source, tag int, item T) *StoreNode[T] {
-	s.seq++
-	nd := &StoreNode[T]{Item: item, Source: source, Tag: tag, seq: s.seq}
+	nd := &StoreNode[T]{Item: item, Source: source, Tag: tag}
 	if s.exact == nil {
-		s.exact = make(map[key]*FIFO[*StoreNode[T]])
-		s.bySrc = make(map[int]*FIFO[*StoreNode[T]])
-		s.byTag = make(map[int]*FIFO[*StoreNode[T]])
+		s.exact = make(map[key]*storeList[T])
+		s.bySrc = make(map[int]*storeList[T])
+		s.byTag = make(map[int]*storeList[T])
 	}
-	pushBucket(s.exact, key{source, tag}, nd)
-	pushBucket(s.bySrc, source, nd)
-	pushBucket(s.byTag, tag, nd)
-	s.order.Push(nd)
+	bucket(s.exact, key{source, tag}).push(nd, viewExact)
+	bucket(s.bySrc, source).push(nd, viewSrc)
+	bucket(s.byTag, tag).push(nd, viewTag)
+	s.order.push(nd, viewOrder)
 	s.depth++
 	if s.depth > s.highWater {
 		s.highWater = s.depth
@@ -258,8 +305,18 @@ func (s *Store[T]) Add(source, tag int, item T) *StoreNode[T] {
 	return nd
 }
 
+// bucket returns the view for k, creating it on first use.
+func bucket[K comparable, T any](m map[K]*storeList[T], k K) *storeList[T] {
+	l := m[k]
+	if l == nil {
+		l = &storeList[T]{}
+		m[k] = l
+	}
+	return l
+}
+
 // view picks the single list that serves a (possibly wildcard) selector.
-func (s *Store[T]) view(source, tag int) *FIFO[*StoreNode[T]] {
+func (s *Store[T]) view(source, tag int) *storeList[T] {
 	switch {
 	case source != AnySource && tag != AnyTag:
 		return s.exact[key{source, tag}]
@@ -275,46 +332,33 @@ func (s *Store[T]) view(source, tag int) *FIFO[*StoreNode[T]] {
 // Peek returns the oldest buffered arrival matching the selector without
 // consuming it, or nil.
 func (s *Store[T]) Peek(source, tag int) *StoreNode[T] {
-	f := s.view(source, tag)
-	if f == nil {
-		return nil
+	if l := s.view(source, tag); l != nil {
+		return l.head
 	}
-	trimStore(f)
-	if f.Len() == 0 {
-		s.sweepEmpty()
-		return nil
-	}
-	return f.Front()
+	return nil
 }
 
 // Pop consumes and returns the oldest buffered arrival matching the
-// selector, or nil. The node is unlinked lazily from its other views.
+// selector, or nil. The node leaves all four views.
 func (s *Store[T]) Pop(source, tag int) *StoreNode[T] {
 	nd := s.Peek(source, tag)
 	if nd == nil {
 		return nil
 	}
-	nd.consumed = true
+	unlinkBucket(s.exact, key{nd.Source, nd.Tag}, nd, viewExact)
+	unlinkBucket(s.bySrc, nd.Source, nd, viewSrc)
+	unlinkBucket(s.byTag, nd.Tag, nd, viewTag)
+	s.order.unlink(nd, viewOrder)
 	s.depth--
 	return nd
 }
 
-// sweepEmpty drops bucket FIFOs that trimmed down to nothing.
-func (s *Store[T]) sweepEmpty() {
-	for k, f := range s.exact {
-		if trimStore(f); f.Len() == 0 {
-			delete(s.exact, k)
-		}
-	}
-	for k, f := range s.bySrc {
-		if trimStore(f); f.Len() == 0 {
-			delete(s.bySrc, k)
-		}
-	}
-	for k, f := range s.byTag {
-		if trimStore(f); f.Len() == 0 {
-			delete(s.byTag, k)
-		}
+// unlinkBucket removes nd from the bucket view for k, dropping the bucket
+// once empty so the maps hold only live selectors.
+func unlinkBucket[K comparable, T any](m map[K]*storeList[T], k K, nd *StoreNode[T], v int) {
+	l := m[k]
+	if l.unlink(nd, v); l.n == 0 {
+		delete(m, k)
 	}
 }
 
@@ -323,10 +367,3 @@ func (s *Store[T]) Depth() int { return s.depth }
 
 // HighWater reports the maximum live depth ever reached.
 func (s *Store[T]) HighWater() int { return s.highWater }
-
-// trimStore pops consumed nodes off the head of a store view.
-func trimStore[T any](f *FIFO[*StoreNode[T]]) {
-	for f.Len() > 0 && f.Front().consumed {
-		f.Pop()
-	}
-}

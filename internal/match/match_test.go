@@ -1,6 +1,7 @@
 package match
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -127,7 +128,7 @@ func TestPostedRemoveMidList(t *testing.T) {
 
 // TestStoreViews buffers arrivals and pops through every wildcard
 // combination, checking oldest-first order per view and depth
-// accounting across lazily-unlinked nodes.
+// accounting as nodes leave views they were not popped through.
 func TestStoreViews(t *testing.T) {
 	var s Store[int]
 	s.Add(1, 10, 0)
@@ -208,5 +209,53 @@ func TestStoreRandomAgainstReference(t *testing.T) {
 				t.Fatalf("op %d Pop(%d,%d): got item %d want %d", i, src, tag, got.Item, want.item)
 			}
 		}
+	}
+}
+
+// TestStoreExactPopsLeaveNoResidue is the unexpected-store leak: a
+// consumer using exact <source, tag> selectors never looks at the
+// per-source, per-tag or arrival-order views, so a node popped through its
+// exact bucket must leave those too. 10 000 push/pop cycles across 4
+// sources and 3 tags, with one long-lived arrival parked at the head of
+// the arrival order, must keep every view within the live depth.
+func TestStoreExactPopsLeaveNoResidue(t *testing.T) {
+	var s Store[int]
+	s.Add(9, 9, -1) // never popped: blocks the head of the arrival order
+	views := func() map[string]int {
+		lens := map[string]int{"order": s.order.Len()}
+		for k, l := range s.exact {
+			lens[fmt.Sprintf("exact%v", k)] = l.Len()
+		}
+		for k, l := range s.bySrc {
+			lens[fmt.Sprintf("src%d", k)] = l.Len()
+		}
+		for k, l := range s.byTag {
+			lens[fmt.Sprintf("tag%d", k)] = l.Len()
+		}
+		return lens
+	}
+	for i := 0; i < 10000; i++ {
+		src, tag := i%4, i%3
+		s.Add(src, tag, i)
+		if i%2 == 1 {
+			// Pop the previous arrival first, then this one: pops do not
+			// always take the oldest node in every view.
+			prev := i - 1
+			if nd := s.Pop(prev%4, prev%3); nd == nil || nd.Item != prev {
+				t.Fatalf("cycle %d: Pop(%d,%d) = %v", i, prev%4, prev%3, nd)
+			}
+			if nd := s.Pop(src, tag); nd == nil || nd.Item != i {
+				t.Fatalf("cycle %d: Pop(%d,%d) = %v", i, src, tag, nd)
+			}
+		}
+		for name, n := range views() {
+			if n > s.Depth() {
+				t.Fatalf("cycle %d: view %s holds %d nodes, live depth %d", i, name, n, s.Depth())
+			}
+		}
+	}
+	if s.Depth() != 1 || len(s.exact) != 1 || len(s.bySrc) != 1 || len(s.byTag) != 1 {
+		t.Fatalf("after the cycles: depth %d, buckets exact %d src %d tag %d; want 1 each",
+			s.Depth(), len(s.exact), len(s.bySrc), len(s.byTag))
 	}
 }

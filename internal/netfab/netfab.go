@@ -133,6 +133,11 @@ type Stats struct {
 	// RxCoalesce is a histogram of frames completed per read: buckets
 	// count reads yielding 0, 1, 2-4, 5-16, 17-64, and 65+ frames.
 	RxCoalesce [RxCoalesceBuckets]uint64
+	// ReplyQueuedHighWater is the most bytes replies (SendReply) ever held
+	// in one stream's queue beyond the bound rank-context sends respect:
+	// the memory the never-park rule costs. Zero unless a peer's
+	// outstanding gets and puts outran the socket.
+	ReplyQueuedHighWater uint64
 }
 
 // txChunk is one pending flush segment: encoded frames appended back to
@@ -147,7 +152,8 @@ const (
 	// frame larger than this gets a chunk to itself.
 	txChunkSize = 64 << 10
 	// txMaxPending bounds the queued-but-unflushed bytes per peer:
-	// senders beyond it block until the writer drains (backpressure).
+	// rank-context senders beyond it block until the writer drains
+	// (backpressure). Replies never block and may exceed it.
 	txMaxPending = 4 << 20
 	// txChunkRecycleCap: chunks that grew beyond this are handed to the
 	// GC instead of the freelist, so one jumbo frame doesn't pin memory.
@@ -163,10 +169,12 @@ const (
 // (writeLoop) drains everything pending into one net.Buffers writev. When
 // nothing is pending and nobody is flushing, Send bypasses the queue and
 // writes synchronously — single-frame latency never pays a goroutine
-// wakeup.
+// wakeup. A reply (SendReply) takes the same bypass, but as one
+// nonblocking write: what the socket does not take is queued.
 type peer struct {
 	rank int
 	conn net.Conn
+	nb   nbWriter // nonblocking writes on conn's fd (replies)
 
 	mu            sync.Mutex // guards all fields below
 	sendable      sync.Cond  // signaled when a flush completes or state changes
@@ -201,6 +209,7 @@ type Mesh struct {
 	bytesSent, bytesRecv   atomic.Uint64
 	txFlushes, rxReads     atomic.Uint64
 	rxCoalesce             [RxCoalesceBuckets]atomic.Uint64
+	replyHighWater         atomic.Uint64
 
 	// poller, when non-nil, is the process-wide rx driver: one goroutine
 	// multiplexing every pollable stream (see poller_linux.go). Streams it
@@ -500,6 +509,7 @@ func newPeer(rank int, conn net.Conn) *peer {
 	}
 	p := &peer{rank: rank, conn: conn, doorbell: make(chan struct{}, 1)}
 	p.sendable.L = &p.mu
+	p.nb.init(conn)
 	return p
 }
 
@@ -555,8 +565,9 @@ func (m *Mesh) N() int { return m.cfg.N }
 // receive side a single process-wide poller multiplexing every pollable
 // stream (with a fallback reader goroutine for streams the kernel cannot
 // poll — see rx.go and poller_linux.go). rx runs on the rx goroutine
-// driving that peer; the frame's Data/Payload slices alias the read buffer
-// and must be copied out before rx returns. peerDown fires at most once
+// driving that peer; the frame's Data slice aliases the read buffer and is
+// valid until rx returns. rx may send (SendReply, never Send: a reader
+// parked on a full socket stops every stream). peerDown fires at most once
 // per peer, only for streams that end or fall silent without a clean Bye.
 func (m *Mesh) Start(rx func(from int, fr *wire.Frame), peerDown func(rank int, err error)) {
 	m.rx = rx
@@ -648,42 +659,77 @@ func (m *Mesh) noteBye(p *peer) {
 // When the peer's submit queue is empty and no flush is in progress, the
 // frame is written synchronously (low-latency bypass). Otherwise it is
 // appended to the pending buffer and the writer goroutine's doorbell is
-// rung; the writer drains everything pending in one writev batch. A write
-// error on a queued frame surfaces through peerDown rather than this
-// return value.
+// rung; the writer drains everything pending in one writev batch. A sender
+// finding txMaxPending bytes already queued blocks until the writer
+// catches up. A write error on a queued frame surfaces through peerDown
+// rather than this return value.
 func (m *Mesh) Send(target int, fr *wire.Frame) error {
+	p, err := m.peerFor(target)
+	if err != nil {
+		return err
+	}
+	return m.submit(p, fr, false)
+}
+
+// SendReply is Send for a frame produced by delivery on the rx goroutine,
+// which must never park: if it blocked on a full socket it would stop
+// reading every stream, and a peer doing the same would wedge the job.
+// When the stream is idle the frame goes out in one nonblocking write;
+// whatever the socket does not take goes to the front of the pending
+// chunks, and a reply made while the writer is busy goes to the back —
+// either way with a doorbell ring. Replies are exempt from txMaxPending.
+// The queue they build is bounded by what the peer has outstanding against
+// this rank (ReplyQueuedHighWater reports how far past the bound it went).
+func (m *Mesh) SendReply(target int, fr *wire.Frame) error {
+	p, err := m.peerFor(target)
+	if err != nil {
+		return err
+	}
+	return m.submit(p, fr, true)
+}
+
+func (m *Mesh) peerFor(target int) (*peer, error) {
 	if m.closed.Load() {
-		return ErrMeshClosed
+		return nil, ErrMeshClosed
 	}
 	if target < 0 || target >= m.cfg.N || target == m.cfg.Self {
-		return fmt.Errorf("netfab: send to bad rank %d", target)
+		return nil, fmt.Errorf("netfab: send to bad rank %d", target)
 	}
 	p := m.peers[target]
 	if p == nil {
-		return fmt.Errorf("netfab: no stream to rank %d", target)
+		return nil, fmt.Errorf("netfab: no stream to rank %d", target)
 	}
-	return m.writeFrame(p, fr)
+	return p, nil
 }
 
-// writeFrame submits one frame on p's stream: bypass when idle, queue +
-// doorbell otherwise.
-func (m *Mesh) writeFrame(p *peer, fr *wire.Frame) error {
+// refuseLocked reports whether p's stream takes no frame now, and the
+// error to return: data to a peer that said goodbye is moot and silently
+// dropped — but our own goodbye must still go out, or a rank that received
+// the peer's Bye first would suppress its reply and leave the peer waiting
+// out its shutdown grace period. Caller holds p.mu.
+func (p *peer) refuseLocked(fr *wire.Frame) (bool, error) {
+	switch {
+	case p.closed:
+		return true, ErrMeshClosed
+	case p.down:
+		return true, fmt.Errorf("netfab: stream to rank %d is down", p.rank)
+	case p.bye && fr.Kind != wire.KindBye:
+		return true, nil
+	}
+	return false, nil
+}
+
+// writeFrame submits one frame on p's stream the way Send does.
+func (m *Mesh) writeFrame(p *peer, fr *wire.Frame) error { return m.submit(p, fr, false) }
+
+// submit writes one frame on p's stream: bypass when idle, queue + doorbell
+// otherwise. A reply's bypass is one nonblocking write and its queueing
+// never waits.
+func (m *Mesh) submit(p *peer, fr *wire.Frame, reply bool) error {
 	p.mu.Lock()
-	// Data to a peer that said goodbye is moot and silently dropped — but
-	// our own goodbye must still go out, or a rank that received the
-	// peer's Bye first would suppress its reply and leave the peer waiting
-	// out its shutdown grace period.
-	if p.bye && fr.Kind != wire.KindBye {
+	if refused, err := p.refuseLocked(fr); refused {
 		p.mu.Unlock()
-		return nil
-	}
-	if p.closed {
-		p.mu.Unlock()
-		return ErrMeshClosed
-	}
-	if p.down {
-		p.mu.Unlock()
-		return fmt.Errorf("netfab: stream to rank %d is down", p.rank)
+		return err
 	}
 	p.sent = true
 
@@ -694,7 +740,12 @@ func (m *Mesh) writeFrame(p *peer, fr *wire.Frame) error {
 		p.encBuf = wire.AppendFrame(p.encBuf[:0], fr)
 		buf := p.encBuf
 		p.mu.Unlock()
-		err := m.flushConn(p, net.Buffers{buf}, 1, len(buf))
+		var err error
+		if reply {
+			err = m.writeNow(p, buf)
+		} else {
+			err = m.flushConn(p, net.Buffers{buf}, 1, len(buf))
+		}
 		p.mu.Lock()
 		p.flushing = false
 		ring := p.pendingBytes > 0 && !p.closed && !p.down
@@ -709,26 +760,64 @@ func (m *Mesh) writeFrame(p *peer, fr *wire.Frame) error {
 		return nil
 	}
 
-	// Queued path: bounded — block while the writer is this far behind.
-	for p.pendingBytes >= txMaxPending && !p.closed && !p.down {
-		p.sendable.Wait()
-	}
-	if p.closed {
-		p.mu.Unlock()
-		return ErrMeshClosed
-	}
-	if p.down {
-		p.mu.Unlock()
-		return fmt.Errorf("netfab: stream to rank %d is down", p.rank)
-	}
-	if p.bye && fr.Kind != wire.KindBye {
-		p.mu.Unlock()
-		return nil
+	if !reply {
+		// Queued path: bounded — block while the writer is this far behind.
+		for p.pendingBytes >= txMaxPending && !p.closed && !p.down {
+			p.sendable.Wait()
+		}
+		if refused, err := p.refuseLocked(fr); refused {
+			p.mu.Unlock()
+			return err
+		}
 	}
 	p.appendPendingLocked(fr)
+	if reply && p.pendingBytes > txMaxPending {
+		m.noteReplyQueued(uint64(p.pendingBytes - txMaxPending))
+	}
 	p.mu.Unlock()
 	ringDoorbell(p)
 	return nil
+}
+
+// writeNow makes a reply's bypass write without blocking: one nonblocking
+// write of buf, whose unwritten tail goes to the front of the pending
+// chunks (frames queued meanwhile stay behind it). Called with p.flushing
+// set by the caller and p.mu not held.
+func (m *Mesh) writeNow(p *peer, buf []byte) error {
+	n, err := p.nb.write(buf)
+	if err != nil {
+		m.writeFailed(p, err)
+		return err
+	}
+	if n > 0 {
+		m.bytesSent.Add(uint64(n))
+		m.txFlushes.Add(1)
+	}
+	if n == len(buf) {
+		m.framesSent.Add(1)
+		return nil
+	}
+	p.mu.Lock()
+	c := p.newChunkLocked()
+	c.buf = append(c.buf, buf[n:]...)
+	c.frames = 1
+	p.chunks = append(p.chunks, nil)
+	copy(p.chunks[1:], p.chunks)
+	p.chunks[0] = c
+	p.pendingBytes += len(buf) - n
+	p.pendingFrames++
+	p.mu.Unlock()
+	return nil
+}
+
+// noteReplyQueued raises the reply high-water mark to over, if higher.
+func (m *Mesh) noteReplyQueued(over uint64) {
+	for {
+		hw := m.replyHighWater.Load()
+		if over <= hw || m.replyHighWater.CompareAndSwap(hw, over) {
+			return
+		}
+	}
 }
 
 // appendPendingLocked encodes fr onto the peer's pending chunk list.
@@ -738,12 +827,7 @@ func (p *peer) appendPendingLocked(fr *wire.Frame) {
 	if n := len(p.chunks); n > 0 && len(p.chunks[n-1].buf) < txChunkSize {
 		c = p.chunks[n-1]
 	} else {
-		if n := len(p.free); n > 0 {
-			c = p.free[n-1]
-			p.free = p.free[:n-1]
-		} else {
-			c = &txChunk{buf: make([]byte, 0, txChunkSize)}
-		}
+		c = p.newChunkLocked()
 		p.chunks = append(p.chunks, c)
 	}
 	before := len(c.buf)
@@ -751,6 +835,17 @@ func (p *peer) appendPendingLocked(fr *wire.Frame) {
 	c.frames++
 	p.pendingBytes += len(c.buf) - before
 	p.pendingFrames++
+}
+
+// newChunkLocked takes an empty chunk from the freelist or allocates one.
+// Caller holds p.mu.
+func (p *peer) newChunkLocked() *txChunk {
+	if n := len(p.free); n > 0 {
+		c := p.free[n-1]
+		p.free = p.free[:n-1]
+		return c
+	}
+	return &txChunk{buf: make([]byte, 0, txChunkSize)}
 }
 
 // recycleChunkLocked returns a flushed chunk to the freelist (jumbo ones
@@ -881,13 +976,19 @@ func (m *Mesh) flushConn(p *peer, bufs net.Buffers, frames, bytes int) error {
 		m.txFlushes.Add(1)
 		return nil
 	}
+	m.writeFailed(p, err)
+	return err
+}
+
+// writeFailed classifies a failed write on p's conn: after our own close
+// or the peer's goodbye it is benign, otherwise the stream is down.
+func (m *Mesh) writeFailed(p *peer, err error) {
 	p.mu.Lock()
 	benign := p.closed || p.bye
 	p.mu.Unlock()
 	if !benign && !m.closed.Load() {
 		m.markDown(p, fmt.Errorf("netfab: write to rank %d: %w", p.rank, err))
 	}
-	return err
 }
 
 // drainSends waits (bounded) until p's queue is flushed, so a graceful
@@ -1009,6 +1110,8 @@ func (m *Mesh) ReadStats() Stats {
 		BytesRecv:  m.bytesRecv.Load(),
 		TxFlushes:  m.txFlushes.Load(),
 		RxReads:    m.rxReads.Load(),
+
+		ReplyQueuedHighWater: m.replyHighWater.Load(),
 	}
 	for i := range m.rxCoalesce {
 		st.RxCoalesce[i] = m.rxCoalesce[i].Load()

@@ -14,6 +14,7 @@ package netfab
 
 import (
 	"io"
+	"net"
 	"runtime"
 	"sync"
 	"syscall"
@@ -233,4 +234,57 @@ func (r *fdReader) Read(b []byte) (int, error) {
 		return 0, io.EOF
 	}
 	return n, nil
+}
+
+// nbWriter makes nonblocking writes on a socket's fd: EAGAIN means the
+// kernel took nothing, never a wait in the runtime's netpoller. The write
+// callback is built once per stream, so a reply's write allocates nothing.
+// Only the goroutine holding the stream's flushing flag writes.
+type nbWriter struct {
+	raw syscall.RawConn // nil: no pollable fd (in-memory pipe)
+	buf []byte
+	n   int
+	err error
+	fn  func(fd uintptr) bool
+}
+
+func (w *nbWriter) init(conn net.Conn) {
+	sc, ok := conn.(syscall.Conn)
+	if !ok {
+		return
+	}
+	raw, err := sc.SyscallConn()
+	if err != nil {
+		return
+	}
+	w.raw = raw
+	w.fn = func(fd uintptr) bool {
+		for {
+			w.n, w.err = syscall.Write(int(fd), w.buf)
+			if w.err != syscall.EINTR {
+				return true // never wait in the runtime poller
+			}
+		}
+	}
+}
+
+// write makes one nonblocking write of b and reports how many bytes the
+// socket took: 0 and no error when its send buffer is full, or when the
+// stream has no fd to write to this way (its writer goroutine takes it).
+func (w *nbWriter) write(b []byte) (int, error) {
+	if w.raw == nil {
+		return 0, nil
+	}
+	w.buf = b
+	err := w.raw.Write(w.fn)
+	w.buf = nil
+	switch {
+	case err != nil:
+		return 0, err
+	case w.err == syscall.EAGAIN:
+		return 0, nil
+	case w.err != nil:
+		return 0, w.err
+	}
+	return w.n, nil
 }

@@ -4,7 +4,10 @@ package netfab
 
 // No kernel poller on this platform: newPoller reports none and every
 // stream takes a fallback reader goroutine driving the state machine in
-// rx.go — same behavior, O(P) idle goroutines.
+// rx.go — same behavior, O(P) idle goroutines. Nor a nonblocking write: a
+// reply is always queued for the stream's writer goroutine.
+
+import "net"
 
 type poller struct{}
 
@@ -13,3 +16,8 @@ func (pl *poller) add(p *peer) bool { return false }
 func (pl *poller) count() int       { return 0 }
 func (pl *poller) launch(m *Mesh)   {}
 func (pl *poller) stop(m *Mesh)     {}
+
+type nbWriter struct{}
+
+func (w *nbWriter) init(conn net.Conn)          {}
+func (w *nbWriter) write(b []byte) (int, error) { return 0, nil }

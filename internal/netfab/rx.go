@@ -13,7 +13,7 @@ package netfab
 //
 // Liveness is judged here and nowhere else, by the goroutine that reads
 // the stream, right after a read came up empty: a reader parked inside rx
-// (a full receive lane) judges nobody, and when it resumes it reads what
+// (committing a delivery) judges nobody, and when it resumes it reads what
 // piled up in the socket before it measures any silence. A stalled local
 // reader therefore never convicts a healthy peer.
 

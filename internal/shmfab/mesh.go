@@ -42,6 +42,15 @@ type Stats struct {
 	BulkBytesSent uint64
 	BulkBytesRecv uint64
 	SendStalls    uint64 // backoff rounds while a ring or bulk region was full
+
+	// SpillEntries counts replies (SendReply) that could not be published
+	// at once — the producer was busy or the ring or bulk region full — and
+	// went to the peer's spill list; SpillHighWater is the most bytes one
+	// spill list ever held. A few small entries come from the poller
+	// losing the producer to its own rank's Send; anything large means a
+	// peer's outstanding gets and puts outran the ring.
+	SpillEntries   uint64
+	SpillHighWater uint64
 }
 
 // Mesh is one rank's endpoint of the shared-memory fabric: it satisfies
@@ -54,7 +63,7 @@ type Mesh struct {
 	peers   []*shmPeer // nil at self
 	segs    []*Segment
 
-	rx       func(from int, fr *wire.Frame, free func())
+	rx       func(from int, fr *wire.Frame)
 	peerDown func(rank int, err error)
 
 	hb beat.Policy
@@ -69,16 +78,26 @@ type Mesh struct {
 	fragFrames                   atomic.Uint64
 	bulkBytesSent, bulkBytesRecv atomic.Uint64
 	sendStalls                   atomic.Uint64
+	spillEntries, spillHighWater atomic.Uint64
 }
 
 type shmPeer struct {
 	rank int
 
-	// Producer side, serialized under mu (app goroutines and rx workers
-	// both send).
+	// Producer side, serialized under mu (the rank and the poller's
+	// deliveries both send).
 	mu      sync.Mutex
 	prod    *producer
 	scratch []byte
+
+	// Replies the poller could not publish at once, in order, each a
+	// wire.Append encoding; sent is how much of the head went out as
+	// fragments. Whoever holds mu drains the list before publishing
+	// anything else, which keeps the pair FIFO.
+	spillMu    sync.Mutex
+	spill      []spilled
+	spillBytes int
+	spillN     atomic.Int32 // len(spill), for the poller's lock-free check
 
 	// Consumer side: touched only by the poller goroutine.
 	cons      *consumer
@@ -161,141 +180,217 @@ func (m *Mesh) ReadStats() Stats {
 		BulkBytesSent: m.bulkBytesSent.Load(),
 		BulkBytesRecv: m.bulkBytesRecv.Load(),
 		SendStalls:    m.sendStalls.Load(),
+
+		SpillEntries:   m.spillEntries.Load(),
+		SpillHighWater: m.spillHighWater.Load(),
 	}
+}
+
+// spilled is one reply waiting in a spill list.
+type spilled struct {
+	enc  []byte
+	sent int
 }
 
 // Send publishes one frame onto the ring toward target. Blocks while the
 // ring (or bulk region) is full — ring publication is this transport's
 // flow control — and fails if the peer dies or the mesh closes meanwhile.
+// Spilled replies go out first.
 func (m *Mesh) Send(target int, fr *wire.Frame) error {
-	if m.closed.Load() {
-		return ErrMeshClosed
-	}
-	if target < 0 || target >= m.n || target == m.self {
-		return fmt.Errorf("shmfab: bad send target %d", target)
-	}
-	p := m.peers[target]
-	if p.down.Load() {
-		return fmt.Errorf("shmfab: peer %d is down", target)
+	p, err := m.peerFor(target)
+	if err != nil {
+		return err
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return m.send(p, fr)
+	if err := m.drainSpill(p, true); err != nil {
+		return err
+	}
+	_, err = m.send(p, fr, true)
+	return err
 }
 
-func (m *Mesh) send(p *shmPeer, fr *wire.Frame) error {
-	if compactPut(fr, m.self, p.rank) {
-		if len(fr.Data) <= InlineCapacity {
-			e, err := m.waitEntry(p)
-			if err != nil {
-				return err
-			}
-			encPutInline(e, fr)
-			p.prod.publish()
-			m.entriesSent.Add(1)
-			m.compactSent.Add(1)
-			return nil
-		}
-		if len(fr.Data) <= maxBulkAlloc {
-			off, buf, err := m.waitBulk(p, len(fr.Data))
-			if err != nil {
-				return err
-			}
-			copy(buf, fr.Data)
-			e, err := m.waitEntry(p)
-			if err != nil {
-				return err
-			}
-			encPutBulk(e, fr, off)
-			p.prod.publish()
-			m.entriesSent.Add(1)
-			m.compactSent.Add(1)
-			m.bulkBytesSent.Add(uint64(len(fr.Data)))
-			return nil
-		}
-		// Oversized put: fall through to the generic (fragmented) path.
-	} else if compactAck(fr, m.self, p.rank) {
-		e, err := m.waitEntry(p)
-		if err != nil {
-			return err
-		}
-		encAck(e, fr)
-		p.prod.publish()
-		m.entriesSent.Add(1)
-		m.compactSent.Add(1)
-		return nil
+// SendReply is Send for a frame produced by delivery on the poller
+// goroutine, which must never park: if it waited for ring space it would
+// stop consuming every ring, and a peer doing the same would wedge the
+// job. It publishes only if the producer is free (TryLock), nothing is
+// spilled ahead of it, and the ring and bulk region have room; otherwise
+// the encoded frame joins the peer's spill list, which the poll loop and
+// the next Send drain in order.
+func (m *Mesh) SendReply(target int, fr *wire.Frame) error {
+	p, err := m.peerFor(target)
+	if err != nil {
+		return err
 	}
-
-	// Generic path: the full wire encoding travels through bulk.
-	p.scratch = wire.Append(p.scratch[:0], fr)
-	enc := p.scratch
-	m.genericSent.Add(1)
-	if len(enc) <= maxBulkAlloc {
-		off, buf, err := m.waitBulk(p, len(enc))
-		if err != nil {
+	if p.mu.TryLock() {
+		sent := false
+		if m.drainSpill(p, false); p.spillN.Load() == 0 {
+			sent, err = m.send(p, fr, false)
+		}
+		p.mu.Unlock()
+		if sent || err != nil {
 			return err
 		}
-		copy(buf, enc)
-		e, err := m.waitEntry(p)
-		if err != nil {
-			return err
-		}
-		encFrame(e, off, len(enc))
-		p.prod.publish()
-		m.entriesSent.Add(1)
-		m.bulkBytesSent.Add(uint64(len(enc)))
-		return nil
 	}
-	// Fragmented: chunks stream through bulk as the consumer frees them.
-	m.fragFrames.Add(1)
-	total := len(enc)
-	first := true
-	for len(enc) > 0 {
-		chunk := len(enc)
-		if chunk > fragChunk {
-			chunk = fragChunk
+	enc := wire.Append(nil, fr)
+	p.spillMu.Lock()
+	p.spill = append(p.spill, spilled{enc: enc})
+	p.spillN.Store(int32(len(p.spill)))
+	p.spillBytes += len(enc)
+	bytes := uint64(p.spillBytes)
+	p.spillMu.Unlock()
+	m.spillEntries.Add(1)
+	for hw := m.spillHighWater.Load(); bytes > hw; hw = m.spillHighWater.Load() {
+		if m.spillHighWater.CompareAndSwap(hw, bytes) {
+			break
 		}
-		off, buf, err := m.waitBulk(p, chunk)
-		if err != nil {
-			return err
-		}
-		copy(buf, enc[:chunk])
-		e, err := m.waitEntry(p)
-		if err != nil {
-			return err
-		}
-		encFrag(e, first, off, chunk, total)
-		p.prod.publish()
-		m.entriesSent.Add(1)
-		m.bulkBytesSent.Add(uint64(chunk))
-		enc = enc[chunk:]
-		first = false
 	}
 	return nil
 }
 
-// waitEntry reserves the next ring slot, backing off while the ring is
-// full. The reservation is private until publish().
-func (m *Mesh) waitEntry(p *shmPeer) ([]byte, error) {
-	for spins := 0; ; spins++ {
-		if e, ok := p.prod.tryReserve(); ok {
-			return e, nil
-		}
-		if err := m.stall(p, spins); err != nil {
-			return nil, err
-		}
+func (m *Mesh) peerFor(target int) (*shmPeer, error) {
+	if m.closed.Load() {
+		return nil, ErrMeshClosed
 	}
+	if target < 0 || target >= m.n || target == m.self {
+		return nil, fmt.Errorf("shmfab: bad send target %d", target)
+	}
+	p := m.peers[target]
+	if p.down.Load() {
+		return nil, fmt.Errorf("shmfab: peer %d is down", target)
+	}
+	return p, nil
 }
 
-// waitBulk reserves n contiguous bulk bytes, backing off while the region
-// is full.
-func (m *Mesh) waitBulk(p *shmPeer, n int) (uint64, []byte, error) {
+// drainSpill publishes p's spilled replies in order. With wait it backs
+// off while the ring is full; without it stops at the first reply that
+// does not fit (a fragmented one keeps its progress). Caller holds p.mu.
+func (m *Mesh) drainSpill(p *shmPeer, wait bool) error {
+	for p.spillN.Load() > 0 {
+		// Only the holder of mu touches the head; SendReply may append
+		// (and move the backing array) meanwhile.
+		p.spillMu.Lock()
+		sp := p.spill[0]
+		p.spillMu.Unlock()
+		sent, err := m.publishEncoded(p, sp.enc, sp.sent, wait)
+		p.spillMu.Lock()
+		done := sent == len(sp.enc)
+		if done {
+			p.spillBytes -= len(sp.enc)
+			p.spill[0] = spilled{}
+			p.spill = p.spill[1:]
+			p.spillN.Store(int32(len(p.spill)))
+		} else {
+			p.spill[0].sent = sent
+		}
+		p.spillMu.Unlock()
+		if !done {
+			return err
+		}
+	}
+	return nil
+}
+
+// send publishes fr, compactly when it is a plain put or ack. With wait it
+// backs off while the ring or bulk region is full; without it publishes
+// all of fr or nothing and reports which. Caller holds p.mu.
+func (m *Mesh) send(p *shmPeer, fr *wire.Frame, wait bool) (bool, error) {
+	switch {
+	case compactPut(fr, m.self, p.rank) && len(fr.Data) <= InlineCapacity:
+		e, _, _, err := m.reserve(p, 0, wait)
+		if e == nil {
+			return false, err
+		}
+		encPutInline(e, fr)
+	case compactPut(fr, m.self, p.rank) && len(fr.Data) <= maxBulkAlloc:
+		e, off, buf, err := m.reserve(p, len(fr.Data), wait)
+		if e == nil {
+			return false, err
+		}
+		copy(buf, fr.Data)
+		encPutBulk(e, fr, off)
+		m.bulkBytesSent.Add(uint64(len(fr.Data)))
+	case compactAck(fr, m.self, p.rank):
+		e, _, _, err := m.reserve(p, 0, wait)
+		if e == nil {
+			return false, err
+		}
+		encAck(e, fr)
+	default:
+		// Generic path: the full wire encoding travels through bulk
+		// (oversized puts land here too). A fragmented frame is never
+		// started without wait: its tail could not be taken back.
+		p.scratch = wire.Append(p.scratch[:0], fr)
+		if !wait && len(p.scratch) > maxBulkAlloc {
+			return false, nil
+		}
+		sent, err := m.publishEncoded(p, p.scratch, 0, wait)
+		return err == nil && sent == len(p.scratch), err
+	}
+	p.prod.publish()
+	m.entriesSent.Add(1)
+	m.compactSent.Add(1)
+	return true, nil
+}
+
+// publishEncoded publishes a wire.Append encoding from byte sent on: as
+// one bulk frame entry, or as fragments streaming through bulk as the
+// consumer frees it when the encoding exceeds maxBulkAlloc. It returns the
+// new progress; without wait it stops at the first entry that does not
+// fit. Caller holds p.mu.
+func (m *Mesh) publishEncoded(p *shmPeer, enc []byte, sent int, wait bool) (int, error) {
+	if len(enc) <= maxBulkAlloc {
+		e, off, buf, err := m.reserve(p, len(enc), wait)
+		if e == nil {
+			return 0, err
+		}
+		copy(buf, enc)
+		encFrame(e, off, len(enc))
+		p.prod.publish()
+		m.entriesSent.Add(1)
+		m.genericSent.Add(1)
+		m.bulkBytesSent.Add(uint64(len(enc)))
+		return len(enc), nil
+	}
+	for sent < len(enc) {
+		chunk := min(len(enc)-sent, fragChunk)
+		e, off, buf, err := m.reserve(p, chunk, wait)
+		if e == nil {
+			return sent, err
+		}
+		copy(buf, enc[sent:sent+chunk])
+		encFrag(e, sent == 0, off, chunk, len(enc))
+		p.prod.publish()
+		if sent == 0 {
+			m.genericSent.Add(1)
+			m.fragFrames.Add(1)
+		}
+		m.entriesSent.Add(1)
+		m.bulkBytesSent.Add(uint64(chunk))
+		sent += chunk
+	}
+	return sent, nil
+}
+
+// reserve claims the next ring entry and, when n > 0, n contiguous bulk
+// bytes — entry first, which has no side effect until publish, so a failed
+// try leaves nothing half-claimed. With wait it backs off while either is
+// full; without it returns a nil entry at once.
+func (m *Mesh) reserve(p *shmPeer, n int, wait bool) ([]byte, uint64, []byte, error) {
 	for spins := 0; ; spins++ {
-		if off, buf, ok := p.prod.tryBulk(n); ok {
-			return off, buf, nil
+		if e, ok := p.prod.tryReserve(); ok {
+			if n == 0 {
+				return e, 0, nil, nil
+			}
+			if off, buf, ok := p.prod.tryBulk(n); ok {
+				return e, off, buf, nil
+			}
+		}
+		if !wait {
+			return nil, 0, nil, nil
 		}
 		if err := m.stall(p, spins); err != nil {
-			return 0, nil, err
+			return nil, 0, nil, err
 		}
 	}
 }
@@ -321,23 +416,11 @@ func (m *Mesh) stall(p *shmPeer, spins int) error {
 
 // Start installs the receive callbacks and launches the poller and
 // heartbeat goroutines. The rx contract matches fabric.Link: frame slices
-// alias the mapped segment and must be copied before rx returns.
+// alias the mapped segment and stay valid until rx returns — the entry and
+// any bulk span it references retire right after. rx may send replies
+// (SendReply) but must not Send: the poller waiting for ring space would
+// stop consuming every ring.
 func (m *Mesh) Start(rx func(from int, fr *wire.Frame), peerDown func(rank int, err error)) {
-	m.StartBorrowed(func(from int, fr *wire.Frame, free func()) {
-		rx(from, fr)
-		if free != nil {
-			free()
-		}
-	}, peerDown)
-}
-
-// StartBorrowed is Start for a receiver that can account for loans: when
-// a frame's Data lives in the segment's bulk region, rx gets a non-nil
-// free and may retain the bytes past return — the span is not reused
-// until free is called (exactly once, from any goroutine). This is what
-// lets the fabric commit bulk puts straight from shared memory with no
-// staging copy.
-func (m *Mesh) StartBorrowed(rx func(from int, fr *wire.Frame, free func()), peerDown func(rank int, err error)) {
 	m.rx = rx
 	m.peerDown = peerDown
 	m.wg.Add(2)
@@ -346,7 +429,8 @@ func (m *Mesh) StartBorrowed(rx func(from int, fr *wire.Frame, free func()), pee
 }
 
 // pollLoop is the single rx goroutine: it round-robins every inbound
-// ring, draining up to a batch per peer per round, with time-based
+// ring, draining up to a batch per peer per round — after first
+// publishing whatever spilled replies to that peer now fit — with time-based
 // adaptive backoff when everything is idle: yield-spin for the first
 // stretch (a sleeping poller pays timer-slack latency on every wakeup —
 // hundreds of microseconds per message hop — so the latency-critical
@@ -357,7 +441,7 @@ func (m *Mesh) pollLoop() {
 	const batch = 64
 	var idleSince time.Time
 	for {
-		progress := false
+		progress, spilling := false, false
 		for _, p := range m.peers {
 			if p == nil || p.consDone {
 				continue
@@ -366,6 +450,15 @@ func (m *Mesh) pollLoop() {
 				p.consDone = true
 				continue
 			}
+			if p.spillN.Load() > 0 && p.mu.TryLock() {
+				// Close publishes the goodbye under mu after setting closed:
+				// checked under the lock, nothing follows the goodbye.
+				if !m.closed.Load() {
+					m.drainSpill(p, false)
+				}
+				p.mu.Unlock()
+			}
+			spilling = spilling || p.spillN.Load() > 0
 			for i := 0; i < batch; i++ {
 				e, ok := p.cons.poll()
 				if !ok {
@@ -384,8 +477,13 @@ func (m *Mesh) pollLoop() {
 			return
 		default:
 		}
-		if progress {
+		if progress || spilling {
+			// Spilled replies wait on the peer or on our rank's producer,
+			// both of which move within a round trip: never sleep on them.
 			idleSince = time.Time{}
+			if !progress {
+				runtime.Gosched()
+			}
 			continue
 		}
 		if idleSince.IsZero() {
@@ -404,9 +502,9 @@ func (m *Mesh) pollLoop() {
 	}
 }
 
-// consume decodes and delivers one entry, then retires it. Data slices
-// handed to rx alias the mapped segment; the fabric's ingest path copies
-// before returning, per the Link contract.
+// consume decodes and delivers one entry, then retires it with any bulk
+// span it references. Data slices handed to rx alias the mapped segment,
+// valid until rx returns, per the Link contract.
 func (m *Mesh) consume(p *shmPeer, e []byte) {
 	m.entriesRecv.Add(1)
 	// Decode into the peer's scratch frame: rx either finishes with the
@@ -424,7 +522,7 @@ func (m *Mesh) consume(p *shmPeer, e []byte) {
 			return
 		}
 		decPut(e, p.rank, m.self, e[24:24+n], fr)
-		m.rx(p.rank, fr, nil)
+		m.rx(p.rank, fr)
 		p.cons.advance()
 	case entPutBulk:
 		off, n := getU64(e, 24), int(getU64(e, 32))
@@ -432,14 +530,14 @@ func (m *Mesh) consume(p *shmPeer, e []byte) {
 			m.failPeer(p, fmt.Errorf("shmfab: bad bulk reference from %d", p.rank))
 			return
 		}
-		sp := p.cons.deferBulk(n)
 		decPut(e, p.rank, m.self, p.cons.bulkBytes(off, n), fr)
-		m.rx(p.rank, fr, sp.fn)
+		m.rx(p.rank, fr)
 		m.bulkBytesRecv.Add(uint64(n))
+		p.cons.retireBulk(n)
 		p.cons.advance()
 	case entAck:
 		decAck(e, p.rank, m.self, fr)
-		m.rx(p.rank, fr, nil)
+		m.rx(p.rank, fr)
 		p.cons.advance()
 	case entFrame:
 		off, n := getU64(e, 24), int(getU64(e, 32))
@@ -451,9 +549,9 @@ func (m *Mesh) consume(p *shmPeer, e []byte) {
 			m.failPeer(p, fmt.Errorf("shmfab: corrupt frame from %d: %w", p.rank, err))
 			return
 		}
-		sp := p.cons.deferBulk(n)
-		m.rx(p.rank, fr, sp.fn)
+		m.rx(p.rank, fr)
 		m.bulkBytesRecv.Add(uint64(n))
+		p.cons.retireBulk(n)
 		p.cons.advance()
 	case entFragFirst, entFragNext:
 		off, chunk := getU64(e, 24), int(getU64(e, 32))
@@ -474,11 +572,10 @@ func (m *Mesh) consume(p *shmPeer, e []byte) {
 			m.failPeer(p, fmt.Errorf("shmfab: stray fragment from %d", p.rank))
 			return
 		}
-		sp := p.cons.deferBulk(chunk)
 		p.fragBuf = append(p.fragBuf, p.cons.bulkBytes(off, chunk)...)
 		m.bulkBytesRecv.Add(uint64(chunk))
+		p.cons.retireBulk(chunk) // reassembly copied the chunk out
 		p.cons.advance()
-		p.cons.releaseBulk(sp) // reassembly copied the chunk out
 		if len(p.fragBuf) == p.fragFill {
 			buf := p.fragBuf
 			p.fragBuf, p.fragFill = nil, 0
@@ -486,7 +583,7 @@ func (m *Mesh) consume(p *shmPeer, e []byte) {
 				m.failPeer(p, fmt.Errorf("shmfab: corrupt fragmented frame from %d: %w", p.rank, err))
 				return
 			}
-			m.rx(p.rank, fr, nil)
+			m.rx(p.rank, fr)
 		}
 	default:
 		m.failPeer(p, fmt.Errorf("shmfab: unknown entry kind %d from %d", e[0], p.rank))
@@ -560,6 +657,7 @@ func (m *Mesh) Close(graceful bool) error {
 				continue
 			}
 			p.mu.Lock()
+			m.drainSpill(p, false) // best effort: replies still spilled go first
 			p.prod.close()
 			p.mu.Unlock()
 		}
@@ -580,18 +678,6 @@ func (m *Mesh) Close(graceful bool) error {
 	}
 	close(m.quit)
 	m.wg.Wait()
-	// Outstanding loans: a receive worker may still be committing from a
-	// borrowed bulk span. Wait for every span to come home before the
-	// segment memory can be unmapped.
-	loanDeadline := time.Now().Add(2 * time.Second)
-	for _, p := range m.peers {
-		if p == nil {
-			continue
-		}
-		for !p.cons.bulkIdle() && time.Now().Before(loanDeadline) {
-			time.Sleep(100 * time.Microsecond)
-		}
-	}
 	for _, s := range m.segs {
 		if s != nil {
 			s.Close()

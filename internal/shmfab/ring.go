@@ -2,7 +2,6 @@ package shmfab
 
 import (
 	"encoding/binary"
-	"sync"
 	"sync/atomic"
 )
 
@@ -124,36 +123,15 @@ func (p *producer) close() { atomic.StoreUint64(p.r.closed, 1) }
 // beat bumps the liveness counter the peer's monitor watches.
 func (p *producer) beat() { atomic.AddUint64(p.r.heartbeat, 1) }
 
-// consumer is the receiving side's local view of the peer's direction.
-// Entry retirement (head) stays single-goroutine on the poller; bulk
-// retirement goes through a deferred-release queue because the fabric may
-// borrow a bulk span past the rx callback (zero-copy commit) and return
-// it from a receive worker later.
+// consumer is the receiving side's local view of the peer's direction,
+// touched only by the poller goroutine. Entries and their bulk spans
+// retire in order as they are consumed: the fabric commits a frame before
+// its rx callback returns, so nothing references the bytes afterwards.
 type consumer struct {
 	r          dirRing
 	head       uint64
 	cachedTail uint64
-
-	// Bulk spans retire strictly in allocation order: each consumed
-	// bulk-bearing entry registers a span (deferBulk, poller goroutine),
-	// and releaseBulk — from whichever goroutine finishes with the bytes
-	// — marks it free and advances bulkHead over the freed prefix.
-	// Retired spans recycle through freelist so the steady state
-	// allocates nothing per entry.
-	pendMu   sync.Mutex
-	pending  []*bulkSpan
-	freelist []*bulkSpan
-	bulkHead uint64 // guarded by pendMu
-}
-
-// bulkSpan is one outstanding bulk allocation awaiting release. fn is the
-// span's release closure, built once and reused across recycles — handing
-// it out instead of a fresh closure keeps the per-entry path
-// allocation-free.
-type bulkSpan struct {
-	n     int // payload length (pre-alignment)
-	freed bool
-	fn    func()
+	bulkHead   uint64
 }
 
 func newConsumer(r dirRing) *consumer {
@@ -190,65 +168,22 @@ func bulkOK(off uint64, n int) bool {
 	return n > 0 && off < BulkSize && uint64(n) <= BulkSize-off
 }
 
-// advance retires the current entry (release store of head). Bulk spans
-// the entry references are retired separately through deferBulk /
-// releaseBulk.
+// advance retires the current entry (release store of head). A bulk span
+// the entry references is retired first, through retireBulk.
 func (c *consumer) advance() {
 	c.head++
 	atomic.StoreUint64(c.r.head, c.head) // release
 }
 
-// deferBulk registers the next bulk span (allocation order) for deferred
-// release. Poller goroutine only.
-func (c *consumer) deferBulk(n int) *bulkSpan {
-	c.pendMu.Lock()
-	var sp *bulkSpan
-	if k := len(c.freelist) - 1; k >= 0 {
-		sp = c.freelist[k]
-		c.freelist = c.freelist[:k]
-		sp.n, sp.freed = n, false
-	} else {
-		sp = &bulkSpan{n: n}
-		sp.fn = func() { c.releaseBulk(sp) }
+// retireBulk frees the oldest outstanding n-byte bulk allocation with the
+// producer's exact pad-to-wrap arithmetic (release store of bulkHead).
+func (c *consumer) retireBulk(n int) {
+	need := alignBulk(n)
+	if pos := c.bulkHead % BulkSize; pos+need > BulkSize {
+		need += BulkSize - pos
 	}
-	c.pending = append(c.pending, sp)
-	c.pendMu.Unlock()
-	return sp
-}
-
-// releaseBulk marks sp free and advances bulkHead over the contiguous
-// freed prefix with the producer's exact pad-to-wrap arithmetic. Safe
-// from any goroutine; a span freed out of order simply waits for its
-// predecessors. Must be called exactly once per deferBulk — the span
-// recycles into the freelist on retirement, so a second call would
-// corrupt a later loan.
-func (c *consumer) releaseBulk(sp *bulkSpan) {
-	c.pendMu.Lock()
-	sp.freed = true
-	advanced := false
-	for len(c.pending) > 0 && c.pending[0].freed {
-		head := c.pending[0]
-		need := alignBulk(head.n)
-		if pos := c.bulkHead % BulkSize; pos+need > BulkSize {
-			need += BulkSize - pos
-		}
-		c.bulkHead += need
-		c.pending = c.pending[1:]
-		c.freelist = append(c.freelist, head)
-		advanced = true
-	}
-	if advanced {
-		atomic.StoreUint64(c.r.bulkHead, c.bulkHead) // release
-	}
-	c.pendMu.Unlock()
-}
-
-// bulkIdle reports that no bulk span is still on loan.
-func (c *consumer) bulkIdle() bool {
-	c.pendMu.Lock()
-	idle := len(c.pending) == 0
-	c.pendMu.Unlock()
-	return idle
+	c.bulkHead += need
+	atomic.StoreUint64(c.r.bulkHead, c.bulkHead) // release
 }
 
 // closedAndDrained reports a clean goodbye: the producer closed and every
