@@ -19,33 +19,37 @@ func BenchmarkShmBWBulk(b *testing.B) {
 // buffer into the bulk region, bulk region into the window) where the
 // in-process engine's zero-copy path moves it once — and measured runs
 // hover right at it (1.9-2.1x), so the hard CI bound adds headroom for
-// single-core scheduler noise on top of the floor. Each engine gets
-// best-of-3; the bulk size carries the gate, the inline size is held to
-// a looser bound.
+// single-core scheduler noise on top of the floor. The bulk size carries
+// the gate, the inline size is held to a looser bound.
+//
+// A round takes best-of-3 of each engine, the runs interleaved so a burst
+// of load lands on both. Packages testing alongside in a full `go test
+// ./...` can starve the spinning shm poller for a whole round, so a size
+// fails only when each of three rounds misses its factor.
 func TestShmBWWithinFactor(t *testing.T) {
 	if testing.Short() {
 		t.Skip("bandwidth comparison needs wall-clock headroom")
 	}
-	const iters, warmup, flushEvery = 2000, 200, 32
-	best := func(run bwRunner, size int) float64 {
-		m := 0.0
-		for i := 0; i < 3; i++ {
-			if r := bwRun(size, iters, warmup, flushEvery, run); r.mbps > m {
-				m = r.mbps
-			}
-		}
-		return m
-	}
+	const iters, warmup, flushEvery, rounds = 2000, 200, 32, 3
 	for _, tc := range []struct {
 		size   int
 		factor float64
 	}{{32, 3.0}, {4096, 2.5}} {
-		real := best(realBWRunner, tc.size)
-		shm := best(shmBWRunner, tc.size)
-		t.Logf("size %d: real %.1f MB/s, shm %.1f MB/s (%.2fx)", tc.size, real, shm, real/shm)
-		if shm*tc.factor < real {
-			t.Errorf("size %d: shm %.1f MB/s more than %.1fx below real %.1f MB/s",
-				tc.size, shm, tc.factor, real)
+		for round := 1; ; round++ {
+			real, shm := 0.0, 0.0
+			for i := 0; i < 3; i++ {
+				real = max(real, bwRun(tc.size, iters, warmup, flushEvery, realBWRunner).mbps)
+				shm = max(shm, bwRun(tc.size, iters, warmup, flushEvery, shmBWRunner).mbps)
+			}
+			t.Logf("size %d round %d: real %.1f MB/s, shm %.1f MB/s (%.2fx)", tc.size, round, real, shm, real/shm)
+			if shm*tc.factor >= real {
+				break
+			}
+			if round == rounds {
+				t.Errorf("size %d: shm %.1f MB/s more than %.1fx below real %.1f MB/s in all %d rounds",
+					tc.size, shm, tc.factor, real, rounds)
+				break
+			}
 		}
 	}
 }

@@ -31,6 +31,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -95,13 +96,13 @@ func (c *Config) withDefaults() Config {
 	return cfg
 }
 
-// RxCoalesceBuckets is the number of buckets in the frames-per-read
-// histogram; bucket i counts reads that completed coalesceBucketLo[i]..hi
-// frames (0, 1, 2-4, 5-16, 17-64, 65+).
+// RxCoalesceBuckets is the number of buckets in the frames-per-read and
+// frames-per-write histograms; bucket i counts syscalls that completed
+// coalesceBucketLo[i]..hi frames (0, 1, 2-4, 5-16, 17-64, 65+).
 const RxCoalesceBuckets = 6
 
-// coalesceBucket maps a frames-completed-per-read count to its histogram
-// bucket.
+// coalesceBucket maps a frames-completed-per-syscall count to its
+// histogram bucket.
 func coalesceBucket(frames int) int {
 	switch {
 	case frames <= 0:
@@ -123,10 +124,12 @@ type Stats struct {
 	FramesSent, FramesRecv uint64
 	BytesSent, BytesRecv   uint64
 
-	// TxFlushes counts write syscalls: coalesced writev batches plus
-	// single-frame low-latency bypass writes. FramesSent/TxFlushes is the
-	// tx batching factor.
+	// TxFlushes counts write syscalls that moved bytes: each writes one
+	// stream's whole queue, and a Send's own frame riding at its end.
+	// FramesSent/TxFlushes is the tx batching factor.
 	TxFlushes uint64
+	// TxCoalesce is the frames-per-write histogram, in RxCoalesce's buckets.
+	TxCoalesce [RxCoalesceBuckets]uint64
 	// RxReads counts read syscalls on established streams (one per framer
 	// fill).
 	RxReads uint64
@@ -144,6 +147,7 @@ type Stats struct {
 // back, written as one element of a net.Buffers batch.
 type txChunk struct {
 	buf    []byte
+	off    int // leading bytes of buf already written (only the queue's first chunk)
 	frames int
 }
 
@@ -164,30 +168,34 @@ const (
 
 // peer is one established stream to another rank.
 //
-// The tx path is a doorbell protocol: senders append encoded frames to the
-// pending chunk list under mu and ring the doorbell; the writer goroutine
-// (writeLoop) drains everything pending into one net.Buffers writev. When
-// nothing is pending and nobody is flushing, Send bypasses the queue and
-// writes synchronously — single-frame latency never pays a goroutine
-// wakeup. A reply (SendReply) takes the same bypass, but as one
-// nonblocking write: what the socket does not take is queued.
+// Frames queue as encoded chunks, and whoever claims the conn (flushing)
+// writes the whole queue as one batch. A Send that finds the conn free
+// writes the queue with its own frame at the end, blocking, so a frame
+// never waits for a goroutine wakeup. Replies the rx goroutine makes to
+// what one read brought in are held and leave in one nonblocking writev
+// before its next read (see pump). What a flush leaves queued goes to the
+// writer goroutine (writeLoop), woken by the doorbell.
 type peer struct {
 	rank int
 	conn net.Conn
-	nb   nbWriter // nonblocking writes on conn's fd (replies)
+	nb   nbWriter // nonblocking writes on conn's fd (the rx goroutine's flushes)
 
-	mu            sync.Mutex // guards all fields below
-	sendable      sync.Cond  // signaled when a flush completes or state changes
-	encBuf        []byte     // bypass-path encode buffer (reused)
-	chunks        []*txChunk // pending encoded frames, in send order
-	free          []*txChunk // chunk recycle list
-	pendingBytes  int
-	pendingFrames int
-	flushing      bool // a bypass write or writer-goroutine flush owns the conn
-	sent          bool // a frame was submitted since the beat loop last looked
-	closed        bool // local close: writes are errors
-	bye           bool // remote sent Bye: writes are silently dropped
-	down          bool // stream failed: writes are errors, peerDown fired
+	// Only the goroutine that set flushing touches these. wbufs is the copy
+	// of the batch WriteTo consumes: a field, so writing allocates nothing.
+	bufs, wbufs net.Buffers
+	encBuf      []byte
+
+	mu           sync.Mutex // guards all fields below
+	sendable     sync.Cond  // signaled when a flush completes or state changes
+	chunks       []*txChunk // pending encoded frames, in send order
+	free         []*txChunk // chunk recycle list
+	pendingBytes int        // unwritten bytes in chunks
+	flushing     bool       // a goroutine is writing a batch on the conn
+	holding      bool       // the rx goroutine delivers a read from this stream: replies wait for the next
+	sent         bool       // a frame was submitted since the beat loop last looked
+	closed       bool       // local close: writes are errors
+	bye          bool       // remote sent Bye: writes are silently dropped
+	down         bool       // stream failed: writes are errors, peerDown fired
 
 	doorbell chan struct{} // capacity 1: wakes the writer goroutine
 }
@@ -208,7 +216,7 @@ type Mesh struct {
 	framesSent, framesRecv atomic.Uint64
 	bytesSent, bytesRecv   atomic.Uint64
 	txFlushes, rxReads     atomic.Uint64
-	rxCoalesce             [RxCoalesceBuckets]atomic.Uint64
+	txCoalesce, rxCoalesce [RxCoalesceBuckets]atomic.Uint64
 	replyHighWater         atomic.Uint64
 
 	// poller, when non-nil, is the process-wide rx driver: one goroutine
@@ -656,36 +664,44 @@ func (m *Mesh) noteBye(p *peer) {
 // Writes to a peer that already said goodbye succeed silently (the peer is
 // legitimately gone; in-flight traffic to it is moot).
 //
-// When the peer's submit queue is empty and no flush is in progress, the
-// frame is written synchronously (low-latency bypass). Otherwise it is
-// appended to the pending buffer and the writer goroutine's doorbell is
-// rung; the writer drains everything pending in one writev batch. A sender
-// finding txMaxPending bytes already queued blocks until the writer
-// catches up. A write error on a queued frame surfaces through peerDown
-// rather than this return value.
+// With the conn free the frame is written synchronously after whatever is
+// queued (held replies ride along in the same writev); otherwise it is
+// queued for the flush in progress, and a sender finding txMaxPending
+// bytes queued blocks. A write error on a queued frame surfaces through
+// peerDown rather than this return value.
 func (m *Mesh) Send(target int, fr *wire.Frame) error {
 	p, err := m.peerFor(target)
 	if err != nil {
 		return err
 	}
-	return m.submit(p, fr, false)
+	return m.writeFrame(p, fr)
 }
 
 // SendReply is Send for a frame produced by delivery on the rx goroutine,
 // which must never park: if it blocked on a full socket it would stop
 // reading every stream, and a peer doing the same would wedge the job.
-// When the stream is idle the frame goes out in one nonblocking write;
-// whatever the socket does not take goes to the front of the pending
-// chunks, and a reply made while the writer is busy goes to the back —
-// either way with a doorbell ring. Replies are exempt from txMaxPending.
-// The queue they build is bounded by what the peer has outstanding against
-// this rank (ReplyQueuedHighWater reports how far past the bound it went).
+// A reply to the stream the rx goroutine is delivering from waits for its
+// next read (see pump); any other is written at once, without parking
+// (flushNowLocked). Replies are exempt from txMaxPending. The queue they
+// build is bounded by what the peer has outstanding against this rank
+// (ReplyQueuedHighWater reports how far past the bound it went).
 func (m *Mesh) SendReply(target int, fr *wire.Frame) error {
 	p, err := m.peerFor(target)
 	if err != nil {
 		return err
 	}
-	return m.submit(p, fr, true)
+	p.mu.Lock()
+	if refused, err := p.refuseLocked(fr); refused {
+		p.mu.Unlock()
+		return err
+	}
+	p.sent = true
+	p.appendPendingLocked(fr)
+	if p.pendingBytes > txMaxPending {
+		m.noteReplyQueued(uint64(p.pendingBytes - txMaxPending))
+	}
+	m.flushNowLocked(p)
+	return nil
 }
 
 func (m *Mesh) peerFor(target int) (*peer, error) {
@@ -719,95 +735,127 @@ func (p *peer) refuseLocked(fr *wire.Frame) (bool, error) {
 	return false, nil
 }
 
-// writeFrame submits one frame on p's stream the way Send does.
-func (m *Mesh) writeFrame(p *peer, fr *wire.Frame) error { return m.submit(p, fr, false) }
-
-// submit writes one frame on p's stream: bypass when idle, queue + doorbell
-// otherwise. A reply's bypass is one nonblocking write and its queueing
-// never waits.
-func (m *Mesh) submit(p *peer, fr *wire.Frame, reply bool) error {
+// writeFrame is Send on p's stream.
+func (m *Mesh) writeFrame(p *peer, fr *wire.Frame) error {
 	p.mu.Lock()
+	for p.flushing && p.pendingBytes >= txMaxPending && !p.closed && !p.down {
+		p.sendable.Wait() // backpressure: the conn is this far behind
+	}
 	if refused, err := p.refuseLocked(fr); refused {
 		p.mu.Unlock()
 		return err
 	}
 	p.sent = true
-
-	if !p.flushing && p.pendingBytes == 0 {
-		// Low-latency bypass: nothing queued and the conn is idle — write
-		// here, skipping the queue and the writer-goroutine wakeup.
-		p.flushing = true
-		p.encBuf = wire.AppendFrame(p.encBuf[:0], fr)
-		buf := p.encBuf
+	if p.flushing {
+		p.appendPendingLocked(fr)
 		p.mu.Unlock()
-		var err error
-		if reply {
-			err = m.writeNow(p, buf)
-		} else {
-			err = m.flushConn(p, net.Buffers{buf}, 1, len(buf))
-		}
-		p.mu.Lock()
-		p.flushing = false
-		ring := p.pendingBytes > 0 && !p.closed && !p.down
-		p.sendable.Broadcast()
-		p.mu.Unlock()
-		if ring {
-			ringDoorbell(p) // frames queued behind the bypass: hand off
-		}
-		if err != nil {
-			return fmt.Errorf("netfab: write to rank %d: %w", p.rank, err)
-		}
 		return nil
 	}
-
-	if !reply {
-		// Queued path: bounded — block while the writer is this far behind.
-		for p.pendingBytes >= txMaxPending && !p.closed && !p.down {
-			p.sendable.Wait()
-		}
-		if refused, err := p.refuseLocked(fr); refused {
-			p.mu.Unlock()
-			return err
-		}
+	p.encBuf = wire.AppendFrame(p.encBuf[:0], fr)
+	err := m.flushLocked(p, p.encBuf, true)
+	m.flushNowLocked(p) // what was queued behind the write
+	if err != nil {
+		return fmt.Errorf("netfab: write to rank %d: %w", p.rank, err)
 	}
-	p.appendPendingLocked(fr)
-	if reply && p.pendingBytes > txMaxPending {
-		m.noteReplyQueued(uint64(p.pendingBytes - txMaxPending))
-	}
-	p.mu.Unlock()
-	ringDoorbell(p)
 	return nil
 }
 
-// writeNow makes a reply's bypass write without blocking: one nonblocking
-// write of buf, whose unwritten tail goes to the front of the pending
-// chunks (frames queued meanwhile stay behind it). Called with p.flushing
-// set by the caller and p.mu not held.
-func (m *Mesh) writeNow(p *peer, buf []byte) error {
-	n, err := p.nb.write(buf)
+// flushNowLocked writes p's queue without parking: one nonblocking writev,
+// with what the socket does not take handed to the writer goroutine. It
+// leaves the queue to the rx goroutine while that holds it for its next
+// read, and to a flush already holding the conn. Caller holds p.mu;
+// flushNowLocked releases it.
+func (m *Mesh) flushNowLocked(p *peer) {
+	if !p.holding && p.flushableLocked() {
+		m.flushLocked(p, nil, false) // a failure marks the stream down
+	}
+	ring := !p.holding && p.flushableLocked()
+	p.mu.Unlock()
+	if ring {
+		ringDoorbell(p)
+	}
+}
+
+// flushableLocked reports whether frames wait on a live stream that no
+// flush holds. Caller holds p.mu.
+func (p *peer) flushableLocked() bool {
+	return !p.flushing && p.pendingBytes > 0 && !p.closed && !p.down
+}
+
+// flushLocked claims the free conn and writes p's queue, then tail if
+// any, as one batch: blocking under the write deadline, or one nonblocking
+// writev (tail nil) that leaves queued what the socket does not take. A
+// failed write marks the stream down. Caller holds p.mu, released across
+// the write.
+func (m *Mesh) flushLocked(p *peer, tail []byte, block bool) error {
+	p.flushing = true
+	p.bufs = p.bufs[:0]
+	for _, c := range p.chunks {
+		p.bufs = append(p.bufs, c.buf[c.off:])
+	}
+	if tail != nil {
+		p.bufs = append(p.bufs, tail)
+	}
+	queued := p.pendingBytes
+	p.mu.Unlock()
+
+	var n int64
+	var err error
+	if block {
+		p.conn.SetWriteDeadline(time.Now().Add(m.cfg.WriteTimeout))
+		p.wbufs = p.bufs
+		n, err = p.wbufs.WriteTo(p.conn)
+	} else {
+		n, err = p.nb.writev(p.bufs)
+	}
+
+	p.mu.Lock()
+	p.flushing = false
+	p.sendable.Broadcast()
 	if err != nil {
-		m.writeFailed(p, err)
+		// The conn is finished: drop what it did not take. The failure is
+		// benign after our own close or the peer's goodbye.
+		p.retireLocked(queued)
+		if !p.closed && !p.bye && !m.closed.Load() {
+			p.mu.Unlock()
+			m.markDown(p, fmt.Errorf("netfab: write to rank %d: %w", p.rank, err))
+			p.mu.Lock()
+		}
 		return err
+	}
+	frames := p.retireLocked(min(int(n), queued))
+	if tail != nil && int(n) == queued+len(tail) {
+		frames++
 	}
 	if n > 0 {
 		m.bytesSent.Add(uint64(n))
+		m.framesSent.Add(uint64(frames))
 		m.txFlushes.Add(1)
+		m.txCoalesce[coalesceBucket(frames)].Add(1)
 	}
-	if n == len(buf) {
-		m.framesSent.Add(1)
-		return nil
+	return err
+}
+
+// retireLocked drops n written bytes from the front of the queue,
+// recycling the chunks they finished, and returns how many frames those
+// chunks held. Caller holds p.mu.
+func (p *peer) retireLocked(n int) (frames int) {
+	p.pendingBytes -= n
+	done := 0
+	for n > 0 {
+		c := p.chunks[done]
+		rest := len(c.buf) - c.off
+		if n < rest {
+			c.off += n // a partial write, or the chunk grew during it
+			break
+		}
+		n -= rest
+		frames += c.frames
+		p.recycleChunkLocked(c)
+		done++
 	}
-	p.mu.Lock()
-	c := p.newChunkLocked()
-	c.buf = append(c.buf, buf[n:]...)
-	c.frames = 1
-	p.chunks = append(p.chunks, nil)
-	copy(p.chunks[1:], p.chunks)
-	p.chunks[0] = c
-	p.pendingBytes += len(buf) - n
-	p.pendingFrames++
-	p.mu.Unlock()
-	return nil
+	p.chunks = slices.Delete(p.chunks, 0, done)
+	return frames
 }
 
 // noteReplyQueued raises the reply high-water mark to over, if higher.
@@ -834,7 +882,6 @@ func (p *peer) appendPendingLocked(fr *wire.Frame) {
 	c.buf = wire.AppendFrame(c.buf, fr)
 	c.frames++
 	p.pendingBytes += len(c.buf) - before
-	p.pendingFrames++
 }
 
 // newChunkLocked takes an empty chunk from the freelist or allocates one.
@@ -855,7 +902,7 @@ func (p *peer) recycleChunkLocked(c *txChunk) {
 		return
 	}
 	c.buf = c.buf[:0]
-	c.frames = 0
+	c.off, c.frames = 0, 0
 	p.free = append(p.free, c)
 }
 
@@ -868,54 +915,25 @@ func ringDoorbell(p *peer) {
 	}
 }
 
-// writeLoop is p's writer goroutine: woken by the doorbell, it claims the
-// entire pending chunk list and writes it as one net.Buffers batch — many
-// frames, one writev syscall.
+// writeLoop is p's writer goroutine: woken by the doorbell, it writes the
+// entire queue as one blocking batch — many frames, one writev syscall —
+// until it is empty, a write fails, or another flush owns the conn (which
+// hands on what it leaves).
 func (m *Mesh) writeLoop(p *peer) {
 	defer m.writersWG.Done()
-	var bufs net.Buffers
 	for {
-		m.drainPending(p, &bufs)
 		select {
 		case <-p.doorbell:
 		case <-m.quit:
 			return
 		}
-	}
-}
-
-// drainPending flushes p's queue until it is empty, an error marks the
-// stream down, or a bypass write owns the conn (its completion re-rings).
-func (m *Mesh) drainPending(p *peer, bufs *net.Buffers) {
-	for {
 		p.mu.Lock()
-		if p.flushing || p.pendingBytes == 0 || p.closed || p.down {
-			p.mu.Unlock()
-			return
+		for p.flushableLocked() {
+			if m.flushLocked(p, nil, true) != nil {
+				break
+			}
 		}
-		p.flushing = true
-		chunks := p.chunks
-		p.chunks = nil
-		frames, bytes := p.pendingFrames, p.pendingBytes
-		p.pendingFrames, p.pendingBytes = 0, 0
 		p.mu.Unlock()
-
-		*bufs = (*bufs)[:0]
-		for _, c := range chunks {
-			*bufs = append(*bufs, c.buf)
-		}
-		err := m.flushConn(p, *bufs, frames, bytes)
-
-		p.mu.Lock()
-		p.flushing = false
-		for _, c := range chunks {
-			p.recycleChunkLocked(c)
-		}
-		p.sendable.Broadcast()
-		p.mu.Unlock()
-		if err != nil {
-			return // flushConn already marked the stream down
-		}
 	}
 }
 
@@ -930,7 +948,8 @@ func (m *Mesh) SuppressHeartbeat() { m.suppress.Store(true) }
 // frame, so the peer's detector never mistakes an idle job for a hung one.
 // The frame goes through the queue to the peer's writer goroutine — this
 // loop never blocks on a socket, so one stuck peer cannot silence the
-// beats to the others. While traffic flows no Beat is sent at all.
+// beats to the others. While traffic flows no Beat is sent at all. Replies
+// held that long (delivery stuck) go to the writer as the beat instead.
 func (m *Mesh) beatLoop() {
 	defer m.writersWG.Done()
 	t := time.NewTicker(m.hb.Interval)
@@ -950,9 +969,9 @@ func (m *Mesh) beatLoop() {
 				continue
 			}
 			p.mu.Lock()
-			quiet := !p.sent && !p.flushing && p.pendingBytes == 0 && !p.bye && !p.closed && !p.down
+			quiet := !p.sent && !p.flushing && !p.bye && !p.closed && !p.down
 			p.sent = false
-			if quiet {
+			if quiet && p.pendingBytes == 0 {
 				p.appendPendingLocked(fr)
 			}
 			p.mu.Unlock()
@@ -960,34 +979,6 @@ func (m *Mesh) beatLoop() {
 				ringDoorbell(p)
 			}
 		}
-	}
-}
-
-// flushConn writes one batch on p's conn under the write deadline,
-// updating stats on success and classifying the failure on error. bufs is
-// consumed (net.Buffers advances itself); the backing chunk buffers are
-// not modified.
-func (m *Mesh) flushConn(p *peer, bufs net.Buffers, frames, bytes int) error {
-	p.conn.SetWriteDeadline(time.Now().Add(m.cfg.WriteTimeout))
-	_, err := bufs.WriteTo(p.conn)
-	if err == nil {
-		m.framesSent.Add(uint64(frames))
-		m.bytesSent.Add(uint64(bytes))
-		m.txFlushes.Add(1)
-		return nil
-	}
-	m.writeFailed(p, err)
-	return err
-}
-
-// writeFailed classifies a failed write on p's conn: after our own close
-// or the peer's goodbye it is benign, otherwise the stream is down.
-func (m *Mesh) writeFailed(p *peer, err error) {
-	p.mu.Lock()
-	benign := p.closed || p.bye
-	p.mu.Unlock()
-	if !benign && !m.closed.Load() {
-		m.markDown(p, fmt.Errorf("netfab: write to rank %d: %w", p.rank, err))
 	}
 }
 
@@ -1114,6 +1105,7 @@ func (m *Mesh) ReadStats() Stats {
 		ReplyQueuedHighWater: m.replyHighWater.Load(),
 	}
 	for i := range m.rxCoalesce {
+		st.TxCoalesce[i] = m.txCoalesce[i].Load()
 		st.RxCoalesce[i] = m.rxCoalesce[i].Load()
 	}
 	return st

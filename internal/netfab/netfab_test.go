@@ -42,6 +42,18 @@ func tcpMeshes(tb testing.TB, n int) []*Mesh {
 	return meshes
 }
 
+// closeAll closes meshes gracefully and concurrently: each graceful Close
+// waits for its peers' goodbyes, which one after another means waiting out
+// the deadline.
+func closeAll(meshes []*Mesh) {
+	var wg sync.WaitGroup
+	for _, m := range meshes {
+		wg.Add(1)
+		go func() { defer wg.Done(); m.Close(true) }()
+	}
+	wg.Wait()
+}
+
 // Bootstrap a 3-rank mesh over localhost TCP, exchange frames every
 // direction, and shut down cleanly: no peerDown may fire.
 func TestBootstrapAndExchange(t *testing.T) {

@@ -19,6 +19,7 @@ import (
 	"sync"
 	"syscall"
 	"time"
+	"unsafe"
 )
 
 type poller struct {
@@ -73,7 +74,7 @@ func (pl *poller) add(p *peer) bool {
 	}); err != nil || ctlErr != nil {
 		return false
 	}
-	pl.streams[fd] = newRxStream(p, &fdReader{raw: raw})
+	pl.streams[fd] = newRxStream(p, fdReader(fd))
 	return true
 }
 
@@ -204,49 +205,41 @@ func (m *Mesh) checkStalls(pl *poller, now time.Time) {
 // fdReader reads a socket without ever blocking the calling goroutine:
 // EAGAIN surfaces as errWouldBlock instead of parking in the runtime's
 // netpoller, which is the property that lets one goroutine multiplex
-// every stream.
-type fdReader struct {
-	raw syscall.RawConn
-}
+// every stream. It reads the raw fd number, allocating nothing: only the
+// poll loop reads, and stop returns before any registered conn closes.
+type fdReader int
 
-func (r *fdReader) Read(b []byte) (int, error) {
-	var n int
-	var serr error
-	err := r.raw.Read(func(fd uintptr) bool {
-		for {
-			n, serr = syscall.Read(int(fd), b)
-			if serr != syscall.EINTR {
-				// true: never wait in the runtime poller; our epoll set
-				// decides when to try again.
-				return true
-			}
+func (fd fdReader) Read(b []byte) (int, error) {
+	for {
+		n, err := syscall.Read(int(fd), b)
+		switch {
+		case err == syscall.EINTR:
+			continue
+		case err == syscall.EAGAIN:
+			return 0, errWouldBlock
+		case err != nil:
+			return 0, err
+		case n == 0:
+			return 0, io.EOF
 		}
-	})
-	if err != nil {
-		return 0, err
+		return n, nil
 	}
-	switch {
-	case serr == syscall.EAGAIN:
-		return 0, errWouldBlock
-	case serr != nil:
-		return 0, serr
-	case n == 0:
-		return 0, io.EOF
-	}
-	return n, nil
 }
 
 // nbWriter makes nonblocking writes on a socket's fd: EAGAIN means the
 // kernel took nothing, never a wait in the runtime's netpoller. The write
-// callback is built once per stream, so a reply's write allocates nothing.
-// Only the goroutine holding the stream's flushing flag writes.
+// callback and iovec array are built once per stream, so a write allocates
+// nothing. Only the goroutine holding the stream's flushing flag writes.
 type nbWriter struct {
 	raw syscall.RawConn // nil: no pollable fd (in-memory pipe)
-	buf []byte
-	n   int
-	err error
+	iov []syscall.Iovec
+	n   int64
+	err syscall.Errno
 	fn  func(fd uintptr) bool
 }
+
+// maxIOV is the most buffers one writev takes (the kernel's IOV_MAX).
+const maxIOV = 1024
 
 func (w *nbWriter) init(conn net.Conn) {
 	sc, ok := conn.(syscall.Conn)
@@ -260,30 +253,36 @@ func (w *nbWriter) init(conn net.Conn) {
 	w.raw = raw
 	w.fn = func(fd uintptr) bool {
 		for {
-			w.n, w.err = syscall.Write(int(fd), w.buf)
-			if w.err != syscall.EINTR {
+			n, _, e := syscall.Syscall(syscall.SYS_WRITEV, fd, uintptr(unsafe.Pointer(&w.iov[0])), uintptr(len(w.iov)))
+			if e != syscall.EINTR {
+				w.n, w.err = int64(n), e
 				return true // never wait in the runtime poller
 			}
 		}
 	}
 }
 
-// write makes one nonblocking write of b and reports how many bytes the
-// socket took: 0 and no error when its send buffer is full, or when the
-// stream has no fd to write to this way (its writer goroutine takes it).
-func (w *nbWriter) write(b []byte) (int, error) {
+// writev makes one nonblocking writev of bufs (at least one, none empty)
+// and reports how many bytes the socket took: 0 and no error when its
+// send buffer is full, or when the stream has no fd to write to this way
+// (its writer goroutine takes it).
+func (w *nbWriter) writev(bufs [][]byte) (int64, error) {
 	if w.raw == nil {
 		return 0, nil
 	}
-	w.buf = b
+	for _, b := range bufs[:min(len(bufs), maxIOV)] {
+		w.iov = append(w.iov, syscall.Iovec{Base: &b[0]})
+		w.iov[len(w.iov)-1].SetLen(len(b))
+	}
 	err := w.raw.Write(w.fn)
-	w.buf = nil
+	clear(w.iov) // keep no chunk reachable
+	w.iov = w.iov[:0]
 	switch {
 	case err != nil:
 		return 0, err
 	case w.err == syscall.EAGAIN:
 		return 0, nil
-	case w.err != nil:
+	case w.err != 0:
 		return 0, w.err
 	}
 	return w.n, nil

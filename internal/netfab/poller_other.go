@@ -4,8 +4,8 @@ package netfab
 
 // No kernel poller on this platform: newPoller reports none and every
 // stream takes a fallback reader goroutine driving the state machine in
-// rx.go — same behavior, O(P) idle goroutines. Nor a nonblocking write: a
-// reply is always queued for the stream's writer goroutine.
+// rx.go — same behavior, O(P) idle goroutines. Nor a nonblocking write:
+// the rx goroutine's flushes hand every queue to the writer goroutine.
 
 import "net"
 
@@ -19,5 +19,5 @@ func (pl *poller) stop(m *Mesh)     {}
 
 type nbWriter struct{}
 
-func (w *nbWriter) init(conn net.Conn)          {}
-func (w *nbWriter) write(b []byte) (int, error) { return 0, nil }
+func (w *nbWriter) init(conn net.Conn)                  {}
+func (w *nbWriter) writev(bufs [][]byte) (int64, error) { return 0, nil }

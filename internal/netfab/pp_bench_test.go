@@ -11,8 +11,10 @@ import (
 
 func benchPingPong(b *testing.B, size int) {
 	meshes := tcpMeshes(b, 2)
-	defer meshes[0].Close(true)
-	defer meshes[1].Close(true)
+	defer func() {
+		b.StopTimer() // teardown is not a round trip
+		closeAll(meshes)
+	}()
 
 	got := [2]chan struct{}{make(chan struct{}, 1), make(chan struct{}, 1)}
 	for r := 0; r < 2; r++ {

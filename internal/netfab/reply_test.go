@@ -90,3 +90,172 @@ func TestSendReplyToStalledPeerQueues(t *testing.T) {
 		}
 	}
 }
+
+// TestRepliesBatchPerRead is one write per read: rank 1's reader parks
+// inside the first frame of a burst while the rest piles up in its socket,
+// then answers every frame with one SendReply. The replies to what one
+// buffer held must leave together — at most one write per four replies —
+// and arrive in order.
+func TestRepliesBatchPerRead(t *testing.T) {
+	const frames = 256
+	meshes := tcpMeshes(t, 2)
+	for _, m := range meshes {
+		m.hb.Interval = time.Hour // no Beat frames: TxFlushes counts replies only
+	}
+	defer closeAll(meshes)
+	parked, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	resume := func() { once.Do(func() { close(release) }) }
+	defer resume() // runs before closeAll: Close waits for the reader
+
+	peerDown := func(rank int, err error) { t.Errorf("peerDown(%d): %v", rank, err) }
+	meshes[1].Start(func(from int, fr *wire.Frame) {
+		if fr.OpID == 0 {
+			close(parked)
+			<-release
+		}
+		ack := wire.Frame{Kind: wire.KindAck, Origin: 1, Target: 0, OpID: fr.OpID}
+		if err := meshes[1].SendReply(0, &ack); err != nil {
+			t.Error(err)
+		}
+	}, peerDown)
+	got := make(chan uint64, frames)
+	meshes[0].Start(func(from int, fr *wire.Frame) { got <- fr.OpID }, peerDown)
+
+	before := meshes[1].ReadStats().TxFlushes
+	put := &wire.Frame{Kind: wire.KindPut, Origin: 0, Target: 1, Data: make([]byte, 64)}
+	for i := 0; i < frames; i++ {
+		put.OpID = uint64(i)
+		if err := meshes[0].Send(1, put); err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			<-parked
+		}
+	}
+	resume()
+	for i := 0; i < frames; i++ {
+		select {
+		case id := <-got:
+			if id != uint64(i) {
+				t.Fatalf("reply %d arrived in position %d", id, i)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("only %d of %d replies arrived", i, frames)
+		}
+	}
+	if n := meshes[1].ReadStats().TxFlushes - before; n > frames/4 {
+		t.Errorf("%d replies took %d writes, want at most %d: replies are not batched per read", frames, n, frames/4)
+	}
+}
+
+// TestHeldReplyPrecedesLaterSend is per-pair FIFO across the hold: rank 1's
+// reader makes two replies and, still inside delivery so both are held,
+// has another goroutine Send a third frame. That Send finds the conn free
+// and takes the held replies along: rank 0 must see them first, and all
+// three must leave in one write.
+func TestHeldReplyPrecedesLaterSend(t *testing.T) {
+	meshes := tcpMeshes(t, 2)
+	for _, m := range meshes {
+		m.hb.Interval = time.Hour // no Beat frames: TxFlushes counts these three only
+	}
+	defer closeAll(meshes)
+
+	peerDown := func(rank int, err error) { t.Errorf("peerDown(%d): %v", rank, err) }
+	got := make(chan uint64, 3)
+	meshes[0].Start(func(from int, fr *wire.Frame) { got <- fr.OpID }, peerDown)
+	delivered := make(chan struct{})
+	meshes[1].Start(func(from int, fr *wire.Frame) {
+		defer close(delivered)
+		for id := uint64(1); id <= 2; id++ {
+			reply := wire.Frame{Kind: wire.KindAck, Origin: 1, Target: 0, OpID: id}
+			if err := meshes[1].SendReply(0, &reply); err != nil {
+				t.Error(err)
+			}
+		}
+		sent := make(chan error)
+		go func() {
+			sent <- meshes[1].Send(0, &wire.Frame{Kind: wire.KindPut, Origin: 1, Target: 0, OpID: 3})
+		}()
+		if err := <-sent; err != nil {
+			t.Error(err)
+		}
+	}, peerDown)
+
+	before := meshes[1].ReadStats()
+	if err := meshes[0].Send(1, &wire.Frame{Kind: wire.KindPut, Origin: 0, Target: 1}); err != nil {
+		t.Fatal(err)
+	}
+	for want := uint64(1); want <= 3; want++ {
+		select {
+		case id := <-got:
+			if id != want {
+				t.Fatalf("frame %d arrived in position %d", id, want)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("frame %d never arrived", want)
+		}
+	}
+	<-delivered // the Send returned: its write is counted
+	after := meshes[1].ReadStats()
+	if n := after.TxFlushes - before.TxFlushes; n != 1 {
+		t.Errorf("two held replies and a Send took %d writes, want 1 (the Send's, replies riding along)", n)
+	}
+	if n := after.TxCoalesce[2] - before.TxCoalesce[2]; n != 1 {
+		t.Errorf("TxCoalesce[2-4 frames] grew by %d, want 1 write of three frames; histogram %v", n, after.TxCoalesce)
+	}
+}
+
+// TestReplyPathZeroAlloc prices the held-reply path in allocations: a
+// round holds one reply that rides along with a rank Send, and one that
+// the reader's own flush writes. Neither may allocate, on either rank
+// (AllocsPerRun counts process-wide mallocs).
+func TestReplyPathZeroAlloc(t *testing.T) {
+	meshes := tcpMeshes(t, 2)
+	for _, m := range meshes {
+		m.hb.Interval = time.Hour
+	}
+	defer closeAll(meshes)
+
+	peerDown := func(rank int, err error) { t.Errorf("peerDown(%d): %v", rank, err) }
+	held, resume := make(chan struct{}, 1), make(chan struct{}, 1)
+	arrived := make(chan struct{}, 3)
+	ack := wire.Frame{Kind: wire.KindAck, Origin: 1, Target: 0}
+	meshes[1].Start(func(from int, fr *wire.Frame) {
+		if err := meshes[1].SendReply(0, &ack); err != nil {
+			t.Error(err)
+		}
+		if fr.OpID == 1 { // hold the reply until the rank has sent
+			held <- struct{}{}
+			<-resume
+		}
+	}, peerDown)
+	meshes[0].Start(func(int, *wire.Frame) { arrived <- struct{}{} }, peerDown)
+
+	put := wire.Frame{Kind: wire.KindPut, Origin: 0, Target: 1, Data: make([]byte, 64)}
+	back := wire.Frame{Kind: wire.KindPut, Origin: 1, Target: 0, Data: make([]byte, 64)}
+	round := func() {
+		put.OpID = 1
+		if err := meshes[0].Send(1, &put); err != nil {
+			t.Fatal(err)
+		}
+		<-held
+		if err := meshes[1].Send(0, &back); err != nil { // the held reply rides along
+			t.Fatal(err)
+		}
+		resume <- struct{}{}
+		<-arrived
+		<-arrived
+		put.OpID = 2 // this reply goes out with the reader's flush
+		if err := meshes[0].Send(1, &put); err != nil {
+			t.Fatal(err)
+		}
+		<-arrived
+	}
+	for i := 0; i < 50; i++ {
+		round()
+	}
+	if avg := testing.AllocsPerRun(200, round); avg != 0 {
+		t.Errorf("held reply + flush + ride-along Send: %.2f allocs per round of 5 frames, want 0", avg)
+	}
+}

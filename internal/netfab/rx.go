@@ -80,10 +80,18 @@ func (m *Mesh) pump(s *rxStream) error {
 			return fmt.Errorf("netfab: bad frame from rank %d: %w", p.rank, err)
 		}
 		if body == nil {
+			// The buffer is spent: the replies its frames made leave
+			// together, before the next read (see peer.holding).
+			p.mu.Lock()
+			p.holding = false
+			m.flushNowLocked(p)
 			n, err := s.fram.Fill(s.r)
 			if err != nil {
 				return err // errWouldBlock: sinceRead carries to the resume
 			}
+			p.mu.Lock()
+			p.holding = true
+			p.mu.Unlock()
 			s.rxBytes += uint64(n)
 			m.rxReads.Add(1)
 			m.rxCoalesce[coalesceBucket(s.sinceRead)].Add(1)
