@@ -21,32 +21,15 @@ func main() {
 	list := flag.Bool("list", false, "list available experiments")
 	format := flag.String("format", "text", "output format: text, markdown, csv")
 	quick := flag.Bool("quick", false, "shrink wall-clock experiments to a fast smoke pass (CI)")
-	transport := flag.String("transport", "sim", "engine for the ping-pong microbenchmark: sim (modeled LogGP time) or tcp (real sockets, wall-clock percentiles)")
 	jsonDir := flag.String("json", "", "directory to write BENCH_<name>.json machine-readable metrics into (one file per experiment that reports metrics)")
-	p99max := flag.Float64("p99max", 0, "regression floor: exit 1 if the tcppp single-frame (8B) p99 exceeds this many microseconds (0 disables)")
 	kvp99max := flag.Float64("kvp99max", 0, "regression floor: exit 1 if the kvload TCP p99 exceeds this many microseconds (0 disables)")
 	recoverymax := flag.Float64("recoverymax", 0, "regression ceiling: exit 1 if the recovery experiment's end-to-end outage exceeds this many milliseconds (0 disables)")
 	flag.Parse()
 	outputFormat = *format
 	bench.Quick = *quick
 	jsonOut = *jsonDir
-	p99Floor = *p99max
 	kvP99Floor = *kvp99max
 	recoveryCeil = *recoverymax
-
-	switch *transport {
-	case "sim":
-	case "tcp":
-		// The TCP engine measures the wall clock, so the sweep lives in its
-		// own experiment; -transport tcp selects it when no explicit
-		// -experiment asks otherwise.
-		if *experiment == "" && !*all && !*list {
-			*experiment = "tcppp"
-		}
-	default:
-		fmt.Fprintf(os.Stderr, "unknown transport %q (want sim or tcp)\n", *transport)
-		os.Exit(2)
-	}
 
 	switch {
 	case *list:
@@ -82,7 +65,6 @@ func main() {
 var (
 	outputFormat   = "text"
 	jsonOut        string
-	p99Floor       float64
 	kvP99Floor     float64
 	recoveryCeil   float64
 	floorViolation string
@@ -145,13 +127,6 @@ func run(e bench.Experiment) {
 		if err := writeJSON(t); err != nil {
 			fmt.Fprintf(os.Stderr, "naperf: writing %s metrics: %v\n", t.Name, err)
 			os.Exit(1)
-		}
-	}
-	if p99Floor > 0 && t.Name == "tcppp" {
-		if p99, ok := t.Metrics["p99_8"]; ok && p99 > p99Floor {
-			floorViolation = fmt.Sprintf(
-				"naperf: tcppp 8B p99 = %.3f us exceeds the pinned floor of %.3f us",
-				p99, p99Floor)
 		}
 	}
 	if kvP99Floor > 0 && t.Name == "kvload" {

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	grt "runtime"
 	"sync"
 	"time"
 
@@ -63,8 +62,8 @@ func msgMatchPoll(k int) (perOp float64, highWater int) {
 		for i := 0; i < k; i++ {
 			nic.PostMsg(p, 0, msgMatchCold, fabric.MsgHdr{}, nil, false)
 		}
-		for nic.MsgDepth() < k {
-			grt.Gosched() // self-sends deliver on the rx worker
+		if d := nic.MsgDepth(); d != k { // a self-send commits before PostMsg returns
+			panic(fmt.Sprintf("msgmatch: %d cold messages queued, want %d", d, k))
 		}
 		t0 := time.Now()
 		for i := 0; i < iters; i++ {
@@ -101,15 +100,12 @@ func msgMatchWake(k int) float64 {
 		}
 		t0 := time.Now()
 		for i := 0; i < iters; i++ {
+			// The self-send commits before PostMsg returns, so the poll
+			// finds it: the measurement is the delivery-side cost (who gets
+			// woken per arrival), not this consumer's own parking latency.
 			nic.PostMsg(p, 0, msgMatchHot, fabric.MsgHdr{}, nil, false)
-			// Busy-poll the hot class so the measurement captures the
-			// delivery-side cost (who gets woken per arrival), not this
-			// consumer's own parking latency.
-			for {
-				if _, ok := nic.PollMsgClass(msgMatchHot); ok {
-					break
-				}
-				grt.Gosched()
+			if _, ok := nic.PollMsgClass(msgMatchHot); !ok {
+				panic("msgmatch: hot self-send not queued on return")
 			}
 		}
 		perOp = float64(time.Since(t0).Nanoseconds()) / iters

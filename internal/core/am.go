@@ -34,7 +34,8 @@ import (
 //     notifications may run concurrently and complete out of order.
 //   - Back-pressure is a bounded per-rank queue: when it is full the
 //     notification is shed and counted in AMClassStats.Dropped (Deliver
-//     runs in kernel/receive-worker context and must never block).
+//     runs in kernel context or on the delivering goroutine and must
+//     never block).
 //     Services that cannot tolerate sheds bound their in-flight request
 //     count below the queue capacity (see internal/kv's credit window).
 //   - A handler panic is isolated: it is recovered, counted in
@@ -67,10 +68,6 @@ type AMConfig struct {
 	// notification arriving with the queue full is shed and counted as
 	// Dropped.
 	Queue int
-	// PlantRedeliverNth is a test-only defect knob: the Nth matched
-	// notification (1-based) is dispatched twice, breaking exactly-once.
-	// The internal/check AM model proves the checker catches it.
-	PlantRedeliverNth int
 }
 
 const (
@@ -172,8 +169,13 @@ type amEngine struct {
 	retired map[int]AMClassStats
 
 	// matched counts every notification routed to the AM layer (feeds the
-	// PlantRedeliverNth defect knob).
+	// planted redelivery defect).
 	matched uint64
+
+	// plantRedeliverNth, when > 0, dispatches the Nth matched notification
+	// (1-based) twice, breaking exactly-once. Test-only: armed solely by
+	// SetAMPlantRedeliverNth so the checker can prove it catches the defect.
+	plantRedeliverNth int
 
 	// enqueued/completed meter dispatch progress for FlushAM: a dispatch
 	// is enqueued when pushed and completed when its handler returned (or
@@ -358,7 +360,7 @@ func (s *naState) amDispatchLocked(cqe fabric.CQE, src, tag int) bool {
 	}
 	e.matched++
 	n := 1
-	if e.cfg.PlantRedeliverNth > 0 && e.matched == uint64(e.cfg.PlantRedeliverNth) {
+	if e.plantRedeliverNth > 0 && e.matched == uint64(e.plantRedeliverNth) {
 		n = 2
 	}
 	for i := 0; i < n; i++ {
@@ -565,7 +567,7 @@ func AMStats(p *runtime.Proc) map[int]AMClassStats {
 func SetAMPlantRedeliverNth(p *runtime.Proc, nth int) {
 	s := state(p)
 	s.mu.Lock()
-	s.amEngineLocked(AMConfig{}).cfg.PlantRedeliverNth = nth
+	s.amEngineLocked(AMConfig{}).plantRedeliverNth = nth
 	s.mu.Unlock()
 }
 

@@ -142,8 +142,10 @@ func (s *naState) WindowFreed(userRegionID int) {
 
 // Deliver implements fabric.NotifySink: the NIC hands over one destination
 // CQE at delivery time. Under Sim this runs in kernel context at the
-// packet's arrival time; under Real on the receive worker goroutine. It
-// must not block beyond the mutex.
+// packet's arrival time; under the wall-clock engines on the goroutine
+// that sent the packet (in-process) or read its frame (link), which is
+// why no layer may post to a NIC while holding s.mu. It must not block
+// beyond the mutex.
 func (s *naState) Deliver(cqe fabric.CQE) {
 	s.mu.Lock()
 	s.ingestLocked(cqe)

@@ -543,16 +543,8 @@ func (e *RealEnv) checkAbort() {
 }
 
 // Aborted returns a channel closed when the run is aborted. Helper
-// goroutines (e.g. NIC receive workers) should select on it.
+// goroutines (e.g. active-message workers) should select on it.
 func (e *RealEnv) Aborted() <-chan struct{} { return e.abort }
-
-// AbortUnwind unwinds the calling goroutine with the engine's abort
-// sentinel. Guard paths that observe Aborted() while blocked mid-protocol
-// (e.g. a transmit into a full receive lane of a dead consumer) call it so
-// the rank tears down through the spawn wrapper's recover instead of
-// wedging; helper goroutines that call it must treat the panic as benign
-// (see IsAbortPanic).
-func (e *RealEnv) AbortUnwind() { panic(procAbort{}) }
 
 // IsAbortPanic reports whether a recovered panic value is the engine's
 // internal abort sentinel, letting helper goroutines distinguish a benign
@@ -562,9 +554,9 @@ func IsAbortPanic(r any) bool {
 	return ok
 }
 
-// Fail aborts the run with err, waking all parked ranks. Helper goroutines
-// use it to surface asynchronous failures (e.g. a delivery-time panic in a
-// NIC receive worker).
+// Fail aborts the run with err, waking all parked ranks. It surfaces
+// failures that must not unwind the goroutine they happen on (e.g. a
+// delivery-time panic, caught on the sender's or link reader's goroutine).
 func (e *RealEnv) Fail(err error) { e.setErr(err) }
 
 // Run spawns n ranks executing body and waits for all of them.
@@ -652,9 +644,9 @@ func (g *realGate) Broadcast() {
 func (e *RealEnv) realEnv() *RealEnv { return e }
 
 // RealOf returns the wall-clock engine backing env, or nil when env is the
-// Sim engine. It sees through DistEnv, which embeds a RealEnv; fabric code
-// that needs abort channels or receive workers uses this instead of a
-// concrete type assertion.
+// Sim engine. It sees through DistEnv, which embeds a RealEnv; code that
+// needs the abort channel or Fail uses this instead of a concrete type
+// assertion.
 func RealOf(env Env) *RealEnv {
 	if re, ok := env.(interface{ realEnv() *RealEnv }); ok {
 		return re.realEnv()

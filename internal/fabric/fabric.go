@@ -16,8 +16,11 @@
 // The fabric runs under either execution engine (see internal/exec). Under
 // Sim, every packet is a discrete event whose arrival time follows the LogGP
 // model (internal/loggp) with per-(origin,target) FIFO ordering — latencies
-// in figures emerge from these events. Under Real, packets flow through
-// per-NIC receive workers over channels; no artificial delays are added.
+// in figures emerge from these events. Under the wall-clock engines there
+// is one delivery rule and no artificial delay: a packet commits on the
+// goroutine that sent it (in-process, as an XPMEM origin stores into the
+// target's window itself) or on the goroutine that read its frame off a
+// link. The fabric starts no goroutine of its own.
 package fabric
 
 import (
@@ -243,11 +246,6 @@ func New(env exec.Env, cfg Config) *Fabric {
 		f.nics[r] = newNIC(f, r)
 	}
 	f.startReliability()
-	if env.Mode().Wallclock() {
-		for _, n := range f.nics {
-			n.startRxWorkers()
-		}
-	}
 	return f
 }
 
@@ -357,40 +355,22 @@ func (f *Fabric) transmit(pkt *packet) {
 
 // dispatch puts one transmission attempt on the wire. Under Sim it
 // schedules a delivery event at the FIFO-adjusted LogGP arrival time;
-// under Real it enqueues on the target NIC's per-origin receive lane,
-// unwinding the sending proc if the run aborts while the lane is full (a
-// dead consumer must not wedge the producer forever). faultDelay > 0 is
-// an injected reordering hold: the attempt lands that much later and —
-// deliberately — bypasses the Sim pair-FIFO clamp, so later traffic of
-// the same pair overtakes it.
+// under the wall-clock engines it hands the attempt over at once (sendNow).
+// faultDelay > 0 is an injected reordering hold: the attempt lands that
+// much later and — deliberately — bypasses the Sim pair-FIFO clamp, so
+// later traffic of the same pair overtakes it.
 func (f *Fabric) dispatch(pkt *packet, faultDelay int64) {
-	if f.link != nil && pkt.target != f.self {
-		// Distributed fabric: the target NIC lives in another OS process.
-		// An injected reorder hold delays the attempt before it reaches
-		// the socket, exactly as it would delay a lane push.
-		if faultDelay > 0 {
-			f.env.Schedule(simtime.Duration(faultDelay), exec.PrioDelivery, func() {
-				f.netSend(pkt)
-			})
-			return
-		}
-		f.netSend(pkt)
-		return
-	}
-	dst := f.nics[pkt.target]
 	if f.env.Mode().Wallclock() {
 		if faultDelay > 0 {
 			f.env.Schedule(simtime.Duration(faultDelay), exec.PrioDelivery, func() {
-				f.lanePush(dst, pkt, false)
+				f.sendNow(pkt)
 			})
 			return
 		}
-		// Only rank-context sends on the lossless path unwind on abort;
-		// reliability-layer attempts may come from timer goroutines where
-		// an unwind panic has no recover frame.
-		f.lanePush(dst, pkt, f.rel == nil)
+		f.sendNow(pkt)
 		return
 	}
+	dst := f.nics[pkt.target]
 	wire := f.wireTime(pkt.origin, pkt.target, pkt.wireSize, pkt.inlineEligible)
 	now := f.env.Now()
 	arrive := now.Add(wire + simtime.Duration(pkt.extraDelay))
@@ -418,35 +398,16 @@ func (f *Fabric) dispatch(pkt *packet, faultDelay int64) {
 	exec.ScheduleLane(f.env, arrive.Sub(now), exec.PrioDelivery, lane, func() { dst.deliver(pkt) })
 }
 
-// lanePush enqueues pkt on the target's per-origin receive lane (Real
-// engine). Packets racing a closed NIC, a full lane at abort, or a full
-// lane at close are discarded with their owned buffers recycled.
-func (f *Fabric) lanePush(dst *NIC, pkt *packet, unwindOnAbort bool) {
-	if dst.closed.Load() {
-		f.discardPacket(pkt)
+// sendNow hands one wall-clock transmission attempt over: to the link when
+// the target lives in another process, otherwise to the target NIC, which
+// commits it on this goroutine — the one delivery rule of the wall-clock
+// engines (a link's reader follows it too, in ingestFrame).
+func (f *Fabric) sendNow(pkt *packet) {
+	if f.link != nil && pkt.target != f.self {
+		f.netSend(pkt)
 		return
 	}
-	ch := dst.rx[pkt.origin]
-	select {
-	case ch <- pkt:
-		return
-	default:
-	}
-	re := exec.RealOf(f.env)
-	if re == nil {
-		ch <- pkt
-		return
-	}
-	select {
-	case ch <- pkt:
-	case <-re.Aborted():
-		f.discardPacket(pkt)
-		if unwindOnAbort {
-			re.AbortUnwind()
-		}
-	case <-dst.quit:
-		f.discardPacket(pkt)
-	}
+	f.nics[pkt.target].deliverGuarded(pkt)
 }
 
 // discardPacket disposes of a packet that will never be delivered,

@@ -8,6 +8,8 @@ package fabric
 // → packet → committed on the link's rx goroutine before rx returns). No
 // receive lane sits between the bytes and the commit: the reader is the
 // target NIC, as in the paper, and per-pair FIFO is the stream's own order.
+// A self-targeted packet never reaches the link: like every packet of the
+// in-process Real engine it commits on the goroutine that sent it.
 //
 // The one rule that makes inline delivery safe: a send issued from delivery
 // never parks. Acks, get responses and notify-back notes are produced on
@@ -101,7 +103,6 @@ func NewDistributed(env exec.Env, cfg Config, link Link) *Fabric {
 	}
 	f.nics[f.self] = newNIC(f, f.self)
 	f.startReliability()
-	f.nics[f.self].startRxWorkers()
 	link.Start(f.ingestFrame, f.netPeerDown)
 	return f
 }
@@ -274,12 +275,7 @@ func (f *Fabric) ingestFrame(_ int, fr *wire.Frame) {
 	if pkt.rel && len(pkt.data) > 0 {
 		pkt.data, pkt.pooled = f.pool.clone(pkt.data), true
 	}
-	dst := f.nics[f.self]
-	if dst.closed.Load() {
-		f.discardPacket(pkt)
-		return
-	}
-	dst.deliverGuarded(exec.RealOf(f.env), pkt)
+	f.nics[f.self].deliverGuarded(pkt)
 }
 
 // netPeerDown maps the link's verdict on a peer (RST, EOF without goodbye,

@@ -66,11 +66,12 @@ type CQE struct {
 // NotifySink receives destination notifications for one registered region
 // at delivery time, instead of the region's consumer draining the shared
 // destination CQ. A sink's Deliver is invoked outside the NIC lock: under
-// Sim in kernel context at the packet's arrival time, under Real on a
-// receive worker goroutine or a link's rx goroutine — it must not block in
-// any case. Under the wall-clock engines deliveries from different origins
-// may run on different goroutines, so Deliver must be safe for concurrent
-// calls.
+// Sim in kernel context at the packet's arrival time, under the wall-clock
+// engines on the goroutine that sent the packet (in-process) or read its
+// frame (link) — it must not block in any case. Deliveries from different
+// senders run on different goroutines, so Deliver must be safe for
+// concurrent calls, and no sender may post to a NIC while holding a lock
+// that Deliver takes.
 type NotifySink interface {
 	Deliver(cqe CQE)
 }
@@ -349,12 +350,6 @@ type msgWaiter struct {
 	classes []int
 }
 
-// rxQueueDepth is the per-origin receive queue capacity under the
-// in-process Real engine (per-origin lanes preserve the per-(origin,target)
-// FIFO the protocols rely on while letting different origins deliver
-// concurrently).
-const rxQueueDepth = 1024
-
 // opFreeCap bounds the NIC's recycled-op freelist.
 const opFreeCap = 1024
 
@@ -404,30 +399,17 @@ type NIC struct {
 	destHighWater int
 	ring          shmRing // intra-node notification ring (paper §IV-C)
 
-	// rx holds one inbound lane per origin rank (in-process Real engine,
-	// where the sending rank goroutine must not run the target's commit):
-	// lane i carries packets whose origin is rank i, drained by a
-	// dedicated worker. Per-pair FIFO survives; different origins deliver
-	// in parallel against the sharded data plane. A distributed fabric has
-	// only the self lane (self-targeted packets); link frames are
-	// delivered on the link's rx goroutine and never enter a lane.
+	// closed is set by Close; a packet that reaches a closed NIC is
+	// discarded instead of committed.
 	//
-	// Checker-audit note: rx, quit, rxWG and the realGate internals are the
-	// only blocking primitives in this package that bypass exec.Gate, and
-	// all of them are dead under the Sim engine (rx is nil, workers are
-	// never spawned, lanePush takes the Schedule path). Every Sim-mode
-	// blocking edge — op await/flush, destination CQ waits, class-bucket
-	// message waits, reliability timers — parks through exec.Gate or
-	// Env.Schedule, so the interleaving checker (internal/check) observes
-	// the complete blocking/wake graph.
-	rx   []chan *packet
-	quit chan struct{}
-
-	// Close drain barrier: closed gates new lane pushes, rxWG tracks the
-	// receive workers so Close can wait for them to drain and exit.
-	closed    atomic.Bool
-	closeOnce sync.Once
-	rxWG      sync.WaitGroup
+	// Checker-audit note: delivery never parks — it runs on the goroutine
+	// that sent the packet (in-process) or read its frame (link) and takes
+	// only mutexes — so every blocking edge in this package (op
+	// await/flush, destination CQ waits, class-bucket message waits,
+	// reliability timers) goes through exec.Gate or Env.Schedule, and the
+	// interleaving checker (internal/check) observes the complete
+	// blocking/wake graph under Sim.
+	closed atomic.Bool
 
 	// Peer-failure state (the reliability layer, or a distributed fabric
 	// whose link detects dead peers; all nil/false elsewhere).
@@ -444,78 +426,28 @@ func newNIC(f *Fabric, rank int) *NIC {
 		f:           f,
 		rank:        rank,
 		outstanding: make([]int, f.cfg.Ranks),
-		quit:        make(chan struct{}),
 	}
 	n.destGate = f.env.NewGate(&n.mu)
 	n.opGate = f.env.NewGate(&n.mu)
-	if f.env.Mode().Wallclock() {
-		n.rx = make([]chan *packet, f.cfg.Ranks)
-		for i := range n.rx {
-			if f.link == nil || i == rank {
-				n.rx[i] = make(chan *packet, rxQueueDepth)
-			}
-		}
-	}
 	return n
 }
 
 // Rank returns the owning rank.
 func (n *NIC) Rank() int { return n.rank }
 
-// startRxWorkers launches one receive worker per origin lane (Real engine).
-// On shutdown each worker drains and discards whatever is still queued in
-// its lane before signalling the Close barrier, so pooled payloads stranded
-// in flight return to the pool instead of leaking.
-func (n *NIC) startRxWorkers() {
-	var abort <-chan struct{}
-	re := exec.RealOf(n.f.env)
-	if re != nil {
-		abort = re.Aborted()
+// deliverGuarded commits pkt on the calling goroutine — the sender's
+// (in-process) or the link reader's — unless the NIC is closed, in which
+// case the packet is discarded. A delivery-time panic (a bounds violation,
+// a failed peer surfacing from a sink) aborts the run with the panic as
+// its error instead of unwinding the sender or crashing the process.
+func (n *NIC) deliverGuarded(pkt *packet) {
+	if n.closed.Load() {
+		n.f.discardPacket(pkt)
+		return
 	}
-	for _, ch := range n.rx {
-		if ch == nil {
-			continue // distributed fabric: a remote origin's frames skip lanes
-		}
-		ch := ch
-		n.rxWG.Add(1)
-		go func() {
-			defer n.rxWG.Done()
-			for {
-				select {
-				case pkt := <-ch:
-					n.deliverGuarded(re, pkt)
-				case <-abort:
-					n.drainLane(ch)
-					return
-				case <-n.quit:
-					n.drainLane(ch)
-					return
-				}
-			}
-		}()
-	}
-}
-
-// drainLane discards everything queued in one receive lane at shutdown
-// (nil lanes hold nothing).
-func (n *NIC) drainLane(ch chan *packet) {
-	for ch != nil {
-		select {
-		case pkt := <-ch:
-			n.f.discardPacket(pkt)
-		default:
-			return
-		}
-	}
-}
-
-// deliverGuarded converts delivery-time panics into a run abort under the
-// Real engine instead of crashing the process. Abort-sentinel unwinds
-// (exec.RealEnv.AbortUnwind from a blocked transmit) pass through silently:
-// the run already holds its first error.
-func (n *NIC) deliverGuarded(re *exec.RealEnv, pkt *packet) {
 	defer func() {
-		if r := recover(); r != nil && !exec.IsAbortPanic(r) && re != nil {
+		if r := recover(); r != nil {
+			re := exec.RealOf(n.f.env)
 			if err, ok := r.(error); ok {
 				// %w so errors.Is(runErr, ErrPeerFailed) survives the
 				// panic-to-run-error conversion.
@@ -528,27 +460,15 @@ func (n *NIC) deliverGuarded(re *exec.RealEnv, pkt *packet) {
 	n.deliver(pkt)
 }
 
-// Close shuts down the NIC's receive workers (Real engine) and waits for
-// them to drain their lanes and exit: after Close returns no worker
-// touches NIC state, no packet sits undiscarded in a lane, and senders
-// racing the shutdown have their packets discarded rather than wedged (a
-// full lane's blocked sender is released by the quit channel).
-func (n *NIC) Close() {
-	n.closeOnce.Do(func() {
-		n.closed.Store(true)
-		close(n.quit)
-		n.rxWG.Wait()
-		// Workers are gone; sweep anything that raced past the closed
-		// check into a lane after its worker drained.
-		for _, ch := range n.rx {
-			n.drainLane(ch)
-		}
-	})
-}
+// Close makes the NIC discard every packet that reaches it from now on.
+// Deliveries already past the check finish on their own goroutines.
+// Idempotent.
+func (n *NIC) Close() { n.closed.Store(true) }
 
-// Close stops all receive workers. Only needed under the Real engine. On a
-// distributed fabric only the local rank's NIC exists; the link itself is
-// owned and closed by the layer that built it (internal/runtime).
+// Close makes the reliability layer's timers inert and every local NIC
+// discard what reaches it. On a distributed fabric only the local rank's
+// NIC exists; the link itself is owned and closed by the layer that built
+// it (internal/runtime).
 func (f *Fabric) Close() {
 	if f.rel != nil {
 		f.rel.close()
@@ -971,12 +891,12 @@ func (n *NIC) deliver(pkt *packet) {
 }
 
 // deliverNow commits an arriving packet against this NIC. Under Sim it
-// runs in kernel context at the packet's arrival time; under Real it runs
-// on the origin lane's receive worker (in-process) or on the link's rx
-// goroutine (distributed), concurrently with the rank and other receivers —
+// runs in kernel context at the packet's arrival time; under the wall-clock
+// engines it runs on the goroutine that sent the packet (in-process) or
+// read its frame (link), concurrently with the rank and other senders —
 // payload copies take only the target region's lock, queue state only the
-// control-plane mu. The packet descriptor is recycled on
-// return. Every side effect of a packet happens here, and the reliability
+// control-plane mu, and replies it sends commit the same way, nested in
+// this call. The packet descriptor is recycled on return. Every side effect of a packet happens here, and the reliability
 // layer guarantees at most one call per sequence number — the exactly-once
 // half of the delivery argument.
 func (n *NIC) deliverNow(pkt *packet) {

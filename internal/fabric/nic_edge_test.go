@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	goruntime "runtime"
 	"testing"
 
 	"repro/internal/exec"
@@ -152,7 +153,8 @@ func TestAccumulateOutOfBoundsPanics(t *testing.T) {
 
 func TestRealDeliveryPanicAborts(t *testing.T) {
 	// Under the Real engine a delivery-time bounds violation must surface
-	// as a run error via the rx worker guard, not crash the process.
+	// as a run error via deliverGuarded on the sending goroutine, not crash
+	// the process or unwind the sender.
 	env := exec.NewRealEnv()
 	f := New(env, DefaultConfig(2))
 	defer f.Close()
@@ -166,5 +168,43 @@ func TestRealDeliveryPanicAborts(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("expected delivery panic to abort the run")
+	}
+}
+
+// TestRealFabricStartsNoGoroutines pins the delivery rule's structure: an
+// in-process packet commits on the goroutine that sent it, so building a
+// Real fabric starts no receive goroutine at all.
+func TestRealFabricStartsNoGoroutines(t *testing.T) {
+	before := goruntime.NumGoroutine()
+	f := New(exec.NewRealEnv(), DefaultConfig(8))
+	defer f.Close()
+	if after := goruntime.NumGoroutine(); after > before {
+		t.Fatalf("fabric.New started %d goroutines, want 0", after-before)
+	}
+}
+
+// TestRealPutCompleteOnReturn: on the lossless Real engine a put has
+// committed at the target, posted its notification and been acknowledged
+// by the time Put returns — no thread at the target takes part.
+func TestRealPutCompleteOnReturn(t *testing.T) {
+	f := New(exec.NewRealEnv(), DefaultConfig(2))
+	defer f.Close()
+	reg := f.NIC(1).Register(make([]byte, 16))
+	op := f.NIC(0).Put(nil, 1, reg.ID, 4, []byte("inline"), WithImm(77))
+	if !op.Done() {
+		t.Fatal("op not remotely complete when Put returned")
+	}
+	if err := op.Err(); err != nil {
+		t.Fatalf("op error %v", err)
+	}
+	cqe, ok := f.NIC(1).PollDest()
+	if !ok {
+		t.Fatal("no destination CQE when Put returned")
+	}
+	if cqe.Imm != 77 || cqe.Origin != 0 || cqe.Offset != 4 || cqe.Len != 6 {
+		t.Fatalf("CQE %+v", cqe)
+	}
+	if got := string(reg.Bytes()[4:10]); got != "inline" {
+		t.Fatalf("region holds %q", got)
 	}
 }

@@ -160,17 +160,26 @@ type relTx struct {
 	timerArmed bool
 }
 
-// relRx is the target-side state: the next expected sequence number and
-// the out-of-order window buffering stragglers until the gap fills.
+// relRx is the target-side state: the next expected sequence number, the
+// out-of-order window buffering stragglers until the gap fills, and the
+// in-order packets released from it but not yet delivered.
 type relRx struct {
 	next     uint64 // next seq to deliver (first assigned seq is 1)
 	window   map[uint64]*packet
 	lastNack uint64 // highest expected-seq we already nacked (suppress spam)
+
+	// Under the wall-clock engines ingress runs on whichever goroutine
+	// sent or read the packet — a rank, a timer, a delivery replying to
+	// its own pair — so several can find the pair deliverable at once.
+	// The first sets draining and delivers ready until it is empty; the
+	// others only append to ready. Commits stay serial and in sequence.
+	draining bool
+	ready    []*packet
 }
 
 // reliability is the fabric-wide protocol engine. One mutex guards all
-// pair state; it is never held across a wire send or a delivery (those
-// can block on full receive lanes under the Real engine).
+// pair state; it is never held across a wire send or a delivery (a
+// delivery sends its own replies, which may re-enter ingress).
 type reliability struct {
 	f   *Fabric
 	cfg ReliabilityConfig
@@ -330,9 +339,10 @@ func (rl *reliability) sendCtl(kind pktKind, from, to int, seq uint64) {
 }
 
 // ingress is the target-side protocol engine: dedup, checksum, reorder,
-// in-order commit, ack/nack generation. It delivers the in-order prefix
-// via deliverNow after dropping the protocol lock (delivery can block on
-// region locks and lane pushes).
+// in-order commit, ack/nack generation. The in-order prefix joins the
+// pair's ready list, and unless another goroutine is already draining the
+// pair this one delivers it via deliverNow after dropping the protocol
+// lock (delivery takes region locks and sends replies).
 //
 // Duplicates are discarded on sequence number alone, *before* any payload
 // byte is read: the first delivery may already have handed the payload to
@@ -340,7 +350,6 @@ func (rl *reliability) sendCtl(kind pktKind, from, to int, seq uint64) {
 // duplicate would race the buffer's next owner.
 func (rl *reliability) ingress(n *NIC, pkt *packet) {
 	pair := pairKey{pkt.origin, n.rank}
-	var deliver []*packet
 	ctlKind := wire.KindInvalid
 	var ctlSeq uint64
 
@@ -366,7 +375,7 @@ func (rl *reliability) ingress(n *NIC, pkt *packet) {
 			}
 			break
 		}
-		deliver = append(deliver, pkt)
+		rx.ready = append(rx.ready, pkt)
 		pkt = nil
 		rx.next++
 		for {
@@ -375,7 +384,7 @@ func (rl *reliability) ingress(n *NIC, pkt *packet) {
 				break
 			}
 			delete(rx.window, rx.next)
-			deliver = append(deliver, b)
+			rx.ready = append(rx.ready, b)
 			rx.next++
 		}
 		// Delivery moved the gap: clear the nack suppression so the next
@@ -408,6 +417,10 @@ func (rl *reliability) ingress(n *NIC, pkt *packet) {
 			ctlKind, ctlSeq = pktLinkNack, rx.next
 		}
 	}
+	drain := !rx.draining && len(rx.ready) > 0
+	if drain {
+		rx.draining = true
+	}
 	rl.mu.Unlock()
 
 	if pkt != nil {
@@ -416,12 +429,31 @@ func (rl *reliability) ingress(n *NIC, pkt *packet) {
 		// descriptor (the payload lives at the origin).
 		rl.discardWire(pkt)
 	}
-	for _, p := range deliver {
-		n.deliverNow(p)
+	if drain {
+		rl.drain(n, rx)
 	}
 	if ctlKind != wire.KindInvalid {
 		rl.sendCtl(ctlKind, n.rank, pair.origin, ctlSeq)
 	}
+}
+
+// drain delivers rx's ready packets in order until none is left, then
+// clears the draining flag its caller set. Packets another goroutine
+// readies meanwhile — including a reply this delivery sends to its own
+// pair — are appended to ready and delivered here too.
+func (rl *reliability) drain(n *NIC, rx *relRx) {
+	rl.mu.Lock()
+	for len(rx.ready) > 0 {
+		batch := rx.ready
+		rx.ready = nil
+		rl.mu.Unlock()
+		for _, p := range batch {
+			n.deliverNow(p)
+		}
+		rl.mu.Lock()
+	}
+	rx.draining = false
+	rl.mu.Unlock()
 }
 
 // handleLinkCtl processes an ack or nack at the data sender. The control

@@ -415,9 +415,10 @@ func TestReliableSimDeterministicUnderFaults(t *testing.T) {
 	}
 }
 
-// TestFaultNICCloseDrainRace closes the fabric while senders are mid-blast:
-// the rx-worker drain barrier must let Close complete without panics, lost
-// goroutines, or deadlocked senders. (Run with -race.)
+// TestFaultNICCloseDrainRace closes the fabric while senders are mid-blast,
+// committing on their own goroutines: Close must complete without panics,
+// races against in-flight deliveries, or deadlocked senders — packets that
+// reach a closed NIC are discarded. (Run with -race.)
 func TestFaultNICCloseDrainRace(t *testing.T) {
 	for trial := 0; trial < 5; trial++ {
 		t.Run(fmt.Sprintf("trial%d", trial), func(t *testing.T) {
@@ -444,8 +445,132 @@ func TestFaultNICCloseDrainRace(t *testing.T) {
 				}
 			}()
 			time.Sleep(time.Duration(trial) * 200 * time.Microsecond)
-			f.Close() // must drain rx workers and not race in-flight delivery
+			f.Close() // must not race in-flight delivery
 			wg.Wait() // senders must never block on a closed NIC
 		})
+	}
+}
+
+// stampSink records the notifications of one region in delivery order and
+// checks, at each delivery, that the slot the put wrote still holds its
+// stamp — a later put from the same sender committed concurrently would
+// already have overwritten it.
+type stampSink struct {
+	reg *MemRegion
+	mu  sync.Mutex
+	got [][]uint32 // per sender: sequence numbers in delivery order
+	bad []string
+}
+
+func (s *stampSink) Deliver(cqe CQE) {
+	sender, seq := cqe.Imm>>16, cqe.Imm&0xffff
+	var slot [8]byte
+	s.reg.ReadLocal(cqe.Offset, slot[:])
+	s.mu.Lock()
+	if v := binary.LittleEndian.Uint32(slot[:]); v != cqe.Imm {
+		s.bad = append(s.bad, fmt.Sprintf("sender %d seq %d: slot holds %#x at delivery", sender, seq, v))
+	}
+	s.got[sender] = append(s.got[sender], seq)
+	s.mu.Unlock()
+}
+
+// TestReliableInlineIngressInOrder pins the reliable layer's ingress under
+// inline delivery. On the Real engine a packet commits on the goroutine
+// that sent it, so ingress for one pair runs on rank 0's goroutine, two
+// helper goroutines of rank 0, the RTO timers and the fault plane's reorder
+// holds at once — and, for rank 0's stream to itself, nested inside its own
+// deliveries' replies. Sequence-stamped notified puts and messages go to
+// rank 1 and to rank 0 through drops, duplicates and reordering; each
+// target must see every stamp exactly once and each sender's stamps in
+// order.
+func TestReliableInlineIngressInOrder(t *testing.T) {
+	const (
+		senders = 3 // rank 0's goroutine plus two helpers
+		perPair = 150
+		class   = 4242
+	)
+	env := exec.NewRealEnv()
+	c := DefaultConfig(2)
+	c.FaultPlan = &fault.Plan{Seed: 11, Drop: 0.05, Duplicate: 0.05, Reorder: 0.1}
+	c.Reliability.RTO = simtime.Millisecond
+	c.Reliability.RTOMax = 20 * simtime.Millisecond
+	c.Reliability.MaxAttempts = 50
+	f := New(env, c)
+	defer f.Close()
+	sinks := make([]*stampSink, 2)
+	for r := range sinks {
+		reg := f.NIC(r).Register(make([]byte, 8*senders))
+		sinks[r] = &stampSink{reg: reg, got: make([][]uint32, senders)}
+		f.NIC(r).InstallNotifySink(reg.ID, sinks[r])
+	}
+	inOrder := func(what string, target, sender int, seqs []uint32) {
+		if len(seqs) != perPair {
+			t.Errorf("%s to rank %d from sender %d: %d delivered, want %d", what, target, sender, len(seqs), perPair)
+		}
+		for i, s := range seqs {
+			if s != uint32(i) {
+				t.Errorf("%s to rank %d from sender %d: position %d holds seq %d (lost, duplicated or reordered)", what, target, sender, i, s)
+				return
+			}
+		}
+	}
+	// drainMsgs consumes every message the senders posted to this rank and
+	// checks each sender's headers arrive once and in order.
+	drainMsgs := func(p *exec.Proc) {
+		nic := f.NIC(p.Rank())
+		seqs := make([][]uint32, senders)
+		for i := 0; i < senders*perPair; i++ {
+			m := nic.WaitMsgClass(p, class)
+			seqs[m.Hdr[0]] = append(seqs[m.Hdr[0]], uint32(m.Hdr[1]))
+		}
+		for s := range seqs {
+			inOrder("messages", p.Rank(), s, seqs[s])
+		}
+	}
+	err := env.Run(2, func(p *exec.Proc) {
+		nic := f.NIC(p.Rank())
+		if p.Rank() == 1 {
+			drainMsgs(p)
+			barrier(f, p)
+			return
+		}
+		stream := func(p *exec.Proc, sender int) {
+			for i := 0; i < perPair; i++ {
+				stamp := uint32(sender)<<16 | uint32(i)
+				var payload [8]byte
+				binary.LittleEndian.PutUint32(payload[:], stamp)
+				for target := 0; target < 2; target++ {
+					nic.Put(p, target, sinks[target].reg.ID, 8*sender, payload[:], WithImm(stamp)).Detach()
+					nic.PostMsg(p, target, class, MsgHdr{sender, i}, nil, false)
+				}
+			}
+		}
+		var wg sync.WaitGroup
+		for s := 1; s < senders; s++ {
+			wg.Add(1)
+			go func(s int) {
+				defer wg.Done()
+				stream(nil, s)
+			}(s)
+		}
+		stream(p, 0)
+		wg.Wait()
+		nic.FlushAll(p) // a put is acked only after it committed
+		drainMsgs(p)
+		barrier(f, p)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r, s := range sinks {
+		for _, b := range s.bad {
+			t.Error(b)
+		}
+		for sender, seqs := range s.got {
+			inOrder("puts", r, sender, seqs)
+		}
+	}
+	if st := f.FaultStats(); st.Injected.Dropped == 0 || st.Injected.Duplicated == 0 || st.Retransmits == 0 {
+		t.Errorf("fault plane did not exercise the layer: %+v", st)
 	}
 }

@@ -47,8 +47,8 @@ func TestDistBulkPeerDeathDrains(t *testing.T) {
 			opErr = op.Err()
 			mu.Unlock()
 			// The declaration that completed the op also swept its state,
-			// but rx workers may still be recycling what the dying rank
-			// sent last — poll briefly for the fixpoint.
+			// but the link's rx goroutine may still be recycling what the
+			// dying rank sent last — poll briefly for the fixpoint.
 			deadline := time.Now().Add(10 * time.Second)
 			for time.Now().Before(deadline) {
 				st := fab.PoolStats()

@@ -526,14 +526,14 @@ func (m *Mesh) consume(p *shmPeer, e []byte) {
 		p.cons.advance()
 	case entPutBulk:
 		off, n := getU64(e, 24), int(getU64(e, 32))
-		if !bulkOK(off, n) {
+		if !p.cons.bulkOK(off, n) {
 			m.failPeer(p, fmt.Errorf("shmfab: bad bulk reference from %d", p.rank))
 			return
 		}
 		decPut(e, p.rank, m.self, p.cons.bulkBytes(off, n), fr)
 		m.rx(p.rank, fr)
 		m.bulkBytesRecv.Add(uint64(n))
-		p.cons.retireBulk(n)
+		p.cons.retireBulk(off, n)
 		p.cons.advance()
 	case entAck:
 		decAck(e, p.rank, m.self, fr)
@@ -541,7 +541,7 @@ func (m *Mesh) consume(p *shmPeer, e []byte) {
 		p.cons.advance()
 	case entFrame:
 		off, n := getU64(e, 24), int(getU64(e, 32))
-		if !bulkOK(off, n) {
+		if !p.cons.bulkOK(off, n) {
 			m.failPeer(p, fmt.Errorf("shmfab: bad bulk reference from %d", p.rank))
 			return
 		}
@@ -551,11 +551,11 @@ func (m *Mesh) consume(p *shmPeer, e []byte) {
 		}
 		m.rx(p.rank, fr)
 		m.bulkBytesRecv.Add(uint64(n))
-		p.cons.retireBulk(n)
+		p.cons.retireBulk(off, n)
 		p.cons.advance()
 	case entFragFirst, entFragNext:
 		off, chunk := getU64(e, 24), int(getU64(e, 32))
-		if !bulkOK(off, chunk) {
+		if !p.cons.bulkOK(off, chunk) {
 			m.failPeer(p, fmt.Errorf("shmfab: bad bulk reference from %d", p.rank))
 			return
 		}
@@ -574,7 +574,7 @@ func (m *Mesh) consume(p *shmPeer, e []byte) {
 		}
 		p.fragBuf = append(p.fragBuf, p.cons.bulkBytes(off, chunk)...)
 		m.bulkBytesRecv.Add(uint64(chunk))
-		p.cons.retireBulk(chunk) // reassembly copied the chunk out
+		p.cons.retireBulk(off, chunk) // reassembly copied the chunk out
 		p.cons.advance()
 		if len(p.fragBuf) == p.fragFill {
 			buf := p.fragBuf

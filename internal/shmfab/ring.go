@@ -47,6 +47,12 @@ func newDirRing(s *Segment, d int) dirRing {
 // arithmetic is exact.
 const bulkAlign = 8
 
+// bulkRewind is how far into the bulk region an allocation may start
+// before a drained region sends the producer back to its start. A stream
+// the consumer keeps up with then cycles through a cache-warm prefix of
+// the region instead of walking all of it, one cold line per store.
+const bulkRewind = 128 << 10
+
 func alignBulk(n int) uint64 { return uint64(n+bulkAlign-1) &^ (bulkAlign - 1) }
 
 // producer is the sending side's local view of one direction. tail and
@@ -96,12 +102,18 @@ func (p *producer) publish() {
 }
 
 // tryBulk reserves n contiguous bulk bytes, padding to the region end on
-// wrap (the consumer mirrors the same arithmetic, so no pad length is
-// recorded anywhere). Returns the region offset and the writable bytes.
+// wrap — or early, once past bulkRewind with every earlier allocation
+// retired. No pad length is recorded: an allocation at offset 0 that does
+// not start at the consumer's cursor tells it the rest of the region was
+// padded (retireBulk). Returns the region offset and the writable bytes.
 func (p *producer) tryBulk(n int) (uint64, []byte, bool) {
 	need := alignBulk(n)
 	pos := p.bulkTail % BulkSize
-	if pos+need > BulkSize {
+	rewind := pos >= bulkRewind && need <= pos // a drained region has room at 0
+	if rewind && p.bulkTail != p.cachedBulkHead {
+		p.cachedBulkHead = atomic.LoadUint64(p.r.bulkHead) // acquire
+	}
+	if pos+need > BulkSize || rewind && p.bulkTail == p.cachedBulkHead {
 		need += BulkSize - pos // pad-to-wrap: allocation restarts at 0
 		pos = 0
 	}
@@ -162,10 +174,12 @@ func (c *consumer) bulkBytes(off uint64, n int) []byte {
 	return c.r.bulk[off : off+uint64(n) : off+uint64(n)]
 }
 
-// bulkOK bounds-checks a bulk reference before use (a corrupt entry from
-// a dying peer must fail the peer, not panic the consumer).
-func bulkOK(off uint64, n int) bool {
-	return n > 0 && off < BulkSize && uint64(n) <= BulkSize-off
+// bulkOK checks a bulk reference before use (a corrupt entry from a dying
+// peer must fail the peer, not panic the consumer): in bounds, and either
+// at the cursor or at 0 after a pad to wrap.
+func (c *consumer) bulkOK(off uint64, n int) bool {
+	return n > 0 && off < BulkSize && uint64(n) <= BulkSize-off &&
+		(off == 0 || off == c.bulkHead%BulkSize)
 }
 
 // advance retires the current entry (release store of head). A bulk span
@@ -175,14 +189,14 @@ func (c *consumer) advance() {
 	atomic.StoreUint64(c.r.head, c.head) // release
 }
 
-// retireBulk frees the oldest outstanding n-byte bulk allocation with the
-// producer's exact pad-to-wrap arithmetic (release store of bulkHead).
-func (c *consumer) retireBulk(n int) {
-	need := alignBulk(n)
-	if pos := c.bulkHead % BulkSize; pos+need > BulkSize {
-		need += BulkSize - pos
+// retireBulk frees the oldest outstanding allocation, the n bytes a
+// checked entry (bulkOK) placed at off; one at 0 that is not at the cursor
+// retires the pad before it too (release store of bulkHead).
+func (c *consumer) retireBulk(off uint64, n int) {
+	if pos := c.bulkHead % BulkSize; pos != off {
+		c.bulkHead += BulkSize - pos
 	}
-	c.bulkHead += need
+	c.bulkHead += alignBulk(n)
 	atomic.StoreUint64(c.r.bulkHead, c.bulkHead) // release
 }
 

@@ -47,7 +47,7 @@ const (
 // bulk region.
 const (
 	segMagic   = 0x6e6173686d3031 // "nashm01" tag
-	segVersion = 1
+	segVersion = 2
 
 	headerSize = 4096
 	ctrlSize   = 512

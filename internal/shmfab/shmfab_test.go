@@ -355,3 +355,50 @@ func TestPairName(t *testing.T) {
 		t.Fatalf("PairName not canonical: %q %q", PairName(3, 1), PairName(1, 3))
 	}
 }
+
+// TestBulkRewindsWhenDrained pins the bulk region's locality: a producer
+// whose consumer keeps up goes back to offset 0 once past bulkRewind, so a
+// long stream reuses a cache-warm prefix instead of walking the whole
+// region; a consumer that lags keeps it moving forward. The consumer's
+// cursor must follow either way, padding exactly where the producer did.
+func TestBulkRewindsWhenDrained(t *testing.T) {
+	const n = 4096
+	r := newDirRing(NewHeapSegment(0, 1), 0)
+	prod, cons := newProducer(r), newConsumer(r)
+	alloc := func() uint64 {
+		off, _, ok := prod.tryBulk(n)
+		if !ok {
+			t.Fatal("tryBulk failed on a region with room")
+		}
+		return off
+	}
+	retire := func(off uint64) {
+		if !cons.bulkOK(off, n) {
+			t.Fatalf("consumer rejects the allocation at %d (cursor %d)", off, cons.bulkHead%BulkSize)
+		}
+		cons.retireBulk(off, n)
+	}
+	for i := 0; i < 4*BulkSize/n; i++ { // drained after every allocation
+		off := alloc()
+		if off >= bulkRewind+n {
+			t.Fatalf("allocation %d at %d: a drained region did not rewind past %d", i, off, bulkRewind)
+		}
+		retire(off)
+	}
+	for prod.bulkTail%BulkSize != n { // stop right after a rewind
+		retire(alloc())
+	}
+	var lag []uint64 // never drained: the cursor must run on past bulkRewind
+	for i := 0; i < bulkRewind/n+8; i++ {
+		lag = append(lag, alloc())
+	}
+	if last := lag[len(lag)-1]; last < bulkRewind {
+		t.Fatalf("a lagging consumer's region rewound to %d", last)
+	}
+	for _, off := range lag {
+		retire(off)
+	}
+	if cons.bulkHead != prod.bulkTail {
+		t.Fatalf("cursors diverged: consumer %d, producer %d", cons.bulkHead, prod.bulkTail)
+	}
+}
