@@ -219,3 +219,78 @@ func TestShmPeerFailureUnblocks(t *testing.T) {
 		t.Fatal("survivor never unblocked after peer death")
 	}
 }
+
+// TestWaiterConsumesRings runs a notified-put ping-pong over a 2-rank shm
+// cluster in bursts: each turn one rank puts burst notified puts into
+// distinct slots (alternating inline and bulk sizes) with tags 1..burst,
+// flushes, and waits for the partner's echo burst. Ranks blocked in Wait
+// or Flush drive their own rings, so some entries must be consumed on the
+// waiting goroutine (ShmNet.WaiterEntries > 0); the notifications must
+// still match in the pair's FIFO order and every payload arrive intact.
+func TestWaiterConsumesRings(t *testing.T) {
+	const (
+		rounds = 300
+		burst  = 4
+		slot   = 1 << 12
+	)
+	payload := func(rank, round, k int) []byte {
+		size := 8 + k*13 // inline, within the ring entry
+		if k%2 == 1 {
+			size = 600 + k*97 // bulk region
+		}
+		b := make([]byte, size)
+		for i := range b {
+			b[i] = byte(rank*59 + round*31 + k*17 + i*7)
+		}
+		return b
+	}
+	var waiterEntries [2]uint64
+	errs := fompi.RunLocalShmCluster(fompi.Options{Ranks: 2}, func(p *fompi.Proc) {
+		win := p.WinAllocate(burst * slot)
+		defer win.Free()
+		partner := 1 - p.Rank()
+		req := win.NotifyInit(partner, fompi.AnyTag, 1)
+		defer req.Free()
+		send := func(round int) {
+			for k := 0; k < burst; k++ {
+				win.PutNotify(partner, k*slot, payload(p.Rank(), round, k), 1+k)
+			}
+			win.Flush(partner)
+		}
+		recv := func(round int) {
+			for k := 0; k < burst; k++ {
+				req.Start()
+				if st := req.Wait(); st.Source != partner || st.Tag != 1+k {
+					panic(fmt.Sprintf("rank %d round %d: notification %d is <%d,%d>, want <%d,%d>",
+						p.Rank(), round, k, st.Source, st.Tag, partner, 1+k))
+				}
+			}
+			for k := 0; k < burst; k++ {
+				want := payload(partner, round, k)
+				if got := win.Buffer()[k*slot : k*slot+len(want)]; !bytes.Equal(got, want) {
+					panic(fmt.Sprintf("rank %d round %d: slot %d holds wrong bytes", p.Rank(), round, k))
+				}
+			}
+		}
+		for round := 0; round < rounds; round++ {
+			if p.Rank() == 0 {
+				send(round)
+				recv(round)
+			} else {
+				recv(round)
+				send(round)
+			}
+		}
+		waiterEntries[p.Rank()] = p.QueueStats().ShmNet.WaiterEntries
+	})
+	for r, err := range errs {
+		if err != nil {
+			t.Fatalf("rank %d: %v", r, err)
+		}
+	}
+	for r, n := range waiterEntries {
+		if n == 0 {
+			t.Errorf("rank %d: no ring entry was consumed by a waiting rank", r)
+		}
+	}
+}

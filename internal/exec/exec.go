@@ -490,7 +490,16 @@ type RealEnv struct {
 	abortOnce sync.Once
 	errMu     sync.Mutex
 	err       error
+
+	progress func() bool // see SetProgress; nil when no link installed one
 }
+
+// waiterTries bounds how many times a gate waiter drives the link's
+// progress function before it parks on the gate's channel. Chosen from the
+// sweep in EXPERIMENTS.md, "Waiters drive the rings": the smallest budget
+// that covers a 20 µs wait on the segment rings; 1000 tries cost 40 % more
+// CPU than none on waits of 500 µs.
+const waiterTries = 50
 
 // NewRealEnv returns a fresh wall-clock engine.
 func NewRealEnv() *RealEnv {
@@ -524,6 +533,15 @@ func (e *RealEnv) Schedule(after simtime.Duration, prio int, fn func()) {
 func (e *RealEnv) NewGate(l sync.Locker) Gate {
 	return &realGate{env: e, locker: l}
 }
+
+// SetProgress installs the link's progress function: it consumes inbound
+// traffic on the calling goroutine (delivering it, so a gate may be
+// broadcast before it returns), never blocks, and reports whether it found
+// anything. Every gate wait drives it for a bounded number of tries before
+// parking, so a blocked rank takes its own notifications instead of
+// waiting for a poller goroutine to commit them and wake it. Call before
+// Run.
+func (e *RealEnv) SetProgress(fn func() bool) { e.progress = fn }
 
 func (e *RealEnv) setErr(err error) {
 	e.errMu.Lock()
@@ -616,6 +634,10 @@ func (g *realGate) Wait(p *Proc) {
 	ch := g.ch
 	g.mu.Unlock()
 	g.locker.Unlock()
+	if g.env.progress != nil && g.drive(ch) {
+		g.locker.Lock()
+		return
+	}
 	select {
 	case <-ch:
 		g.locker.Lock()
@@ -628,6 +650,29 @@ func (g *realGate) Wait(p *Proc) {
 		}
 		panic(procAbort{})
 	}
+}
+
+// drive runs the link's progress function on the waiting goroutine, at
+// most waiterTries times, and reports whether the gate was broadcast
+// meanwhile. A try that finds nothing yields the processor, so the peer
+// (or the delivery that will broadcast) can run. An abort is left to the
+// park that follows, which unwinds. The locker is released while drive
+// runs; a panic out of the progress function retakes it like an abort.
+func (g *realGate) drive(ch chan struct{}) bool {
+	defer relockOnUnwind(g.locker)
+	for range waiterTries {
+		select {
+		case <-ch:
+			return true
+		case <-g.env.abort:
+			return false
+		default:
+		}
+		if !g.env.progress() {
+			goruntime.Gosched()
+		}
+	}
+	return false
 }
 
 func (g *realGate) Broadcast() {

@@ -18,6 +18,7 @@ import (
 	"repro/internal/fabric"
 	"repro/internal/fault"
 	"repro/internal/netfab"
+	"repro/internal/shmfab"
 )
 
 // DistOptions configures one process's membership in a distributed job.
@@ -113,6 +114,13 @@ func runRank(opts Options, mesh rankMesh, body func(p *Proc)) error {
 	env := exec.NewDistEnv(mesh.Self(), opts.Ranks)
 	w, cfg := newWorld(opts, env)
 	w.fab = fabric.NewDistributed(env, cfg, mesh)
+	// A rank blocked in a wait consumes its own segment rings before it
+	// parks, so a notification or ack it waits for commits on its own
+	// goroutine instead of reaching it through the poller and a gate wakeup.
+	// TCP keeps its rx goroutine (EXPERIMENTS.md, "Waiters drive the rings").
+	if sm, ok := mesh.(*shmfab.Mesh); ok {
+		env.SetProgress(sm.Progress)
+	}
 	// Mirror injected rank failure into the mesh's heartbeat: a rank the
 	// fault plan crashes or hangs keeps its links open (and, for hang,
 	// keeps consuming), so the only way survivors can notice is the beat

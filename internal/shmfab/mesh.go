@@ -43,6 +43,11 @@ type Stats struct {
 	BulkBytesRecv uint64
 	SendStalls    uint64 // backoff rounds while a ring or bulk region was full
 
+	// WaiterEntries counts the entries consumed by Progress — on the
+	// goroutine of a rank blocked in a wait — rather than by the poller;
+	// included in EntriesRecv.
+	WaiterEntries uint64
+
 	// SpillEntries counts replies (SendReply) that could not be published
 	// at once — the producer was busy or the ring or bulk region full — and
 	// went to the peer's spill list; SpillHighWater is the most bytes one
@@ -54,10 +59,11 @@ type Stats struct {
 }
 
 // Mesh is one rank's endpoint of the shared-memory fabric: it satisfies
-// fabric.Link (structurally). One poller goroutine drains every inbound
-// ring and one heartbeat goroutine covers liveness for all peers — O(1)
-// goroutines per process regardless of job size, matching the TCP mesh's
-// single-poller rx.
+// fabric.Link (structurally). Inbound rings have one consumer at a time,
+// whoever holds rxMu: the poller goroutine, or a rank blocked in a wait
+// that drives Progress. One poller and one heartbeat goroutine cover all
+// peers — O(1) goroutines per process regardless of job size, matching the
+// TCP mesh's single-poller rx.
 type Mesh struct {
 	self, n int
 	peers   []*shmPeer // nil at self
@@ -68,12 +74,18 @@ type Mesh struct {
 
 	hb beat.Policy
 
+	// rxMu makes its holder the consumer of every inbound ring: the
+	// consumer-side peer state (cons, consDone, fragBuf, frScratch) and the
+	// rx callback belong to whoever holds it.
+	rxMu sync.Mutex
+
 	closed   atomic.Bool
 	suppress atomic.Bool // heartbeat suppressed: this rank plays dead
 	quit     chan struct{}
 	wg       sync.WaitGroup
 
 	entriesSent, entriesRecv     atomic.Uint64
+	waiterEntries                atomic.Uint64
 	compactSent, genericSent     atomic.Uint64
 	fragFrames                   atomic.Uint64
 	bulkBytesSent, bulkBytesRecv atomic.Uint64
@@ -84,22 +96,22 @@ type Mesh struct {
 type shmPeer struct {
 	rank int
 
-	// Producer side, serialized under mu (the rank and the poller's
-	// deliveries both send).
+	// Producer side, serialized under mu (the rank and the deliveries of
+	// whoever consumes both send).
 	mu      sync.Mutex
 	prod    *producer
 	scratch []byte
 
-	// Replies the poller could not publish at once, in order, each a
+	// Replies delivery could not publish at once, in order, each a
 	// wire.Append encoding; sent is how much of the head went out as
 	// fragments. Whoever holds mu drains the list before publishing
 	// anything else, which keeps the pair FIFO.
 	spillMu    sync.Mutex
 	spill      []spilled
 	spillBytes int
-	spillN     atomic.Int32 // len(spill), for the poller's lock-free check
+	spillN     atomic.Int32 // len(spill), for the consumer's lock-free check
 
-	// Consumer side: touched only by the poller goroutine.
+	// Consumer side: touched only under the mesh's rxMu.
 	cons      *consumer
 	consDone  bool
 	fragBuf   []byte
@@ -180,6 +192,7 @@ func (m *Mesh) ReadStats() Stats {
 		BulkBytesSent: m.bulkBytesSent.Load(),
 		BulkBytesRecv: m.bulkBytesRecv.Load(),
 		SendStalls:    m.sendStalls.Load(),
+		WaiterEntries: m.waiterEntries.Load(),
 
 		SpillEntries:   m.spillEntries.Load(),
 		SpillHighWater: m.spillHighWater.Load(),
@@ -210,13 +223,13 @@ func (m *Mesh) Send(target int, fr *wire.Frame) error {
 	return err
 }
 
-// SendReply is Send for a frame produced by delivery on the poller
-// goroutine, which must never park: if it waited for ring space it would
-// stop consuming every ring, and a peer doing the same would wedge the
-// job. It publishes only if the producer is free (TryLock), nothing is
-// spilled ahead of it, and the ring and bulk region have room; otherwise
-// the encoded frame joins the peer's spill list, which the poll loop and
-// the next Send drain in order.
+// SendReply is Send for a frame produced by delivery on the consuming
+// goroutine (the poller, or a rank in Progress), which must never park: if
+// it waited for ring space it would stop consuming every ring, and a peer
+// doing the same would wedge the job. It publishes only if the producer is
+// free (TryLock), nothing is spilled ahead of it, and the ring and bulk
+// region have room; otherwise the encoded frame joins the peer's spill
+// list, which every consuming round and the next Send drain in order.
 func (m *Mesh) SendReply(target int, fr *wire.Frame) error {
 	p, err := m.peerFor(target)
 	if err != nil {
@@ -417,9 +430,10 @@ func (m *Mesh) stall(p *shmPeer, spins int) error {
 // Start installs the receive callbacks and launches the poller and
 // heartbeat goroutines. The rx contract matches fabric.Link: frame slices
 // alias the mapped segment and stay valid until rx returns — the entry and
-// any bulk span it references retire right after. rx may send replies
-// (SendReply) but must not Send: the poller waiting for ring space would
-// stop consuming every ring.
+// any bulk span it references retire right after. rx runs on the poller or
+// on a rank inside Progress, one at a time. It may send replies (SendReply)
+// but must not Send: a consumer waiting for ring space would stop
+// consuming every ring.
 func (m *Mesh) Start(rx func(from int, fr *wire.Frame), peerDown func(rank int, err error)) {
 	m.rx = rx
 	m.peerDown = peerDown
@@ -428,55 +442,34 @@ func (m *Mesh) Start(rx func(from int, fr *wire.Frame), peerDown func(rank int, 
 	go m.beatLoop()
 }
 
-// pollLoop is the single rx goroutine: it round-robins every inbound
-// ring, draining up to a batch per peer per round — after first
-// publishing whatever spilled replies to that peer now fit — with time-based
-// adaptive backoff when everything is idle: yield-spin for the first
-// stretch (a sleeping poller pays timer-slack latency on every wakeup —
-// hundreds of microseconds per message hop — so the latency-critical
-// regime, where traffic resumes within a round trip, must stay out of
-// the timer), then escalate to short and finally long sleeps.
+// pollLoop is the rx goroutine: it runs pollOnce under rxMu, with
+// time-based adaptive backoff when everything is idle: yield-spin for the
+// first stretch (a sleeping poller pays timer-slack latency on every
+// wakeup — hundreds of microseconds per message hop — so the
+// latency-critical regime, where traffic resumes within a round trip, must
+// stay out of the timer), then escalate to short and finally long sleeps.
+// Entries a waiting rank consumed count as traffic: the poller stays hot
+// for the next wait that outlasts the waiter's budget. While a rank holds
+// rxMu the poller only yields.
 func (m *Mesh) pollLoop() {
 	defer m.wg.Done()
-	const batch = 64
 	var idleSince time.Time
+	seen := m.entriesRecv.Load()
 	for {
-		progress, spilling := false, false
-		for _, p := range m.peers {
-			if p == nil || p.consDone {
-				continue
-			}
-			if p.down.Load() {
-				p.consDone = true
-				continue
-			}
-			if p.spillN.Load() > 0 && p.mu.TryLock() {
-				// Close publishes the goodbye under mu after setting closed:
-				// checked under the lock, nothing follows the goodbye.
-				if !m.closed.Load() {
-					m.drainSpill(p, false)
-				}
-				p.mu.Unlock()
-			}
-			spilling = spilling || p.spillN.Load() > 0
-			for i := 0; i < batch; i++ {
-				e, ok := p.cons.poll()
-				if !ok {
-					if p.cons.closedAndDrained() {
-						p.consDone = true
-						p.byeSeen.Store(true)
-					}
-					break
-				}
-				m.consume(p, e)
-				progress = true
-			}
-		}
 		select {
 		case <-m.quit:
 			return
 		default:
 		}
+		if !m.rxMu.TryLock() {
+			runtime.Gosched()
+			continue
+		}
+		spilling := m.pollOnce()
+		m.rxMu.Unlock()
+		recv := m.entriesRecv.Load()
+		progress := recv != seen
+		seen = recv
 		if progress || spilling {
 			// Spilled replies wait on the peer or on our rank's producer,
 			// both of which move within a round trip: never sleep on them.
@@ -500,6 +493,66 @@ func (m *Mesh) pollLoop() {
 			time.Sleep(500 * time.Microsecond)
 		}
 	}
+}
+
+// pollOnce is one consuming round over every inbound ring: for each peer
+// it first publishes whatever spilled replies now fit, then drains up to a
+// batch of entries. It reports whether any spilled reply is still waiting.
+// Caller holds rxMu.
+func (m *Mesh) pollOnce() (spilling bool) {
+	const batch = 64
+	for _, p := range m.peers {
+		if p == nil || p.consDone {
+			continue
+		}
+		if p.down.Load() {
+			p.consDone = true
+			continue
+		}
+		if p.spillN.Load() > 0 && p.mu.TryLock() {
+			// Close publishes the goodbye under mu after setting closed:
+			// checked under the lock, nothing follows the goodbye.
+			if !m.closed.Load() {
+				m.drainSpill(p, false)
+			}
+			p.mu.Unlock()
+		}
+		spilling = spilling || p.spillN.Load() > 0
+		for i := 0; i < batch; i++ {
+			e, ok := p.cons.poll()
+			if !ok {
+				if p.cons.closedAndDrained() {
+					p.consDone = true
+					p.byeSeen.Store(true)
+				}
+				break
+			}
+			m.consume(p, e)
+		}
+	}
+	return spilling
+}
+
+// Progress consumes inbound entries on the calling goroutine — a rank
+// blocked in a wait (exec.RealEnv.SetProgress) — and reports whether it
+// consumed any. It never blocks: while the poller or another waiter holds
+// the rings, or once the mesh is closed, it returns false.
+func (m *Mesh) Progress() bool {
+	if !m.rxMu.TryLock() {
+		return false
+	}
+	defer m.rxMu.Unlock()
+	if m.closed.Load() {
+		return false // Close may be releasing the segments
+	}
+	before := m.entriesRecv.Load()
+	m.pollOnce()
+	n := m.entriesRecv.Load() - before
+	if n == 0 {
+		return false
+	}
+	m.waiterEntries.Add(n)
+	return true
 }
 
 // consume decodes and delivers one entry, then retires it with any bulk
@@ -678,6 +731,10 @@ func (m *Mesh) Close(graceful bool) error {
 	}
 	close(m.quit)
 	m.wg.Wait()
+	// A waiter still inside Progress finishes its round before the
+	// segments go; any later one sees closed under the lock.
+	m.rxMu.Lock()
+	defer m.rxMu.Unlock()
 	for _, s := range m.segs {
 		if s != nil {
 			s.Close()

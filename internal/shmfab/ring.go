@@ -136,7 +136,8 @@ func (p *producer) close() { atomic.StoreUint64(p.r.closed, 1) }
 func (p *producer) beat() { atomic.AddUint64(p.r.heartbeat, 1) }
 
 // consumer is the receiving side's local view of the peer's direction,
-// touched only by the poller goroutine. Entries and their bulk spans
+// touched only by the holder of the mesh's rxMu (the poller, or a rank
+// consuming in Progress). Entries and their bulk spans
 // retire in order as they are consumed: the fabric commits a frame before
 // its rx callback returns, so nothing references the bytes afterwards.
 type consumer struct {
@@ -204,7 +205,7 @@ func (c *consumer) retireBulk(off uint64, n int) {
 // published entry has been consumed. The tail re-load after observing
 // closed matters: close() stores after the final publish, so observing it
 // (acquire) guarantees the final tail value is visible. Head is read from
-// the shared word, not the poller-local cursor — this runs on the monitor
+// the shared word, not the consumer-local cursor — this runs on the monitor
 // goroutine.
 func (c *consumer) closedAndDrained() bool {
 	if atomic.LoadUint64(c.r.closed) == 0 {

@@ -264,9 +264,10 @@ func TestCleanGoodbyeNoFalseDeath(t *testing.T) {
 	}
 }
 
-// TestFileSegmentRoundtrip maps one file-backed segment from two Segment
-// instances (as two processes would) and exchanges a frame across it.
-func TestFileSegmentRoundtrip(t *testing.T) {
+// filePair maps one file-backed segment from two Segment instances (as two
+// processes would) and attaches a mesh to each.
+func filePair(t *testing.T) (*Mesh, *Mesh) {
+	t.Helper()
 	f, err := CreateSegmentFile(t.TempDir(), 0, 1)
 	if err != nil {
 		t.Fatalf("CreateSegmentFile: %v", err)
@@ -296,7 +297,12 @@ func TestFileSegmentRoundtrip(t *testing.T) {
 		}
 		return m
 	}
-	m0, m1 := mk(0, s0), mk(1, s1)
+	return mk(0, s0), mk(1, s1)
+}
+
+// TestFileSegmentRoundtrip exchanges a frame across a file-backed segment.
+func TestFileSegmentRoundtrip(t *testing.T) {
+	m0, m1 := filePair(t)
 	var c0, c1 capture
 	m0.Start(c0.rx, c0.down)
 	m1.Start(c1.rx, c1.down)
@@ -401,4 +407,69 @@ func TestBulkRewindsWhenDrained(t *testing.T) {
 	if cons.bulkHead != prod.bulkTail {
 		t.Fatalf("cursors diverged: consumer %d, producer %d", cons.bulkHead, prod.bulkTail)
 	}
+}
+
+// TestProgressAfterCloseIsNoop calls Progress on a mesh whose file-backed
+// segment Close has unmapped, with an entry waiting in its inbound ring: a
+// rank's late wait must neither touch the unmapped memory nor deliver.
+func TestProgressAfterCloseIsNoop(t *testing.T) {
+	m0, m1 := filePair(t)
+	var c0, c1 capture
+	m0.Start(c0.rx, c0.down)
+	m1.Start(c1.rx, c1.down)
+	m1.Close(false)
+	fr := &wire.Frame{Kind: wire.KindPut, Origin: 0, Target: 1, WireSize: 3,
+		OpID: 1, Data: []byte{1, 2, 3}}
+	if err := m0.Send(1, fr); err != nil {
+		t.Fatalf("send: %v", err)
+	}
+	if m1.Progress() {
+		t.Fatal("Progress on a closed mesh reported work")
+	}
+	c1.mu.Lock()
+	n := len(c1.frames)
+	c1.mu.Unlock()
+	if n != 0 {
+		t.Fatalf("a closed mesh delivered %d frames", n)
+	}
+	m0.Close(false)
+}
+
+// TestProgressConsumesOnCaller checks the waiter path in isolation, on a
+// mesh whose poller never started: Progress delivers a waiting frame on
+// the calling goroutine, counts it as a waiter entry, stays out while
+// another consumer holds the rings, and reports nothing once they are
+// empty.
+func TestProgressConsumesOnCaller(t *testing.T) {
+	m0, m1 := heapPair(t, nil)
+	var c0, c1 capture
+	m0.Start(c0.rx, c0.down)
+	m1.rx, m1.peerDown = c1.rx, c1.down // consumer without a poller
+	fr := &wire.Frame{Kind: wire.KindPut, Origin: 0, Target: 1, WireSize: 5,
+		OpID: 3, Data: []byte("hello")}
+	if err := m0.Send(1, fr); err != nil {
+		t.Fatalf("send: %v", err)
+	}
+	m1.rxMu.Lock()
+	if m1.Progress() {
+		t.Fatal("Progress consumed while another consumer held the rings")
+	}
+	m1.rxMu.Unlock()
+	if !m1.Progress() {
+		t.Fatal("Progress found no entry in a ring holding one")
+	}
+	if len(c1.frames) != 1 || string(c1.frames[0].Data) != "hello" || c1.frames[0].OpID != 3 {
+		t.Fatalf("Progress did not deliver the frame on the caller: %+v", c1.frames)
+	}
+	if n := m1.ReadStats().WaiterEntries; n != 1 {
+		t.Fatalf("WaiterEntries = %d, want 1", n)
+	}
+	if m1.Progress() {
+		t.Fatal("Progress reported work on an empty ring")
+	}
+	if n := testing.AllocsPerRun(100, func() { m1.Progress() }); n != 0 {
+		t.Fatalf("Progress on idle rings allocates %.1f times per call", n)
+	}
+	m0.Close(false)
+	m1.Close(false)
 }
