@@ -101,10 +101,9 @@ type Options struct {
 	// (§VIII): the data holder is notified only after the data reached the
 	// origin, costing an extra round trip on the notification path.
 	UnreliableNetwork bool
-	// FaultPlan, when non-nil, runs the job on a faulty wire: the fabric
-	// injects the plan's drops/duplicates/reorderings/corruptions (and
-	// rank crashes) and repairs them with its reliable-delivery layer.
-	// Peer failures surface as run errors unwrapping to ErrPeerFailed.
+	// FaultPlan, when non-nil, crashes or hangs the ranks it names. The
+	// survivors learn of a failure after the liveness timeout, and it
+	// surfaces as run errors unwrapping to ErrPeerFailed.
 	FaultPlan *fault.Plan
 }
 
@@ -181,10 +180,11 @@ func (p *Proc) Yield() { p.p.Yield() }
 func (p *Proc) Model() loggp.Model { return p.p.Model() }
 
 // OnPeerFailure registers fn to run when the fabric declares a peer rank
-// dead (heartbeat stall, broken connection, injected crash). Only the
-// distributed engines ever fire it; on Sim/Real it never runs. fn is
-// called from a fabric goroutine — keep it short and do not issue
-// communication from inside it.
+// dead (heartbeat stall, broken connection, a FaultPlan crash or hang).
+// Without a FaultPlan only the distributed engines ever fire it. fn is
+// called from a fabric goroutine or timer — keep it short and do not issue
+// communication from inside it. On the single-process engines it runs once
+// per surviving rank that observes the failure, so make it idempotent.
 func (p *Proc) OnPeerFailure(fn func(failed int, err error)) { p.p.OnPeerFailure(fn) }
 
 // WinAllocate collectively creates an RMA window of size bytes on every
@@ -219,8 +219,8 @@ type Status struct {
 // AccumOp selects the accumulate reduction.
 type AccumOp = fabric.AccumOp
 
-// FaultStats is the job-wide fault plane + reliability layer snapshot
-// surfaced in QueueStats.Faults.
+// FaultStats is the type of QueueStats.Faults; always zero on the
+// lossless fabric.
 type FaultStats = fabric.FaultStats
 
 // Accumulate operations.
@@ -473,16 +473,9 @@ type QueueStats struct {
 	// traffic actually collided on one region after lock sharding (always 0
 	// under the deterministic Sim engine).
 	RegionLockContention int64
-	// Faults is the fault plane + reliability layer snapshot (job-wide on
-	// the single-process engines, this process's fabric on TCP and shm):
-	// what the wire did to the traffic and what the protocol repaired.
-	// All-zero when the job runs without a FaultPlan, on every engine — a
-	// healthy TCP or shm link carries no sequence numbers, link acks or
-	// retransmissions; peer death is the link's own verdict there.
+	// Faults is the link-repair snapshot: all-zero on every engine, since
+	// every link is lossless and a failure is fail-stop (fabric.FaultStats).
 	Faults fabric.FaultStats
-	// RetransmitCount is Faults.Retransmits, surfaced flat for quick
-	// goodput accounting.
-	RetransmitCount int64
 	// Net is the TCP transport snapshot (frames and bytes each way on this
 	// process's mesh endpoint, plus the batched data plane's syscall
 	// counters: TxFlushes, RxReads, and the RxCoalesce frames-per-read
@@ -506,7 +499,6 @@ type QueueStats struct {
 // counters.
 func (p *Proc) QueueStats() QueueStats {
 	n := p.p.NIC()
-	faults := p.p.World().Fabric().FaultStats()
 	qs := QueueStats{
 		DestCQHighWater:      n.DestHighWater(),
 		RingHighWater:        n.RingHighWater(),
@@ -514,8 +506,7 @@ func (p *Proc) QueueStats() QueueStats {
 		MsgClassHighWater:    n.MsgClassHighWater(),
 		Pool:                 p.p.World().Fabric().PoolStats(),
 		RegionLockContention: n.RegionLockContention(),
-		Faults:               faults,
-		RetransmitCount:      faults.Retransmits,
+		Faults:               p.p.World().Fabric().FaultStats(),
 		AM:                   core.AMStats(p.p),
 	}
 	if v, ok := p.p.Attached(ftKey{}); ok {

@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"repro/fompi"
-	"repro/internal/fault"
 )
 
 // TestMain doubles as the child entry point for the two-process tests: the
@@ -181,35 +180,29 @@ func distSoakBody(record func(rank int, buf []byte)) func(p *fompi.Proc) {
 }
 
 // soakSnapshots runs the soak body on the Sim engine (tcp == false) or over
-// TCP loopback, optionally on a faulty wire, and returns every rank's
-// final window and fault-plane counters.
-func soakSnapshots(t *testing.T, tcp bool, plan *fault.Plan) ([][]byte, [2]fompi.FaultStats) {
+// TCP loopback and returns every rank's final window.
+func soakSnapshots(t *testing.T, tcp bool) [][]byte {
 	t.Helper()
 	var mu sync.Mutex
 	snaps := make([][]byte, 2)
-	var faults [2]fompi.FaultStats
 	body := distSoakBody(func(rank int, buf []byte) {
 		mu.Lock()
 		snaps[rank] = buf
 		mu.Unlock()
 	})
-	opts := fompi.Options{Ranks: 2, FaultPlan: plan}
-	run := func(p *fompi.Proc) {
-		body(p)
-		faults[p.Rank()] = p.QueueStats().Faults
-	}
+	opts := fompi.Options{Ranks: 2}
 	if !tcp {
-		if err := fompi.Run(opts, run); err != nil {
+		if err := fompi.Run(opts, body); err != nil {
 			t.Fatalf("sim: %v", err)
 		}
-		return snaps, faults
+		return snaps
 	}
-	for r, err := range fompi.RunLocalCluster(opts, run) {
+	for r, err := range fompi.RunLocalCluster(opts, body) {
 		if err != nil {
 			t.Fatalf("tcp rank %d: %v", r, err)
 		}
 	}
-	return snaps, faults
+	return snaps
 }
 
 // requireSameWindows fails unless every rank's window matches the Sim
@@ -231,30 +224,9 @@ func requireSameWindows(t *testing.T, simSnaps, tcpSnaps [][]byte) {
 
 // TestDistSoakMatchesSim runs the soak on the Sim engine and again over
 // TCP loopback, and requires the final window contents to match
-// byte-for-byte on every rank. A healthy TCP link runs without the
-// reliable-delivery layer: nothing is sequenced, acked or retransmitted.
+// byte-for-byte on every rank.
 func TestDistSoakMatchesSim(t *testing.T) {
-	simSnaps, _ := soakSnapshots(t, false, nil)
-	tcpSnaps, faults := soakSnapshots(t, true, nil)
-	requireSameWindows(t, simSnaps, tcpSnaps)
-	if faults != [2]fompi.FaultStats{} {
-		t.Errorf("plain TCP run shows reliable-layer traffic: %+v", faults)
-	}
-}
-
-// TestDistSoakMatchesSimUnderFaultPlan is the same soak over TCP with a
-// FaultPlan that drops, duplicates and reorders: the one configuration in
-// which the reliable-delivery layer runs on top of a socket. Its repairs
-// must be invisible to the application — windows still byte-identical to
-// Sim — and must have happened.
-func TestDistSoakMatchesSimUnderFaultPlan(t *testing.T) {
-	simSnaps, _ := soakSnapshots(t, false, nil)
-	plan := &fault.Plan{Seed: 19, Drop: 0.05, Duplicate: 0.02, Reorder: 0.05}
-	tcpSnaps, faults := soakSnapshots(t, true, plan)
-	requireSameWindows(t, simSnaps, tcpSnaps)
-	if faults[0].Injected.Dropped+faults[1].Injected.Dropped == 0 || faults[0].Retransmits+faults[1].Retransmits == 0 {
-		t.Errorf("lossy plan left no trace: %+v", faults)
-	}
+	requireSameWindows(t, soakSnapshots(t, false), soakSnapshots(t, true))
 }
 
 // TestDistPairFIFOAcrossSizeClasses pins the ordering the matcher and the

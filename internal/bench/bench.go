@@ -105,7 +105,6 @@ func Registry() []Experiment {
 		{"notifymatch", "Matching-rate microbenchmark: Test cost vs outstanding requests K", "Test/Wait cost as armed-request count grows; exercises the class-bucketed matcher", NotifyMatch},
 		{"msgmatch", "Message matching microbenchmark: control-plane cost vs queue depth / waiter count K", "same sweep for the two-sided message matcher (send/recv tag matching)", MsgMatch},
 		{"databw", "Multi-producer put saturation: aggregate bandwidth and allocs/op vs producer count", "N producers flood one consumer window; lane fairness and allocation pressure", DataBW},
-		{"faultbw", "Reliable-delivery cost under injected loss: goodput and notification latency vs drop rate", "drops packets at the fault layer and measures retransmission's goodput/latency tax", FaultBW},
 		{"halo", "2D halo exchange latency (introduction motif)", "four-neighbor ghost-cell exchange, the paper's motivating pattern, NA vs MP", Halo},
 		{"model", "Analytic LogGP model vs simulation (paper section V-A)", "closed-form ping-pong prediction vs simulated time; validates the simulator", ModelValidation},
 		{"sensitivity", "NA/MP advantage vs network latency (exascale claim)", "re-runs the ping-pong as wire latency scales to project the advantage at exascale", Sensitivity},

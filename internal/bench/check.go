@@ -33,8 +33,6 @@ func CheckStats() *Table {
 		{"notify-wait", "dfs p<=2", check.Options{MaxPreemptions: 2, MaxSchedules: budget}, check.NotifyWait(false), false},
 		{"notify-wait-shm", "dfs p<=2", check.Options{MaxPreemptions: 2, MaxSchedules: budget}, check.NotifyWait(true), false},
 		{"class-dispatch", "dfs p<=2", check.Options{MaxPreemptions: 2, MaxSchedules: budget}, check.ClassDispatch(), false},
-		{"reliable-xonce", "dfs p<=2", check.Options{MaxPreemptions: 2, MaxSchedules: budget}, check.ReliableDelivery(), false},
-		{"reliable-xonce", "sample seed=1", check.Options{MaxPreemptions: 3, MaxSchedules: budget, Seed: 1}, check.ReliableDelivery(), false},
 		{"crash-fanout", "dfs p<=2", check.Options{MaxPreemptions: 2, MaxSchedules: budget}, check.CrashFanout(), false},
 		{"world-mp", "dfs p<=2", check.Options{MaxPreemptions: 2, MaxSchedules: budget / 2}, check.WorldExchange(), false},
 		{"segring-p4", "dfs p<=2", check.Options{MaxPreemptions: 2, MaxSchedules: budget}, check.SegRingPublication(false), false},

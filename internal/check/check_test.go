@@ -122,33 +122,17 @@ func TestClassDispatch(t *testing.T) {
 	}, check.ClassDispatch())
 }
 
-// TestReliableDelivery model-checks exactly-once delivery while the
-// explorer races retransmission timers against acks and permutes wire
-// arrivals (reliable-mode deliveries carry no FIFO lane), on top of
-// scripted first-put and first-ack drops.
-func TestReliableDelivery(t *testing.T) {
-	t.Run("dfs", func(t *testing.T) {
-		mustPass(t, check.Options{
-			MaxPreemptions: 2,
-			MaxSchedules:   *checkIters,
-		}, check.ReliableDelivery())
-	})
-	t.Run("sampler", func(t *testing.T) {
-		mustPass(t, check.Options{
-			MaxPreemptions: 3,
-			MaxSchedules:   *checkIters,
-			Seed:           *checkSeed,
-		}, check.ReliableDelivery())
-	})
-}
-
 // TestCrashFanout model-checks ErrPeerFailed fan-out consistency when a
-// crash interleaves with in-flight puts.
+// crash's liveness declaration interleaves with in-flight puts, and proves
+// it over the whole 2-preemption schedule space.
 func TestCrashFanout(t *testing.T) {
-	mustPass(t, check.Options{
+	res := mustPass(t, check.Options{
 		MaxPreemptions: 2,
 		MaxSchedules:   *checkIters,
 	}, check.CrashFanout())
+	if !res.Exhausted {
+		t.Errorf("expected exhaustive coverage of the 2-preemption space, ran %d schedules", res.Schedules)
+	}
 }
 
 // TestWorldExchange model-checks the full stack (runtime + mp matching +
@@ -276,8 +260,7 @@ func TestSegRingPeerDeathUnblocks(t *testing.T) {
 }
 
 // TestAMExactlyOnce model-checks the active-message dispatch contract
-// over a faulty reliable wire (scripted first-put drop and second-put
-// duplicate): every payload's handler runs exactly once under every
+// over FIFO links: every payload's handler runs exactly once under every
 // explored schedule.
 func TestAMExactlyOnce(t *testing.T) {
 	t.Run("dfs", func(t *testing.T) {

@@ -10,6 +10,7 @@ package check
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"sync"
 
 	"repro/internal/core"
@@ -198,84 +199,23 @@ func ClassDispatch() Workload {
 	}
 }
 
-// ReliableDelivery models the reliable layer's exactly-once claim under
-// adversarial schedules *and* adversarial loss: scripted faults drop the
-// first put and the first link-ack of the run, forcing retransmission and
-// a duplicate-suppression path, while the explorer races RTO timers
-// against in-flight acks and deliveries (the wire is unconstrained here:
-// with reliability on, deliveries carry no FIFO lane, so the checker also
-// permutes packet arrival order and the sequence window must repair it).
-// Claims: rank 1 sees each of the K notifications exactly once and in
-// order with committed payload bytes, and both Flush and the run itself
-// complete (no lost wakeup in ack/flush plumbing).
-func ReliableDelivery() Workload {
-	return func(s exec.Scheduler) error {
-		const k = 3
-		env := exec.NewSimEnvSched(s)
-		cfg := fabric.DefaultConfig(2)
-		cfg.Reliability.Force = true
-		cfg.FaultPlan = &fault.Plan{
-			Seed: 1,
-			Rules: []fault.Rule{
-				{Origin: 0, Target: 1, Class: "put", Nth: 1, Action: fault.Drop},
-				{Origin: 1, Target: 0, Class: "link-ack", Nth: 1, Action: fault.Drop},
-			},
-		}
-		f := fabric.New(env, cfg)
-		return env.Run(2, func(p *exec.Proc) {
-			nic := f.NIC(p.Rank())
-			reg := nic.Register(make([]byte, 8*k))
-			fabricBarrier(f, p)
-			if p.Rank() == 0 {
-				for i := 0; i < k; i++ {
-					nic.Put(p, 1, reg.ID, 8*i, []byte{byte(0xA0 + i)}, fabric.WithImm(uint32(i+1))).Detach()
-				}
-				nic.FlushAll(p)
-			} else {
-				seen := make(map[uint32]bool, k)
-				for i := 0; i < k; i++ {
-					nic.WaitDest(p)
-					cqe, ok := nic.PollDest()
-					if !ok {
-						Violatef("reliable: WaitDest returned without a CQE")
-					}
-					if seen[cqe.Imm] {
-						Violatef("reliable: duplicate notification imm=%d", cqe.Imm)
-					}
-					seen[cqe.Imm] = true
-					if cqe.Imm != uint32(i+1) {
-						Violatef("reliable: notification %d out of order: imm=%d", i, cqe.Imm)
-					}
-					if got := reg.Bytes()[cqe.Offset]; got != byte(0xA0+i) {
-						Violatef("reliable: payload %d not committed at notify: %#x", i, got)
-					}
-				}
-				if _, ok := nic.PollDest(); ok {
-					Violatef("reliable: extra notification after %d", k)
-				}
-			}
-		})
-	}
-}
-
 // CrashFanout models failure detection racing in-flight traffic: rank 2 is
-// crashed from the start while ranks 0 and 1 put to it with retransmission
-// budgets the schedule can reorder against the healthy rank-0→1 stream.
-// Claims under every schedule: ops to the dead rank complete with errors
-// unwrapping to ErrPeerFailed, ops to the live rank complete cleanly, a
-// blocked waiter on the dead rank's traffic is unwound with the failure
-// rather than deadlocking, and both survivors' PeerError views agree.
+// crashed from the start while ranks 0 and 1 put to it, and the liveness
+// timer that declares it dead races the healthy rank-0→1 stream under the
+// explored schedules. Claims under every schedule: ops to the dead rank
+// complete with errors unwrapping to ErrPeerFailed, ops to the live rank
+// complete cleanly, a blocked waiter on the dead rank's traffic is unwound
+// with the failure rather than deadlocking, and each survivor's PeerError
+// names itself as the observer of rank 2.
 func CrashFanout() Workload {
 	return func(s exec.Scheduler) error {
 		env := exec.NewSimEnvSched(s)
 		cfg := fabric.DefaultConfig(3)
-		cfg.Reliability.MaxAttempts = 3
 		cfg.FaultPlan = &fault.Plan{
-			Seed:  1,
 			Ranks: []fault.RankFault{{Rank: 2, Mode: fault.Crash}},
 		}
 		f := fabric.New(env, cfg)
-		return env.Run(3, func(p *exec.Proc) {
+		err := env.Run(3, func(p *exec.Proc) {
 			nic := f.NIC(p.Rank())
 			reg := nic.Register(make([]byte, 16))
 			switch p.Rank() {
@@ -293,9 +233,7 @@ func CrashFanout() Workload {
 				if err := live.Err(); err != nil {
 					Violatef("crash: op to live rank failed: %v", err)
 				}
-				if err := nic.PeerError(2); !errors.Is(err, fabric.ErrPeerFailed) {
-					Violatef("crash: rank 0 PeerError(2) = %v after failed op", err)
-				}
+				checkObserved(nic, 0)
 			case 1:
 				// A waiter blocked on traffic only the dead rank would send
 				// must be unwound by the failure fan-out, not parked forever.
@@ -319,24 +257,30 @@ func CrashFanout() Workload {
 					}
 					nic.WaitMsgClass(p, 555)
 				}()
-				if err := nic.PeerError(2); !errors.Is(err, fabric.ErrPeerFailed) {
-					Violatef("crash: rank 1 PeerError(2) = %v after unwind", err)
-				}
-				// The healthy stream from rank 0 still lands. Poll rather
-				// than WaitDest: with a failure on record an empty-queue
-				// WaitDest panics by design, and here the live CQE may
-				// legitimately trail the declaration.
-				for {
-					if cqe, ok := nic.PollDest(); ok {
-						if cqe.Imm != 7 {
-							Violatef("crash: unexpected CQE imm=%d on live path", cqe.Imm)
-						}
-						break
-					}
-					p.Yield()
-				}
+				checkObserved(nic, 1)
 			}
 		})
+		if err != nil {
+			return err
+		}
+		// The healthy stream from rank 0 landed: rank 0's live op completed,
+		// so its notification is queued at rank 1. Checked after the run,
+		// not by polling inside it: with a failure on record an empty-queue
+		// WaitDest panics by design, and the explorer may fire the
+		// declaration before the live put arrives.
+		if cqe, ok := f.NIC(1).PollDest(); !ok || cqe.Imm != 7 {
+			return &Violation{Msg: fmt.Sprintf("crash: live path left CQE %+v (ok=%v), want imm 7", cqe, ok)}
+		}
+		return nil
+	}
+}
+
+// checkObserved asserts that survivor's NIC recorded rank 2's failure as
+// its own observation.
+func checkObserved(nic *fabric.NIC, survivor int) {
+	var pf *fabric.PeerFailedError
+	if err := nic.PeerError(2); !errors.As(err, &pf) || pf.Observer != survivor || pf.Rank != 2 {
+		Violatef("crash: rank %d PeerError(2) = %v, want rank 2 observed by rank %d", survivor, err, survivor)
 	}
 }
 
@@ -661,19 +605,17 @@ func ReplicaConsistency(planted bool) Workload {
 // ---------------------------------------------------------------------------
 
 // AMExactlyOnce models the active-message dispatch contract on the full
-// stack (runtime + matcher + AM engine) over a faulty reliable wire: rank
-// 0 sends K uniquely-tagged payloads as notified puts whose first packet
-// is scripted to drop and whose second is scripted to duplicate; rank 1's
-// handler counts dispatches per payload. Claim under every explored
-// schedule: the reliable layer's retransmission and sequence window keep
-// each payload's handler invocation exactly-once — a wire duplicate must
-// be deduplicated below the matcher, a drop must be repaired, and FlushAM
-// must not return before queued handlers ran.
+// stack (runtime + matcher + AM engine) over FIFO links: rank 0 sends K
+// uniquely-tagged payloads as notified puts, and rank 1's handler counts
+// dispatches per payload. Claim under every explored schedule: each
+// payload's handler runs exactly once — matching and the dispatch workers
+// neither drop nor repeat a notification however deliveries, wakeups and
+// workers interleave — and FlushAM does not return before queued handlers
+// ran.
 //
 // planted=true arms the AM engine's test-only redelivery defect
 // (SetAMPlantRedeliverNth): the second matched notification is dispatched
-// twice, above the wire dedup, and the checker must catch the
-// at-least-twice dispatch.
+// twice, and the checker must catch the at-least-twice dispatch.
 func AMExactlyOnce(planted bool) Workload {
 	return func(s exec.Scheduler) error {
 		const (
@@ -682,17 +624,9 @@ func AMExactlyOnce(planted bool) Workload {
 			fenceTag = 200
 		)
 		return runtime.Run(runtime.Options{
-			Ranks:       2,
-			Mode:        exec.Sim,
-			Env:         exec.NewSimEnvSched(s),
-			Reliability: fabric.ReliabilityConfig{Force: true},
-			FaultPlan: &fault.Plan{
-				Seed: 1,
-				Rules: []fault.Rule{
-					{Origin: 0, Target: 1, Class: "put", Nth: 1, Action: fault.Drop},
-					{Origin: 0, Target: 1, Class: "put", Nth: 2, Action: fault.Duplicate},
-				},
-			},
+			Ranks: 2,
+			Mode:  exec.Sim,
+			Env:   exec.NewSimEnvSched(s),
 		}, func(p *runtime.Proc) {
 			win := rma.Allocate(p, 8*k)
 			defer win.Free()
@@ -719,8 +653,7 @@ func AMExactlyOnce(planted bool) Workload {
 					core.PutNotify(win, 1, 8*i, []byte{byte(0xA0 + i)}, tagReq).Await(p.Proc)
 				}
 				// Sent after every AM put, so once it matches at rank 1 all
-				// of them were ingested there (the sequence window restores
-				// delivery order over the faulty wire).
+				// of them were ingested there (per-pair FIFO delivery).
 				core.PutNotify(win, 1, 0, nil, fenceTag).Await(p.Proc)
 			} else {
 				fence := core.NotifyInit(win, 0, fenceTag, 1)

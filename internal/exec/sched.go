@@ -8,7 +8,7 @@ import (
 
 // Scheduler is the Sim engine's pluggable event-selection policy. Every
 // scheduling decision the kernel makes — which delivery commits next, which
-// parked rank wakes next, which retransmission timer fires next — flows
+// parked rank wakes next, which failure-declaration timer fires next — flows
 // through Pick, so a policy sees (and may permute) every blocking/wake edge
 // in the system.
 //

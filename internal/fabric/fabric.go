@@ -28,6 +28,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/beat"
 	"repro/internal/exec"
 	"repro/internal/fault"
 	"repro/internal/loggp"
@@ -61,18 +62,15 @@ type Config struct {
 	// protocol audits and tests). Called from delivery context: must not
 	// block. Sim engine only delivers deterministically.
 	Trace func(ev TraceEvent)
-	// FaultPlan, when non-nil, inserts the deterministic fault-injection
-	// plane into the wire (see internal/fault) and activates the
-	// reliable-delivery layer that repairs its damage.
+	// FaultPlan, when non-nil, crashes or hangs the ranks it names (see
+	// internal/fault): their packets are absorbed at transmit, and the
+	// survivors learn of the failure by the liveness rule (declareAfter).
+	// Without a plan the data path never consults an injector.
 	FaultPlan *fault.Plan
-	// Reliability tunes the reliable-delivery layer. The layer is active
-	// iff FaultPlan != nil or Reliability.Force; otherwise the lossless
-	// data path is completely untouched.
-	Reliability ReliabilityConfig
-	// FailureHook, when non-nil, is called exactly once per rank the
-	// peer-failure detector declares dead (observer is the detecting
-	// rank). Called from delivery/timer context: must not block on fabric
-	// operations.
+	// FailureHook, when non-nil, is called once per (observer, failed)
+	// pair: each surviving local rank that learns a rank is dead reports
+	// it once. Called from delivery/timer context: must not block on
+	// fabric operations.
 	FailureHook func(observer, failed int, err error)
 }
 
@@ -201,9 +199,9 @@ type Fabric struct {
 	// the single-threaded kernel).
 	lastArrive []simtime.Time
 
-	// rel is the reliable-delivery layer; nil on the default lossless
-	// configuration (every fast path checks this once).
-	rel *reliability
+	// inj is the rank-failure plane; nil without a fault plan (transmit
+	// checks this once).
+	inj *fault.Injector
 
 	// Distributed-mode state (nil/zero on single-process fabrics): link is
 	// the cross-process transport, self the only rank with a local NIC.
@@ -215,13 +213,12 @@ type Fabric struct {
 	netOps   map[uint64]*Op
 	netOpSeq uint64
 
-	// Peer-failure bookkeeping for distributed fabrics without the reliable
-	// layer (rel == nil, the default): the layer owns failure declaration
-	// when present, but a link runs without it unless a fault plan asks and
-	// still must convert peer death into typed ErrPeerFailed completions
-	// exactly once.
+	// Peer-failure bookkeeping: each dead rank is declared exactly once
+	// (declarePeerFailed). closed makes a declaration that fires after
+	// Close a no-op.
 	failMu sync.Mutex
 	failed map[int]bool
+	closed bool
 }
 
 // New creates a fabric with the given configuration running under env.
@@ -245,22 +242,23 @@ func New(env exec.Env, cfg Config) *Fabric {
 	for r := 0; r < cfg.Ranks; r++ {
 		f.nics[r] = newNIC(f, r)
 	}
-	f.startReliability()
+	if cfg.FaultPlan != nil {
+		f.inj = fault.NewInjector(*cfg.FaultPlan)
+		f.inj.SetDownHook(f.declareAfter)
+	}
 	return f
 }
 
-// startReliability instantiates the reliable-delivery layer iff the config
-// carries a fault plan or Reliability.Force — the one rule for every
-// fabric, single-process or distributed, whatever the link.
-func (f *Fabric) startReliability() {
-	if f.cfg.FaultPlan == nil && !f.cfg.Reliability.Force {
-		return
-	}
-	var inj *fault.Injector
-	if f.cfg.FaultPlan != nil {
-		inj = fault.NewInjector(*f.cfg.FaultPlan)
-	}
-	f.rel = newReliability(f, f.cfg.Reliability, inj)
+// declareAfter is the liveness rule of the single-process engines, the
+// one the TCP and shm meshes' heartbeat detectors follow: a rank that goes
+// down is declared failed at every survivor once it has been silent for
+// beat.Policy's timeout. The timeout runs on the engine's clock — virtual
+// time under Sim, so detection is as deterministic as the rest of the run.
+func (f *Fabric) declareAfter(rank int, mode fault.RankMode) {
+	timeout := beat.Policy{}.WithDefaults().Timeout
+	f.env.Schedule(simtime.Duration(timeout), exec.PrioWake, func() {
+		f.declarePeerFailed(rank, fmt.Sprintf("%v: silent for %v", mode, timeout))
+	})
 }
 
 // NIC returns rank r's network interface.
@@ -317,144 +315,97 @@ func (f *Fabric) wireTime(origin, target, size int, inlineEligible bool) simtime
 // and at least BTE-sized (small transfers gain nothing, and inline-ring
 // payloads must stay staged copies).
 func (f *Fabric) zeroCopyEligible(origin, target, size int) bool {
-	return f.rel == nil && // retransmission needs a stable staged copy
-		f.env.Mode().Wallclock() &&
+	return f.env.Mode().Wallclock() &&
 		size >= f.cfg.Model.FMABTECrossover &&
 		size > f.cfg.InlineThreshold &&
 		f.SameNode(origin, target)
 }
 
-// sendBorrowEligible reports that a cross-process send to target departs
-// synchronously on the posting goroutine — no reliability layer retaining
-// bytes for retransmission, no fault-injection delay — so the packet may
-// reference the caller's buffer directly instead of a pooled bounce copy:
-// the link has finished serializing it (copied it into shared memory or
-// into the stream's encode buffer) by the time transmit returns.
+// sendBorrowEligible reports that a send to target crosses a process
+// boundary, where it departs synchronously on the posting goroutine, so the
+// packet may reference the caller's buffer directly instead of a pooled
+// bounce copy: the link has finished serializing it (copied it into shared
+// memory or into the stream's encode buffer) by the time transmit returns.
 func (f *Fabric) sendBorrowEligible(target int) bool {
-	return f.link != nil && f.rel == nil && target != f.self
+	return f.link != nil && target != f.self
 }
 
 // transmit moves pkt from origin to target. Each logical packet is
-// counted once here; when the reliable-delivery layer is active it takes
-// over (sequencing, retention, fault injection) and its transmission
-// attempts re-enter below via dispatch.
+// counted once here. Under a fault plan the injector decides, once per
+// packet, whether it leaves its origin and reaches its target; a packet
+// from a down rank or to a crashed one is discarded here.
 func (f *Fabric) transmit(pkt *packet) {
 	if f.link != nil && pkt.op != nil && pkt.target != f.self && pkt.opID == 0 {
-		// Cross-process op: give it a wire identity before the packet (or
-		// any retransmission clone, which copies opID) can leave the
-		// process, so the remote ack can find its way home.
+		// Cross-process op: give it a wire identity before the packet can
+		// leave the process, so the remote ack can find its way home.
 		pkt.opID = f.netRegisterOp(pkt.op)
 	}
 	f.count(pkt)
-	if f.rel != nil {
-		f.rel.send(pkt)
+	if f.inj != nil && !f.inj.Admit(pkt.origin, pkt.target) {
+		f.discardPacket(pkt)
 		return
 	}
-	f.dispatch(pkt, 0)
+	f.dispatch(pkt)
 }
 
-// dispatch puts one transmission attempt on the wire. Under Sim it
-// schedules a delivery event at the FIFO-adjusted LogGP arrival time;
-// under the wall-clock engines it hands the attempt over at once (sendNow).
-// faultDelay > 0 is an injected reordering hold: the attempt lands that
-// much later and — deliberately — bypasses the Sim pair-FIFO clamp, so
-// later traffic of the same pair overtakes it.
-func (f *Fabric) dispatch(pkt *packet, faultDelay int64) {
+// dispatch puts a packet on the wire. Under Sim it schedules a delivery
+// event at the FIFO-adjusted LogGP arrival time; under the wall-clock
+// engines it hands the packet over at once: to the link when the target
+// lives in another process, otherwise to the target NIC, which commits it
+// on this goroutine — the one delivery rule of the wall-clock engines (a
+// link's reader follows it too, in ingestFrame).
+func (f *Fabric) dispatch(pkt *packet) {
 	if f.env.Mode().Wallclock() {
-		if faultDelay > 0 {
-			f.env.Schedule(simtime.Duration(faultDelay), exec.PrioDelivery, func() {
-				f.sendNow(pkt)
-			})
+		if f.link != nil && pkt.target != f.self {
+			f.netSend(pkt)
 			return
 		}
-		f.sendNow(pkt)
+		f.nics[pkt.target].deliverGuarded(pkt)
 		return
 	}
 	dst := f.nics[pkt.target]
 	wire := f.wireTime(pkt.origin, pkt.target, pkt.wireSize, pkt.inlineEligible)
 	now := f.env.Now()
 	arrive := now.Add(wire + simtime.Duration(pkt.extraDelay))
-	if faultDelay > 0 {
-		arrive = arrive.Add(simtime.Duration(faultDelay))
-		f.env.Schedule(arrive.Sub(now), exec.PrioDelivery, func() { dst.deliver(pkt) })
-		return
-	}
 	idx := pkt.origin*f.cfg.Ranks + pkt.target
 	gap := f.wireParams(pkt.origin, pkt.target, pkt.wireSize).O
 	if earliest := f.lastArrive[idx].Add(gap); arrive < earliest {
 		arrive = earliest
 	}
 	f.lastArrive[idx] = arrive
-	// Lane discipline for exploring schedulers: on the lossless path,
-	// per-pair delivery order is a platform guarantee the upper layers rely
-	// on, so tag the event with the pair's lane (idx+1; lane 0 means
-	// unconstrained). With the reliable layer active the wire is allowed to
-	// reorder — sequence numbers restore order at ingress — so deliveries
-	// stay unconstrained and the checker may permute them freely.
-	lane := uint64(0)
-	if f.rel == nil {
-		lane = uint64(idx + 1)
-	}
-	exec.ScheduleLane(f.env, arrive.Sub(now), exec.PrioDelivery, lane, func() { dst.deliver(pkt) })
-}
-
-// sendNow hands one wall-clock transmission attempt over: to the link when
-// the target lives in another process, otherwise to the target NIC, which
-// commits it on this goroutine — the one delivery rule of the wall-clock
-// engines (a link's reader follows it too, in ingestFrame).
-func (f *Fabric) sendNow(pkt *packet) {
-	if f.link != nil && pkt.target != f.self {
-		f.netSend(pkt)
-		return
-	}
-	f.nics[pkt.target].deliverGuarded(pkt)
+	// Lane discipline for exploring schedulers: per-pair delivery order is
+	// a platform guarantee the upper layers rely on, so tag the event with
+	// the pair's lane (idx+1; lane 0 means unconstrained).
+	exec.ScheduleLane(f.env, arrive.Sub(now), exec.PrioDelivery, uint64(idx+1), func() { dst.deliver(pkt) })
 }
 
 // discardPacket disposes of a packet that will never be delivered,
-// returning whatever buffers this copy owns to the pool. Reliability
-// wire clones own nothing (the retained original does); lossless packets
-// own their staged payload and message data.
+// returning its staged payload and message data to the pool.
 func (f *Fabric) discardPacket(pkt *packet) {
 	if pkt.pooled {
 		f.pool.put(pkt.data)
 	}
-	if pkt.msg != nil && pkt.msg.Data != nil && !pkt.rel {
+	if pkt.msg != nil && pkt.msg.Data != nil {
 		f.pool.put(pkt.msg.Data)
 		pkt.msg.Data = nil
 	}
 	releasePacket(pkt)
 }
 
-// FaultStats returns the fault plane + reliability layer counters; zero
-// when the layer is inactive.
-func (f *Fabric) FaultStats() FaultStats {
-	if f.rel == nil {
-		return FaultStats{}
-	}
-	return f.rel.stats()
+// FaultStats is the link-repair counter set the benchmark module still
+// reads. The fabric is lossless and repairs nothing, so every field is
+// always zero; the type goes once the benchmark stops reading it (ROADMAP
+// item 7).
+type FaultStats struct {
+	LinkAcks, LinkNacks, Retransmits, DupsDropped int64
 }
+
+// FaultStats returns the always-zero link-repair counters.
+func (f *Fabric) FaultStats() FaultStats { return FaultStats{} }
 
 // Injector exposes the fault injector (nil without a fault plan) so tests
 // and harnesses can crash or hang ranks mid-run.
-func (f *Fabric) Injector() *fault.Injector {
-	if f.rel == nil {
-		return nil
-	}
-	return f.rel.inj
-}
-
-// ReliabilityEnabled reports whether the reliable-delivery layer is
-// active.
-func (f *Fabric) ReliabilityEnabled() bool { return f.rel != nil }
-
-// TimeoutBudget returns the active reliability configuration's worst-case
-// failure-detection latency (zero when the layer is inactive).
-func (f *Fabric) TimeoutBudget() simtime.Duration {
-	if f.rel == nil {
-		return 0
-	}
-	return f.rel.cfg.TimeoutBudget()
-}
+func (f *Fabric) Injector() *fault.Injector { return f.inj }
 
 func (f *Fabric) count(pkt *packet) {
 	switch pkt.kind {

@@ -13,24 +13,12 @@ import (
 )
 
 // runBoth executes body over a fresh fabric under both engines.
-func runBoth(t *testing.T, ranks int, cfg func(*Config), body func(f *Fabric, p *exec.Proc)) {
+func runBoth(t *testing.T, ranks int, body func(f *Fabric, p *exec.Proc)) {
 	t.Helper()
 	for _, mode := range []exec.Mode{exec.Sim, exec.Real} {
-		mode := mode
 		t.Run(mode.String(), func(t *testing.T) {
 			env := exec.New(mode)
-			c := DefaultConfig(ranks)
-			if cfg != nil {
-				cfg(&c)
-			}
-			if mode == exec.Real && c.Reliability.RTO == 0 {
-				// The Sim-scale 10µs RTO is a 3.4ms failure budget: on wall
-				// clock under -race one scheduler stall exhausts it and a
-				// healthy rank is convicted. (Unused without the layer.)
-				c.Reliability.RTO = simtime.Millisecond
-				c.Reliability.RTOMax = 20 * simtime.Millisecond
-			}
-			f := New(env, c)
+			f := New(env, DefaultConfig(ranks))
 			defer f.Close()
 			if err := env.Run(ranks, func(p *exec.Proc) { body(f, p) }); err != nil {
 				t.Fatal(err)
@@ -63,7 +51,7 @@ func barrier(f *Fabric, p *exec.Proc) {
 }
 
 func TestPutDeliversDataAndNotification(t *testing.T) {
-	runBoth(t, 2, nil, func(f *Fabric, p *exec.Proc) {
+	runBoth(t, 2, func(f *Fabric, p *exec.Proc) {
 		nic := f.NIC(p.Rank())
 		buf := make([]byte, 64)
 		reg := nic.Register(buf)
@@ -96,7 +84,7 @@ func TestPutDeliversDataAndNotification(t *testing.T) {
 }
 
 func TestPutWithoutImmNoNotification(t *testing.T) {
-	runBoth(t, 2, nil, func(f *Fabric, p *exec.Proc) {
+	runBoth(t, 2, func(f *Fabric, p *exec.Proc) {
 		nic := f.NIC(p.Rank())
 		reg := nic.Register(make([]byte, 16))
 		barrier(f, p)
@@ -117,7 +105,7 @@ func TestPutWithoutImmNoNotification(t *testing.T) {
 }
 
 func TestGetReadsRemoteAndNotifiesTarget(t *testing.T) {
-	runBoth(t, 2, nil, func(f *Fabric, p *exec.Proc) {
+	runBoth(t, 2, func(f *Fabric, p *exec.Proc) {
 		nic := f.NIC(p.Rank())
 		buf := make([]byte, 32)
 		if p.Rank() == 1 {
@@ -150,7 +138,7 @@ func TestGetReadsRemoteAndNotifiesTarget(t *testing.T) {
 }
 
 func TestAtomicFetchAdd(t *testing.T) {
-	runBoth(t, 3, nil, func(f *Fabric, p *exec.Proc) {
+	runBoth(t, 3, func(f *Fabric, p *exec.Proc) {
 		nic := f.NIC(p.Rank())
 		buf := make([]byte, 8)
 		reg := nic.Register(buf)
@@ -177,7 +165,7 @@ func TestAtomicFetchAdd(t *testing.T) {
 }
 
 func TestAtomicCAS(t *testing.T) {
-	runBoth(t, 2, nil, func(f *Fabric, p *exec.Proc) {
+	runBoth(t, 2, func(f *Fabric, p *exec.Proc) {
 		nic := f.NIC(p.Rank())
 		buf := make([]byte, 8)
 		reg := nic.Register(buf)
@@ -204,7 +192,7 @@ func TestAtomicCAS(t *testing.T) {
 }
 
 func TestAccumulateSumAndReplace(t *testing.T) {
-	runBoth(t, 2, nil, func(f *Fabric, p *exec.Proc) {
+	runBoth(t, 2, func(f *Fabric, p *exec.Proc) {
 		nic := f.NIC(p.Rank())
 		buf := make([]byte, 32)
 		reg := nic.Register(buf)
@@ -386,7 +374,7 @@ func TestFIFOOrderingPerPair(t *testing.T) {
 }
 
 func TestMsgClassMatching(t *testing.T) {
-	runBoth(t, 2, nil, func(f *Fabric, p *exec.Proc) {
+	runBoth(t, 2, func(f *Fabric, p *exec.Proc) {
 		nic := f.NIC(p.Rank())
 		if p.Rank() == 0 {
 			nic.PostMsg(p, 1, 1, MsgHdr{1}, nil, false)
@@ -510,7 +498,7 @@ func TestDeregister(t *testing.T) {
 }
 
 func TestDestHighWater(t *testing.T) {
-	runBoth(t, 2, nil, func(f *Fabric, p *exec.Proc) {
+	runBoth(t, 2, func(f *Fabric, p *exec.Proc) {
 		nic := f.NIC(p.Rank())
 		reg := nic.Register(make([]byte, 8))
 		barrier(f, p)

@@ -24,7 +24,7 @@ func TestMsgClassFIFOProperty(t *testing.T) {
 		perClass = 40
 		base     = 300
 	)
-	runBoth(t, 2, nil, func(f *Fabric, p *exec.Proc) {
+	runBoth(t, 2, func(f *Fabric, p *exec.Proc) {
 		nic := f.NIC(p.Rank())
 		if p.Rank() == 0 {
 			// Deterministic shuffle of per-class sequences: same schedule
@@ -93,7 +93,7 @@ func TestMsgClassFIFOProperty(t *testing.T) {
 // TestMsgClassArrivalOrderAcrossClasses checks that PollMsgClasses merges
 // class FIFOs by arrival sequence, not by class id.
 func TestMsgClassArrivalOrderAcrossClasses(t *testing.T) {
-	runBoth(t, 2, nil, func(f *Fabric, p *exec.Proc) {
+	runBoth(t, 2, func(f *Fabric, p *exec.Proc) {
 		nic := f.NIC(p.Rank())
 		if p.Rank() == 0 {
 			nic.PostMsg(p, 1, 52, MsgHdr{1}, nil, false) // higher class, earlier arrival

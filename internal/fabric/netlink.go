@@ -22,27 +22,49 @@ package fabric
 // (which its own send-side bound limits).
 //
 // A Link is lossless and FIFO per pair in Send-call order — a TCP stream
-// and an SPSC ring both are — so a distributed fabric follows the rule of
-// every other fabric: the reliable-delivery layer exists iff the config
-// carries a fault plan (or Reliability.Force). What a link cannot do by
-// itself is say that a peer died; that is the Link's peerDown callback
-// (connection loss, or a stream/segment whose heartbeat stalled — the hung
-// process), which funnels into declarePeerFailed exactly as the layer's
-// retransmit-budget exhaustion does when it is present.
+// and an SPSC ring both are, like every other fabric's wire. What a link
+// cannot do by itself is say that a peer died; that is the Link's peerDown
+// callback (connection loss, or a stream/segment whose heartbeat stalled —
+// the hung process), which funnels into declarePeerFailed, the one way a
+// peer fails on every engine.
 //
 // Op handles cannot cross a process boundary, so the origin registers each
 // op under a process-local wire ID at post time (transmit); acks and get
 // responses echo the ID and ingestFrame resolves it back to the handle. IDs are
 // never reused (monotonic counter), so a stale echo after the op completed
-// resolves to nothing and the packet is dropped by deliverNow's nil guard.
+// resolves to nothing and the packet is dropped by deliver's nil guard.
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/exec"
-	"repro/internal/simtime"
+	"repro/internal/fault"
 	"repro/internal/wire"
 )
+
+// ErrPeerFailed is the sentinel all peer-failure errors unwrap to; check
+// with errors.Is. It surfaces through Op.Err at op granularity and as a
+// panic (converted to the run error) from blocked waits that can never be
+// satisfied.
+var ErrPeerFailed = errors.New("peer failed")
+
+// PeerFailedError reports a detected rank failure.
+type PeerFailedError struct {
+	// Observer is the local rank the failure was declared at.
+	Observer int
+	// Rank is the failed rank.
+	Rank int
+	// Reason describes the detection (e.g. "link down: heartbeat stalled").
+	Reason string
+}
+
+func (e *PeerFailedError) Error() string {
+	return fmt.Sprintf("fabric: peer rank %d failed (detected by rank %d: %s)", e.Rank, e.Observer, e.Reason)
+}
+
+// Unwrap ties the error to ErrPeerFailed for errors.Is.
+func (e *PeerFailedError) Unwrap() error { return ErrPeerFailed }
 
 // Link is the cross-process transport a distributed fabric sends through.
 // netfab.Mesh satisfies it structurally; the fabric never imports netfab,
@@ -69,12 +91,11 @@ type Link interface {
 
 // NewDistributed creates the local-rank slice of a distributed fabric on
 // top of an established link. env must be a wall-clock engine (DistEnv).
-// As in New, the reliable-delivery layer is active iff cfg carries a fault
-// plan or Reliability.Force (startReliability); its retransmission timers
-// are then re-tuned for wall-clock links when the caller left them at the
-// Sim-scale defaults. cfg.Ranks/RanksPerNode are overridden by the link geometry
-// (one rank per process means one rank per "node": the SHM and inline fast
-// paths never trigger).
+// cfg.Ranks/RanksPerNode are overridden by the link geometry (one rank per
+// process means one rank per "node": the SHM and inline fast paths never
+// trigger). A fault plan gets an injector but no declaring down hook: the
+// peers' link liveness detectors convict a failed rank, so the caller
+// mirrors its rank's failure into the link (runtime's SuppressHeartbeat).
 func NewDistributed(env exec.Env, cfg Config, link Link) *Fabric {
 	if !env.Mode().Wallclock() {
 		panic("fabric: NewDistributed needs a wall-clock engine")
@@ -82,27 +103,18 @@ func NewDistributed(env exec.Env, cfg Config, link Link) *Fabric {
 	cfg.Ranks = link.N()
 	cfg.RanksPerNode = 1
 	cfg.ChargeOverheads = false
-	if cfg.Reliability.RTO == 0 {
-		// The Sim-tuned 10µs base RTO would spuriously retransmit on any
-		// real link; these cover localhost jitter and scheduler stalls
-		// while keeping the failure budget (~3s) inside a test timeout.
-		cfg.Reliability.RTO = 50 * simtime.Millisecond
-		cfg.Reliability.RTOMax = 400 * simtime.Millisecond
-		if cfg.Reliability.MaxAttempts == 0 {
-			cfg.Reliability.MaxAttempts = 10
-		}
-	}
 	f := &Fabric{
-		cfg:        cfg,
-		env:        env,
-		nics:       make([]*NIC, cfg.Ranks),
-		lastArrive: make([]simtime.Time, cfg.Ranks*cfg.Ranks),
-		link:       link,
-		self:       link.Self(),
-		netOps:     make(map[uint64]*Op),
+		cfg:    cfg,
+		env:    env,
+		nics:   make([]*NIC, cfg.Ranks),
+		link:   link,
+		self:   link.Self(),
+		netOps: make(map[uint64]*Op),
 	}
 	f.nics[f.self] = newNIC(f, f.self)
-	f.startReliability()
+	if cfg.FaultPlan != nil {
+		f.inj = fault.NewInjector(*cfg.FaultPlan)
+	}
 	link.Start(f.ingestFrame, f.netPeerDown)
 	return f
 }
@@ -114,8 +126,7 @@ func (f *Fabric) Self() int { return f.self }
 // Op wire identity
 // ---------------------------------------------------------------------------
 
-// netRegisterOp assigns op its wire ID (once; stable across retransmission
-// clones, which copy the packet's opID field) and publishes it for ack
+// netRegisterOp assigns op its wire ID (once) and publishes it for ack
 // resolution. Called from transmit on the posting goroutine, before the
 // packet can reach the wire.
 func (f *Fabric) netRegisterOp(op *Op) uint64 {
@@ -166,7 +177,7 @@ func (f *Fabric) netSweepFailed(failed int) {
 // Outbound: packet → frame
 // ---------------------------------------------------------------------------
 
-// netFrame fills fr from one transmission attempt's packet fields.
+// netFrame fills fr from a packet's fields.
 func (f *Fabric) netFrame(pkt *packet, fr *wire.Frame) {
 	*fr = wire.Frame{
 		Kind:       pkt.kind,
@@ -178,12 +189,9 @@ func (f *Fabric) netFrame(pkt *packet, fr *wire.Frame) {
 		OpID:       pkt.opID,
 		Operand:    pkt.operand,
 		Compare:    pkt.compare,
-		Seq:        pkt.seq,
-		Csum:       pkt.csum,
 		Imm:        pkt.imm.Val,
 		ImmValid:   pkt.imm.Valid,
 		NotifyBack: pkt.notifyBack,
-		Rel:        pkt.rel,
 		AtomicOp:   uint8(pkt.aop),
 		AccumOp:    uint8(pkt.accOp),
 		Data:       pkt.data,
@@ -201,26 +209,9 @@ func (f *Fabric) netFrame(pkt *packet, fr *wire.Frame) {
 	}
 }
 
-// netDispose releases one transmission attempt after its wire write.
-// Pooled payloads the attempt owns (fault-plane corrupt copies) are
-// recycled, shared ones belong to the retained original.
-func (f *Fabric) netDispose(pkt *packet, target int, err error) {
-	if pkt.pooled {
-		f.pool.put(pkt.data)
-	}
-	releasePacket(pkt)
-	if err != nil {
-		// The stream to this peer is broken. The mesh's reader will
-		// normally notice first; declaring here too makes a failed write
-		// surface even when the read side is quiescent (idempotent).
-		f.declarePeerFailed(f.self, target, fmt.Sprintf("send failed: %v", err))
-	}
-}
-
-// netSend serializes one transmission attempt onto the link: encode, send,
-// dispose. The link has finished with the packet's bytes when Send returns
-// (under the reliability layer pkt is a wire clone or link control packet,
-// and the retained original lives on). Packets produced by delivery take
+// netSend serializes a packet onto the link: encode, send, dispose. The
+// link has finished with the packet's bytes when Send returns, so a pooled
+// payload goes back to the pool here. Packets produced by delivery take
 // SendReply, which never parks the rx goroutine.
 func (f *Fabric) netSend(pkt *packet) {
 	var fr wire.Frame
@@ -231,7 +222,16 @@ func (f *Fabric) netSend(pkt *packet) {
 	} else {
 		err = f.link.Send(pkt.target, &fr)
 	}
-	f.netDispose(pkt, fr.Target, err)
+	if pkt.pooled {
+		f.pool.put(pkt.data)
+	}
+	releasePacket(pkt)
+	if err != nil {
+		// The stream to this peer is broken. The mesh's reader will
+		// normally notice first; declaring here too makes a failed write
+		// surface even when the read side is quiescent (idempotent).
+		f.declarePeerFailed(fr.Target, fmt.Sprintf("send failed: %v", err))
+	}
 }
 
 // ---------------------------------------------------------------------------
@@ -241,14 +241,13 @@ func (f *Fabric) netSend(pkt *packet) {
 // ingestFrame converts an arriving frame into a packet and delivers it on
 // the link's rx goroutine before returning. fr.Data aliases the link's
 // receive buffer, valid until rx returns, so puts, get responses,
-// accumulates, atomics and notifications commit straight from it. Only two
-// payloads are copied into the pool: a message's, which its class queue
-// keeps past this call, and a sequenced packet's, which the reliable layer
-// may hold in its reorder window. Backpressure is the socket or ring
-// itself: the reader stops only while it commits.
+// accumulates, atomics and notifications commit straight from it. Only a
+// message's payload is copied into the pool, because its class queue keeps
+// it past this call. Backpressure is the socket or ring itself: the reader
+// stops only while it commits.
 func (f *Fabric) ingestFrame(_ int, fr *wire.Frame) {
 	kind := fr.Kind
-	if kind > pktLinkNack || fr.Target != f.self {
+	if kind > pktNotify || fr.Target != f.self {
 		return // control frame the mesh already handled, or not ours: drop
 	}
 	pkt := newPacket()
@@ -259,7 +258,6 @@ func (f *Fabric) ingestFrame(_ int, fr *wire.Frame) {
 		wireSize: fr.WireSize, notifyBack: fr.NotifyBack,
 		opID: fr.OpID, operand: fr.Operand, compare: fr.Compare,
 		aop: AtomicOp(fr.AtomicOp), accOp: AccumOp(fr.AccumOp),
-		rel: fr.Rel, seq: fr.Seq, csum: fr.Csum,
 	}
 	switch kind {
 	case pktCtrl, pktData:
@@ -272,39 +270,32 @@ func (f *Fabric) ingestFrame(_ int, fr *wire.Frame) {
 	case pktAck, pktGetResp:
 		pkt.op = f.netLookupOp(fr.OpID)
 	}
-	if pkt.rel && len(pkt.data) > 0 {
-		pkt.data, pkt.pooled = f.pool.clone(pkt.data), true
-	}
 	f.nics[f.self].deliverGuarded(pkt)
 }
 
 // netPeerDown maps the link's verdict on a peer (RST, EOF without goodbye,
-// write timeout, stalled heartbeat) onto the peer-failure detector: the
-// same declarePeerFailed path a retransmit-budget exhaustion takes, so
-// waiters unblock with the same typed ErrPeerFailed.
+// write timeout, stalled heartbeat) onto declarePeerFailed, so waiters
+// unblock with the typed ErrPeerFailed.
 func (f *Fabric) netPeerDown(rank int, err error) {
-	f.declarePeerFailed(f.self, rank, fmt.Sprintf("link down: %v", err))
+	f.declarePeerFailed(rank, fmt.Sprintf("link down: %v", err))
 }
 
 // declarePeerFailed converts a dead peer into typed ErrPeerFailed
-// completions. The reliable layer owns the declaration when present (it
-// also has retained window state to release); without it (rel == nil, the
-// default on every link) the same idempotent fan-out happens here: sweep
-// registered wire ops, fail the local NIC's pending state and waiters, and
-// fire the job-level hook.
-func (f *Fabric) declarePeerFailed(observer, failed int, reason string) {
-	if f.rel != nil {
-		f.rel.declarePeerFailed(observer, failed, reason)
-		return
-	}
-	err := &PeerFailedError{Observer: observer, Rank: failed, Reason: reason}
+// completions, once per failed rank, at every local NIC in rank order: the
+// NIC's pending ops to the rank fail, its blocked waiters wake, and each
+// survivor reports its own observation to the job-level hook. A down
+// rank's own NIC (a single-process fabric hosts it) records the failure
+// too, so its blocked waits unwind with the same error, but a dead rank
+// observes nothing. On a distributed fabric the one local NIC is the
+// observer, and registered wire ops to the dead rank are swept first.
+func (f *Fabric) declarePeerFailed(failed int, reason string) {
 	f.failMu.Lock()
-	if f.failed == nil {
-		f.failed = make(map[int]bool)
-	}
-	if f.failed[failed] {
+	if f.closed || f.failed[failed] {
 		f.failMu.Unlock()
 		return
+	}
+	if f.failed == nil {
+		f.failed = make(map[int]bool)
 	}
 	f.failed[failed] = true
 	f.failMu.Unlock()
@@ -315,11 +306,21 @@ func (f *Fabric) declarePeerFailed(observer, failed int, reason string) {
 		if n == nil {
 			continue // distributed fabric: remote NICs live in other processes
 		}
+		err := &PeerFailedError{Observer: n.rank, Rank: failed, Reason: reason}
 		n.notePeerFailure(failed, err)
+		if hook := f.cfg.FailureHook; hook != nil && n.rank != failed && !f.down(n.rank) {
+			hook(n.rank, failed, err)
+		}
 	}
-	if hook := f.cfg.FailureHook; hook != nil {
-		hook(observer, failed, err)
+}
+
+// down reports whether the fault plan has taken rank down.
+func (f *Fabric) down(rank int) bool {
+	if f.inj == nil {
+		return false
 	}
+	_, down := f.inj.Down(rank)
+	return down
 }
 
 // NetStatsSource returns the link so callers holding only the fabric can

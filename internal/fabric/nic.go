@@ -139,11 +139,6 @@ const (
 	pktCtrl    = wire.KindCtrl
 	pktData    = wire.KindData
 	pktNotify  = wire.KindNotify // deferred get notification (unreliable-network protocol)
-
-	// Link-layer control for the reliable-delivery layer. These are
-	// unsequenced, uncounted in Fabric.Stats, and never reach deliverNow.
-	pktLinkAck  = wire.KindLinkAck  // cumulative ack: operand = highest contiguously received seq
-	pktLinkNack = wire.KindLinkNack // gap report: operand = first missing seq (acks everything below)
 )
 
 type packet struct {
@@ -166,8 +161,8 @@ type packet struct {
 	// opID is the wire identity of op for the distributed fabric: pointers
 	// cannot cross a process boundary, so the origin registers the op under
 	// this ID and the target echoes it back on acks and get responses.
-	// Assigned once per op (stable across retransmission clones); zero on
-	// single-process fabrics and on packets that carry no op.
+	// Assigned once per op; zero on single-process fabrics and on packets
+	// that carry no op.
 	opID uint64
 
 	aop              AtomicOp
@@ -175,11 +170,6 @@ type packet struct {
 	accOp            AccumOp
 
 	msg *Msg
-
-	// Reliable-delivery layer fields (zero unless the layer is active).
-	rel  bool   // sequenced packet: ingress runs dedup/reorder before deliverNow
-	seq  uint64 // per-(origin,target) sequence number, starting at 1
-	csum uint32 // CRC-32 over the payload bytes (data + msg data)
 }
 
 // Op is the origin-side handle of an outstanding remote operation. Done
@@ -194,7 +184,7 @@ type Op struct {
 	done     bool
 	detached bool // fire-and-forget: recycle into the NIC's op freelist at completion
 	result   uint64
-	err      error  // peer-failure completion (reliability layer)
+	err      error  // peer-failure completion
 	netID    uint64 // wire identity (distributed fabric); 0 = unregistered
 }
 
@@ -405,20 +395,20 @@ type NIC struct {
 	// Checker-audit note: delivery never parks — it runs on the goroutine
 	// that sent the packet (in-process) or read its frame (link) and takes
 	// only mutexes — so every blocking edge in this package (op
-	// await/flush, destination CQ waits, class-bucket message waits,
-	// reliability timers) goes through exec.Gate or Env.Schedule, and the
-	// interleaving checker (internal/check) observes the complete
+	// await/flush, destination CQ waits, class-bucket message waits, the
+	// failure declaration's timer) goes through exec.Gate or Env.Schedule,
+	// and the interleaving checker (internal/check) observes the complete
 	// blocking/wake graph under Sim.
 	closed atomic.Bool
 
-	// Peer-failure state (the reliability layer, or a distributed fabric
-	// whose link detects dead peers; all nil/false elsewhere).
-	// peerErr[r] is the failure recorded against rank r; relPending[r]
-	// holds this NIC's ops outstanding to r so a failure declaration can
-	// complete them with the error (guarded by mu, lazily allocated).
+	// Peer-failure state (a fabric under a fault plan, or a distributed
+	// fabric whose link detects dead peers; all nil/false elsewhere).
+	// peerErr[r] is the failure recorded against rank r; pending[r] holds
+	// this NIC's ops outstanding to r so a failure declaration can complete
+	// them with the error (guarded by mu, lazily allocated).
 	peerErr       []error
 	anyPeerFailed bool
-	relPending    []map[*Op]struct{}
+	pending       []map[*Op]struct{}
 }
 
 func newNIC(f *Fabric, rank int) *NIC {
@@ -465,14 +455,14 @@ func (n *NIC) deliverGuarded(pkt *packet) {
 // Idempotent.
 func (n *NIC) Close() { n.closed.Store(true) }
 
-// Close makes the reliability layer's timers inert and every local NIC
+// Close makes a pending failure declaration inert and every local NIC
 // discard what reaches it. On a distributed fabric only the local rank's
 // NIC exists; the link itself is owned and closed by the layer that built
 // it (internal/runtime).
 func (f *Fabric) Close() {
-	if f.rel != nil {
-		f.rel.close()
-	}
+	f.failMu.Lock()
+	f.closed = true
+	f.failMu.Unlock()
 	for _, n := range f.nics {
 		if n != nil {
 			n.Close()
@@ -542,21 +532,21 @@ func (n *NIC) beginOp(target int, kind OpKind) *Op {
 	op.netID = 0
 	n.outstanding[target]++
 	n.totalOut++
-	if n.f.rel != nil || n.f.link != nil {
-		if n.relPending == nil {
-			n.relPending = make([]map[*Op]struct{}, n.f.cfg.Ranks)
+	if n.f.inj != nil || n.f.link != nil {
+		if n.pending == nil {
+			n.pending = make([]map[*Op]struct{}, n.f.cfg.Ranks)
 		}
-		m := n.relPending[target]
+		m := n.pending[target]
 		if m == nil {
 			m = make(map[*Op]struct{})
-			n.relPending[target] = m
+			n.pending[target] = m
 		}
 		m[op] = struct{}{}
 	}
 	if n.anyPeerFailed && n.peerErr[target] != nil {
 		// The target was already declared dead: the declaration's sweep ran
-		// before this op existed, so complete it here — otherwise a link
-		// without the reliability layer would park its awaiter forever.
+		// before this op existed, so complete it here, or its awaiter would
+		// park forever.
 		n.failOpLocked(op, n.peerErr[target])
 	}
 	n.mu.Unlock()
@@ -583,8 +573,8 @@ func (n *NIC) completeOp(op *Op, result uint64) {
 	op.result = result
 	n.outstanding[op.target]--
 	n.totalOut--
-	if n.relPending != nil {
-		delete(n.relPending[op.target], op)
+	if n.pending != nil {
+		delete(n.pending[op.target], op)
 	}
 	// Broadcast only when a waiter can observe this completion: Await
 	// waiters re-check on every completion, Flush/FlushAll waiters only
@@ -617,8 +607,8 @@ func (n *NIC) failOpLocked(op *Op, err error) {
 	op.err = err
 	n.outstanding[op.target]--
 	n.totalOut--
-	if n.relPending != nil {
-		delete(n.relPending[op.target], op)
+	if n.pending != nil {
+		delete(n.pending[op.target], op)
 	}
 }
 
@@ -653,8 +643,8 @@ func (n *NIC) notePeerFailure(failed int, err error) {
 	}
 	n.peerErr[failed] = err
 	n.anyPeerFailed = true
-	if n.relPending != nil {
-		for op := range n.relPending[failed] {
+	if n.pending != nil {
+		for op := range n.pending[failed] {
 			n.failOpLocked(op, err)
 		}
 	}
@@ -863,8 +853,8 @@ func (n *NIC) RecycleMsgData(m *Msg) {
 }
 
 // recycleData releases the packet's payload buffer: pooled copies return
-// to the pool; anything else (a link's receive buffer, a shared
-// retransmission payload) is not this packet's to free.
+// to the pool; anything else (a link's receive buffer, the origin's own
+// buffer on the zero-copy path) is not this packet's to free.
 func (n *NIC) recycleData(pkt *packet) {
 	if pkt.pooled {
 		n.f.pool.put(pkt.data)
@@ -872,34 +862,16 @@ func (n *NIC) recycleData(pkt *packet) {
 	pkt.data, pkt.pooled = nil, false
 }
 
-// deliver routes an arriving packet: link-layer control and sequenced
-// packets detour through the reliable-delivery layer (which invokes
-// deliverNow for exactly the in-order prefix); everything else commits
-// directly. On the lossless configuration this is a single nil check.
-func (n *NIC) deliver(pkt *packet) {
-	if rl := n.f.rel; rl != nil {
-		switch {
-		case pkt.kind == pktLinkAck || pkt.kind == pktLinkNack:
-			rl.handleLinkCtl(pkt)
-			return
-		case pkt.rel:
-			rl.ingress(n, pkt)
-			return
-		}
-	}
-	n.deliverNow(pkt)
-}
-
-// deliverNow commits an arriving packet against this NIC. Under Sim it
-// runs in kernel context at the packet's arrival time; under the wall-clock
+// deliver commits an arriving packet against this NIC. Under Sim it runs
+// in kernel context at the packet's arrival time; under the wall-clock
 // engines it runs on the goroutine that sent the packet (in-process) or
 // read its frame (link), concurrently with the rank and other senders —
 // payload copies take only the target region's lock, queue state only the
 // control-plane mu, and replies it sends commit the same way, nested in
-// this call. The packet descriptor is recycled on return. Every side effect of a packet happens here, and the reliability
-// layer guarantees at most one call per sequence number — the exactly-once
-// half of the delivery argument.
-func (n *NIC) deliverNow(pkt *packet) {
+// this call. Every side effect of a packet happens here, once: the fabric
+// is lossless and FIFO per pair, so nothing arrives twice or out of
+// order. The packet descriptor is recycled on return.
+func (n *NIC) deliver(pkt *packet) {
 	switch pkt.kind {
 	case pktPut:
 		n.deliverPut(pkt)
@@ -1029,16 +1001,9 @@ func (n *NIC) deliverPut(pkt *packet) {
 				RegionID: pkt.regionID, Offset: pkt.offset, Len: length})
 			n.recycleData(pkt)
 		} else {
-			entryData := pkt.data
-			if !pkt.pooled {
-				// The ring outlives the packet's claim on bytes it does not
-				// own (a reliability wire clone shares the origin's retained
-				// payload): the ring gets its own copy.
-				entryData = n.f.pool.clone(pkt.data)
-			}
 			n.ring.push(ringEntry{source: pkt.origin, imm: pkt.imm.Val, kind: OpPut,
 				regionID: pkt.regionID, offset: pkt.offset, length: len(pkt.data),
-				inline: entryData, pooled: true})
+				inline: pkt.data, pooled: pkt.pooled})
 			pkt.data, pkt.pooled = nil, false // the ring owns the buffer now
 			n.mu.Unlock()
 			n.destGate.Broadcast()

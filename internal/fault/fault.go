@@ -1,57 +1,18 @@
-// Package fault is the deterministic fault-injection plane for the
-// simulated fabric: a seed-driven decision engine the NIC delivery path
-// consults once per wire packet to decide whether that packet is dropped,
-// duplicated, delayed (reordered), or bit-corrupted, and whether a whole
-// rank has crashed or hung. Faults are configured with a Plan — rate-based
-// probabilities, scripted per-packet rules ("drop the 3rd put from rank 1
-// to rank 0"), and rank-level failures — so every failure scenario is
-// reproducible from its seed.
+// Package fault is the rank-failure plane: a Plan names ranks that crash
+// (fail-stop) or hang, from the start or after a number of sends, and the
+// fabric consults one Injector per transmitted packet to learn whether the
+// packet leaves its origin and reaches its target. The fabric itself is
+// lossless — in-process memory, a TCP stream, an SPSC segment ring — so a
+// packet is only ever absorbed by a failed rank, never by the wire.
 //
-// Decisions are pure functions of (seed, origin, target, per-pair packet
-// index): under the deterministic Sim engine the same program sees the
-// same faults on every run, and under the Real engine two packets of one
-// pair never share a decision no matter how goroutines interleave. The
-// package knows nothing about the fabric's packet types; the fabric's
-// reliable-delivery layer (internal/fabric/reliable.go) translates
-// Decisions into wire behavior and repairs the damage.
+// Under the deterministic Sim engine the same plan fails the same ranks at
+// the same sends on every run.
 package fault
 
 import (
+	"sort"
 	"sync"
-	"sync/atomic"
 )
-
-// Any is the wildcard origin/target for scripted rules.
-const Any = -1
-
-// Action is a scripted rule's effect on a matching packet.
-type Action int
-
-const (
-	// Drop discards the packet.
-	Drop Action = iota
-	// Duplicate delivers the packet twice.
-	Duplicate
-	// Corrupt flips one payload bit, to be caught by the checksum.
-	Corrupt
-	// Delay holds the packet for Rule.Delay nanoseconds, reordering it
-	// behind later traffic of its pair.
-	Delay
-)
-
-func (a Action) String() string {
-	switch a {
-	case Drop:
-		return "drop"
-	case Duplicate:
-		return "duplicate"
-	case Corrupt:
-		return "corrupt"
-	case Delay:
-		return "delay"
-	}
-	return "unknown"
-}
 
 // RankMode classifies a rank-level failure.
 type RankMode int
@@ -73,28 +34,6 @@ func (m RankMode) String() string {
 	return "hang"
 }
 
-// Rule scripts a deterministic fault on specific packets.
-type Rule struct {
-	// Origin and Target select the pair; Any matches every rank.
-	Origin, Target int
-	// Class matches the packet class string ("put", "ack", "ctrl", …);
-	// empty matches every class.
-	Class string
-	// Nth applies the action to the Nth matching packet only (1-based,
-	// counted across the rule's lifetime); 0 applies it to every match.
-	Nth int
-	// Action is what happens to the matching packet.
-	Action Action
-	// Delay is the hold time in nanoseconds for Action == Delay.
-	Delay int64
-}
-
-func (r Rule) matches(origin, target int, class string) bool {
-	return (r.Origin == Any || r.Origin == origin) &&
-		(r.Target == Any || r.Target == target) &&
-		(r.Class == "" || r.Class == class)
-}
-
 // RankFault schedules a rank-level failure.
 type RankFault struct {
 	Rank int
@@ -104,84 +43,30 @@ type RankFault struct {
 	AfterSends int
 }
 
-// Plan is a complete, reproducible fault scenario.
+// Plan is a reproducible failure scenario.
 type Plan struct {
-	// Seed drives every probabilistic decision. Two runs with the same
-	// seed and the same per-pair packet sequence fault identically.
-	Seed uint64
-
-	// Drop, Duplicate, Corrupt, and Reorder are per-packet probabilities
-	// in [0,1], evaluated independently per packet.
-	Drop      float64
-	Duplicate float64
-	Corrupt   float64
-	Reorder   float64
-	// ReorderDelay is how long a reordered packet is held, in nanoseconds
-	// (default 10µs: several wire latencies, so later traffic overtakes).
-	ReorderDelay int64
-
-	// Rules are scripted per-packet faults, evaluated before the rates.
-	Rules []Rule
 	// Ranks are scheduled rank-level failures.
 	Ranks []RankFault
 }
 
-const defaultReorderDelay = 10_000 // 10µs
-
-// Decision is the injector's verdict on one wire packet.
-type Decision struct {
-	Drop      bool
-	Duplicate bool
-	Corrupt   bool
-	// CorruptPos selects which payload byte to flip (mod payload length).
-	CorruptPos uint64
-	// DelayNs holds the packet this long before delivery (reordering).
-	DelayNs int64
-	// DownOrigin/DownTarget report that the drop was a rank failure, not
-	// a lossy wire (so the caller can account it separately).
-	RankDown bool
-}
-
-// Stats counts injected faults.
-type Stats struct {
-	Dropped     int64 // packets discarded by rate or rule
-	Duplicated  int64 // packets delivered twice
-	Corrupted   int64 // packets with a flipped payload byte
-	Delayed     int64 // packets held for reordering
-	RankDropped int64 // packets absorbed by a crashed/hung rank
-}
-
 // Injector evaluates a Plan. One Injector serves a whole fabric; it is
-// safe for concurrent use from delivery workers.
+// safe for concurrent use from every sending goroutine.
 type Injector struct {
 	plan Plan
 
-	mu        sync.Mutex
-	pairSeq   map[[2]int]uint64 // per-(origin,target) packet index
-	ruleCount []uint64          // per-rule match counter (Nth)
-	sends     map[int]uint64    // per-origin originated-packet counter
-	down      map[int]RankMode
-	downHook  func(rank int, mode RankMode)
-
-	dropped     atomic.Int64
-	duplicated  atomic.Int64
-	corrupted   atomic.Int64
-	delayed     atomic.Int64
-	rankDropped atomic.Int64
+	mu       sync.Mutex
+	sends    map[int]uint64 // per-origin originated-packet counter
+	down     map[int]RankMode
+	downHook func(rank int, mode RankMode)
 }
 
 // NewInjector compiles a plan. The plan is copied; later mutations of the
 // caller's value have no effect.
 func NewInjector(p Plan) *Injector {
-	if p.ReorderDelay == 0 {
-		p.ReorderDelay = defaultReorderDelay
-	}
 	in := &Injector{
-		plan:      p,
-		pairSeq:   make(map[[2]int]uint64),
-		ruleCount: make([]uint64, len(p.Rules)),
-		sends:     make(map[int]uint64),
-		down:      make(map[int]RankMode),
+		plan:  Plan{Ranks: append([]RankFault(nil), p.Ranks...)},
+		sends: make(map[int]uint64),
+		down:  make(map[int]RankMode),
 	}
 	for _, rf := range p.Ranks {
 		if rf.AfterSends == 0 {
@@ -193,22 +78,28 @@ func NewInjector(p Plan) *Injector {
 
 // SetDownHook registers fn to be called (outside the injector lock) every
 // time a rank transitions into a failure mode — scheduled AfterSends
-// activation in Decide, or an explicit Crash/Hang call. Ranks already down
-// when the hook is installed are reported immediately, so transports that
-// must mirror rank failure into their own liveness machinery (e.g. the
-// shmfab heartbeat word) never miss a transition that happened during
-// plan compilation.
+// activation in Admit, or an explicit Crash/Hang call. Ranks already down
+// when the hook is installed are reported immediately, in rank order, so a
+// hook that schedules Sim events assigns them the same sequence numbers on
+// every run, and transports that mirror rank failure into their own
+// liveness machinery (e.g. the shmfab heartbeat word) never miss a
+// transition that happened during plan compilation.
 func (in *Injector) SetDownHook(fn func(rank int, mode RankMode)) {
 	in.mu.Lock()
 	in.downHook = fn
-	pending := make(map[int]RankMode, len(in.down))
-	for r, m := range in.down {
-		pending[r] = m
+	ranks := make([]int, 0, len(in.down))
+	for r := range in.down {
+		ranks = append(ranks, r)
+	}
+	sort.Ints(ranks)
+	modes := make([]RankMode, len(ranks))
+	for i, r := range ranks {
+		modes[i] = in.down[r]
 	}
 	in.mu.Unlock()
 	if fn != nil {
-		for r, m := range pending {
-			fn(r, m)
+		for i, r := range ranks {
+			fn(r, modes[i])
 		}
 	}
 }
@@ -248,134 +139,30 @@ func (in *Injector) Down(rank int) (RankMode, bool) {
 	return m, ok
 }
 
-// Stats returns a snapshot of the injected-fault counters.
-func (in *Injector) Stats() Stats {
-	return Stats{
-		Dropped:     in.dropped.Load(),
-		Duplicated:  in.duplicated.Load(),
-		Corrupted:   in.corrupted.Load(),
-		Delayed:     in.delayed.Load(),
-		RankDropped: in.rankDropped.Load(),
-	}
-}
-
-// Decide returns the verdict for the next wire packet from origin to
-// target of the given class. Every call advances the pair's packet index,
-// so decisions are order-dependent within a pair (deterministic under Sim)
-// but independent across pairs.
-func (in *Injector) Decide(origin, target int, class string) Decision {
+// Admit counts one packet originated by origin and reports whether it
+// leaves origin and reaches target: false once origin is down (crashed or
+// hung), or when target has crashed. The count activates AfterSends
+// failures: origin's (AfterSends+1)th packet is its first absorbed one.
+func (in *Injector) Admit(origin, target int) bool {
 	in.mu.Lock()
-	// Rank-failure activation: this packet is origin's (count)th send.
 	count := in.sends[origin] + 1
 	in.sends[origin] = count
-	var activated func()
-	for _, rf := range in.plan.Ranks {
-		if rf.Rank == origin && rf.AfterSends > 0 && count > uint64(rf.AfterSends) {
-			if _, already := in.down[origin]; !already {
+	var hook func(int, RankMode)
+	var mode RankMode
+	if _, already := in.down[origin]; !already {
+		for _, rf := range in.plan.Ranks {
+			if rf.Rank == origin && rf.AfterSends > 0 && count > uint64(rf.AfterSends) {
 				in.down[origin] = rf.Mode
-				if hook, mode := in.downHook, rf.Mode; hook != nil {
-					activated = func() { hook(origin, mode) }
-				}
+				hook, mode = in.downHook, rf.Mode
+				break
 			}
 		}
 	}
-	if _, ok := in.down[origin]; ok {
-		in.mu.Unlock()
-		if activated != nil {
-			activated()
-		}
-		in.rankDropped.Add(1)
-		return Decision{Drop: true, RankDown: true}
-	}
-	if m, ok := in.down[target]; ok && m == Crash {
-		in.mu.Unlock()
-		in.rankDropped.Add(1)
-		return Decision{Drop: true, RankDown: true}
-	}
-
-	var d Decision
-	// Scripted rules fire before (and instead of) the rates.
-	for i := range in.plan.Rules {
-		r := &in.plan.Rules[i]
-		if !r.matches(origin, target, class) {
-			continue
-		}
-		in.ruleCount[i]++
-		if r.Nth != 0 && in.ruleCount[i] != uint64(r.Nth) {
-			continue
-		}
-		switch r.Action {
-		case Drop:
-			d.Drop = true
-		case Duplicate:
-			d.Duplicate = true
-		case Corrupt:
-			d.Corrupt = true
-		case Delay:
-			d.DelayNs = r.Delay
-		}
-		in.mu.Unlock()
-		in.account(&d)
-		return d
-	}
-
-	pr := [2]int{origin, target}
-	seq := in.pairSeq[pr]
-	in.pairSeq[pr] = seq + 1
+	_, originDown := in.down[origin]
+	targetMode, targetDown := in.down[target]
 	in.mu.Unlock()
-
-	p := &in.plan
-	if p.Drop > 0 && in.draw(origin, target, seq, 0) < p.Drop {
-		d.Drop = true
-	} else {
-		// A dropped packet needs no further verdicts.
-		if p.Duplicate > 0 && in.draw(origin, target, seq, 1) < p.Duplicate {
-			d.Duplicate = true
-		}
-		if p.Corrupt > 0 && in.draw(origin, target, seq, 2) < p.Corrupt {
-			d.Corrupt = true
-			d.CorruptPos = mix(p.Seed, origin, target, seq, 3)
-		}
-		if p.Reorder > 0 && in.draw(origin, target, seq, 4) < p.Reorder {
-			d.DelayNs = p.ReorderDelay
-		}
+	if hook != nil {
+		hook(origin, mode)
 	}
-	in.account(&d)
-	return d
-}
-
-func (in *Injector) account(d *Decision) {
-	if d.Drop {
-		in.dropped.Add(1)
-	}
-	if d.Duplicate {
-		in.duplicated.Add(1)
-	}
-	if d.Corrupt {
-		in.corrupted.Add(1)
-	}
-	if d.DelayNs > 0 {
-		in.delayed.Add(1)
-	}
-}
-
-// draw maps (seed, origin, target, seq, salt) to a uniform float in [0,1).
-// Hash-based rather than a shared sequential PRNG so a pair's decisions do
-// not depend on how other pairs' packets interleave.
-func (in *Injector) draw(origin, target int, seq, salt uint64) float64 {
-	return float64(mix(in.plan.Seed, origin, target, seq, salt)>>11) / (1 << 53)
-}
-
-func mix(seed uint64, origin, target int, seq, salt uint64) uint64 {
-	h := splitmix64(seed ^ splitmix64(uint64(uint32(origin))<<32|uint64(uint32(target))))
-	return splitmix64(h ^ splitmix64(seq<<8|salt))
-}
-
-// splitmix64 is the finalizer from Steele et al.'s SplitMix generator: a
-// cheap, well-distributed 64-bit mixer.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
+	return !originDown && !(targetDown && targetMode == Crash)
 }

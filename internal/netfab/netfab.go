@@ -403,7 +403,7 @@ func (m *Mesh) bootstrapPeer() error {
 		Origin:  m.cfg.Self,
 		Operand: uint64(m.cfg.N),
 		Compare: wire.Version,
-		Seq:     uint64(m.cfg.Gen),
+		Gen:     uint64(m.cfg.Gen),
 		Strs:    []string{ln.Addr().String()},
 	}
 	if err := m.writeFrame(m.peers[0], hello); err != nil {

@@ -12,8 +12,8 @@ import (
 // TestMsgHeaderWordsOnEveryEngine posts the header each layer's message
 // classes carry (plus the extreme words) from rank 0 to rank 1 and reads
 // the three words back unchanged: by value through memory on Sim and Real,
-// through a frame's fixed fields over TCP (with and without the reliable
-// layer) and through the segment rings on shm.
+// through a frame's fixed fields over TCP and through the segment rings on
+// shm.
 func TestMsgHeaderWordsOnEveryEngine(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -58,9 +58,6 @@ func TestMsgHeaderWordsOnEveryEngine(t *testing.T) {
 		{"sim", func() []error { return one(Run(Options{Ranks: 2, Mode: exec.Sim}, body)) }},
 		{"real", func() []error { return one(Run(Options{Ranks: 2, Mode: exec.Real}, body)) }},
 		{"tcp", func() []error { return RunLocalCluster(Options{Ranks: 2}, body) }},
-		{"tcp+reliable", func() []error {
-			return RunLocalCluster(Options{Ranks: 2, Reliability: fabric.ReliabilityConfig{Force: true}}, body)
-		}},
 		{"shm", func() []error { return RunLocalShmCluster(Options{Ranks: 2}, body) }},
 	}
 	for _, e := range engines {

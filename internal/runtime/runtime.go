@@ -70,15 +70,13 @@ type Options struct {
 	GetNotifyMode fabric.GetNotifyMode
 	// Trace receives one event per delivered packet (protocol audits).
 	Trace func(fabric.TraceEvent)
-	// FaultPlan, when non-nil, activates the fabric's fault-injection
-	// plane and reliable-delivery layer (see internal/fault).
+	// FaultPlan, when non-nil, crashes or hangs the ranks it names (see
+	// internal/fault); survivors learn of the failure after the liveness
+	// timeout, as ErrPeerFailed.
 	FaultPlan *fault.Plan
-	// Reliability tunes the reliable-delivery layer (zero = defaults);
-	// Reliability.Force activates it even without a fault plan.
-	Reliability fabric.ReliabilityConfig
-	// OnPeerFailure, when non-nil, is called once per rank the fabric's
-	// peer-failure detector declares dead. It runs in delivery/timer
-	// context and must not block on fabric operations.
+	// OnPeerFailure, when non-nil, is called once per surviving rank that
+	// learns a rank is dead (observer is that survivor). It runs in
+	// delivery/timer context and must not block on fabric operations.
 	OnPeerFailure func(observer, failed int, err error)
 	// Env, when non-nil, supplies the execution engine instead of
 	// exec.New(Mode); its mode must agree with Mode. The interleaving
@@ -160,7 +158,6 @@ func newWorld(opts Options, env Engine) (*World, fabric.Config) {
 		GetNotifyMode:   opts.GetNotifyMode,
 		Trace:           opts.Trace,
 		FaultPlan:       opts.FaultPlan,
-		Reliability:     opts.Reliability,
 		FailureHook:     w.announcePeerFailure,
 	}
 }
@@ -237,6 +234,8 @@ func (p *Proc) World() *World { return p.world }
 // Layers blocked on per-rank state (e.g. the notification matcher's wait
 // gate) register here so their parked consumers observe the failure. fn
 // runs in delivery/timer context: it must not block on fabric operations.
+// Listeners are job-wide, so on the single-process engines fn runs once per
+// surviving rank that observes the failure: keep it idempotent.
 func (p *Proc) OnPeerFailure(fn func(failed int, err error)) {
 	w := p.world
 	w.failMu.Lock()

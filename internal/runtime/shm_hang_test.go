@@ -18,9 +18,11 @@ import (
 // heartbeat detector. A hung process is the failure shared memory cannot
 // see any other way: the segment stays mapped and the rings stay open, so
 // only the liveness word going quiet distinguishes it from a slow peer.
-// The test pins the whole chain: injector hang → down hook →
-// SuppressHeartbeat → stall conviction → ErrPeerFailed at the survivor,
-// plus the injector actually absorbing the hung rank's sends.
+// The test pins the whole chain: injector hang → runRank's down-hook
+// mirror → SuppressHeartbeat → stall conviction → ErrPeerFailed at the
+// survivor. The hung rank's fabric absorbs its sends at transmit and
+// declares nothing itself: on a link, a peer's liveness detector is the
+// only judge.
 func TestShmHangModeTripsHeartbeat(t *testing.T) {
 	const n = 2
 	seg := shmfab.NewHeapSegment(0, 1)
@@ -84,9 +86,11 @@ func TestShmHangModeTripsHeartbeat(t *testing.T) {
 		t.Errorf("hung rank error = %v, want errors.Is(..., ErrPeerFailed)", errs[1])
 	}
 	mu.Lock()
-	inj := injs[1]
-	mu.Unlock()
-	if st := inj.Stats(); st.RankDropped == 0 {
-		t.Error("hang mode absorbed no packets — the barrier's silence came from somewhere else")
+	defer mu.Unlock()
+	if m, down := injs[1].Down(1); !down || m != fault.Hang {
+		t.Errorf("hung rank's injector reports Down(1) = %v, %v", m, down)
+	}
+	if _, down := injs[0].Down(1); down {
+		t.Error("the survivor's injector learned of the hang; only the heartbeat may tell it")
 	}
 }

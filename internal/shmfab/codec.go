@@ -40,15 +40,14 @@ const fragChunk = 1 << 20
 
 // compactPut reports whether fr is a plain put the compact entry encoding
 // captures losslessly: every field outside the entry must be zero/false.
-// Anything else (sequenced, checksummed, message-class, atomic, oversized
-// region coordinates) takes the generic path.
+// Anything else (message-class, atomic, oversized region coordinates)
+// takes the generic path.
 func compactPut(fr *wire.Frame, self, target int) bool {
 	return fr.Kind == wire.KindPut &&
 		fr.Origin == self && fr.Target == target &&
 		len(fr.Strs) == 0 &&
 		fr.MsgClass == 0 && fr.Operand == 0 && fr.Compare == 0 &&
-		fr.Seq == 0 && fr.Csum == 0 &&
-		!fr.Rel && !fr.ChargeCopy &&
+		!fr.ChargeCopy &&
 		fr.AtomicOp == 0 && fr.AccumOp == 0 &&
 		fr.WireSize == len(fr.Data) &&
 		fr.RegionID >= 0 && fr.RegionID <= math.MaxUint32 &&
@@ -61,8 +60,8 @@ func compactAck(fr *wire.Frame, self, target int) bool {
 		fr.Origin == self && fr.Target == target &&
 		len(fr.Strs) == 0 && len(fr.Data) == 0 &&
 		fr.MsgClass == 0 && fr.Compare == 0 &&
-		fr.Seq == 0 && fr.Csum == 0 && fr.Imm == 0 &&
-		!fr.ImmValid && !fr.NotifyBack && !fr.Rel && !fr.ChargeCopy &&
+		fr.Imm == 0 &&
+		!fr.ImmValid && !fr.NotifyBack && !fr.ChargeCopy &&
 		fr.AtomicOp == 0 && fr.AccumOp == 0 &&
 		fr.RegionID == 0 && fr.Offset == 0 && fr.WireSize == 0
 }

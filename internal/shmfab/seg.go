@@ -13,8 +13,7 @@
 // Like netfab, the package is a leaf: it depends only on internal/wire and
 // internal/beat (the stall detector both meshes share) and satisfies
 // fabric.Link structurally — lossless and in-order by construction, like
-// the TCP stream, so the fabric runs either without the reliable-delivery
-// layer unless a fault plan asks for it.
+// the TCP stream.
 package shmfab
 
 import (

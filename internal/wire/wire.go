@@ -26,7 +26,10 @@ import (
 // rendezvous kinds) and added the liveness beat. Version 4 dropped the
 // self-describing message-header section (a message's three header words
 // ride in OpID/Operand/Compare) and the region-announcement kinds.
-const Version = 4
+// Version 5 dropped the last of the link-repair protocol: the payload
+// checksum, the sequenced flag and the link ack/nack kinds. The 64-bit
+// word the sequence number used is now Gen, carried by hello and rejoin.
+const Version = 5
 
 // MaxData bounds a frame's raw payload section (64 MiB): larger transfers
 // must be chunked by the layer above, and a length prefix beyond it is
@@ -60,8 +63,8 @@ const (
 	KindCtrl
 	KindData
 	KindNotify
-	KindLinkAck
-	KindLinkNack
+	kindRetiredLinkAck  // v4's link-layer ack and nack: the numbers are
+	kindRetiredLinkNack // not reused, so a stale kind byte is refused
 
 	// Control plane.
 	KindHello        // dialer introduces itself: Origin=rank, Operand=job size, Compare=protocol version, Strs[0]=listener addr
@@ -76,7 +79,7 @@ const (
 	// KindRejoin is the Hello variant a respawned rank sends during a
 	// recovery re-bootstrap: same layout as KindHello (Origin=rank,
 	// Operand=job size, Compare=protocol version, Strs[0]=listener addr)
-	// plus Seq carrying the last world generation the process saw (0 for
+	// plus Gen carrying the last world generation the process saw (0 for
 	// a fresh respawn). The root admits it into the roster like any other
 	// hello but records the rank as a rejoiner for the recovery layer.
 	KindRejoin
@@ -86,7 +89,11 @@ const (
 
 // valid reports whether k names a frame kind of this protocol version.
 func (k Kind) valid() bool {
-	return k != KindInvalid && k < kindCount && k != kindRetiredReg && k != kindRetiredDereg
+	switch k {
+	case KindInvalid, kindRetiredLinkAck, kindRetiredLinkNack, kindRetiredReg, kindRetiredDereg:
+		return false
+	}
+	return k < kindCount
 }
 
 func (k Kind) String() string {
@@ -109,10 +116,6 @@ func (k Kind) String() string {
 		return "data"
 	case KindNotify:
 		return "notify"
-	case KindLinkAck:
-		return "link-ack"
-	case KindLinkNack:
-		return "link-nack"
 	case KindHello:
 		return "hello"
 	case KindRoster:
@@ -145,15 +148,13 @@ func (k Kind) String() string {
 //	ack             op handle  fetched value  -            -
 //	ctrl, data      word 0     word 1         word 2       MsgClass WireSize; data adds ChargeCopy Data
 //	notify          -          read length    -            RegionID Offset Imm ImmValid
-//	link-ack/-nack  -          sequence       -            -
-//	hello, rejoin   -          job size       Version      Seq (world generation) Strs[0] (listener address)
+//	hello, rejoin   -          job size       Version      Gen (world generation) Strs[0] (listener address)
 //	roster          -          generation     -            Strs (one address per rank)
 //	ready, go, bye, beat use none.
 //
 // A message (ctrl/data) is not an op and moves no region bytes, so its
 // three header words — ints stored as uint64, sign preserved — take the
-// words an op would use. Rel, Seq and Csum are the reliable-delivery
-// layer's, on whichever data-plane frames it sequences.
+// words an op would use.
 type Frame struct {
 	Kind     Kind
 	Origin   int // sending rank
@@ -165,14 +166,12 @@ type Frame struct {
 
 	OpID             uint64 // origin-side op handle, echoed on acks/get responses
 	Operand, Compare uint64
-	Seq              uint64 // reliable-delivery sequence number
+	Gen              uint64 // hello/rejoin: world generation
 	Imm              uint32 // 4-byte notified-access immediate
-	Csum             uint32 // reliable-delivery payload CRC
 
 	ImmValid   bool
 	NotifyBack bool
 	ChargeCopy bool
-	Rel        bool // sequenced by the reliable-delivery layer
 
 	AtomicOp uint8
 	AccumOp  uint8
@@ -185,14 +184,13 @@ const (
 	flagImmValid   = 1 << 0
 	flagNotifyBack = 1 << 1
 	flagChargeCopy = 1 << 2
-	flagRel        = 1 << 3
 )
 
 // fixedHeaderLen is the byte length of the fixed portion of a frame.
 const fixedHeaderLen = 1 + 1 + 1 + 1 + 1 + // version, kind, flags, aop, accop
 	5*4 + // origin, target, regionID, msgClass, wireSize
-	5*8 + // offset, opID, operand, compare, seq
-	2*4 // imm, csum
+	5*8 + // offset, opID, operand, compare, gen
+	4 // imm
 
 // ErrTruncated reports a frame shorter than its length fields claim.
 var ErrTruncated = errors.New("wire: truncated frame")
@@ -237,9 +235,6 @@ func Append(dst []byte, fr *Frame) []byte {
 	if fr.ChargeCopy {
 		flags |= flagChargeCopy
 	}
-	if fr.Rel {
-		flags |= flagRel
-	}
 	dst = append(dst, Version, byte(fr.Kind), flags, fr.AtomicOp, fr.AccumOp)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(fr.Origin))
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(fr.Target))
@@ -250,9 +245,8 @@ func Append(dst []byte, fr *Frame) []byte {
 	dst = binary.LittleEndian.AppendUint64(dst, fr.OpID)
 	dst = binary.LittleEndian.AppendUint64(dst, fr.Operand)
 	dst = binary.LittleEndian.AppendUint64(dst, fr.Compare)
-	dst = binary.LittleEndian.AppendUint64(dst, fr.Seq)
+	dst = binary.LittleEndian.AppendUint64(dst, fr.Gen)
 	dst = binary.LittleEndian.AppendUint32(dst, fr.Imm)
-	dst = binary.LittleEndian.AppendUint32(dst, fr.Csum)
 
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(fr.Data)))
 	dst = append(dst, fr.Data...)
@@ -281,7 +275,7 @@ func decodeFixed(b []byte, fr *Frame) error {
 		return fmt.Errorf("wire: unknown frame kind %d", b[1])
 	}
 	flags := b[2]
-	if flags&^(flagImmValid|flagNotifyBack|flagChargeCopy|flagRel) != 0 {
+	if flags&^(flagImmValid|flagNotifyBack|flagChargeCopy) != 0 {
 		return fmt.Errorf("wire: unknown flag bits %#x", flags)
 	}
 	*fr = Frame{
@@ -291,7 +285,6 @@ func decodeFixed(b []byte, fr *Frame) error {
 		ImmValid:   flags&flagImmValid != 0,
 		NotifyBack: flags&flagNotifyBack != 0,
 		ChargeCopy: flags&flagChargeCopy != 0,
-		Rel:        flags&flagRel != 0,
 	}
 	fr.Origin = int(binary.LittleEndian.Uint32(b[5:]))
 	fr.Target = int(binary.LittleEndian.Uint32(b[9:]))
@@ -306,9 +299,8 @@ func decodeFixed(b []byte, fr *Frame) error {
 	fr.OpID = binary.LittleEndian.Uint64(b[33:])
 	fr.Operand = binary.LittleEndian.Uint64(b[41:])
 	fr.Compare = binary.LittleEndian.Uint64(b[49:])
-	fr.Seq = binary.LittleEndian.Uint64(b[57:])
+	fr.Gen = binary.LittleEndian.Uint64(b[57:])
 	fr.Imm = binary.LittleEndian.Uint32(b[65:])
-	fr.Csum = binary.LittleEndian.Uint32(b[69:])
 	return nil
 }
 
