@@ -34,8 +34,8 @@ import (
 //     notifications may run concurrently and complete out of order.
 //   - Back-pressure is a bounded per-rank queue: when it is full the
 //     notification is shed and counted in AMClassStats.Dropped (Deliver
-//     runs in kernel context or on the delivering goroutine and must
-//     never block).
+//     runs in kernel context — under Sim, inline on the goroutine holding
+//     the baton — or on the delivering goroutine, and must never block).
 //     Services that cannot tolerate sheds bound their in-flight request
 //     count below the queue capacity (see internal/kv's credit window).
 //   - A handler panic is isolated: it is recovered, counted in
@@ -50,7 +50,8 @@ import (
 //   - Handlers may chain: ChainPutNotify issues a notified put from
 //     handler context (no origin rank to charge or park). Handlers must
 //     not call FlushAM, Wait, or any parking call — under Sim they run in
-//     kernel context where only ranks may park.
+//     kernel context, inline in whichever parked or finished rank holds
+//     the baton, where nothing may park.
 type amKey struct {
 	region int
 	tag    int
@@ -398,9 +399,9 @@ func (e *amEngine) kickLocked() {
 	}
 }
 
-// drainSim runs queued handlers in kernel context, one at a time, with
-// s.mu released around each handler (handlers may re-enter the registry
-// or issue chained puts).
+// drainSim runs queued handlers in kernel context (inline on the goroutine
+// holding the baton), one at a time, with s.mu released around each
+// handler (handlers may re-enter the registry or issue chained puts).
 func (e *amEngine) drainSim() {
 	s := e.s
 	for {

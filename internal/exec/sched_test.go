@@ -137,7 +137,12 @@ func TestLaneTagPropagates(t *testing.T) {
 	}
 
 	re := NewRealEnv()
-	ran := make(chan struct{})
-	ScheduleLane(re, 0, PrioDelivery, 7, func() { close(ran) })
+	ran := make(closeOnFire)
+	ScheduleLane(re, 0, PrioDelivery, 7, ran)
 	<-ran
 }
+
+// closeOnFire is a simtime.Firer that closes itself when fired.
+type closeOnFire chan struct{}
+
+func (c closeOnFire) Fire() { close(c) }

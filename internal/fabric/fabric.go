@@ -376,7 +376,8 @@ func (f *Fabric) dispatch(pkt *packet) {
 	// Lane discipline for exploring schedulers: per-pair delivery order is
 	// a platform guarantee the upper layers rely on, so tag the event with
 	// the pair's lane (idx+1; lane 0 means unconstrained).
-	exec.ScheduleLane(f.env, arrive.Sub(now), exec.PrioDelivery, uint64(idx+1), func() { dst.deliver(pkt) })
+	pkt.dst = dst
+	exec.ScheduleLane(f.env, arrive.Sub(now), exec.PrioDelivery, uint64(idx+1), pkt)
 }
 
 // discardPacket disposes of a packet that will never be delivered,

@@ -275,13 +275,15 @@ func (l *storeList[T]) unlink(nd *StoreNode[T], v int) {
 // Store is the bucketed unexpected-arrival queue. Every node is linked
 // into four views — its exact <source, tag> bucket, a per-source list, a
 // per-tag list, and the global arrival order — so Peek/Pop serve any
-// wildcard combination from a single list head. A bucket is dropped as
-// soon as its last node is popped.
+// wildcard combination from a single list head. A bucket leaves its map as
+// soon as its last node is popped, and its view goes on a free list for
+// the next new bucket, so a steady Add/Pop cycle allocates only the node.
 type Store[T any] struct {
 	exact     map[key]*storeList[T]
 	bySrc     map[int]*storeList[T]
 	byTag     map[int]*storeList[T]
 	order     storeList[T]
+	free      []*storeList[T] // emptied bucket views, reused by bucket
 	depth     int
 	highWater int
 }
@@ -294,9 +296,9 @@ func (s *Store[T]) Add(source, tag int, item T) *StoreNode[T] {
 		s.bySrc = make(map[int]*storeList[T])
 		s.byTag = make(map[int]*storeList[T])
 	}
-	bucket(s.exact, key{source, tag}).push(nd, viewExact)
-	bucket(s.bySrc, source).push(nd, viewSrc)
-	bucket(s.byTag, tag).push(nd, viewTag)
+	bucket(s.exact, key{source, tag}, &s.free).push(nd, viewExact)
+	bucket(s.bySrc, source, &s.free).push(nd, viewSrc)
+	bucket(s.byTag, tag, &s.free).push(nd, viewTag)
 	s.order.push(nd, viewOrder)
 	s.depth++
 	if s.depth > s.highWater {
@@ -305,11 +307,17 @@ func (s *Store[T]) Add(source, tag int, item T) *StoreNode[T] {
 	return nd
 }
 
-// bucket returns the view for k, creating it on first use.
-func bucket[K comparable, T any](m map[K]*storeList[T], k K) *storeList[T] {
+// bucket returns the view for k, taking one from free (or allocating) on
+// first use.
+func bucket[K comparable, T any](m map[K]*storeList[T], k K, free *[]*storeList[T]) *storeList[T] {
 	l := m[k]
 	if l == nil {
-		l = &storeList[T]{}
+		if n := len(*free); n > 0 {
+			l = (*free)[n-1]
+			*free = (*free)[:n-1]
+		} else {
+			l = &storeList[T]{}
+		}
 		m[k] = l
 	}
 	return l
@@ -345,20 +353,21 @@ func (s *Store[T]) Pop(source, tag int) *StoreNode[T] {
 	if nd == nil {
 		return nil
 	}
-	unlinkBucket(s.exact, key{nd.Source, nd.Tag}, nd, viewExact)
-	unlinkBucket(s.bySrc, nd.Source, nd, viewSrc)
-	unlinkBucket(s.byTag, nd.Tag, nd, viewTag)
+	unlinkBucket(s.exact, key{nd.Source, nd.Tag}, nd, viewExact, &s.free)
+	unlinkBucket(s.bySrc, nd.Source, nd, viewSrc, &s.free)
+	unlinkBucket(s.byTag, nd.Tag, nd, viewTag, &s.free)
 	s.order.unlink(nd, viewOrder)
 	s.depth--
 	return nd
 }
 
 // unlinkBucket removes nd from the bucket view for k, dropping the bucket
-// once empty so the maps hold only live selectors.
-func unlinkBucket[K comparable, T any](m map[K]*storeList[T], k K, nd *StoreNode[T], v int) {
+// onto free once empty so the maps hold only live selectors.
+func unlinkBucket[K comparable, T any](m map[K]*storeList[T], k K, nd *StoreNode[T], v int, free *[]*storeList[T]) {
 	l := m[k]
 	if l.unlink(nd, v); l.n == 0 {
 		delete(m, k)
+		*free = append(*free, l)
 	}
 }
 

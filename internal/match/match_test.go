@@ -259,3 +259,25 @@ func TestStoreExactPopsLeaveNoResidue(t *testing.T) {
 			s.Depth(), len(s.exact), len(s.bySrc), len(s.byTag))
 	}
 }
+
+// TestStoreAddPopAllocatesOnlyNode: a warmed Add/Pop cycle reuses the
+// emptied bucket views from the Store's free list, so the node is the one
+// allocation left per arrival.
+func TestStoreAddPopAllocatesOnlyNode(t *testing.T) {
+	var s Store[int]
+	i := 0
+	cycle := func() {
+		src, tag := i%4, i%3
+		s.Add(src, tag, i)
+		if nd := s.Pop(src, tag); nd == nil || nd.Item != i {
+			t.Fatalf("cycle %d: Pop(%d,%d) = %v", i, src, tag, nd)
+		}
+		i++
+	}
+	for range 12 {
+		cycle()
+	}
+	if n := testing.AllocsPerRun(100, cycle); n != 1 {
+		t.Fatalf("Add/Pop cycle allocates %.1f times, want 1 (the node)", n)
+	}
+}

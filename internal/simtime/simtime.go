@@ -59,12 +59,15 @@ func FromMicros(us float64) Duration { return Duration(math.Round(us * 1e3)) }
 // FromSeconds converts fractional seconds into a Duration.
 func FromSeconds(s float64) Duration { return Duration(math.Round(s * 1e9)) }
 
-// Event is a scheduled callback. Events are created through Queue.Schedule
-// and may be cancelled before they fire.
+// Event is a scheduled occurrence: a callback (Fn, or Obj's Fire method)
+// or a process wakeup (see WakeID). Events are created through the Queue's
+// Schedule methods; a kernel that fires an event hands it back with
+// Release, after which the handle is reused and must not be touched.
 type Event struct {
 	At   Time
-	Prio int // lower fires first among equal times
-	Fn   func()
+	Prio int    // lower fires first among equal times
+	Fn   func() // callback, or nil
+	Obj  Firer  // closure-free callback, or nil
 
 	// Lane tags events whose relative order is a platform guarantee rather
 	// than a race: two events on the same nonzero lane must fire in their
@@ -75,18 +78,29 @@ type Event struct {
 	// it exists for scheduling policies inspecting AppendSorted snapshots.
 	Lane uint64
 
+	wake  int // process id + 1 for a wakeup; 0 for a callback
 	seq   uint64
 	index int // heap index; -1 when not queued
 }
+
+// Firer is a callback carried by an object rather than a closure: a pooled
+// object that schedules itself allocates nothing per event.
+type Firer interface{ Fire() }
 
 // Cancelled reports whether the event has been removed from its queue (or
 // has already fired).
 func (e *Event) Cancelled() bool { return e.index < 0 }
 
+// WakeID returns the process id of a wakeup scheduled with ScheduleWake, or
+// -1 for a callback. The queue does not interpret it; the kernel resumes
+// that process instead of calling anything.
+func (e *Event) WakeID() int { return e.wake - 1 }
+
 // Queue is a deterministic discrete-event queue. It is not safe for
 // concurrent use; the simulation kernel owns it.
 type Queue struct {
 	heap []*Event
+	free []*Event // released events, reused by the next Schedule
 	seq  uint64
 }
 
@@ -104,10 +118,50 @@ func (q *Queue) Schedule(at Time, prio int, fn func()) *Event {
 
 // ScheduleLane is Schedule with a FIFO-lane tag (see Event.Lane).
 func (q *Queue) ScheduleLane(at Time, prio int, lane uint64, fn func()) *Event {
-	q.seq++
-	e := &Event{At: at, Prio: prio, Fn: fn, Lane: lane, seq: q.seq}
+	e := q.alloc(at, prio, lane)
+	e.Fn = fn
 	q.push(e)
 	return e
+}
+
+// ScheduleFire is ScheduleLane for a Firer: obj.Fire runs when the event
+// fires, with no closure built.
+func (q *Queue) ScheduleFire(at Time, prio int, lane uint64, obj Firer) *Event {
+	e := q.alloc(at, prio, lane)
+	e.Obj = obj
+	q.push(e)
+	return e
+}
+
+// ScheduleWake enqueues a wakeup of process id (>= 0); see Event.WakeID.
+func (q *Queue) ScheduleWake(at Time, prio int, id int) *Event {
+	e := q.alloc(at, prio, 0)
+	e.wake = id + 1
+	q.push(e)
+	return e
+}
+
+// alloc returns a fresh or recycled event stamped with the next sequence
+// number.
+func (q *Queue) alloc(at Time, prio int, lane uint64) *Event {
+	q.seq++
+	var e *Event
+	if n := len(q.free); n > 0 {
+		e = q.free[n-1]
+		q.free = q.free[:n-1]
+	} else {
+		e = new(Event)
+	}
+	e.At, e.Prio, e.Lane, e.seq = at, prio, lane, q.seq
+	return e
+}
+
+// Release recycles an event that has left the queue (popped or cancelled)
+// and been fired. Whoever releases it must hold the only handle: the next
+// Schedule reuses it.
+func (q *Queue) Release(e *Event) {
+	*e = Event{index: -1}
+	q.free = append(q.free, e)
 }
 
 // Cancel removes e from the queue if it is still pending. It is safe to call

@@ -228,3 +228,49 @@ func TestQueueRandomOps(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// countFirer counts how many times it fired.
+type countFirer int
+
+func (c *countFirer) Fire() { *c++ }
+
+// TestQueueWakeFireAndRelease: the three event kinds order like any other
+// events, carry what the kernel needs (a wake its process id, a Firer its
+// object and lane), and a released event is reset and handed out again,
+// so a warmed Schedule/Pop/Release cycle allocates nothing.
+func TestQueueWakeFireAndRelease(t *testing.T) {
+	q := NewQueue()
+	var cf countFirer
+	w := q.ScheduleWake(5, 1, 3)
+	c := q.Schedule(5, 0, func() {})
+	o := q.ScheduleFire(5, 0, 7, &cf)
+	for i, want := range []*Event{c, o, w} {
+		if got := q.Pop(); got != want {
+			t.Fatalf("pop %d: got %p, want %p", i, got, want)
+		}
+	}
+	if c.WakeID() != -1 || o.WakeID() != -1 || w.WakeID() != 3 {
+		t.Fatalf("WakeID = %d, %d, %d; want -1, -1, 3", c.WakeID(), o.WakeID(), w.WakeID())
+	}
+	if o.Lane != 7 || o.Obj == nil || o.Fn != nil {
+		t.Fatalf("fire event: lane %d obj %v fn set %v", o.Lane, o.Obj, o.Fn != nil)
+	}
+	o.Obj.Fire()
+	if cf != 1 {
+		t.Fatalf("Fire ran %d times", cf)
+	}
+
+	q.Release(w)
+	if !w.Cancelled() {
+		t.Fatal("released event not marked out of the queue")
+	}
+	e := q.Schedule(9, 0, func() {})
+	if e != w || e.WakeID() != -1 || e.Obj != nil || e.At != 9 || e.Cancelled() {
+		t.Fatalf("reused event: same %v, wake %d, obj %v, at %d, queued %v",
+			e == w, e.WakeID(), e.Obj, e.At, !e.Cancelled())
+	}
+	q.Release(q.Pop())
+	if n := testing.AllocsPerRun(100, func() { q.ScheduleWake(1, 1, 0); q.Release(q.Pop()) }); n != 0 {
+		t.Fatalf("Schedule/Pop/Release cycle allocates %.1f times", n)
+	}
+}
