@@ -171,9 +171,13 @@ func (p *Proc) Work(cost Duration, fn func()) { p.p.Work(cost, fn) }
 // Barrier blocks until every rank has entered it.
 func (p *Proc) Barrier() { p.p.Barrier() }
 
-// Yield lets other ranks and in-flight messages make progress; call it
-// inside Test/Iprobe polling loops (under the simulator a rank that spins
-// without yielding would stall virtual time).
+// Yield is one poll step: it lets other ranks and in-flight messages make
+// progress; call it inside Test/Iprobe polling loops (under the simulator a
+// rank that spins without yielding would stall virtual time). On the
+// wall-clock engines it never sleeps (on shm it also takes this rank's
+// pending notifications off the rings), so a polling loop keeps a core
+// busy; a rank that wants to idle blocks instead, in a request's Wait or a
+// window's Flush.
 func (p *Proc) Yield() { p.p.Yield() }
 
 // Model returns the LogGP model parameterizing the fabric.

@@ -20,6 +20,13 @@
 //     correct under true concurrency and backs the testing.B overhead
 //     benchmarks.
 //
+// The wall-clock engines have one poll step: check for an abort, drive the
+// link's progress function once (see RealEnv.SetProgress), and yield the
+// processor if that found nothing. Proc.Yield and Proc.Poll are one step; a
+// gate waiter takes a bounded number of steps before it parks on the
+// gate's channel. A step never sleeps, so a rank that wants to idle blocks
+// on a gate rather than looping on Yield.
+//
 // Application and library code is written once against Env/Proc/Gate and
 // runs unmodified under either engine.
 package exec
@@ -135,12 +142,6 @@ type Proc struct {
 
 	// Real-only state.
 	real *RealEnv
-
-	// Adaptive busy-poll backoff (Real/Dist only): consecutive Yield/Poll
-	// calls escalate from scheduler yields to short sleeps so an idle rank
-	// stops burning a core; a gap of real work between calls resets it.
-	spins     int
-	lastRelax time.Time
 }
 
 // Rank returns this process's rank in [0, N).
@@ -181,65 +182,22 @@ func (p *Proc) Work(cost simtime.Duration, fn func()) {
 	p.Sleep(cost)
 }
 
-// Yield lets other events make progress. Under Sim it advances virtual time
-// by one nanosecond (a busy-poll iteration); under Real it backs off
-// adaptively (see relax) so a rank spinning in a poll loop stops burning a
-// core once the loop has gone idle for a while.
-func (p *Proc) Yield() {
-	if p.sim != nil {
-		p.Sleep(1)
-		return
-	}
-	p.relax()
-}
+// Yield is one poll step: Poll with one nanosecond of virtual time (a
+// busy-poll iteration) under Sim.
+func (p *Proc) Yield() { p.Poll(1) }
 
-// Poll parks for one busy-poll interval: virtual time under Sim, an
-// adaptive backoff under Real. Use it inside loops that watch memory or
-// non-blocking queues.
+// Poll is one poll step. Under Sim it advances virtual time by interval;
+// under Real and Dist it ignores interval and takes the step a gate waiter
+// takes before it parks (RealEnv.step). It never sleeps, so a poll loop
+// costs a core for as long as it spins; a rank that wants to idle blocks
+// on a gate instead (a request's Wait, a window's Flush). Use it inside
+// loops that watch memory or non-blocking queues.
 func (p *Proc) Poll(interval simtime.Duration) {
 	if p.sim != nil {
 		p.Sleep(interval)
 		return
 	}
-	p.relax()
-}
-
-// Real-mode poll-backoff tuning. The first relaxBusySpins consecutive
-// calls cost only a scheduler yield, so an actively-fed poll loop never
-// sleeps; past that the loop is presumed idle and each call sleeps, with
-// the duration doubling from relaxSleepMin up to relaxSleepMax (an idle
-// rank then wakes ~20k times/s instead of monopolizing a core, while the
-// worst-case added wake-up latency stays under the inter-node RTT scale).
-// A gap of at least relaxResetGap between consecutive calls means the
-// caller did real work in between, which resets the escalation; the gap
-// threshold sits above relaxSleepMax so the backoff's own sleeping never
-// masquerades as work.
-const (
-	relaxBusySpins = 128
-	relaxSleepMin  = time.Microsecond
-	relaxSleepMax  = 50 * time.Microsecond
-	relaxResetGap  = time.Millisecond
-)
-
-// relax is one busy-poll backoff step under the Real engine: spin →
-// Gosched → escalating short sleep.
-func (p *Proc) relax() {
-	p.real.checkAbort()
-	now := time.Now()
-	if p.lastRelax.IsZero() || now.Sub(p.lastRelax) > relaxResetGap {
-		p.spins = 0
-	}
-	p.spins++
-	if p.spins <= relaxBusySpins {
-		goruntime.Gosched()
-	} else {
-		d := relaxSleepMin << uint(p.spins-relaxBusySpins-1)
-		if d <= 0 || d > relaxSleepMax {
-			d = relaxSleepMax
-		}
-		time.Sleep(d)
-	}
-	p.lastRelax = time.Now()
+	p.real.step()
 }
 
 // park blocks the rank until a wake event resumes it. The parking goroutine
@@ -545,11 +503,11 @@ type RealEnv struct {
 	progress func() bool // see SetProgress; nil when no link installed one
 }
 
-// waiterTries bounds how many times a gate waiter drives the link's
-// progress function before it parks on the gate's channel. Chosen from the
-// sweep in EXPERIMENTS.md, "Waiters drive the rings": the smallest budget
-// that covers a 20 µs wait on the segment rings; 1000 tries cost 40 % more
-// CPU than none on waits of 500 µs.
+// waiterTries bounds how many poll steps a gate waiter takes, when a
+// progress function is installed, before it parks on the gate's channel.
+// Chosen from the sweep in EXPERIMENTS.md, "Waiters drive the rings": the
+// smallest budget that covers a 20 µs wait on the segment rings; 1000
+// tries cost 40 % more CPU than none on waits of 500 µs.
 const waiterTries = 50
 
 // NewRealEnv returns a fresh wall-clock engine.
@@ -588,10 +546,10 @@ func (e *RealEnv) NewGate(l sync.Locker) Gate {
 // SetProgress installs the link's progress function: it consumes inbound
 // traffic on the calling goroutine (delivering it, so a gate may be
 // broadcast before it returns), never blocks, and reports whether it found
-// anything. Every gate wait drives it for a bounded number of tries before
-// parking, so a blocked rank takes its own notifications instead of
-// waiting for a poller goroutine to commit them and wake it. Call before
-// Run.
+// anything. Every poll step runs it once — each Yield and Poll, and each
+// of a gate waiter's tries before it parks — so a polling or blocked rank
+// takes its own notifications instead of waiting for a poller goroutine
+// to commit them and wake it. Call before Run.
 func (e *RealEnv) SetProgress(fn func() bool) { e.progress = fn }
 
 func (e *RealEnv) setErr(err error) {
@@ -608,6 +566,17 @@ func (e *RealEnv) checkAbort() {
 	case <-e.abort:
 		panic(procAbort{})
 	default:
+	}
+}
+
+// step is one poll step, shared by Yield, Poll and a gate waiter's tries:
+// unwind if the run was aborted, run the progress function once if one is
+// installed, and yield the processor if that found nothing, so the peer
+// (or the delivery the caller waits for) can run. It never sleeps.
+func (e *RealEnv) step() {
+	e.checkAbort()
+	if e.progress == nil || !e.progress() {
+		goruntime.Gosched()
 	}
 }
 
@@ -703,25 +672,19 @@ func (g *realGate) Wait(p *Proc) {
 	}
 }
 
-// drive runs the link's progress function on the waiting goroutine, at
-// most waiterTries times, and reports whether the gate was broadcast
-// meanwhile. A try that finds nothing yields the processor, so the peer
-// (or the delivery that will broadcast) can run. An abort is left to the
-// park that follows, which unwinds. The locker is released while drive
-// runs; a panic out of the progress function retakes it like an abort.
+// drive takes at most waiterTries poll steps on the waiting goroutine and
+// reports whether the gate was broadcast meanwhile. The locker is released
+// while drive runs; an abort, or a panic out of the progress function,
+// retakes it as it unwinds.
 func (g *realGate) drive(ch chan struct{}) bool {
 	defer relockOnUnwind(g.locker)
 	for range waiterTries {
 		select {
 		case <-ch:
 			return true
-		case <-g.env.abort:
-			return false
 		default:
 		}
-		if !g.env.progress() {
-			goruntime.Gosched()
-		}
+		g.env.step()
 	}
 	return false
 }

@@ -89,20 +89,24 @@ func TestCrashFanoutEveryEngine(t *testing.T) {
 				reg := nic.Register(make([]byte, 8))
 				if p.Rank() == 2 {
 					nic.PostMsg(p.Proc, 1, classHello, fabric.MsgHdr{}, nil, false)
-				}
-				p.Barrier()
-				if p.Rank() == 2 {
-					nic.PostMsg(p.Proc, 0, classNever, fabric.MsgHdr{}, nil, false) // absorbed: the crash
+					// Usually the post after the barrier is the crash. But a
+					// survivor's put can reach rank 2 first (rank 0
+					// descheduled between its two releases): rank 2's ack of
+					// it is then the crash, the release to rank 2 is dropped,
+					// and rank 2 unwinds from the barrier instead.
 					func() {
 						defer func() {
 							if err, ok := recover().(error); ok && errors.Is(err, fabric.ErrPeerFailed) {
 								record("rank 2 unwound")
 							}
 						}()
+						p.Barrier()
+						nic.PostMsg(p.Proc, 0, classNever, fabric.MsgHdr{}, nil, false) // absorbed: the crash
 						nic.WaitMsgClass(p.Proc, classNever)
 					}()
 					return
 				}
+				p.Barrier()
 				other := 1 - p.Rank()
 				live := nic.Put(p.Proc, other, reg.ID, 0, []byte{1}, fabric.Imm{})
 				live.Await(p.Proc)
