@@ -8,6 +8,32 @@ import (
 	"time"
 )
 
+// progressFunc is a Progressor without a drive bracket.
+type progressFunc func() bool
+
+func (f progressFunc) Progress() bool { return f() }
+func (progressFunc) BeginDrive()      {}
+func (progressFunc) EndDrive(bool)    {}
+
+// bracketed is a Progressor that counts the drive bracket around a
+// progress function.
+type bracketed struct {
+	fn          func() bool
+	begins      int
+	ends, found int
+	inDrive     bool
+}
+
+func (b *bracketed) Progress() bool { return b.fn() }
+func (b *bracketed) BeginDrive()    { b.begins++; b.inDrive = true }
+func (b *bracketed) EndDrive(found bool) {
+	b.ends++
+	b.inDrive = false
+	if found {
+		b.found++
+	}
+}
+
 // runWithin runs a Real-engine job and fails the test if it has not
 // returned within d: a waiter that parks where it should not, never
 // wakes, or sleeps where it should poll would otherwise hang the test.
@@ -33,14 +59,14 @@ func TestRealWaitProgressBroadcastSkipsPark(t *testing.T) {
 	var mu sync.Mutex
 	gate := e.NewGate(&mu)
 	ready, calls := false, 0
-	e.SetProgress(func() bool {
+	e.SetProgress(progressFunc(func() bool {
 		calls++
 		mu.Lock()
 		ready = true
 		mu.Unlock()
 		gate.Broadcast()
 		return true
-	})
+	}))
 	err := runWithin(t, e, 10*time.Second, 1, func(p *Proc) {
 		mu.Lock()
 		for !ready {
@@ -65,10 +91,10 @@ func TestRealWaitParksAfterTryBudget(t *testing.T) {
 	gate := e.NewGate(&mu)
 	ready := false
 	var calls atomic.Int64
-	e.SetProgress(func() bool {
+	e.SetProgress(progressFunc(func() bool {
 		calls.Add(1)
 		return false
-	})
+	}))
 	go func() {
 		for calls.Load() < waiterTries {
 			time.Sleep(100 * time.Microsecond)
@@ -106,10 +132,10 @@ func TestRealAbortInsideProgressUnwinds(t *testing.T) {
 	var mu sync.Mutex
 	gate := e.NewGate(&mu)
 	linkDied := errors.New("link died")
-	e.SetProgress(func() bool {
+	e.SetProgress(progressFunc(func() bool {
 		e.Fail(linkDied)
 		return false
-	})
+	}))
 	err := runWithin(t, e, 10*time.Second, 1, func(p *Proc) {
 		mu.Lock()
 		defer func() {
@@ -132,17 +158,114 @@ func TestRealAbortInsideProgressUnwinds(t *testing.T) {
 	}
 }
 
-// TestRealWaiterTriesAllocateNothing: the bounded progress loop itself is
-// allocation-free (the progress function and the gate's channel are the
-// only things a wait may allocate).
+// TestRealWaiterTriesAllocateNothing: the bounded progress loop itself,
+// with its BeginDrive/EndDrive bracket, is allocation-free (the progress
+// engine and the gate's channel are the only things a wait may allocate).
 func TestRealWaiterTriesAllocateNothing(t *testing.T) {
 	e := NewRealEnv()
-	e.SetProgress(func() bool { return false })
+	b := &bracketed{fn: func() bool { return false }}
+	e.SetProgress(b)
 	var mu sync.Mutex
 	g := e.NewGate(&mu).(*realGate)
 	ch := make(chan struct{})
 	if n := testing.AllocsPerRun(20, func() { g.drive(ch) }); n != 0 {
 		t.Fatalf("waiter progress loop allocates %.1f times per wait", n)
+	}
+	if b.begins != b.ends || b.begins == 0 || b.found != 0 {
+		t.Fatalf("drives: %d begins, %d ends, %d found; want equal, nonzero, 0 found", b.begins, b.ends, b.found)
+	}
+}
+
+// TestRealWaitBracketsDrive: a gate waiter's tries are one drive,
+// BeginDrive before the first Progress and EndDrive after the last, with
+// found telling whether the gate was broadcast (true) or the tries ran
+// out (false). Yield and Poll steps run Progress outside any drive, and a
+// drive that unwinds on abort still ends, as given up.
+func TestRealWaitBracketsDrive(t *testing.T) {
+	e := NewRealEnv()
+	var mu sync.Mutex
+	gate := e.NewGate(&mu)
+	var b *bracketed
+	ready, calls, outside := false, 0, 0
+	b = &bracketed{fn: func() bool {
+		calls++
+		if !b.inDrive {
+			outside++
+		}
+		if calls == 3 {
+			mu.Lock()
+			ready = true
+			mu.Unlock()
+			gate.Broadcast()
+		}
+		return false
+	}}
+	e.SetProgress(b)
+	err := runWithin(t, e, 10*time.Second, 1, func(p *Proc) {
+		p.Yield()
+		p.Poll(10)
+		mu.Lock()
+		for !ready {
+			gate.Wait(p)
+		}
+		mu.Unlock()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.begins != 1 || b.ends != 1 || b.found != 1 || outside != 2 {
+		t.Fatalf("one found drive after two bare steps: got %d begins, %d ends, %d found, %d steps outside a drive",
+			b.begins, b.ends, b.found, outside)
+	}
+
+	// Tries run out: the drive ends as given up before the waiter parks.
+	e = NewRealEnv()
+	gate = e.NewGate(&mu)
+	var tries atomic.Int64
+	b = &bracketed{fn: func() bool { tries.Add(1); return false }}
+	e.SetProgress(b)
+	ready = false
+	go func() {
+		for tries.Load() < waiterTries {
+			time.Sleep(100 * time.Microsecond)
+		}
+		mu.Lock()
+		ready = true
+		mu.Unlock()
+		gate.Broadcast()
+	}()
+	err = runWithin(t, e, 10*time.Second, 1, func(p *Proc) {
+		mu.Lock()
+		for !ready {
+			gate.Wait(p)
+		}
+		mu.Unlock()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.begins != b.ends || b.found != 0 {
+		t.Fatalf("given-up drives: %d begins, %d ends, %d found; want equal, 0 found", b.begins, b.ends, b.found)
+	}
+
+	// An abort inside the drive unwinds through EndDrive(false).
+	e = NewRealEnv()
+	gate = e.NewGate(&mu)
+	linkDied := errors.New("link died")
+	b = &bracketed{fn: func() bool { e.Fail(linkDied); return false }}
+	e.SetProgress(b)
+	err = runWithin(t, e, 10*time.Second, 1, func(p *Proc) {
+		mu.Lock()
+		defer mu.Unlock()
+		for {
+			gate.Wait(p)
+		}
+	})
+	if !errors.Is(err, linkDied) {
+		t.Fatalf("err = %v, want %v", err, linkDied)
+	}
+	if b.begins != 1 || b.ends != 1 || b.found != 0 {
+		t.Fatalf("aborted drive: %d begins, %d ends, %d found; want 1, 1, 0", b.begins, b.ends, b.found)
 	}
 }
 
@@ -153,13 +276,13 @@ func TestRealWaiterTriesAllocateNothing(t *testing.T) {
 func TestRealYieldDrivesProgress(t *testing.T) {
 	e := NewRealEnv()
 	calls, arrived := 0, false
-	e.SetProgress(func() bool {
+	e.SetProgress(progressFunc(func() bool {
 		calls++
 		if calls == 23 {
 			arrived = true
 		}
 		return calls%2 == 0
-	})
+	}))
 	err := runWithin(t, e, 10*time.Second, 1, func(p *Proc) {
 		for i := 1; i <= 10; i++ {
 			p.Yield()

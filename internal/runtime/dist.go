@@ -116,10 +116,11 @@ func runRank(opts Options, mesh rankMesh, body func(p *Proc)) error {
 	w.fab = fabric.NewDistributed(env, cfg, mesh)
 	// A rank blocked in a wait consumes its own segment rings before it
 	// parks, so a notification or ack it waits for commits on its own
-	// goroutine instead of reaching it through the poller and a gate wakeup.
-	// TCP keeps its rx goroutine (EXPERIMENTS.md, "Waiters drive the rings").
+	// goroutine instead of reaching it through the poller and a gate wakeup;
+	// the poller sleeps on the doorbell meanwhile. TCP keeps its rx
+	// goroutine (EXPERIMENTS.md, "Waiters drive the rings").
 	if sm, ok := mesh.(*shmfab.Mesh); ok {
-		env.SetProgress(sm.Progress)
+		env.SetProgress(sm)
 	}
 	// Mirror injected rank failure into the mesh's heartbeat: a rank the
 	// fault plan crashes or hangs keeps its links open (and, for hang,

@@ -46,7 +46,7 @@ const (
 // bulk region.
 const (
 	segMagic   = 0x6e6173686d3031 // "nashm01" tag
-	segVersion = 2
+	segVersion = 3
 
 	headerSize = 4096
 	ctrlSize   = 512
@@ -63,14 +63,16 @@ const (
 
 	// Control word offsets within a direction block. Producer-owned words
 	// (tail, bulkTail, heartbeat, closed) and consumer-owned words (head,
-	// bulkHead) each sit on their own cache line so the two sides never
-	// write the same line.
+	// bulkHead, armed) each sit on their own cache line so the two sides
+	// never write the same line. armed is the 32-bit doorbell futex word
+	// (ring.go): the producer writes it only to ring.
 	offTail      = 0
 	offHead      = 64
 	offBulkTail  = 128
 	offBulkHead  = 192
 	offHeartbeat = 256
 	offClosed    = 320
+	offArmed     = 384
 )
 
 // Segment is one mapped rank-pair segment. Lo < Hi are the two ranks
@@ -86,6 +88,11 @@ type Segment struct {
 // offset is 8-byte aligned.
 func (s *Segment) word(off int) *uint64 {
 	return (*uint64)(unsafe.Pointer(&s.mem[off]))
+}
+
+// word32 returns the mapped uint32 at byte offset off (4-byte aligned).
+func (s *Segment) word32(off int) *uint32 {
+	return (*uint32)(unsafe.Pointer(&s.mem[off]))
 }
 
 // dir returns the byte range of direction d's block.
