@@ -322,15 +322,28 @@ func tcpEnvs(n int, rootAddr string) ([]rankEnv, func(), error) {
 	return envs, func() { lnFile.Close() }, nil
 }
 
-// shmEnvs creates one anonymous segment file per rank pair and builds each
-// child's NA_* environment: the child's pair files ride down as inherited
-// descriptors, named peer-by-peer in NA_SHM_FDS.
+// shmEnvs creates one anonymous segment file per rank pair and one window
+// arena file per rank, and builds each child's NA_* environment: the
+// child's pair files and every rank's arena ride down as inherited
+// descriptors, named in NA_SHM_FDS.
 func shmEnvs(n int) ([]rankEnv, func(), error) {
 	pairs := make(map[[2]int]*os.File)
+	arenas := make([]*os.File, 0, n)
 	cleanup := func() {
 		for _, f := range pairs {
 			f.Close()
 		}
+		for _, f := range arenas {
+			f.Close()
+		}
+	}
+	for r := 0; r < n; r++ {
+		f, err := shmfab.CreateArenaFile("", r)
+		if err != nil {
+			cleanup()
+			return nil, nil, fmt.Errorf("creating arena of rank %d: %w", r, err)
+		}
+		arenas = append(arenas, f)
 	}
 	for lo := 0; lo < n; lo++ {
 		for hi := lo + 1; hi < n; hi++ {
@@ -356,6 +369,10 @@ func shmEnvs(n int) ([]rankEnv, func(), error) {
 			// ExtraFiles[i] becomes fd 3+i in the child.
 			spec = append(spec, fmt.Sprintf("%d=%d", q, 3+len(envs[r].files)))
 			envs[r].files = append(envs[r].files, pairs[[2]int{lo, hi}])
+		}
+		for q, f := range arenas {
+			spec = append(spec, fmt.Sprintf("a%d=%d", q, 3+len(envs[r].files)))
+			envs[r].files = append(envs[r].files, f)
 		}
 		envs[r].env = []string{
 			"NA_TRANSPORT=shm",

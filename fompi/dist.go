@@ -87,12 +87,15 @@ type DistConfig struct {
 type ShmConfig struct {
 	// Rank is this process's rank in [0, Options.Ranks).
 	Rank int
-	// FDs maps each peer rank to the inherited pair-segment file. When
-	// non-nil it must name every peer; the files are consumed (closed
-	// after mapping).
+	// FDs maps each peer rank to the inherited pair-segment file, and
+	// shmfab.ArenaKey(r) to rank r's window arena file. When non-nil it
+	// must name every peer and every rank's arena. The files are consumed
+	// (closed after mapping, or on error). The arenas are unmapped when
+	// Run returns: window memory is not valid after it.
 	FDs map[int]*os.File
 	// Dir, used when FDs is nil, is a directory where the per-pair
-	// segment files live (created on first open; see shmfab.PairName).
+	// segment files and the per-rank arena files live (created on first
+	// open; see shmfab.PairName and shmfab.ArenaName).
 	Dir string
 	// HeartbeatInterval, HeartbeatTimeout, and StartupGrace override the
 	// segment-mesh liveness defaults (zero keeps each default). Recovery
@@ -119,7 +122,8 @@ const (
 	EnvRootFD = "NA_ROOT_FD"
 	// EnvShmFDs lists this rank's inherited segment descriptors as
 	// "peer=fd,peer=fd,..." — one mmap-able file per peer, passed via
-	// ExtraFiles (shm only).
+	// ExtraFiles — followed by "arank=fd" for each rank's window arena
+	// (shm only).
 	EnvShmFDs = "NA_SHM_FDS"
 	// EnvShmDir names a directory of per-pair segment files
 	// (shmfab.PairName) as the fd-less fallback bootstrap (shm only;
@@ -202,21 +206,28 @@ func (o Options) detectEnv() (Options, error) {
 	return o, nil
 }
 
-// parseShmFDs decodes the NA_SHM_FDS value ("peer=fd,peer=fd,...") into
-// open files for the inherited descriptors.
+// parseShmFDs decodes the NA_SHM_FDS value ("peer=fd,...,arank=fd,...")
+// into open files for the inherited descriptors: a bare rank names the
+// pair segment shared with that peer, an "a"-prefixed one that rank's
+// window arena (keyed shmfab.ArenaKey(rank)).
 func parseShmFDs(s string) (map[int]*os.File, error) {
 	fds := make(map[int]*os.File)
 	for _, part := range strings.Split(s, ",") {
-		peer, fd, ok := strings.Cut(part, "=")
-		p, err1 := strconv.Atoi(peer)
+		name, fd, ok := strings.Cut(part, "=")
+		rank, arena := strings.CutPrefix(name, "a")
+		r, err1 := strconv.Atoi(rank)
 		d, err2 := strconv.Atoi(fd)
-		if !ok || err1 != nil || err2 != nil || d < 3 {
+		if !ok || err1 != nil || err2 != nil || r < 0 || d < 3 {
 			return nil, fmt.Errorf("fompi: bad %s entry %q", EnvShmFDs, part)
 		}
-		if _, dup := fds[p]; dup {
-			return nil, fmt.Errorf("fompi: duplicate peer %d in %s", p, EnvShmFDs)
+		key, what := r, "na-segment-"
+		if arena {
+			key, what = shmfab.ArenaKey(r), "na-arena-"
 		}
-		fds[p] = os.NewFile(uintptr(d), "na-segment-"+peer)
+		if _, dup := fds[key]; dup {
+			return nil, fmt.Errorf("fompi: duplicate entry %q in %s", name, EnvShmFDs)
+		}
+		fds[key] = os.NewFile(uintptr(d), what+rank)
 	}
 	return fds, nil
 }
@@ -244,13 +255,14 @@ func runShm(opts Options, body func(p *Proc)) error {
 		return fmt.Errorf("fompi: TransportShm needs Options.Shm (or run under nalaunch, which sets the NA_* environment)")
 	}
 	var (
-		segs []*shmfab.Segment
-		err  error
+		segs   []*shmfab.Segment
+		arenas []*shmfab.Arena
+		err    error
 	)
 	if s.FDs != nil {
-		segs, err = shmfab.MapFDSegments(s.FDs, s.Rank, opts.Ranks)
+		segs, arenas, err = shmfab.MapFDs(s.FDs, s.Rank, opts.Ranks)
 	} else {
-		segs, err = shmfab.OpenDirSegments(s.Dir, s.Rank, opts.Ranks)
+		segs, arenas, err = shmfab.OpenDir(s.Dir, s.Rank, opts.Ranks)
 	}
 	if err != nil {
 		return err
@@ -258,6 +270,7 @@ func runShm(opts Options, body func(p *Proc)) error {
 	return runtime.RunShm(runtime.ShmOptions{
 		Self:              s.Rank,
 		Segments:          segs,
+		Arenas:            arenas,
 		HeartbeatInterval: s.HeartbeatInterval,
 		HeartbeatTimeout:  s.HeartbeatTimeout,
 		StartupGrace:      s.StartupGrace,

@@ -24,7 +24,15 @@ import (
 // parent re-execs this test binary with FOMPI_DIST_CHILD set, and the child
 // runs one rank of a distributed job instead of the test suite.
 func TestMain(m *testing.M) {
-	if role := os.Getenv("FOMPI_DIST_CHILD"); role != "" {
+	switch role := os.Getenv("FOMPI_DIST_CHILD"); role {
+	case "":
+	case "arena":
+		arenaChild()
+		return
+	case "holder":
+		holderChild()
+		return
+	default:
 		distChild(role)
 		return
 	}

@@ -136,37 +136,61 @@ func TestShmSoakMatchesSim(t *testing.T) {
 	}
 }
 
-// TestTwoProcessShmCleanRun drives a real two-OS-process job over shared
-// memory: this test binary is rank 0, a re-exec'd copy is rank 1, and the
-// pair segment travels to the child as an inherited descriptor — the same
-// flow cmd/nalaunch orchestrates with -transport shm. The child is the
-// unchanged distChild body, configured entirely through the NA_* contract.
-func TestTwoProcessShmCleanRun(t *testing.T) {
+// shmChild starts this test binary as rank 1 of a two-process shm job,
+// running the given FOMPI_DIST_CHILD role. The pair segment and both
+// ranks' window arenas travel to the child as inherited descriptors named
+// in NA_SHM_FDS, as cmd/nalaunch passes them; the returned map is rank
+// 0's own handles (fompi.Run consumes them).
+func shmChild(t *testing.T, role string) (*exec.Cmd, map[int]*os.File) {
+	t.Helper()
 	seg, err := shmfab.CreateSegmentFile("", 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	fds := map[int]*os.File{1: seg}
+	closeAll := func() {
+		for _, f := range fds {
+			f.Close()
+		}
+	}
+	for r := 0; r < 2; r++ {
+		f, err := shmfab.CreateArenaFile("", r)
+		if err != nil {
+			closeAll()
+			t.Fatal(err)
+		}
+		fds[shmfab.ArenaKey(r)] = f
+	}
 	cmd := exec.Command(os.Args[0], "-test.run=^$")
 	cmd.Env = append(os.Environ(),
-		"FOMPI_DIST_CHILD=pingpong",
+		"FOMPI_DIST_CHILD="+role,
 		fompi.EnvTransport+"=shm",
 		fompi.EnvRank+"=1",
 		fompi.EnvNRanks+"=2",
-		fompi.EnvShmFDs+"=0=3", // ExtraFiles[0] becomes fd 3 in the child
+		fompi.EnvShmFDs+"=0=3,a0=4,a1=5", // ExtraFiles[i] becomes fd 3+i
 	)
-	cmd.ExtraFiles = []*os.File{seg}
+	cmd.ExtraFiles = []*os.File{seg, fds[shmfab.ArenaKey(0)], fds[shmfab.ArenaKey(1)]}
 	cmd.Stdout = os.Stdout
 	cmd.Stderr = os.Stderr
 	if err := cmd.Start(); err != nil {
-		seg.Close()
+		closeAll()
 		t.Fatalf("spawning child: %v", err)
 	}
-	// The child inherited its copy at Start; our handle feeds rank 0's own
-	// mapping (and is closed by it).
-	err = fompi.Run(fompi.Options{
+	return cmd, fds
+}
+
+// TestTwoProcessShmCleanRun drives a real two-OS-process job over shared
+// memory: this test binary is rank 0, a re-exec'd copy is rank 1, and the
+// pair segment and window arenas travel to the child as inherited
+// descriptors — the same flow cmd/nalaunch orchestrates with -transport
+// shm. The child is the unchanged distChild body, configured entirely
+// through the NA_* contract.
+func TestTwoProcessShmCleanRun(t *testing.T) {
+	cmd, fds := shmChild(t, "pingpong")
+	err := fompi.Run(fompi.Options{
 		Ranks:     2,
 		Transport: fompi.TransportShm,
-		Shm:       &fompi.ShmConfig{Rank: 0, FDs: map[int]*os.File{1: seg}},
+		Shm:       &fompi.ShmConfig{Rank: 0, FDs: fds},
 	}, parentBody(t))
 	if err != nil {
 		t.Errorf("rank 0: %v", err)
@@ -174,6 +198,181 @@ func TestTwoProcessShmCleanRun(t *testing.T) {
 	if err := cmd.Wait(); err != nil {
 		t.Errorf("child rank exited uncleanly: %v", err)
 	}
+}
+
+// Window layout of the two-process arena exchange: rank 0's ping lands at
+// arenaPing in rank 1's window; rank 1 reads rank 0's arenaGetN (notified)
+// and arenaGet (plain) spans and echoes both back to rank 0's arenaEcho.
+const (
+	arenaSpan  = 1024
+	arenaPing  = 0
+	arenaEcho  = 4096
+	arenaGetN  = 8192
+	arenaGet   = 12288
+	arenaTagGN = 8
+)
+
+// arenaPattern is the deterministic content of one span.
+func arenaPattern(seed int) []byte {
+	b := make([]byte, arenaSpan)
+	for i := range b {
+		b[i] = byte(seed*41 + i*3)
+	}
+	return b
+}
+
+// arenaChild is rank 1 of TestTwoProcessShmArena, configured through the
+// NA_* environment: it verifies rank 0's notified put, reads two spans of
+// rank 0's window (GetNotify and Get) and echoes them with a notified put.
+func arenaChild() {
+	err := fompi.Run(fompi.Options{Ranks: 2}, func(p *fompi.Proc) {
+		win := p.WinAllocate(1 << 16)
+		defer win.Free()
+		req := win.NotifyInit(0, distChildTag, 1)
+		defer req.Free()
+		p.Barrier()
+		req.Start()
+		req.Wait()
+		if !bytes.Equal(win.Buffer()[arenaPing:arenaPing+arenaSpan], arenaPattern(1)) {
+			panic("child: notified put from rank 0 corrupted")
+		}
+		echo := make([]byte, 2*arenaSpan)
+		win.GetNotify(0, arenaGetN, echo[:arenaSpan], arenaTagGN).Await()
+		win.Get(0, arenaGet, echo[arenaSpan:])
+		win.Flush(0)
+		win.PutNotify(0, arenaEcho, echo, distChildTag)
+		win.Flush(0)
+	})
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "child: %v\n", err)
+		os.Exit(1)
+	}
+	os.Exit(0)
+}
+
+// TestTwoProcessShmArena runs a PutNotify, a GetNotify and a Get across two
+// real processes through memfd window arenas, passed with the pair
+// segment as cmd/nalaunch passes them: every byte must cross
+// exactly, and the notified put must be one ring entry with nothing in
+// the bulk region — the origin's copy, not a frame.
+func TestTwoProcessShmArena(t *testing.T) {
+	cmd, fds := shmChild(t, "arena")
+	err := fompi.Run(fompi.Options{
+		Ranks:     2,
+		Transport: fompi.TransportShm,
+		Shm:       &fompi.ShmConfig{Rank: 0, FDs: fds},
+	}, func(p *fompi.Proc) {
+		win := p.WinAllocate(1 << 16)
+		defer win.Free()
+		copy(win.Buffer()[arenaGetN:], arenaPattern(2))
+		copy(win.Buffer()[arenaGet:], arenaPattern(3))
+		readN := win.NotifyInit(1, arenaTagGN, 1)
+		defer readN.Free()
+		echo := win.NotifyInit(1, distChildTag, 1)
+		defer echo.Free()
+		p.Barrier()
+
+		before := p.QueueStats().ShmNet
+		win.PutNotify(1, arenaPing, arenaPattern(1), distChildTag)
+		win.Flush(1)
+		after := p.QueueStats().ShmNet
+		if d, b := after.EntriesSent-before.EntriesSent, after.BulkBytesSent-before.BulkBytesSent; d != 1 || b != 0 {
+			t.Errorf("notified put published %d entries and %d bulk bytes, want 1 and 0", d, b)
+		}
+		readN.Start()
+		if st := readN.Wait(); st.Source != 1 || st.Tag != arenaTagGN {
+			t.Errorf("GetNotify notification <%d,%d>, want <1,%d>", st.Source, st.Tag, arenaTagGN)
+		}
+		echo.Start()
+		echo.Wait()
+		got := win.Buffer()[arenaEcho : arenaEcho+2*arenaSpan]
+		if !bytes.Equal(got[:arenaSpan], arenaPattern(2)) || !bytes.Equal(got[arenaSpan:], arenaPattern(3)) {
+			t.Errorf("spans read by the child's GetNotify and Get came back corrupted")
+		}
+	})
+	if err != nil {
+		t.Errorf("rank 0: %v", err)
+	}
+	if err := cmd.Wait(); err != nil {
+		t.Errorf("child rank exited uncleanly: %v", err)
+	}
+}
+
+// holderWin is the window TestTwoProcessShmHolderKilled's child copies
+// into: large enough that the child spends nearly all its time inside a
+// copy, holding the window's lock word.
+const holderWin = 8 << 20
+
+// holderChild is rank 1 of TestTwoProcessShmHolderKilled: it signals with
+// a notified put, then copies into rank 0's window until it is killed.
+func holderChild() {
+	err := fompi.Run(fompi.Options{Ranks: 2}, func(p *fompi.Proc) {
+		win := p.WinAllocate(holderWin)
+		p.Barrier()
+		big := make([]byte, holderWin)
+		win.PutNotify(0, 0, big[:8], distChildTag)
+		for {
+			win.Put(0, 0, big)
+		}
+	})
+	fmt.Fprintf(os.Stderr, "holder child: %v\n", err)
+	os.Exit(1)
+}
+
+// TestTwoProcessShmHolderKilled kills an origin process in the middle of
+// its copies into rank 0's window, so it dies holding the window's lock
+// word in the shared arena. Rank 0's next CommitLocal on the window must
+// return once the heartbeat convicts the dead rank (the waiter breaks the
+// dead holder's hold), and the run must end with ErrPeerFailed, not hang.
+// A kill that lands between two copies leaves the word free; the test
+// retries until one lands inside a copy (CommitLocal counted as
+// contended), which nearly every kill does.
+func TestTwoProcessShmHolderKilled(t *testing.T) {
+	for try := 1; !killHolder(t); try++ {
+		if try == 3 {
+			t.Fatal("in 3 tries no kill landed while the child held the window's lock word")
+		}
+	}
+}
+
+// killHolder runs one kill and reports whether rank 0's CommitLocal had
+// to wait for the dead child's hold.
+func killHolder(t *testing.T) (contended bool) {
+	cmd, fds := shmChild(t, "holder")
+	watchdog := time.AfterFunc(60*time.Second, func() {
+		cmd.Process.Kill()
+		panic("TestTwoProcessShmHolderKilled: rank 0 still blocked after 60 s")
+	})
+	defer watchdog.Stop()
+	err := fompi.Run(fompi.Options{
+		Ranks:     2,
+		Transport: fompi.TransportShm,
+		Shm: &fompi.ShmConfig{Rank: 0, FDs: fds,
+			HeartbeatTimeout: 300 * time.Millisecond, StartupGrace: time.Second},
+	}, func(p *fompi.Proc) {
+		win := p.WinAllocate(holderWin)
+		ready := win.NotifyInit(1, distChildTag, 1)
+		p.Barrier()
+		ready.Start()
+		ready.Wait()
+		ready.Free()
+		time.Sleep(20 * time.Millisecond) // the child is deep in its copy loop
+		cmd.Process.Kill()
+		cmd.Wait()
+		before := p.QueueStats().RegionLockContention
+		win.CommitLocal(0, []byte("survivor"))
+		contended = p.QueueStats().RegionLockContention > before
+		got := make([]byte, 8)
+		win.ReadLocal(0, got)
+		if string(got) != "survivor" {
+			t.Errorf("window reads %q after CommitLocal, want %q", got, "survivor")
+		}
+	})
+	if !errors.Is(err, fompi.ErrPeerFailed) {
+		t.Errorf("rank 0: %v, want ErrPeerFailed", err)
+	}
+	t.Logf("kill landed inside a copy: %v", contended)
+	return contended || t.Failed()
 }
 
 // TestShmPeerFailureUnblocks kills rank 1 (panic mid-run) in a shm

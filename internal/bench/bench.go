@@ -110,7 +110,7 @@ func Registry() []Experiment {
 		{"sensitivity", "NA/MP advantage vs network latency (exascale claim)", "re-runs the ping-pong as wire latency scales to project the advantage at exascale", Sensitivity},
 		{"taskflow", "Dataflow tasking system makespan: NA vs MP", "random layered DAG executed by the tasking runtime under both transports", Taskflow},
 		{"eagerthreshold", "MP eager/rendezvous threshold ablation", "moves the MP eager/rendezvous switch to show the protocol cliff NA avoids", EagerThreshold},
-		{"shmbw", "Shared-memory segment ring vs in-process Real engine: aggregate put bandwidth", "intra-host segment transport vs the zero-copy in-process engine; 2x structural floor", ShmBW},
+		{"shmbw", "Shared-memory segment ring vs in-process Real engine: aggregate put bandwidth", "intra-host segment transport vs the zero-copy in-process engine; origin-side copies into window arenas", ShmBW},
 		{"check", "Interleaving checker: schedule-space exploration statistics per model", "runs the bounded interleaving checker over its models and reports schedules explored", CheckStats},
 		{"kvload", "Sharded KV under open-loop load: saturation and tail latency per transport", "open-loop (fixed-arrival-rate) generator against the notified-access KV on real/tcp/shm; p50/p99/p999", KVLoad},
 		{"recovery", "Rank-death recovery: detection, restore, outage, goodput dip (TCP)", "kills a rank in a resilient loopback cluster and times detection, replica replay, and the end-to-end outage against a clean run", Recovery},

@@ -13,14 +13,14 @@ import (
 )
 
 // ShmBW measures aggregate notified-put bandwidth over the cross-process
-// shared-memory transport (heap-segment cluster: the same ring protocol
-// the launcher runs over mapped files, minus the mmap) against the
-// in-process Real engine as the reference: the shm rows must stay within
-// a small factor of the in-memory fabric for the transport to be worth
-// auto-selecting on one host. Two payload sizes pin both ring paths —
-// 32 B rides inline in a 64 B ring entry, 4 KiB takes the bulk region —
-// and the transport counters verify each row exercised the path it
-// claims (inline rows move zero bulk bytes).
+// shared-memory transport (heap-segment cluster with heap window arenas:
+// the same protocol the launcher runs over mapped files, minus the mmap)
+// against the in-process Real engine as the reference: the shm rows must
+// stay within a small factor of the in-memory fabric for the transport to
+// be worth auto-selecting on one host. Each put is the origin's copy into
+// the target's arena window plus one notification entry on the ring, so
+// the transport counters read one entry per put and no bulk bytes at
+// either size.
 func ShmBW() *Table {
 	iters, warmup, flushEvery := 4000, 400, 32
 	if Quick {
@@ -51,8 +51,8 @@ func ShmBW() *Table {
 	}
 	t.Notes = append(t.Notes,
 		"both ranks storm notified puts at each other concurrently (flush every 32); MB/s counts both directions' payload over the slower direction's wall time",
-		"32 B rides the compact inline entry encoding (zero bulk bytes); 4 KiB goes through the bulk region, entries publishing only the slot",
-		"real_over_shm_* is the acceptance ratio: the target is 2x, the structural floor — shm copies each payload twice (user buffer into bulk, bulk into window) where the in-process zero-copy path moves it once")
+		"each shm put is the origin's copy into the target's window arena plus one compact notification entry: no bulk bytes at either size",
+		"real_over_shm_* is the acceptance ratio: both engines now copy each payload once on the sending goroutine, so it tends to 1; the target's consumer still runs for every notification")
 	return t
 }
 

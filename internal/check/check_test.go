@@ -350,3 +350,30 @@ func TestSegRingDoorbellReloadCaught(t *testing.T) {
 		t.Fatalf("replay of %q did not reproduce the deadlock: %v", res.FailingTrace.String(), err)
 	}
 }
+
+// TestArenaNotifyP4Safe proves the window-arena notified put's order —
+// the origin's plain copy, then the notification entry's release of tail
+// — never lets the target read a window slot's old bytes after it
+// matched the notification, under any 2-preemption schedule.
+func TestArenaNotifyP4Safe(t *testing.T) {
+	res := mustPass(t, check.Options{
+		MaxPreemptions: 2,
+		MaxSchedules:   *checkIters,
+	}, check.ArenaNotify(false))
+	if !res.Exhausted {
+		t.Fatalf("2-preemption space not exhausted in %d schedules", res.Schedules)
+	}
+}
+
+// TestArenaNotifyCopyAfterPublishCaught plants the entry published before
+// the copy and requires the checker to find the stale read, with a
+// deterministic replay.
+func TestArenaNotifyCopyAfterPublishCaught(t *testing.T) {
+	res := mustCatch(t, check.Options{
+		MaxPreemptions: 2,
+		MaxSchedules:   *checkIters,
+	}, check.ArenaNotify(true))
+	if err := check.Replay(res.FailingTrace, check.Options{}, check.ArenaNotify(true)); !check.IsViolation(err) {
+		t.Fatalf("replay of %q did not reproduce the violation: %v", res.FailingTrace.String(), err)
+	}
+}

@@ -735,6 +735,77 @@ func SegRingDoorbell(reloadWant bool) Workload {
 	}
 }
 
+// ArenaNotify models a notified put into a window arena (internal/fabric,
+// DESIGN §9): the origin copies the payload into the target's window with
+// plain stores, one word at a time, then publishes a notification-only
+// ring entry naming the window slot it wrote — entry bytes plain, tail a
+// release. The target polls tail (acquire), reads the entry and then the
+// window bytes it names, and retires the entry (head). The origin reuses
+// a window slot only once the ring has room for its next entry, which the
+// target frees only after it read that slot's bytes: the credit every
+// notified-access protocol keeps. copyAfterPublish=true plants the
+// defect: the origin publishes the entry before its copy, so the target
+// can match the notification and read the slot's old bytes.
+func ArenaNotify(copyAfterPublish bool) Workload {
+	return func(s exec.Scheduler) error {
+		const (
+			slots = 2 // ring entries, and window slots
+			words = 2 // a copy is more than one store
+			total = 3 // > slots: slots are reused
+		)
+		var (
+			window     [slots][words]uint64 // the target's arena window
+			entries    [slots]uint64        // entry: the window slot it names
+			tail, head uint64
+		)
+		copyIn := func(p *exec.Proc, slot, v uint64) {
+			for w := range window[slot] {
+				window[slot][w] = v*100 + uint64(w)
+				p.Yield()
+			}
+		}
+		env := exec.NewSimEnvSched(s)
+		return env.Run(2, func(p *exec.Proc) {
+			if p.Rank() == 0 {
+				// Origin.
+				for v := uint64(1); v <= total; v++ {
+					for v-1-head >= slots {
+						p.Yield() // no entry free: the target still reads slot v-slots
+					}
+					slot := (v - 1) % slots
+					if !copyAfterPublish {
+						copyIn(p, slot, v)
+					}
+					entries[(v-1)%slots] = slot
+					p.Yield()
+					tail = v // release: publishes the entry and the copy before it
+					p.Yield()
+					if copyAfterPublish {
+						copyIn(p, slot, v)
+					}
+				}
+			} else {
+				// Target.
+				for c := uint64(1); c <= total; c++ {
+					for tail < c {
+						p.Yield()
+					}
+					p.Yield()
+					slot := entries[(c-1)%slots]
+					for w := range window[slot] {
+						if got, want := window[slot][w], c*100+uint64(w); got != want {
+							Violatef("arena-notify: notification %d read word %d of slot %d as %d, want %d (copy not before the entry)",
+								c, w, slot, got, want)
+						}
+						p.Yield()
+					}
+					head = c
+				}
+			}
+		})
+	}
+}
+
 // ---------------------------------------------------------------------------
 // Replicated-window consistency model (internal/ft)
 // ---------------------------------------------------------------------------

@@ -209,6 +209,7 @@ type Fabric struct {
 	// get responses can cross a process boundary.
 	link     Link
 	self     int
+	arenas   WindowArenas // the job's window arenas; nil off shm
 	netMu    sync.Mutex
 	netOps   map[uint64]*Op
 	netOpSeq uint64
@@ -319,6 +320,25 @@ func (f *Fabric) zeroCopyEligible(origin, target, size int) bool {
 		size >= f.cfg.Model.FMABTECrossover &&
 		size > f.cfg.InlineThreshold &&
 		f.SameNode(origin, target)
+}
+
+// peerWindow resolves (target, regionID) to the target's arena window
+// when this process maps it: the origin then copies itself.
+func (f *Fabric) peerWindow(target, regionID int) ([]byte, *rwLock, bool) {
+	if f.arenas == nil || target == f.self {
+		return nil, nil, false
+	}
+	buf, lock, ok := f.arenas.PeerWindow(target, regionID)
+	return buf, lockWords(lock), ok
+}
+
+// rankFailed reports whether rank has been declared failed: the question
+// a region-lock waiter asks before it sleeps. failMu is a leaf lock, so a
+// waiter may ask holding any other.
+func (f *Fabric) rankFailed(rank int) bool {
+	f.failMu.Lock()
+	defer f.failMu.Unlock()
+	return f.failed[rank]
 }
 
 // sendBorrowEligible reports that a send to target crosses a process

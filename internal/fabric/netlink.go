@@ -89,6 +89,25 @@ type Link interface {
 	Start(rx func(from int, fr *wire.Frame), peerDown func(rank int, err error))
 }
 
+// WindowArenas is the window memory of a job whose ranks map each other's
+// (shmfab.Windows, DESIGN §9): a window registered through RegisterWindow
+// takes its bytes from this rank's arena, and an origin puts into and
+// gets from a peer's arena window by copying under the window's lock
+// itself, with no frame and no ack. A lock is two words in the arena: the
+// lock word and, in the low half of the second, its wake sequence
+// (rwword.go).
+type WindowArenas interface {
+	// AllocWindow takes size zeroed bytes from this rank's arena for
+	// region id and publishes them in its region table; ok is false when
+	// the arena cannot hold them.
+	AllocWindow(id, size int) (buf []byte, lock *[2]uint64, ok bool)
+	// FreeWindow unpublishes region id and returns its bytes.
+	FreeWindow(id int)
+	// PeerWindow resolves rank's published region id to its mapped bytes
+	// and lock; ok is false when rank published no such region.
+	PeerWindow(rank, id int) (buf []byte, lock *[2]uint64, ok bool)
+}
+
 // NewDistributed creates the local-rank slice of a distributed fabric on
 // top of an established link. env must be a wall-clock engine (DistEnv).
 // cfg.Ranks/RanksPerNode are overridden by the link geometry (one rank per
@@ -96,7 +115,9 @@ type Link interface {
 // trigger). A fault plan gets an injector but no declaring down hook: the
 // peers' link liveness detectors convict a failed rank, so the caller
 // mirrors its rank's failure into the link (runtime's SuppressHeartbeat).
-func NewDistributed(env exec.Env, cfg Config, link Link) *Fabric {
+// arenas is the job's window memory when its ranks map each other's (shm),
+// nil when they do not (TCP).
+func NewDistributed(env exec.Env, cfg Config, link Link, arenas WindowArenas) *Fabric {
 	if !env.Mode().Wallclock() {
 		panic("fabric: NewDistributed needs a wall-clock engine")
 	}
@@ -109,6 +130,7 @@ func NewDistributed(env exec.Env, cfg Config, link Link) *Fabric {
 		nics:   make([]*NIC, cfg.Ranks),
 		link:   link,
 		self:   link.Self(),
+		arenas: arenas,
 		netOps: make(map[uint64]*Op),
 	}
 	f.nics[f.self] = newNIC(f, f.self)

@@ -138,7 +138,7 @@ const (
 	pktAck     = wire.KindAck
 	pktCtrl    = wire.KindCtrl
 	pktData    = wire.KindData
-	pktNotify  = wire.KindNotify // deferred get notification (unreliable-network protocol)
+	pktNotify  = wire.KindNotify // a notification without data: a notified get's (origin-ordered, deferred) or an arena copy's; compare is its OpKind
 )
 
 type packet struct {
@@ -250,16 +250,24 @@ func (o *Op) Detach() {
 }
 
 // MemRegion is a registered memory region remotely accessible by its ID.
-// Each region carries its own read-write lock guarding the backing bytes,
-// so payload commits to different regions never serialize on the NIC-wide
-// lock (lock order: NIC.mu, then regMu, then MemRegion.mu — payload paths
-// that need no queue state take only the region lock).
+// Each region carries its own reader-writer lock word guarding the
+// backing bytes (rwword.go), so payload commits to different regions
+// never serialize on the NIC-wide lock (lock order: NIC.mu, then regMu,
+// then the region word — payload paths that need no queue state take only
+// the word). The word is the region's own field, or, for a window in the
+// shm window arena, its slot in the arena's region table, which every
+// rank mapping the arena locks too.
 type MemRegion struct {
-	ID  int
-	nic *NIC
-	buf []byte
-	mu  sync.RWMutex
+	ID   int
+	nic  *NIC
+	buf  []byte
+	lock *rwLock // &own, or the window's slot lock in the arena
+	own  rwLock
 }
+
+// inArena reports whether the region's bytes and lock live in the
+// window arena.
+func (r *MemRegion) inArena() bool { return r.lock != &r.own }
 
 // Bytes returns the region's backing memory. The owner may access it
 // directly, subject to the usual RMA synchronization rules.
@@ -268,27 +276,33 @@ func (r *MemRegion) Bytes() []byte { return r.buf }
 // Len returns the region size in bytes.
 func (r *MemRegion) Len() int { return len(r.buf) }
 
-// lockW acquires the region write lock, counting contended acquisitions.
+// lockW takes the region word for writing, counting contended
+// acquisitions.
 func (r *MemRegion) lockW() {
-	if !r.mu.TryLock() {
+	if c, _ := r.lock.lock(r.nic.rank, r.nic.rank, r.nic.f); c {
 		r.nic.regionContention.Add(1)
-		r.mu.Lock()
 	}
 }
 
-// lockR acquires the region read lock, counting contended acquisitions.
+// unlockW releases the write hold.
+func (r *MemRegion) unlockW() { r.lock.unlock() }
+
+// lockR takes the region word for reading, counting contended
+// acquisitions.
 func (r *MemRegion) lockR() {
-	if !r.mu.TryRLock() {
+	if c, _ := r.lock.rlock(r.nic.rank, r.nic.rank, r.nic.f); c {
 		r.nic.regionContention.Add(1)
-		r.mu.RLock()
 	}
 }
+
+// unlockR releases a read hold.
+func (r *MemRegion) unlockR() { r.lock.runlock() }
 
 // commit copies data into the region at off under the region write lock.
 func (r *MemRegion) commit(off int, data []byte) {
 	r.lockW()
 	copy(r.buf[off:], data)
-	r.mu.Unlock()
+	r.unlockW()
 }
 
 // readInto copies length bytes at off into dst under the region read lock,
@@ -296,7 +310,7 @@ func (r *MemRegion) commit(off int, data []byte) {
 func (r *MemRegion) readInto(off int, dst []byte) {
 	r.lockR()
 	copy(dst, r.buf[off:])
-	r.mu.RUnlock()
+	r.unlockR()
 }
 
 // CommitLocal copies data into the region at off under the region write
@@ -481,17 +495,47 @@ func (f *Fabric) Close() {
 // symmetric region IDs (as MPI window allocation does).
 func (n *NIC) Register(buf []byte) *MemRegion {
 	n.regMu.Lock()
-	r := &MemRegion{ID: len(n.regions), nic: n, buf: buf}
-	n.regions = append(n.regions, r)
+	r := n.addRegionLocked(buf, nil)
 	n.regMu.Unlock()
 	return r
 }
 
-// Deregister revokes remote access to the region. The ID is not reused.
+// RegisterWindow allocates size zeroed bytes of window memory and
+// registers them. On a link with window arenas (shm) the bytes come from
+// this rank's arena, published in its region table, so peers copy into
+// and out of them themselves; a window the arena cannot hold, and every
+// window on the other engines, is heap memory.
+func (n *NIC) RegisterWindow(size int) *MemRegion {
+	n.regMu.Lock()
+	defer n.regMu.Unlock()
+	if a := n.f.arenas; a != nil {
+		if buf, lock, ok := a.AllocWindow(len(n.regions), size); ok {
+			return n.addRegionLocked(buf, lockWords(lock))
+		}
+	}
+	return n.addRegionLocked(make([]byte, size), nil)
+}
+
+// addRegionLocked appends a region over buf, locked by lock (an arena
+// slot's) or by its own when lock is nil. Caller holds regMu.
+func (n *NIC) addRegionLocked(buf []byte, lock *rwLock) *MemRegion {
+	r := &MemRegion{ID: len(n.regions), nic: n, buf: buf, lock: lock}
+	if lock == nil {
+		r.lock = &r.own
+	}
+	n.regions = append(n.regions, r)
+	return r
+}
+
+// Deregister revokes remote access to the region. The ID is not reused;
+// an arena window's bytes go back to the arena.
 func (n *NIC) Deregister(r *MemRegion) {
 	n.regMu.Lock()
 	if r.ID < len(n.regions) && n.regions[r.ID] == r {
 		n.regions[r.ID] = nil
+		if r.inArena() {
+			n.f.arenas.FreeWindow(r.ID)
+		}
 	}
 	n.regMu.Unlock()
 }
@@ -522,8 +566,9 @@ func (n *NIC) checkTarget(target int) {
 	}
 }
 
-func (n *NIC) beginOp(target int, kind OpKind) *Op {
-	n.mu.Lock()
+// newOpLocked takes a recycled op handle, or allocates one, reset for
+// (target, kind). Caller holds mu.
+func (n *NIC) newOpLocked(target int, kind OpKind) *Op {
 	var op *Op
 	if k := len(n.opFree); k > 0 {
 		op = n.opFree[k-1]
@@ -532,10 +577,13 @@ func (n *NIC) beginOp(target int, kind OpKind) *Op {
 	} else {
 		op = &Op{}
 	}
-	op.nic, op.target, op.kind = n, target, kind
-	op.dst, op.done, op.detached, op.result = nil, false, false, 0
-	op.err = nil
-	op.netID = 0
+	*op = Op{nic: n, target: target, kind: kind}
+	return op
+}
+
+func (n *NIC) beginOp(target int, kind OpKind) *Op {
+	n.mu.Lock()
+	op := n.newOpLocked(target, kind)
 	n.outstanding[target]++
 	n.totalOut++
 	if n.f.inj != nil || n.f.link != nil {
@@ -713,10 +761,15 @@ func (n *NIC) peerPanicLocked() error {
 // the BTE crossover under the Real engine the packet references data
 // directly and the target copies source → region in a single copy (XPMEM
 // single-copy semantics, paper §IV-C). Per MPI one-sided rules the caller
-// must not modify data until the operation completes locally.
+// must not modify data until the operation completes locally. On a link
+// with window arenas (shm), a put into a peer's arena window is the
+// origin's own copy instead, complete when Put returns (putArena).
 func (n *NIC) Put(p *exec.Proc, target, regionID, offset int, data []byte, imm Imm) *Op {
 	n.checkTarget(target)
 	n.f.chargeSend(p)
+	if buf, lock, ok := n.f.peerWindow(target, regionID); ok {
+		return n.putArena(target, regionID, offset, data, imm, buf, lock)
+	}
 	var payload []byte
 	pooled := false
 	switch {
@@ -748,10 +801,14 @@ func (n *NIC) Put(p *exec.Proc, target, regionID, offset int, data []byte, imm I
 // Get reads len(dst) bytes from (target, regionID, offset) into dst. If imm
 // is valid, a CQE appears in the *target's* destination completion queue as
 // soon as the data has been read there (the notified-get semantics for
-// reliable networks discussed in the paper §VIII).
+// reliable networks discussed in the paper §VIII). A get from a peer's
+// arena window is the origin's own copy, complete when Get returns.
 func (n *NIC) Get(p *exec.Proc, target, regionID, offset int, dst []byte, imm Imm) *Op {
 	n.checkTarget(target)
 	n.f.chargeSend(p)
+	if buf, lock, ok := n.f.peerWindow(target, regionID); ok {
+		return n.getArena(target, regionID, offset, dst, imm, buf, lock)
+	}
 	op := n.beginOp(target, OpGet)
 	op.dst = dst
 	pkt := newPacket()
@@ -771,10 +828,135 @@ func (n *NIC) Get(p *exec.Proc, target, regionID, offset int, dst []byte, imm Im
 			kind: pktNotify, origin: n.rank, target: target,
 			regionID: regionID, offset: offset,
 			imm: imm, wireSize: 0, operand: uint64(len(dst)),
+			compare: uint64(OpGet),
 		}
 		n.f.transmit(note)
 	}
 	return op
+}
+
+// RangeError reports an operation outside its target window, caught at
+// the origin: an arena window's bounds are known there, so the origin's
+// call panics with it and the target never sees the operation.
+type RangeError struct {
+	Origin, Target int
+	Kind           OpKind
+	RegionID       int
+	Offset, Len    int
+	RegionLen      int
+}
+
+func (e *RangeError) Error() string {
+	return fmt.Sprintf("fabric: rank %d: %v to rank %d out of bounds: region %d off %d len %d (region len %d)",
+		e.Origin, e.Kind, e.Target, e.RegionID, e.Offset, e.Len, e.RegionLen)
+}
+
+// checkArenaRange panics with a *RangeError unless [off, off+length)
+// lies within a window of regionLen bytes.
+func (n *NIC) checkArenaRange(target int, kind OpKind, regionID, off, length, regionLen int) {
+	if off < 0 || length > regionLen-off {
+		panic(&RangeError{Origin: n.rank, Target: target, Kind: kind, RegionID: regionID,
+			Offset: off, Len: length, RegionLen: regionLen})
+	}
+}
+
+// putArena is Put into a peer's arena window: the origin copies under
+// the window's lock and, for a notified put, publishes one
+// notification-only entry after the copy — the ring's release of its
+// tail orders the bytes before it. The op is complete at issue.
+func (n *NIC) putArena(target, regionID, offset int, data []byte, imm Imm, buf []byte, lock *rwLock) *Op {
+	n.checkArenaRange(target, OpPut, regionID, offset, len(data), len(buf))
+	op, ok := n.issueArena(target, OpPut)
+	if !ok {
+		return op
+	}
+	if len(data) > 0 {
+		if !n.holdArena(target, lock) {
+			return n.failArena(op, target)
+		}
+		copy(buf[offset:], data)
+		lock.unlock()
+	}
+	n.notifyArena(target, regionID, offset, len(data), OpPut, imm)
+	return op
+}
+
+// getArena is Get from a peer's arena window: the origin copies under the
+// window's lock, then a notified get publishes its entry. The op is
+// complete at issue. The origin holds the lock as a writer (rwword.go:
+// every hold from another process names its rank).
+func (n *NIC) getArena(target, regionID, offset int, dst []byte, imm Imm, buf []byte, lock *rwLock) *Op {
+	n.checkArenaRange(target, OpGet, regionID, offset, len(dst), len(buf))
+	op, ok := n.issueArena(target, OpGet)
+	if !ok {
+		return op
+	}
+	if !n.holdArena(target, lock) {
+		return n.failArena(op, target)
+	}
+	copy(dst, buf[offset:])
+	lock.unlock()
+	n.notifyArena(target, regionID, offset, len(dst), OpGet, imm)
+	return op
+}
+
+// issueArena admits an origin-side copy to target and returns a handle
+// that is complete as it is issued: the copy is the whole operation, so
+// Flush has nothing to wait for. When the fault plan absorbs the op (as
+// transmit absorbs a packet) or target was declared failed, it returns an
+// ordinary op instead, pending until the failure declaration fails it or
+// already failed, and false: the caller skips the copy.
+func (n *NIC) issueArena(target int, kind OpKind) (*Op, bool) {
+	if n.f.inj != nil && !n.f.inj.Admit(n.rank, target) {
+		return n.beginOp(target, kind), false
+	}
+	n.mu.Lock()
+	if n.anyPeerFailed && n.peerErr[target] != nil {
+		n.mu.Unlock()
+		return n.beginOp(target, kind), false
+	}
+	op := n.newOpLocked(target, kind)
+	op.done = true
+	n.mu.Unlock()
+	return op, true
+}
+
+// holdArena takes a peer window's lock for an origin copy. It fails when
+// the window's owner is declared failed while the origin waits.
+func (n *NIC) holdArena(target int, lock *rwLock) bool {
+	contended, failed := lock.lock(n.rank, target, n.f)
+	if contended {
+		n.regionContention.Add(1)
+	}
+	return !failed
+}
+
+// failArena fails an issued arena op whose target was declared failed
+// while the origin waited for its window.
+func (n *NIC) failArena(op *Op, target int) *Op {
+	op.err = n.PeerError(target)
+	if op.err == nil { // declared, not yet recorded at this NIC
+		op.err = &PeerFailedError{Observer: n.rank, Rank: target, Reason: "window owner failed"}
+	}
+	return op
+}
+
+// notifyArena sends the notification of an origin-side copy, if imm asks
+// for one: a notify packet, which the shm link publishes as one compact
+// entry and the target delivers straight to the window's matcher. The
+// op's admission (issueArena) covers it, so it skips transmit's.
+func (n *NIC) notifyArena(target, regionID, offset, length int, kind OpKind, imm Imm) {
+	if !imm.Valid {
+		return
+	}
+	note := newPacket()
+	*note = packet{
+		kind: pktNotify, origin: n.rank, target: target,
+		regionID: regionID, offset: offset, imm: imm,
+		operand: uint64(length), compare: uint64(kind),
+	}
+	n.f.count(note)
+	n.f.dispatch(note)
 }
 
 // Atomic posts a remote atomic on the uint64 at (target, regionID, offset).
@@ -912,7 +1094,7 @@ func (n *NIC) deliver(pkt *packet) {
 				kind: pktNotify, origin: n.rank, target: pkt.origin,
 				regionID: pkt.regionID, offset: pkt.offset,
 				imm: pkt.imm, wireSize: 0, operand: uint64(length),
-				reply: true,
+				compare: uint64(OpGet), reply: true,
 			}
 			n.f.transmit(note)
 		}
@@ -932,7 +1114,7 @@ func (n *NIC) deliver(pkt *packet) {
 				binary.LittleEndian.PutUint64(reg.buf[pkt.offset:], pkt.operand)
 			}
 		}
-		reg.mu.Unlock()
+		reg.unlockW()
 		n.postCQE(pkt.origin, pkt.imm, pkt.regionID, pkt.offset, OpAtomic, 8)
 		n.sendAck(pkt.op, pkt.opID, pkt.origin, old, int64(n.f.cfg.Model.TAtomic))
 
@@ -955,7 +1137,7 @@ func (n *NIC) deliver(pkt *packet) {
 				binary.LittleEndian.PutUint64(reg.buf[at:], math.Float64bits(v))
 			}
 		}
-		reg.mu.Unlock()
+		reg.unlockW()
 		n.recycleData(pkt)
 		n.postCQE(pkt.origin, pkt.imm, pkt.regionID, pkt.offset, OpAccum, length)
 		n.sendAck(pkt.op, pkt.opID, pkt.origin, 0, int64(n.f.cfg.Model.TAtomic))
@@ -966,7 +1148,7 @@ func (n *NIC) deliver(pkt *packet) {
 		}
 
 	case pktNotify:
-		n.postCQE(pkt.origin, pkt.imm, pkt.regionID, pkt.offset, OpGet, int(pkt.operand))
+		n.postCQE(pkt.origin, pkt.imm, pkt.regionID, pkt.offset, OpKind(pkt.compare), int(pkt.operand))
 
 	case pktCtrl, pktData:
 		n.mu.Lock()
@@ -1130,7 +1312,7 @@ func (n *NIC) finishLocal(op *Op, value uint64) {
 func (r *MemRegion) Load64(off int) uint64 {
 	r.lockR()
 	v := binary.LittleEndian.Uint64(r.buf[off:])
-	r.mu.RUnlock()
+	r.unlockR()
 	return v
 }
 
@@ -1139,7 +1321,7 @@ func (r *MemRegion) Load64(off int) uint64 {
 func (r *MemRegion) Store64(off int, v uint64) {
 	r.lockW()
 	binary.LittleEndian.PutUint64(r.buf[off:], v)
-	r.mu.Unlock()
+	r.unlockW()
 }
 
 // commitInlineLocked commits a drained ring entry's inline payload into

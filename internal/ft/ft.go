@@ -334,9 +334,9 @@ func (m *Manager) AllocateReplicated(size int) *Win {
 	// chained notified put (legal from handler context — no origin rank to
 	// charge). The chain targets this window's buddy instance: windows are
 	// SPMD-symmetric, so the local mirror handle addresses every rank's.
-	// The bytes are read under the region lock, not in place: the put was
-	// acknowledged at commit, so the origin may already be overwriting the
-	// slot.
+	// The bytes are read under the region lock, not in place: the put
+	// completed at commit (on shm, at the origin's own copy into the
+	// window arena), so the origin may already be overwriting the slot.
 	w.regMirror = core.RegisterHandlerCfg(w.prim, TagMirror, func(msg *core.AMsg) {
 		if m.skipMirror() {
 			return

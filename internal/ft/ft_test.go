@@ -2,6 +2,7 @@ package ft
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -36,13 +37,29 @@ func (c *collectErrs) set(rank int, err error) {
 // commits chain directly, remote puts chain through the TagMirror handler,
 // and the checkpoint proves every mirror byte-equal and advances the epoch.
 func TestReplicateAndCheckpoint(t *testing.T) {
+	replicateAndCheckpoint(t, func(n int, body func(p *runtime.Proc)) error {
+		return runtime.Run(runtime.Options{Ranks: n, Mode: exec.Sim}, body)
+	})
+}
+
+// TestReplicateAndCheckpointShm is the same run on the in-process shm
+// cluster: windows sit in the window arena, remote puts and the mirror
+// chains are origin-side copies, and under the race detector the
+// handler's reads of a mirrored put are ordered only by its notification.
+func TestReplicateAndCheckpointShm(t *testing.T) {
+	replicateAndCheckpoint(t, func(n int, body func(p *runtime.Proc)) error {
+		return errors.Join(runtime.RunLocalShmCluster(runtime.Options{Ranks: n}, body)...)
+	})
+}
+
+func replicateAndCheckpoint(t *testing.T, run func(n int, body func(p *runtime.Proc)) error) {
 	const n, size = 3, 256
 	mgrs := make([]*Manager, n)
 	for i := range mgrs {
 		mgrs[i] = NewManager()
 	}
 	ce := &collectErrs{errs: make([]error, n)}
-	err := runtime.Run(runtime.Options{Ranks: n, Mode: exec.Sim}, func(p *runtime.Proc) {
+	err := run(n, func(p *runtime.Proc) {
 		m := mgrs[p.Rank()]
 		m.Begin(p)
 		w := m.AllocateReplicated(size)

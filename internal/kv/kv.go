@@ -6,9 +6,13 @@
 //   - the table window: an open-addressed bucket array holding the
 //     shard's live entries. Clients read it with plain async RMA gets —
 //     a lookup is one bucket-sized read from the owner, no server cycles
-//     spent. Remote reads and the owner's CommitLocal writes both run
-//     under the region lock, so a get observes each slot write entirely
-//     or not at all.
+//     spent. Remote reads and the owner's CommitLocal writes both take
+//     the table region's lock word, so a get observes each slot write
+//     entirely or not at all. On shm the table sits in the owner's window
+//     arena and a client's get is its own copy out of it: the word lives
+//     in the arena's region table, so that copy takes the same word the
+//     owner's CommitLocal does, and the bucket stays untorn with no
+//     version check.
 //   - the log window: per-client lanes of fixed-size record slots.
 //     A put/delete/batch is ONE notified put landing a record in the
 //     caller's lane; the owner's active-message handler (registered on

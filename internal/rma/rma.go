@@ -108,7 +108,7 @@ func Allocate(p *runtime.Proc, size int) *Win {
 
 	nic := p.NIC()
 	sys := nic.Register(make([]byte, winSysBytes))
-	user := nic.Register(make([]byte, size))
+	user := nic.RegisterWindow(size)
 	w := &Win{
 		p: p, nic: nic, ID: id,
 		user: user, sys: sys,

@@ -46,6 +46,10 @@ func TestCrashFanoutEveryEngine(t *testing.T) {
 				pair[[2]int{lo, hi}] = shmfab.NewHeapSegment(lo, hi)
 			}
 		}
+		arenas := make([]*shmfab.Arena, n)
+		for r := range arenas {
+			arenas[r] = shmfab.NewHeapArena()
+		}
 		return fanOut(n, func(r int) error {
 			segs := make([]*shmfab.Segment, n)
 			for q := range segs {
@@ -53,7 +57,7 @@ func TestCrashFanoutEveryEngine(t *testing.T) {
 					segs[q] = pair[[2]int{min(r, q), max(r, q)}]
 				}
 			}
-			return RunShm(ShmOptions{Self: r, Segments: segs, HeartbeatInterval: 2 * time.Millisecond,
+			return RunShm(ShmOptions{Self: r, Segments: segs, Arenas: arenas, HeartbeatInterval: 2 * time.Millisecond,
 				HeartbeatTimeout: 250 * time.Millisecond, StartupGrace: time.Second}, o, body)
 		})
 	}

@@ -78,7 +78,7 @@ func RunDistributed(d DistOptions, opts Options, body func(p *Proc)) error {
 	if d.OnBootstrap != nil {
 		d.OnBootstrap(mesh.Gen(), mesh.Rejoined())
 	}
-	return runRank(opts, mesh, body)
+	return runRank(opts, mesh, nil, body)
 }
 
 // linkOptions prepares job options for a one-rank-per-process engine:
@@ -104,16 +104,17 @@ type rankMesh interface {
 }
 
 // runRank runs body as rank mesh.Self() of the job over an established
-// mesh and tears the mesh down; opts come from linkOptions. A final barrier
+// mesh and tears the mesh down; opts come from linkOptions, arenas is the
+// job's window memory on shm (nil on TCP). A final barrier
 // after body quiesces all ranks before teardown, so no rank closes its
 // links while peers still have traffic in flight. A clean run closes
 // gracefully (a goodbye handshake); after an error the links are closed
 // abruptly, which surviving peers report as ErrPeerFailed — exactly the
 // semantics of a crashed rank.
-func runRank(opts Options, mesh rankMesh, body func(p *Proc)) error {
+func runRank(opts Options, mesh rankMesh, arenas fabric.WindowArenas, body func(p *Proc)) error {
 	env := exec.NewDistEnv(mesh.Self(), opts.Ranks)
 	w, cfg := newWorld(opts, env)
-	w.fab = fabric.NewDistributed(env, cfg, mesh)
+	w.fab = fabric.NewDistributed(env, cfg, mesh, arenas)
 	// A rank blocked in a wait consumes its own segment rings before it
 	// parks, so a notification or ack it waits for commits on its own
 	// goroutine instead of reaching it through the poller and a gate wakeup;

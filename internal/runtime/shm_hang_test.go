@@ -26,6 +26,7 @@ import (
 func TestShmHangModeTripsHeartbeat(t *testing.T) {
 	const n = 2
 	seg := shmfab.NewHeapSegment(0, 1)
+	arenas := []*shmfab.Arena{shmfab.NewHeapArena(), shmfab.NewHeapArena()}
 	var (
 		mu   sync.Mutex
 		injs [n]*fault.Injector
@@ -44,6 +45,7 @@ func TestShmHangModeTripsHeartbeat(t *testing.T) {
 				errs[r] = RunShm(ShmOptions{
 					Self:              r,
 					Segments:          segs,
+					Arenas:            arenas,
 					HeartbeatInterval: 2 * time.Millisecond,
 					HeartbeatTimeout:  250 * time.Millisecond,
 					StartupGrace:      2 * time.Second,
@@ -92,5 +94,65 @@ func TestShmHangModeTripsHeartbeat(t *testing.T) {
 	}
 	if _, down := injs[0].Down(1); down {
 		t.Error("the survivor's injector learned of the hang; only the heartbeat may tell it")
+	}
+}
+
+// TestShmArenaCopiesRespectFaultPlan: an origin-side copy into an arena
+// window answers to the fault plan as a frame does at transmit. Both ranks
+// mark rank 1 crashed: rank 1's own put into rank 0's window is absorbed
+// (a down origin writes nothing), and rank 0's put into rank 1's window
+// stays pending — no copy — until the heartbeat convicts rank 1, which
+// fails it with ErrPeerFailed.
+func TestShmArenaCopiesRespectFaultPlan(t *testing.T) {
+	const n = 2
+	seg := shmfab.NewHeapSegment(0, 1)
+	arenas := []*shmfab.Arena{shmfab.NewHeapArena(), shmfab.NewHeapArena()}
+	regs := make([]*fabric.MemRegion, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for r := 0; r < n; r++ {
+		segs := make([]*shmfab.Segment, n)
+		segs[1-r] = seg
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[r] = RunShm(ShmOptions{
+				Self:              r,
+				Segments:          segs,
+				Arenas:            arenas,
+				HeartbeatInterval: 2 * time.Millisecond,
+				HeartbeatTimeout:  250 * time.Millisecond,
+				StartupGrace:      2 * time.Second,
+			}, Options{Ranks: n, FaultPlan: &fault.Plan{}}, func(p *Proc) {
+				reg := p.NIC().RegisterWindow(64)
+				regs[p.Rank()] = reg
+				p.Barrier()
+				p.World().Fabric().Injector().Crash(1)
+				op := p.NIC().Put(p.Proc, 1-p.Rank(), reg.ID, 0, []byte("written!"), fabric.Imm{})
+				if op.Done() {
+					t.Errorf("rank %d: put by or to a crashed rank completed at issue", p.Rank())
+				}
+				if p.Rank() == 1 {
+					p.Barrier() // absorbed: unwinds once rank 0's close stops its beat
+					return
+				}
+				op.Await(p.Proc)
+				if !errors.Is(op.Err(), fabric.ErrPeerFailed) {
+					t.Errorf("put to the crashed rank: err %v, want ErrPeerFailed", op.Err())
+				}
+			})
+		}()
+	}
+	wg.Wait()
+	for r, reg := range regs {
+		if reg == nil {
+			t.Fatalf("rank %d registered no window (err %v)", r, errs[r])
+		}
+		if b := reg.Bytes(); string(b[:8]) != string(make([]byte, 8)) {
+			t.Errorf("rank %d's window holds %q: a refused copy landed", r, b[:8])
+		}
+	}
+	if !errors.Is(errs[1], fabric.ErrPeerFailed) {
+		t.Errorf("crashed rank error = %v, want ErrPeerFailed", errs[1])
 	}
 }

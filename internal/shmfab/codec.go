@@ -13,7 +13,8 @@ import (
 //	w2 @16: opID u64
 //	@24:    InlineCapacity payload bytes
 //
-// Compact kinds carry the hot-path frames (puts and acks) without the
+// Compact kinds carry the hot-path frames (puts, acks, and the
+// notification of an origin's copy into an arena window) without the
 // 79-byte wire header; origin and target are implicit in the ring
 // direction. Everything else rides as a generically encoded wire frame in
 // the bulk region (entFrame), fragmented when the encoding exceeds
@@ -25,6 +26,7 @@ const (
 	entFrame     = 4 // wire.Append-encoded frame in bulk: inline[0:8]=off, [8:16]=len
 	entFragFirst = 5 // first fragment: inline[0:8]=off, [8:16]=chunk, [16:24]=total
 	entFragNext  = 6 // continuation: inline[0:8]=off, [8:16]=chunk
+	entNotify    = 7 // KindNotify: inline[0:8]=length, [8:16]=op kind
 
 	efImmValid   = 1 << 0
 	efNotifyBack = 1 << 1
@@ -64,6 +66,19 @@ func compactAck(fr *wire.Frame, self, target int) bool {
 		!fr.ImmValid && !fr.NotifyBack && !fr.ChargeCopy &&
 		fr.AtomicOp == 0 && fr.AccumOp == 0 &&
 		fr.RegionID == 0 && fr.Offset == 0 && fr.WireSize == 0
+}
+
+// compactNotify reports whether fr is a notification the compact entry
+// captures losslessly: region coordinates that fit the entry, no payload.
+func compactNotify(fr *wire.Frame, self, target int) bool {
+	return fr.Kind == wire.KindNotify &&
+		fr.Origin == self && fr.Target == target &&
+		fr.ImmValid && !fr.NotifyBack && !fr.ChargeCopy &&
+		len(fr.Strs) == 0 && len(fr.Data) == 0 &&
+		fr.MsgClass == 0 && fr.OpID == 0 && fr.WireSize == 0 &&
+		fr.AtomicOp == 0 && fr.AccumOp == 0 &&
+		fr.RegionID >= 0 && fr.RegionID <= math.MaxUint32 &&
+		fr.Offset >= 0 && fr.Offset <= math.MaxUint32
 }
 
 func encHeader(e []byte, kind, flags byte, paylen uint16, imm uint32) {
@@ -108,6 +123,15 @@ func encAck(e []byte, fr *wire.Frame) {
 	encHeader(e, entAck, 0, 0, 0)
 	putU64(e, 16, fr.OpID)
 	putU64(e, 24, fr.Operand)
+}
+
+// encNotify encodes a compact notification.
+func encNotify(e []byte, fr *wire.Frame) {
+	encHeader(e, entNotify, efImmValid, 0, fr.Imm)
+	putU32(e, 8, uint32(fr.RegionID))
+	putU32(e, 12, uint32(fr.Offset))
+	putU64(e, 24, fr.Operand)
+	putU64(e, 32, fr.Compare)
 }
 
 // encFrame references a generically encoded frame in bulk.
@@ -157,5 +181,20 @@ func decAck(e []byte, from, self int, fr *wire.Frame) {
 		Target:  self,
 		OpID:    getU64(e, 16),
 		Operand: getU64(e, 24),
+	}
+}
+
+// decNotify rebuilds the frame a compact notification entry encodes.
+func decNotify(e []byte, from, self int, fr *wire.Frame) {
+	*fr = wire.Frame{
+		Kind:     wire.KindNotify,
+		Origin:   from,
+		Target:   self,
+		RegionID: int(getU32(e, 8)),
+		Offset:   int(getU32(e, 12)),
+		Operand:  getU64(e, 24),
+		Compare:  getU64(e, 32),
+		Imm:      getU32(e, 4),
+		ImmValid: true,
 	}
 }

@@ -26,6 +26,7 @@ func FuzzConsume(f *testing.F) {
 	seed(nil, func(e []byte) { encPutInline(e, &wire.Frame{OpID: 1, Data: data[:8]}) })
 	seed(data, func(e []byte) { encPutBulk(e, put, 0) })
 	seed(nil, func(e []byte) { encAck(e, &wire.Frame{OpID: 4, Operand: 7}) })
+	seed(nil, func(e []byte) { encNotify(e, &wire.Frame{RegionID: 2, Offset: 8, Operand: 64, Imm: 5}) })
 	seed(enc, func(e []byte) { encFrame(e, 0, len(enc)) })
 	seed(enc, func(e []byte) { encFrag(e, true, 0, len(enc), len(enc)) })
 	seed(enc[:16], func(e []byte) { encFrag(e, true, 0, 16, len(enc)) })

@@ -14,7 +14,6 @@ import (
 // ends of a file-backed segment map it in different processes.
 const (
 	sysFutexWaitv = 449 // futex_waitv(2), Linux 5.16; one number on every architecture
-	futexWakeOp   = 1   // FUTEX_WAKE
 	futex2Size32  = 2   // FUTEX2_SIZE_U32
 )
 
@@ -64,9 +63,4 @@ func (s *sleeper) wait() {
 		}
 	}
 	pollBells(s.words)
-}
-
-// futexWake wakes the sleeper on w, if there is one.
-func futexWake(w *uint32) {
-	syscall.Syscall6(syscall.SYS_FUTEX, uintptr(unsafe.Pointer(w)), futexWakeOp, 1, 0, 0, 0)
 }

@@ -10,6 +10,3 @@ func newSleeper(words []*uint32) *sleeper { return &sleeper{words: words} }
 
 // wait returns once any word is no longer armed, or after a millisecond.
 func (s *sleeper) wait() { pollBells(s.words) }
-
-// futexWake is a no-op: a ring's or kick's store is what the sleeper sees.
-func futexWake(*uint32) {}

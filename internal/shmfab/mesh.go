@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/beat"
+	"repro/internal/futex"
 	"repro/internal/wire"
 )
 
@@ -49,7 +50,7 @@ type Config struct {
 type Stats struct {
 	EntriesSent   uint64 // ring entries published
 	EntriesRecv   uint64 // ring entries consumed
-	CompactSent   uint64 // puts/acks using the compact entry encoding
+	CompactSent   uint64 // puts, acks and notifications using the compact entry encoding
 	GenericSent   uint64 // frames taking the generic bulk encoding
 	FragFrames    uint64 // oversized frames that fragmented
 	BulkBytesSent uint64
@@ -360,9 +361,10 @@ func (m *Mesh) drainSpill(p *shmPeer, wait bool) error {
 	return nil
 }
 
-// send publishes fr, compactly when it is a plain put or ack. With wait it
-// backs off while the ring or bulk region is full; without it publishes
-// all of fr or nothing and reports which. Caller holds p.mu.
+// send publishes fr, compactly when it is a plain put, an ack or a
+// notification. With wait it backs off while the ring or bulk region is
+// full; without it publishes all of fr or nothing and reports which.
+// Caller holds p.mu.
 func (m *Mesh) send(p *shmPeer, fr *wire.Frame, wait bool) (bool, error) {
 	switch {
 	case compactPut(fr, m.self, p.rank) && len(fr.Data) <= InlineCapacity:
@@ -385,6 +387,12 @@ func (m *Mesh) send(p *shmPeer, fr *wire.Frame, wait bool) (bool, error) {
 			return false, err
 		}
 		encAck(e, fr)
+	case compactNotify(fr, m.self, p.rank):
+		e, _, _, err := m.reserve(p, 0, wait)
+		if e == nil {
+			return false, err
+		}
+		encNotify(e, fr)
 	default:
 		// Generic path: the full wire encoding travels through bulk
 		// (oversized puts land here too). A fragmented frame is never
@@ -682,7 +690,7 @@ func (m *Mesh) kick() {
 		return
 	}
 	atomic.StoreUint32(m.bells[0], bellKicked)
-	futexWake(m.bells[0])
+	futex.Wake(m.bells[0], 1)
 }
 
 // pin keeps the segments mapped until the matching m.pins.Add(-1); it
@@ -822,6 +830,10 @@ func (m *Mesh) consume(p *shmPeer, e []byte) {
 		p.cons.advance()
 	case entAck:
 		decAck(e, p.rank, m.self, fr)
+		m.rx(p.rank, fr)
+		p.cons.advance()
+	case entNotify:
+		decNotify(e, p.rank, m.self, fr)
 		m.rx(p.rank, fr)
 		p.cons.advance()
 	case entFrame:

@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/futex"
 )
 
 // One direction of a segment: an SPSC ring of EntrySize entries plus a
@@ -72,7 +74,7 @@ func (r *dirRing) ring() bool {
 	if atomic.LoadUint32(r.armed) != bellArmed || !atomic.CompareAndSwapUint32(r.armed, bellArmed, bellRung) {
 		return false
 	}
-	futexWake(r.armed)
+	futex.Wake(r.armed, 1)
 	return true
 }
 

@@ -221,35 +221,94 @@ func OpenDirSegments(dir string, self, n int) ([]*Segment, error) {
 	return segs, nil
 }
 
-// MapFDSegments maps fd-passed segments: fds[peer] is an inherited
-// descriptor (from the launcher's ExtraFiles) for the pair shared with
-// that peer. Returned slice is indexed by peer rank with nil at self.
-func MapFDSegments(fds map[int]*os.File, self, n int) ([]*Segment, error) {
-	segs := make([]*Segment, n)
-	for peer, f := range fds {
-		if peer == self || peer < 0 || peer >= n {
-			closeSegments(segs)
-			return nil, fmt.Errorf("shmfab: bad peer %d in fd map", peer)
+// OpenDir opens (creating as needed) this rank's pair segment files in
+// dir and every rank's window arena file (ArenaName), and maps them all.
+// On error nothing stays mapped.
+func OpenDir(dir string, self, n int) ([]*Segment, []*Arena, error) {
+	arenas, err := openDirArenas(dir, self, n)
+	if err != nil {
+		return nil, nil, err
+	}
+	segs, err := OpenDirSegments(dir, self, n)
+	if err != nil {
+		UnmapArenas(arenas)
+		return nil, nil, err
+	}
+	return segs, arenas, nil
+}
+
+// MapFDs maps fd-passed files (the launcher's ExtraFiles): fds[peer] is
+// the pair segment shared with that peer, fds[ArenaKey(r)] rank r's window
+// arena, and every peer and every rank must be there. The files are
+// consumed: every one is closed, on error too, and on error nothing stays
+// mapped. Segments are indexed by peer rank with nil at self, arenas by
+// rank.
+func MapFDs(fds map[int]*os.File, self, n int) ([]*Segment, []*Arena, error) {
+	segs, arenas := make([]*Segment, n), make([]*Arena, n)
+	err := mapFDs(fds, self, segs, arenas)
+	for _, f := range fds {
+		f.Close() // a mapping survives its descriptor
+	}
+	if err != nil {
+		closeSegments(segs)
+		UnmapArenas(arenas)
+		return nil, nil, err
+	}
+	return segs, arenas, nil
+}
+
+// mapFDs is MapFDs' mapping: it fills segs and arenas and stops at the
+// first error, leaving what it mapped in them.
+func mapFDs(fds map[int]*os.File, self int, segs []*Segment, arenas []*Arena) error {
+	n := len(segs)
+	for key, f := range fds {
+		var err error
+		switch r := -1 - key; {
+		case key < 0 && r < n:
+			if arenas[r], err = MapFileArena(f); err != nil {
+				return fmt.Errorf("shmfab: arena of rank %d: %w", r, err)
+			}
+		case key >= 0 && key < n && key != self:
+			if segs[key], err = MapFileSegment(f, min(self, key), max(self, key)); err != nil {
+				return err
+			}
+		default:
+			return fmt.Errorf("shmfab: bad fd map key %d for rank %d of %d", key, self, n)
 		}
-		lo, hi := self, peer
-		if lo > hi {
-			lo, hi = hi, lo
+	}
+	for r := 0; r < n; r++ {
+		if r != self && segs[r] == nil {
+			return fmt.Errorf("shmfab: no segment fd for peer %d", r)
 		}
-		s, err := MapFileSegment(f, lo, hi)
+		if arenas[r] == nil {
+			return fmt.Errorf("shmfab: no arena fd for rank %d", r)
+		}
+	}
+	return nil
+}
+
+// openDirArenas opens (creating as needed) every rank's arena file in dir
+// and maps it. A file may survive from an earlier job, so self's own
+// arena starts with an empty table and clears every window it hands out;
+// a peer's is the peer's to reset, before it publishes anything.
+func openDirArenas(dir string, self, n int) ([]*Arena, error) {
+	arenas := make([]*Arena, n)
+	for r := range arenas {
+		f, err := os.OpenFile(dir+"/"+ArenaName(r), os.O_CREATE|os.O_RDWR, 0o644)
+		if err != nil {
+			UnmapArenas(arenas)
+			return nil, fmt.Errorf("shmfab: opening arena of rank %d: %w", r, err)
+		}
+		a, err := MapFileArena(f)
 		f.Close()
 		if err != nil {
-			closeSegments(segs)
+			UnmapArenas(arenas)
 			return nil, err
 		}
-		segs[peer] = s
+		arenas[r] = a
 	}
-	for peer := 0; peer < n; peer++ {
-		if peer != self && segs[peer] == nil {
-			closeSegments(segs)
-			return nil, fmt.Errorf("shmfab: no segment fd for peer %d", peer)
-		}
-	}
-	return segs, nil
+	arenas[self].reset()
+	return arenas, nil
 }
 
 func closeSegments(segs []*Segment) {
@@ -265,19 +324,24 @@ func closeSegments(segs []*Segment) {
 // when non-empty, falling back to the system temp directory). The launcher
 // calls it once per pair and passes the file to both children.
 func CreateSegmentFile(dir string, lo, hi int) (*os.File, error) {
-	if f, err := memfdCreate(PairName(lo, hi)); err == nil {
-		if err := f.Truncate(SegmentSize); err != nil {
+	return createShmFile(dir, PairName(lo, hi), SegmentSize)
+}
+
+// createShmFile makes an anonymous shared file of size bytes named name.
+func createShmFile(dir, name string, size int64) (*os.File, error) {
+	if f, err := memfdCreate(name); err == nil {
+		if err := f.Truncate(size); err != nil {
 			f.Close()
 			return nil, err
 		}
 		return f, nil
 	}
-	f, err := os.CreateTemp(dir, PairName(lo, hi)+"-*")
+	f, err := os.CreateTemp(dir, name+"-*")
 	if err != nil {
 		return nil, err
 	}
 	os.Remove(f.Name()) // anonymous: the fd keeps it alive
-	if err := f.Truncate(SegmentSize); err != nil {
+	if err := f.Truncate(size); err != nil {
 		f.Close()
 		return nil, err
 	}

@@ -147,7 +147,7 @@ func (k Kind) String() string {
 //	accum           op handle  -              -            RegionID Offset Imm ImmValid AccumOp WireSize Data
 //	ack             op handle  fetched value  -            -
 //	ctrl, data      word 0     word 1         word 2       MsgClass WireSize; data adds ChargeCopy Data
-//	notify          -          read length    -            RegionID Offset Imm ImmValid
+//	notify          -          length         op kind      RegionID Offset Imm ImmValid
 //	hello, rejoin   -          job size       Version      Gen (world generation) Strs[0] (listener address)
 //	roster          -          generation     -            Strs (one address per rank)
 //	ready, go, bye, beat use none.
