@@ -150,14 +150,14 @@ func (r *Request) Start() {
 	r.uncharged = 0
 	m := s.matcherLocked(r.win.UserRegionID())
 	for r.matched < r.count {
-		nd := m.store.Pop(r.source, r.tag)
-		if nd == nil {
+		_, src, tag, ok := m.store.Pop(r.source, r.tag)
+		if !ok {
 			break
 		}
 		m.backlogMatched++
 		r.matched++
 		r.uncharged++
-		r.last = Status{Source: nd.Source, Tag: nd.Tag}
+		r.last = Status{Source: src, Tag: tag}
 	}
 	if r.matched < r.count {
 		s.postLocked(m, r)

@@ -4,16 +4,16 @@
 // Two engines implement the same Env interface:
 //
 //   - SimEnv is a process-oriented, conservative discrete-event simulator.
-//     Exactly one goroutine executes at any instant: the one holding the
-//     baton. A rank that blocks (Sleep, Gate.Wait) runs the event loop
-//     itself — event callbacks fire inline on it — until the next event
-//     wakes a rank, and passes the baton straight to that rank (or keeps it,
-//     when the wake is its own). "Kernel context" means the goroutine
-//     holding the baton, running the loop on a parked or finished rank's
-//     behalf. Time is virtual (simtime.Time) and runs are deterministic: the
-//     same program produces bit-identical event orders and timings. This
-//     engine is used to regenerate the paper's figures with LogGP network
-//     costs.
+//     Each rank is a coroutine, and exactly one executes at any instant:
+//     the one holding the baton. A rank that blocks (Sleep, Gate.Wait) runs
+//     the event loop itself — event callbacks fire inline on it — until the
+//     next event wakes a rank, and passes the baton to that rank by a
+//     coroutine switch through Run's goroutine (or keeps it, when the wake
+//     is its own). "Kernel context" means the coroutine holding the baton,
+//     running the loop on a parked or finished rank's behalf. Time is
+//     virtual (simtime.Time) and runs are deterministic: the same program
+//     produces bit-identical event orders and timings. This engine is used
+//     to regenerate the paper's figures with LogGP network costs.
 //
 //   - RealEnv runs ranks as ordinary goroutines under the wall clock, with
 //     channel-based gates. It validates that the communication stack is
@@ -136,7 +136,8 @@ type Proc struct {
 
 	// Sim-only state.
 	sim      *SimEnv
-	resume   chan struct{} // the baton arrives here
+	next     func() (struct{}, bool) // Run's goroutine resumes the rank's coroutine
+	yield    func(struct{}) bool     // the rank switches back to Run's goroutine
 	done     bool
 	parkNote string // what the rank is blocked on (deadlock reports)
 
@@ -200,11 +201,12 @@ func (p *Proc) Poll(interval simtime.Duration) {
 	p.real.step()
 }
 
-// park blocks the rank until a wake event resumes it. The parking goroutine
+// park blocks the rank until a wake event resumes it. The parking rank
 // holds the baton, so it runs the event loop itself: a wake of this same
-// rank returns without a goroutine switch, any other outcome passes the
-// baton on and waits for it to come back. A park during an abort (a rank's
-// deferred code while it unwinds) unwinds at once instead.
+// rank returns without a switch, any other outcome records the next rank
+// in handoff and yields to Run's goroutine, which resumes that rank. A
+// park during an abort (a rank's deferred code while it unwinds) unwinds
+// at once instead.
 func (p *Proc) park(note string) {
 	e := p.sim
 	if e.aborting {
@@ -212,8 +214,8 @@ func (p *Proc) park(note string) {
 	}
 	p.parkNote = note
 	if next := e.loop(); next != p {
-		e.pass(next)
-		<-p.resume
+		e.handoff = next
+		p.yield(struct{}{})
 	}
 	if e.aborting {
 		panic(procAbort{})
@@ -227,10 +229,10 @@ func (p *Proc) park(note string) {
 // SimEnv is the deterministic discrete-event engine. Create with NewSimEnv,
 // then call Run exactly once.
 type SimEnv struct {
-	q     *simtime.Queue
-	now   simtime.Time
-	yield chan struct{} // the baton returns to Run's goroutine here
-	procs []*Proc
+	q       *simtime.Queue
+	now     simtime.Time
+	procs   []*Proc
+	handoff *Proc // the rank Run's goroutine resumes next; nil ends the run
 
 	// sched is the pluggable event-selection policy (see Scheduler). nil
 	// and TimeOrdered both take the direct heap-pop fast path; any other
@@ -248,7 +250,7 @@ type SimEnv struct {
 
 // NewSimEnv returns a fresh simulation engine.
 func NewSimEnv() *SimEnv {
-	return &SimEnv{q: simtime.NewQueue(), yield: make(chan struct{})}
+	return &SimEnv{q: simtime.NewQueue()}
 }
 
 // Mode implements Env.
@@ -303,41 +305,48 @@ func (e *SimEnv) scheduleWake(p *Proc, after simtime.Duration) {
 // Run spawns n ranks executing body and drives the simulation until all
 // ranks finish, a rank panics, or the system deadlocks.
 //
-// The event loop runs on whichever goroutine holds the baton: Run's until
-// the first wake, then each parking or finishing rank's (see loop). Run's
-// goroutine gets the baton back, on yield, only when the run is over, and
-// learns that from nothing else: it must not read kernel state while a
-// rank holds the baton.
-func (e *SimEnv) Run(n int, body func(p *Proc)) error {
+// Each rank is a coroutine, and Run's goroutine is their driver: it runs
+// the event loop up to the first wake, resumes the woken rank, and then
+// resumes whichever rank the last one to park or finish recorded in
+// handoff (see park and exit), until none is recorded. So the event loop
+// runs on whichever coroutine holds the baton. Every rank's coroutine has
+// ended when Run returns.
+//
+// A rank body that calls runtime.Goexit (t.FailNow does) ends the run:
+// the other ranks unwind as they do after a rank's panic, and then Run
+// re-raises the Goexit on its own goroutine instead of returning. A
+// t.FailNow inside a rank therefore stops a test that calls Run as if it
+// had been called on the test's goroutine.
+func (e *SimEnv) Run(n int, body func(p *Proc)) (err error) {
 	if n <= 0 {
 		return fmt.Errorf("exec: Run needs n > 0, got %d", n)
 	}
 	e.procs = make([]*Proc, n)
 	e.live = n
 	for i := 0; i < n; i++ {
-		p := &Proc{rank: i, n: n, env: e, sim: e, resume: make(chan struct{})}
+		p := &Proc{rank: i, n: n, env: e, sim: e}
 		e.procs[i] = p
-		go func() {
-			<-p.resume
-			defer e.exit(p)
-			if e.aborting {
-				panic(procAbort{})
-			}
-			body(p)
-		}()
+		e.spawn(p, body)
 		e.scheduleWake(p, 0)
 	}
-	if next := e.loop(); next != nil {
-		e.pass(next)
-		<-e.yield
+	// Deferred so that a Goexit re-raised by next unwinds the parked
+	// ranks too.
+	defer func() { err = e.shutdown() }()
+	for p := e.loop(); p != nil; p = e.handoff {
+		p.next()
 	}
-	return e.shutdown()
+	return nil
 }
 
-// exit retires a rank whose body returned or unwound, recording a panic as
-// the run error, and passes the baton on; the rank's goroutine then ends.
-func (e *SimEnv) exit(p *Proc) {
-	if r := recover(); r != nil {
+// exit retires a rank whose body returned (returned), unwound with r, or
+// called runtime.Goexit (neither), recording a panic as the run error and
+// a Goexit as an abort. It then runs the event loop on the rank's behalf
+// and records the next rank in handoff; the rank's coroutine then ends.
+func (e *SimEnv) exit(p *Proc, r any, returned bool) {
+	switch {
+	case r == nil && !returned:
+		e.aborting = true
+	case r != nil:
 		if _, isAbort := r.(procAbort); !isAbort && e.err == nil {
 			e.err = PanicError(fmt.Sprintf("rank %d panicked", p.rank), r, debug.Stack())
 			e.aborting = true
@@ -345,7 +354,7 @@ func (e *SimEnv) exit(p *Proc) {
 	}
 	p.done = true
 	e.live--
-	e.pass(e.loop())
+	e.handoff = e.loop()
 }
 
 // loop is the event loop, run by the goroutine holding the baton. It fires
@@ -380,17 +389,6 @@ func (e *SimEnv) loop() *Proc {
 	return nil
 }
 
-// pass hands the baton to rank next, or back to Run's goroutine when next
-// is nil. The caller must not touch kernel state afterwards until the
-// baton comes back to it.
-func (e *SimEnv) pass(next *Proc) {
-	if next == nil {
-		e.yield <- struct{}{}
-		return
-	}
-	next.resume <- struct{}{}
-}
-
 // deadlock describes the ranks still parked when no event is left.
 func (e *SimEnv) deadlock() error {
 	var parked []string
@@ -421,15 +419,15 @@ func (e *SimEnv) runEvent(ev *simtime.Event) {
 	}
 }
 
-// shutdown runs on Run's goroutine once the baton is back: it unwinds every
-// rank still parked, one at a time, so their goroutines exit. Each unwound
-// rank's exit finds the run aborting and passes the baton straight back.
+// shutdown runs on Run's goroutine once no rank is left to resume: it
+// resumes every rank still parked (or never started) once, so each unwinds
+// with procAbort and its coroutine ends. Each unwound rank's exit finds
+// the run aborting and returns at once.
 func (e *SimEnv) shutdown() error {
 	e.aborting = true
 	for _, p := range e.procs {
 		if !p.done {
-			e.pass(p)
-			<-e.yield
+			p.next()
 		}
 	}
 	return e.err

@@ -38,15 +38,21 @@ type ringEntry struct {
 // shmRing is a fixed-capacity circular buffer. It shares the owning NIC's
 // mutex and destination gate, so producers (delivery context) and the
 // consumer (owner rank in Test/Wait) synchronize exactly like the uGNI CQ.
+// Its storage (RingCapacity entries, ~320 KiB) is made by the first push:
+// the ring only holds notifications that arrive before the target's first
+// NA call installs its window's sink, so most NICs never use it.
 type shmRing struct {
-	entries   [RingCapacity]ringEntry
-	head      int // next pop
+	entries   []ringEntry // nil until the first push
+	head      int         // next pop
 	count     int
 	highWater int
 }
 
 // push appends an entry; the caller holds the NIC mutex.
 func (r *shmRing) push(e ringEntry) {
+	if r.entries == nil {
+		r.entries = make([]ringEntry, RingCapacity)
+	}
 	if r.count == RingCapacity {
 		panic(fmt.Sprintf("fabric: shared-memory notification ring overflow (%d entries): the application is missing flow control", RingCapacity))
 	}

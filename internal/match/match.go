@@ -218,7 +218,8 @@ func pushBucket[K comparable, E any](m map[K]*FIFO[E], k K, e E) {
 }
 
 // StoreNode is one buffered arrival in a Store. Its concrete Source and
-// Tag are exposed so wildcard consumers learn what they matched.
+// Tag are exposed so wildcard consumers learn what they matched. A node is
+// valid until it is popped: Pop recycles it for a later Add.
 type StoreNode[T any] struct {
 	Item   T
 	Source int
@@ -277,20 +278,29 @@ func (l *storeList[T]) unlink(nd *StoreNode[T], v int) {
 // per-tag list, and the global arrival order — so Peek/Pop serve any
 // wildcard combination from a single list head. A bucket leaves its map as
 // soon as its last node is popped, and its view goes on a free list for
-// the next new bucket, so a steady Add/Pop cycle allocates only the node.
+// the next new bucket; popped nodes go on a free list of their own, so a
+// steady Add/Pop cycle allocates nothing.
 type Store[T any] struct {
 	exact     map[key]*storeList[T]
 	bySrc     map[int]*storeList[T]
 	byTag     map[int]*storeList[T]
 	order     storeList[T]
 	free      []*storeList[T] // emptied bucket views, reused by bucket
+	spare     []*StoreNode[T] // popped nodes, reused by Add
 	depth     int
 	highWater int
 }
 
 // Add buffers an arrival with concrete <source, tag>.
-func (s *Store[T]) Add(source, tag int, item T) *StoreNode[T] {
-	nd := &StoreNode[T]{Item: item, Source: source, Tag: tag}
+func (s *Store[T]) Add(source, tag int, item T) {
+	var nd *StoreNode[T]
+	if n := len(s.spare); n > 0 {
+		nd = s.spare[n-1]
+		s.spare = s.spare[:n-1]
+	} else {
+		nd = &StoreNode[T]{}
+	}
+	nd.Item, nd.Source, nd.Tag = item, source, tag
 	if s.exact == nil {
 		s.exact = make(map[key]*storeList[T])
 		s.bySrc = make(map[int]*storeList[T])
@@ -304,7 +314,6 @@ func (s *Store[T]) Add(source, tag int, item T) *StoreNode[T] {
 	if s.depth > s.highWater {
 		s.highWater = s.depth
 	}
-	return nd
 }
 
 // bucket returns the view for k, taking one from free (or allocating) on
@@ -346,19 +355,23 @@ func (s *Store[T]) Peek(source, tag int) *StoreNode[T] {
 	return nil
 }
 
-// Pop consumes and returns the oldest buffered arrival matching the
-// selector, or nil. The node leaves all four views.
-func (s *Store[T]) Pop(source, tag int) *StoreNode[T] {
+// Pop consumes the oldest buffered arrival matching the selector and
+// returns its item and concrete source and tag; ok is false when none
+// matches. The node leaves all four views and goes on the spare list.
+func (s *Store[T]) Pop(source, tag int) (item T, src, tg int, ok bool) {
 	nd := s.Peek(source, tag)
 	if nd == nil {
-		return nil
+		return item, 0, 0, false
 	}
 	unlinkBucket(s.exact, key{nd.Source, nd.Tag}, nd, viewExact, &s.free)
 	unlinkBucket(s.bySrc, nd.Source, nd, viewSrc, &s.free)
 	unlinkBucket(s.byTag, nd.Tag, nd, viewTag, &s.free)
 	s.order.unlink(nd, viewOrder)
 	s.depth--
-	return nd
+	out := *nd
+	*nd = StoreNode[T]{} // a spare node keeps no item alive
+	s.spare = append(s.spare, nd)
+	return out.Item, out.Source, out.Tag, true
 }
 
 // unlinkBucket removes nd from the bucket view for k, dropping the bucket

@@ -141,25 +141,25 @@ func TestStoreViews(t *testing.T) {
 	if nd := s.Peek(AnySource, AnyTag); nd == nil || nd.Item != 0 {
 		t.Fatalf("global peek = %v", nd)
 	}
-	if nd := s.Pop(2, AnyTag); nd == nil || nd.Item != 1 || nd.Tag != 10 {
-		t.Fatalf("bySrc pop = %v", nd)
+	if item, src, tag, ok := s.Pop(2, AnyTag); !ok || item != 1 || src != 2 || tag != 10 {
+		t.Fatalf("bySrc pop = %d <%d,%d> %v", item, src, tag, ok)
 	}
-	if nd := s.Pop(AnySource, 20); nd == nil || nd.Item != 2 || nd.Source != 1 {
-		t.Fatalf("byTag pop = %v", nd)
+	if item, src, tag, ok := s.Pop(AnySource, 20); !ok || item != 2 || src != 1 || tag != 20 {
+		t.Fatalf("byTag pop = %d <%d,%d> %v", item, src, tag, ok)
 	}
-	if nd := s.Pop(2, 20); nd == nil || nd.Item != 3 {
-		t.Fatalf("exact pop = %v", nd)
+	if item, _, _, ok := s.Pop(2, 20); !ok || item != 3 {
+		t.Fatalf("exact pop = %d %v", item, ok)
 	}
 	// Node 1 was consumed through the bySrc view; the global view must
 	// skip it and surface node 0.
-	if nd := s.Pop(AnySource, AnyTag); nd == nil || nd.Item != 0 {
-		t.Fatalf("global pop = %v", nd)
+	if item, _, _, ok := s.Pop(AnySource, AnyTag); !ok || item != 0 {
+		t.Fatalf("global pop = %d %v", item, ok)
 	}
 	if s.Depth() != 0 {
 		t.Fatalf("depth %d after drain", s.Depth())
 	}
-	if nd := s.Pop(AnySource, AnyTag); nd != nil {
-		t.Fatalf("pop on empty store = %v", nd)
+	if item, _, _, ok := s.Pop(AnySource, AnyTag); ok {
+		t.Fatalf("pop on empty store = %d", item)
 	}
 }
 
@@ -199,14 +199,15 @@ func TestStoreRandomAgainstReference(t *testing.T) {
 			ref = append(ref, &arrival{source: src, tag: tag, item: i})
 		} else {
 			src, tag := sel(), sel()
-			got := s.Pop(src, tag)
+			item, gotSrc, gotTag, ok := s.Pop(src, tag)
 			want := refPop(src, tag)
 			switch {
-			case got == nil && want == nil:
-			case got == nil || want == nil:
-				t.Fatalf("op %d Pop(%d,%d): got %v want %v", i, src, tag, got, want)
-			case got.Item != want.item:
-				t.Fatalf("op %d Pop(%d,%d): got item %d want %d", i, src, tag, got.Item, want.item)
+			case !ok && want == nil:
+			case !ok || want == nil:
+				t.Fatalf("op %d Pop(%d,%d): got %v want %v", i, src, tag, ok, want)
+			case item != want.item || gotSrc != want.source || gotTag != want.tag:
+				t.Fatalf("op %d Pop(%d,%d): got %d <%d,%d> want %d <%d,%d>", i, src, tag,
+					item, gotSrc, gotTag, want.item, want.source, want.tag)
 			}
 		}
 	}
@@ -241,11 +242,11 @@ func TestStoreExactPopsLeaveNoResidue(t *testing.T) {
 			// Pop the previous arrival first, then this one: pops do not
 			// always take the oldest node in every view.
 			prev := i - 1
-			if nd := s.Pop(prev%4, prev%3); nd == nil || nd.Item != prev {
-				t.Fatalf("cycle %d: Pop(%d,%d) = %v", i, prev%4, prev%3, nd)
+			if item, _, _, ok := s.Pop(prev%4, prev%3); !ok || item != prev {
+				t.Fatalf("cycle %d: Pop(%d,%d) = %d %v", i, prev%4, prev%3, item, ok)
 			}
-			if nd := s.Pop(src, tag); nd == nil || nd.Item != i {
-				t.Fatalf("cycle %d: Pop(%d,%d) = %v", i, src, tag, nd)
+			if item, _, _, ok := s.Pop(src, tag); !ok || item != i {
+				t.Fatalf("cycle %d: Pop(%d,%d) = %d %v", i, src, tag, item, ok)
 			}
 		}
 		for name, n := range views() {
@@ -260,24 +261,24 @@ func TestStoreExactPopsLeaveNoResidue(t *testing.T) {
 	}
 }
 
-// TestStoreAddPopAllocatesOnlyNode: a warmed Add/Pop cycle reuses the
-// emptied bucket views from the Store's free list, so the node is the one
-// allocation left per arrival.
-func TestStoreAddPopAllocatesOnlyNode(t *testing.T) {
+// TestStoreAddPopAllocatesNothing: a warmed Add/Pop cycle reuses the
+// emptied bucket views and the popped nodes from the Store's free lists,
+// so an arrival allocates nothing.
+func TestStoreAddPopAllocatesNothing(t *testing.T) {
 	var s Store[int]
 	i := 0
 	cycle := func() {
 		src, tag := i%4, i%3
 		s.Add(src, tag, i)
-		if nd := s.Pop(src, tag); nd == nil || nd.Item != i {
-			t.Fatalf("cycle %d: Pop(%d,%d) = %v", i, src, tag, nd)
+		if item, gotSrc, gotTag, ok := s.Pop(src, tag); !ok || item != i || gotSrc != src || gotTag != tag {
+			t.Fatalf("cycle %d: Pop(%d,%d) = %d <%d,%d> %v", i, src, tag, item, gotSrc, gotTag, ok)
 		}
 		i++
 	}
 	for range 12 {
 		cycle()
 	}
-	if n := testing.AllocsPerRun(100, cycle); n != 1 {
-		t.Fatalf("Add/Pop cycle allocates %.1f times, want 1 (the node)", n)
+	if n := testing.AllocsPerRun(100, cycle); n != 0 {
+		t.Fatalf("Add/Pop cycle allocates %.1f times, want 0", n)
 	}
 }

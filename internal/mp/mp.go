@@ -304,8 +304,7 @@ func (c *Comm) Irecv(buf []byte, source, tag int) *RecvReq {
 	// covers the bucketed probe, whatever the store depth.
 	if c.uq.Depth() > 0 {
 		c.charge(c.p.Model().TMatchScan)
-		if nd := c.uq.Pop(source, tag); nd != nil {
-			u := nd.Item
+		if u, _, _, ok := c.uq.Pop(source, tag); ok {
 			if u.eager {
 				c.completeEager(req, u.env, u.data)
 			} else {

@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	goruntime "runtime"
 	"sync/atomic"
 	"testing"
 
@@ -31,6 +32,30 @@ func TestRunBothModes(t *testing.T) {
 				t.Fatalf("count = %d", count.Load())
 			}
 		})
+	}
+}
+
+// TestSimLaunchAllocatesLittle pins the memory a Sim launch costs: a
+// 16-rank Run with one Barrier allocates under 256 KiB in total. Every NIC
+// used to embed its notification ring (~320 KiB, 5.4 MB per such launch);
+// the ring is made by its first push, which most NICs never see. An eager
+// per-NIC or per-rank table of that size fails this pin.
+func TestSimLaunchAllocatesLittle(t *testing.T) {
+	const ranks, limit = 16, 256 << 10
+	launch := func() {
+		if err := Run(Options{Ranks: ranks, Mode: exec.Sim}, func(p *Proc) { p.Barrier() }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	launch() // first use of lazily built package state
+	var before, after goruntime.MemStats
+	goruntime.ReadMemStats(&before)
+	launch()
+	goruntime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= limit {
+		t.Fatalf("a %d-rank Sim Run with one Barrier allocates %d B, want under %d", ranks, got, limit)
+	} else {
+		t.Logf("a %d-rank Sim Run with one Barrier allocates %d B", ranks, got)
 	}
 }
 
