@@ -73,10 +73,13 @@ type Link interface {
 	// Self returns the local rank, N the job size.
 	Self() int
 	N() int
-	// Send writes one frame to target. It must not retain fr or its
-	// slices after returning. Frames to one target arrive exactly once, in
-	// the order of the Send and SendReply calls. Send may block while the
-	// link is full (rank context: that is the backpressure).
+	// Send submits one frame to target. It must not retain fr or its
+	// slices after returning. It may return before the frame is written:
+	// a link may queue it, but must write it by its rx goroutine's next
+	// empty round, so no frame waits for the rank's next call. Frames to
+	// one target arrive exactly once, in the order of the Send and
+	// SendReply calls. Send may block while the link is full (rank
+	// context: that is the backpressure).
 	Send(target int, fr *wire.Frame) error
 	// SendReply is Send for frames produced by delivery on the rx
 	// goroutine: it never parks, queueing whatever the link cannot take

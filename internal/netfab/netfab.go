@@ -30,6 +30,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"slices"
 	"sync"
@@ -169,16 +170,22 @@ const (
 // peer is one established stream to another rank.
 //
 // Frames queue as encoded chunks, and whoever claims the conn (flushing)
-// writes the whole queue as one batch. A Send that finds the conn free
-// writes the queue with its own frame at the end, blocking, so a frame
-// never waits for a goroutine wakeup. Replies the rx goroutine makes to
-// what one read brought in are held and leave in one nonblocking writev
-// before its next read (see pump). What a flush leaves queued goes to the
-// writer goroutine (writeLoop), woken by the doorbell.
+// writes the whole queue as one batch. On a stream the poller reads, a
+// Send only queues its frame: the queue leaves with the rx goroutine's
+// next flush of the stream, which comes before its next read of it (see
+// pump) or on its next empty round (pollLoop), or with the Send that
+// would grow it past txChunkSize. Replies the rx goroutine makes to what
+// one read brought in are held the same way. While the poller sleeps,
+// while the rx goroutine delivers from the stream (the frame then carries
+// the replies it holds), and on every stream the poller does not read, a
+// Send writes the queue with its own frame at the end, blocking. What a
+// flush leaves queued goes to the writer goroutine (writeLoop), woken by
+// the doorbell.
 type peer struct {
-	rank int
-	conn net.Conn
-	nb   nbWriter // nonblocking writes on conn's fd (the rx goroutine's flushes)
+	rank   int
+	conn   net.Conn
+	nb     nbWriter // nonblocking writes on conn's fd (the rx goroutine's flushes)
+	polled bool     // the poller reads this stream and flushes what Send queues; set by Start, before any Send
 
 	// Only the goroutine that set flushing touches these. wbufs is the copy
 	// of the batch WriteTo consumes: a field, so writing allocates nothing.
@@ -218,6 +225,13 @@ type Mesh struct {
 	txFlushes, rxReads     atomic.Uint64
 	txCoalesce, rxCoalesce [RxCoalesceBuckets]atomic.Uint64
 	replyHighWater         atomic.Uint64
+
+	// The tx handshake between Send and the poller. A Send that queues on
+	// a polled stream stores txQueued, then loads pollParked: set, the
+	// poller sleeps and the Send writes the queue itself. The poller
+	// stores pollParked before it flushes every queued stream and sleeps,
+	// so one side or the other always sees the frame.
+	txQueued, pollParked atomic.Bool
 
 	// poller, when non-nil, is the process-wide rx driver: one goroutine
 	// multiplexing every pollable stream (see poller_linux.go). Streams it
@@ -324,21 +338,13 @@ func (m *Mesh) bootstrapRoot() error {
 			return err
 		}
 		r := fr.Origin
-		if r <= 0 || r >= m.cfg.N {
-			conn.Close()
-			return fmt.Errorf("netfab: hello from out-of-range rank %d", r)
-		}
 		// The peer advertises only its listener port; the host that
 		// actually reached us is authoritative.
 		host, _, err := net.SplitHostPort(conn.RemoteAddr().String())
 		if err != nil {
 			host = "127.0.0.1"
 		}
-		_, port, err := net.SplitHostPort(fr.Strs[0])
-		if err != nil {
-			conn.Close()
-			return fmt.Errorf("netfab: rank %d advertised bad addr %q: %w", r, fr.Strs[0], err)
-		}
+		_, port, _ := net.SplitHostPort(fr.Strs[0]) // checkHello parsed it
 		if m.peers[r] != nil {
 			// The rank reconnected (a respawned process retrying the
 			// rendezvous): the newest stream wins.
@@ -361,8 +367,11 @@ func (m *Mesh) bootstrapRoot() error {
 	}
 	for r := 1; r < m.cfg.N; r++ {
 		fr, err := readFrame(m.peers[r].conn, deadline)
-		if err != nil || fr.Kind != wire.KindReady {
-			return fmt.Errorf("netfab: waiting for ready from rank %d: %v", r, err)
+		if err == nil {
+			err = checkRendezvous(fr, wire.KindReady, 0, m.cfg.N)
+		}
+		if err != nil {
+			return fmt.Errorf("netfab: waiting for ready from rank %d: %w", r, err)
 		}
 	}
 	goFr := &wire.Frame{Kind: wire.KindGo, Origin: 0}
@@ -410,8 +419,11 @@ func (m *Mesh) bootstrapPeer() error {
 		return fmt.Errorf("netfab: rank %d sending hello: %w", m.cfg.Self, err)
 	}
 	roster, err := readFrame(rootConn, deadline)
-	if err != nil || roster.Kind != wire.KindRoster || len(roster.Strs) != m.cfg.N {
-		return fmt.Errorf("netfab: rank %d waiting for roster: %v", m.cfg.Self, err)
+	if err == nil {
+		err = checkRendezvous(roster, wire.KindRoster, m.cfg.Self, m.cfg.N)
+	}
+	if err != nil {
+		return fmt.Errorf("netfab: rank %d waiting for roster: %w", m.cfg.Self, err)
 	}
 	m.gen = int(roster.Operand)
 
@@ -442,10 +454,6 @@ func (m *Mesh) bootstrapPeer() error {
 			conn.Close()
 			return err
 		}
-		if fr.Origin <= m.cfg.Self || fr.Origin >= m.cfg.N {
-			conn.Close()
-			return fmt.Errorf("netfab: rank %d unexpected mesh hello from rank %d", m.cfg.Self, fr.Origin)
-		}
 		if m.peers[fr.Origin] != nil {
 			m.peers[fr.Origin].conn.Close() // newest stream wins (peer retried)
 			have--
@@ -458,8 +466,11 @@ func (m *Mesh) bootstrapPeer() error {
 		return fmt.Errorf("netfab: rank %d sending ready: %w", m.cfg.Self, err)
 	}
 	goFr, err := readFrame(rootConn, deadline)
-	if err != nil || goFr.Kind != wire.KindGo {
-		return fmt.Errorf("netfab: rank %d waiting for go: %v", m.cfg.Self, err)
+	if err == nil {
+		err = checkRendezvous(goFr, wire.KindGo, m.cfg.Self, m.cfg.N)
+	}
+	if err != nil {
+		return fmt.Errorf("netfab: rank %d waiting for go: %w", m.cfg.Self, err)
 	}
 	return nil
 }
@@ -482,20 +493,57 @@ func contains(s []int, v int) bool {
 	return false
 }
 
+// checkHello validates a hello this rank accepted a connection with.
 func (m *Mesh) checkHello(fr *wire.Frame) error {
-	if fr.Kind != wire.KindHello && fr.Kind != wire.KindRejoin {
-		return fmt.Errorf("netfab: expected hello, got %s", fr.Kind)
+	return checkRendezvous(fr, wire.KindHello, m.cfg.Self, m.cfg.N)
+}
+
+// checkRendezvous validates a frame that rank self of an n-rank job read
+// during bootstrap, where it expects one of kind want (a hello may be its
+// rejoin variant). Hellos and readys come from a rank above self (at the
+// root, any other rank; at a peer, a rank that dials down), rosters and go
+// from the root. A hello speaks this protocol version, agrees on n and
+// advertises one host:port; a roster lists n addresses and a generation an
+// int holds. Once it returns nil, whatever bootstrap indexes by the frame's
+// fields is in range.
+func checkRendezvous(fr *wire.Frame, want wire.Kind, self, n int) error {
+	kind := fr.Kind
+	if want == wire.KindHello && kind == wire.KindRejoin {
+		kind = wire.KindHello
 	}
-	if fr.Compare != wire.Version {
-		return fmt.Errorf("%w: peer rank %d speaks version %d, we speak %d",
-			wire.ErrVersion, fr.Origin, fr.Compare, wire.Version)
+	if kind != want {
+		return fmt.Errorf("netfab: expected %s, got %s", want, fr.Kind)
 	}
-	if int(fr.Operand) != m.cfg.N {
-		return fmt.Errorf("netfab: rank %d believes the job has %d ranks, we believe %d",
-			fr.Origin, fr.Operand, m.cfg.N)
+	lo, hi := 0, 1 // the root's frames
+	if want == wire.KindHello || want == wire.KindReady {
+		lo, hi = self+1, n
 	}
-	if len(fr.Strs) != 1 {
-		return fmt.Errorf("netfab: hello from rank %d carries %d addrs", fr.Origin, len(fr.Strs))
+	if fr.Origin < lo || fr.Origin >= hi {
+		return fmt.Errorf("netfab: rank %d of %d got a %s from rank %d", self, n, fr.Kind, fr.Origin)
+	}
+	switch want {
+	case wire.KindHello:
+		if fr.Compare != wire.Version {
+			return fmt.Errorf("%w: peer rank %d speaks version %d, we speak %d",
+				wire.ErrVersion, fr.Origin, fr.Compare, wire.Version)
+		}
+		if fr.Operand != uint64(n) {
+			return fmt.Errorf("netfab: rank %d believes the job has %d ranks, we believe %d",
+				fr.Origin, fr.Operand, n)
+		}
+		if len(fr.Strs) != 1 {
+			return fmt.Errorf("netfab: hello from rank %d carries %d addrs", fr.Origin, len(fr.Strs))
+		}
+		if _, _, err := net.SplitHostPort(fr.Strs[0]); err != nil {
+			return fmt.Errorf("netfab: rank %d advertised bad addr %q: %w", fr.Origin, fr.Strs[0], err)
+		}
+	case wire.KindRoster:
+		if len(fr.Strs) != n {
+			return fmt.Errorf("netfab: roster lists %d addrs for %d ranks", len(fr.Strs), n)
+		}
+		if fr.Operand > math.MaxInt32 {
+			return fmt.Errorf("netfab: roster generation %d out of range", fr.Operand)
+		}
 	}
 	return nil
 }
@@ -589,6 +637,7 @@ func (m *Mesh) Start(rx func(from int, fr *wire.Frame), peerDown func(rank int, 
 		m.writersWG.Add(1)
 		go m.writeLoop(p)
 		if m.poller != nil && m.poller.add(p) {
+			p.polled = true
 			continue
 		}
 		fallback++
@@ -664,17 +713,23 @@ func (m *Mesh) noteBye(p *peer) {
 // Writes to a peer that already said goodbye succeed silently (the peer is
 // legitimately gone; in-flight traffic to it is moot).
 //
-// With the conn free the frame is written synchronously after whatever is
-// queued (held replies ride along in the same writev); otherwise it is
-// queued for the flush in progress, and a sender finding txMaxPending
-// bytes queued blocks. A write error on a queued frame surfaces through
-// peerDown rather than this return value.
+// Send may return before the frame is written, with no syscall: on a
+// stream the poller reads, the frame joins the queue, which leaves in one
+// writev by the rx goroutine's next empty round (see peer). Frames still
+// leave in Send order. A Send that would grow the queue past txChunkSize
+// (so one carrying that many bytes), one made while the poller sleeps or
+// while the rx goroutine holds replies for the stream, and one on a
+// stream the poller does not read write the queue with their own frame at
+// the end, blocking. With the conn taken by a flush the frame joins the
+// queue behind it, and a sender finding txMaxPending bytes queued blocks.
+// A write error on a queued frame surfaces through peerDown rather than
+// this return value.
 func (m *Mesh) Send(target int, fr *wire.Frame) error {
 	p, err := m.peerFor(target)
 	if err != nil {
 		return err
 	}
-	return m.writeFrame(p, fr)
+	return m.send(p, fr, p.polled)
 }
 
 // SendReply is Send for a frame produced by delivery on the rx goroutine,
@@ -735,8 +790,15 @@ func (p *peer) refuseLocked(fr *wire.Frame) (bool, error) {
 	return false, nil
 }
 
-// writeFrame is Send on p's stream.
+// writeFrame writes fr on p's stream before it returns, after whatever is
+// queued: the rendezvous frames and Bye, which no rx goroutine flushes.
 func (m *Mesh) writeFrame(p *peer, fr *wire.Frame) error {
+	return m.send(p, fr, false)
+}
+
+// send submits fr on p's stream: queued for the poller when mayQueue
+// allows (see Send), written at once otherwise.
+func (m *Mesh) send(p *peer, fr *wire.Frame, mayQueue bool) error {
 	p.mu.Lock()
 	for p.flushing && p.pendingBytes >= txMaxPending && !p.closed && !p.down {
 		p.sendable.Wait() // backpressure: the conn is this far behind
@@ -751,8 +813,19 @@ func (m *Mesh) writeFrame(p *peer, fr *wire.Frame) error {
 		p.mu.Unlock()
 		return nil
 	}
-	p.encBuf = wire.AppendFrame(p.encBuf[:0], fr)
-	err := m.flushLocked(p, p.encBuf, true)
+	var tail []byte
+	if mayQueue && !p.holding && p.pendingBytes+len(fr.Data) < txChunkSize {
+		p.appendPendingLocked(fr)
+		m.txQueued.Store(true) // before loading pollParked: see Mesh.txQueued
+		if !m.pollParked.Load() {
+			p.mu.Unlock()
+			return nil
+		}
+	} else {
+		p.encBuf = wire.AppendFrame(p.encBuf[:0], fr)
+		tail = p.encBuf
+	}
+	err := m.flushLocked(p, tail, true)
 	m.flushNowLocked(p) // what was queued behind the write
 	if err != nil {
 		return fmt.Errorf("netfab: write to rank %d: %w", p.rank, err)

@@ -127,8 +127,17 @@ const pollSpin = 5 * time.Millisecond
 // drained streams re-fire, so stopping at EAGAIN is the only obligation.
 // Once per beat interval — a blocking wait never sleeps longer — it also
 // samples every stream's liveness (checkStalls).
+//
+// It is also the tx backstop: the round after an empty one first writes
+// every queue Send left (flushQueued), so no queued frame waits for its
+// rank's next call. Before a blocking wait it stores pollParked, and from
+// then on until it wakes a Send writes its own frame.
 func (m *Mesh) pollLoop(pl *poller) {
-	defer m.pollerWG.Done()
+	defer func() {
+		m.pollParked.Store(true) // nobody flushes for Send any more
+		m.flushQueued(pl)
+		m.pollerWG.Done()
+	}()
 	events := make([]syscall.EpollEvent, 128)
 	blockMs := max(1, int(m.hb.Interval/time.Millisecond))
 	var idleSince time.Time
@@ -140,12 +149,19 @@ func (m *Mesh) pollLoop(pl *poller) {
 			m.checkStalls(pl, now)
 		}
 		wait := 0 // poll: see pollSpin
-		if !idleSince.IsZero() && now.Sub(idleSince) >= pollSpin {
-			wait = blockMs // idle for the whole spin budget: block until readiness or the next check
+		if !idleSince.IsZero() {
+			if now.Sub(idleSince) >= pollSpin {
+				wait = blockMs // idle for the whole spin budget: block until readiness or the next check
+				m.pollParked.Store(true)
+			}
+			m.flushQueued(pl) // after storing pollParked: see Mesh.txQueued
 		}
 		n, err := syscall.EpollWait(pl.epfd, events, wait)
 		if err == syscall.EINTR {
-			continue
+			continue // a parked poller stays parked: the next round blocks again
+		}
+		if wait > 0 {
+			m.pollParked.Store(false)
 		}
 		if err != nil {
 			return
@@ -171,6 +187,19 @@ func (m *Mesh) pollLoop(pl *poller) {
 				pl.drop(fd)
 			}
 		}
+	}
+}
+
+// flushQueued writes, without parking, the queue of every stream a Send
+// queued on since the last call; what a socket does not take goes to its
+// writer goroutine.
+func (m *Mesh) flushQueued(pl *poller) {
+	if !m.txQueued.Load() || !m.txQueued.Swap(false) {
+		return
+	}
+	for _, s := range pl.streams {
+		s.p.mu.Lock()
+		m.flushNowLocked(s.p)
 	}
 }
 
