@@ -453,11 +453,6 @@ func (p *Proc) JoinAMWorkers() { core.JoinAMWorkers(p.p) }
 // QueueStats is a snapshot of one rank's NIC queue occupancy high-water
 // marks (diagnostics).
 type QueueStats struct {
-	// DestCQHighWater is the maximum shared destination-CQ depth observed
-	// (notifications delivered before a window matcher took ownership).
-	DestCQHighWater int
-	// RingHighWater is the maximum intra-node notification-ring occupancy.
-	RingHighWater int
 	// MsgHighWater is the maximum total control/data message backlog
 	// observed across all class buckets. Polls and waits are keyed by
 	// message class, so this is a protocol-pressure statistic (how far
@@ -504,8 +499,6 @@ type QueueStats struct {
 func (p *Proc) QueueStats() QueueStats {
 	n := p.p.NIC()
 	qs := QueueStats{
-		DestCQHighWater:      n.DestHighWater(),
-		RingHighWater:        n.RingHighWater(),
 		MsgHighWater:         n.MsgHighWater(),
 		MsgClassHighWater:    n.MsgClassHighWater(),
 		Pool:                 p.p.World().Fabric().PoolStats(),

@@ -96,14 +96,14 @@ func TestRingPublicationP2Caught(t *testing.T) {
 }
 
 // TestNotifyWait model-checks the notified-access put path on the real
-// fabric: no lost WaitDest wakeup, FIFO notification order, payload
-// committed before its notification — inter-node and on the intra-node
-// shmring inline path.
+// fabric, delivered to a gate-backed sink: no lost wakeup, FIFO
+// notification order, payload committed before its notification —
+// inter-node and intra-node.
 func TestNotifyWait(t *testing.T) {
 	for _, tc := range []struct {
 		name      string
 		intraNode bool
-	}{{"internode", false}, {"intranode-ring", true}} {
+	}{{"internode", false}, {"intranode", true}} {
 		t.Run(tc.name, func(t *testing.T) {
 			mustPass(t, check.Options{
 				MaxPreemptions: 2,
@@ -347,6 +347,32 @@ func TestSegRingDoorbellReloadCaught(t *testing.T) {
 		t.Fatalf("checker did not find the lost wakeup: %v", res.Err)
 	}
 	if err := check.Replay(res.FailingTrace, check.Options{}, check.SegRingDoorbell(true)); !errors.As(err, &dl) {
+		t.Fatalf("replay of %q did not reproduce the deadlock: %v", res.FailingTrace.String(), err)
+	}
+}
+
+// TestTxBackstop proves netfab's tx backstop handshake — a Send stores
+// txQueued then loads pollParked, the poller stores pollParked then
+// flushes the queued streams — strands no frame under any 2-preemption
+// schedule: every frame is written, whether the poller spins or sleeps.
+func TestTxBackstop(t *testing.T) {
+	res := mustPass(t, check.Options{MaxPreemptions: 2, MaxSchedules: 20000}, check.TxBackstop(false))
+	if !res.Exhausted {
+		t.Fatalf("the 2-preemption space was not exhausted in %d schedules", res.Schedules)
+	}
+}
+
+// TestTxBackstopLoadFirstCaught plants the swapped order, a Send that
+// loads pollParked before it stores txQueued, and requires the checker to
+// find the stranded frame (a deadlock) with a replayable trace.
+func TestTxBackstopLoadFirstCaught(t *testing.T) {
+	res := check.Explore(check.Options{MaxPreemptions: 2, MaxSchedules: 20000}, check.TxBackstop(true))
+	t.Logf("%d schedules, trace %q", res.Schedules, res.FailingTrace.String())
+	var dl *exec.DeadlockError
+	if !errors.As(res.Err, &dl) {
+		t.Fatalf("checker did not find the stranded frame: %v", res.Err)
+	}
+	if err := check.Replay(res.FailingTrace, check.Options{}, check.TxBackstop(true)); !errors.As(err, &dl) {
 		t.Fatalf("replay of %q did not reproduce the deadlock: %v", res.FailingTrace.String(), err)
 	}
 }

@@ -111,15 +111,62 @@ func fabricBarrier(f *fabric.Fabric, p *exec.Proc) {
 	}
 }
 
+// notifyQueue is a gate-backed fabric.NotifySink, the fabric-level
+// models' stand-in for the matcher: it queues one region's notifications
+// in arrival order, and a waiter parks on its gate until one is queued.
+type notifyQueue struct {
+	mu   sync.Mutex
+	gate exec.Gate
+	q    []fabric.CQE
+	// onDeliver, when set, runs inside Deliver: it sees the window as a
+	// matcher matching at arrival would.
+	onDeliver func(fabric.CQE)
+}
+
+// newNotifyQueue installs a queue as regionID's sink, starting with the
+// notifications that arrived before it.
+func newNotifyQueue(env exec.Env, nic *fabric.NIC, regionID int) *notifyQueue {
+	s := &notifyQueue{}
+	s.gate = env.NewGate(&s.mu)
+	s.mu.Lock()
+	s.q = nic.InstallNotifySink(regionID, s)
+	s.mu.Unlock()
+	return s
+}
+
+// Deliver implements fabric.NotifySink.
+func (s *notifyQueue) Deliver(cqe fabric.CQE) {
+	if s.onDeliver != nil {
+		s.onDeliver(cqe)
+	}
+	s.mu.Lock()
+	s.q = append(s.q, cqe)
+	s.mu.Unlock()
+	s.gate.Broadcast()
+}
+
+// wait parks p until a notification is queued and pops the oldest.
+func (s *notifyQueue) wait(p *exec.Proc) fabric.CQE {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for len(s.q) == 0 {
+		s.gate.Wait(p)
+	}
+	cqe := s.q[0]
+	s.q = s.q[1:]
+	return cqe
+}
+
 // NotifyWait models the core notified-access contract on the real fabric:
-// rank 0 puts K notified payloads into rank 1's region; rank 1 blocks in
-// WaitDest and drains CQEs. Claims checked under every explored schedule:
-// no lost wakeup (a missed WaitDest broadcast deadlocks the run), per-pair
-// FIFO notification order, and payload-before-notification — when a CQE is
-// visible its bytes are committed. intraNode=true puts both ranks on one
-// node so the puts ride the shmring inline path (ring push/pop under
-// wraparound pressure at ring scale is covered by shmring_test; here the
-// checker covers its publication ordering).
+// rank 0 puts K notified payloads into rank 1's region; rank 1 waits on
+// the region's sink (a notifyQueue) for each. Claims checked under every
+// explored schedule: no lost wakeup (a missed sink broadcast deadlocks the
+// run), per-pair FIFO notification order, and payload-before-notification
+// — when a CQE is delivered, checked inside Deliver, its bytes are
+// committed. intraNode=true puts
+// both ranks on one node, where the Sim model prices each small notified
+// put as an inline transfer (L only), so the puts arrive on another
+// schedule.
 func NotifyWait(intraNode bool) Workload {
 	return func(s exec.Scheduler) error {
 		const k = 3
@@ -132,6 +179,12 @@ func NotifyWait(intraNode bool) Workload {
 		return env.Run(2, func(p *exec.Proc) {
 			nic := f.NIC(p.Rank())
 			reg := nic.Register(make([]byte, 8*k))
+			sink := newNotifyQueue(env, nic, reg.ID)
+			sink.onDeliver = func(cqe fabric.CQE) {
+				if got := reg.Bytes()[cqe.Offset]; got != byte(cqe.Imm) {
+					Violatef("notify: CQE imm=%d delivered before its payload: byte=%d", cqe.Imm, got)
+				}
+			}
 			fabricBarrier(f, p)
 			if p.Rank() == 0 {
 				for i := 0; i < k; i++ {
@@ -140,11 +193,7 @@ func NotifyWait(intraNode bool) Workload {
 				nic.FlushAll(p)
 			} else {
 				for i := 0; i < k; i++ {
-					nic.WaitDest(p)
-					cqe, ok := nic.PollDest()
-					if !ok {
-						Violatef("notify: WaitDest returned without a CQE")
-					}
+					cqe := sink.wait(p)
 					if cqe.Imm != uint32(i+1) {
 						Violatef("notify: CQE %d out of order: imm=%d want %d", i, cqe.Imm, i+1)
 					}
@@ -215,9 +264,13 @@ func CrashFanout() Workload {
 			Ranks: []fault.RankFault{{Rank: 2, Mode: fault.Crash}},
 		}
 		f := fabric.New(env, cfg)
+		var live *notifyQueue // rank 1's sink
 		err := env.Run(3, func(p *exec.Proc) {
 			nic := f.NIC(p.Rank())
 			reg := nic.Register(make([]byte, 16))
+			if p.Rank() == 1 {
+				live = newNotifyQueue(env, nic, reg.ID)
+			}
 			switch p.Rank() {
 			case 2:
 				return // crashed: a real dead process runs nothing
@@ -264,12 +317,12 @@ func CrashFanout() Workload {
 			return err
 		}
 		// The healthy stream from rank 0 landed: rank 0's live op completed,
-		// so its notification is queued at rank 1. Checked after the run,
-		// not by polling inside it: with a failure on record an empty-queue
-		// WaitDest panics by design, and the explorer may fire the
-		// declaration before the live put arrives.
-		if cqe, ok := f.NIC(1).PollDest(); !ok || cqe.Imm != 7 {
-			return &Violation{Msg: fmt.Sprintf("crash: live path left CQE %+v (ok=%v), want imm 7", cqe, ok)}
+		// so its notification reached rank 1's sink. Checked after the run,
+		// not by waiting inside it: rank 1 is unwound by the failure, and
+		// the explorer may fire the declaration before the live put
+		// arrives.
+		if len(live.q) != 1 || live.q[0].Imm != 7 {
+			return &Violation{Msg: fmt.Sprintf("crash: live path left CQEs %+v, want one with imm 7", live.q)}
 		}
 		return nil
 	}
@@ -730,6 +783,147 @@ func SegRingDoorbell(reloadWant bool) Workload {
 				p.Yield()
 				resume()
 				kick(p)
+			}
+		})
+	}
+}
+
+// TxBackstop models netfab's tx backstop (internal/netfab, DESIGN §7,
+// "Batched data plane"). A rank's Send on a stream the poller reads
+// appends its frame to the stream's queue, stores txQueued and then loads
+// pollParked: set, the poller sleeps, and the Send writes the queue
+// itself. The poller does the reverse: on each round after an empty one
+// it writes every queue (flushQueued: load txQueued, clear it), and
+// before its blocking epoll_wait it stores pollParked first. Rank 0 sends
+// bursts of frames; rank 1 is the poller, which parks after two empty
+// rounds and wakes only when its stream turns readable; rank 2 is the
+// peer, which reads until a burst's last frame is written, then answers,
+// making the poller's stream readable. A frame nobody writes leaves rank
+// 2 reading and the poller asleep: a deadlock. (In netfab a blocking wait
+// also ends at the beat interval, so such a frame waits that long rather
+// than forever; the model counts it lost.) loadFirst=true plants the
+// swapped order: the Send loads pollParked before it stores txQueued, so
+// the last frame of a burst can strand.
+func TxBackstop(loadFirst bool) Workload {
+	// When each frame is sent: the sequence pins each hand-off once, and
+	// the explorer interleaves everything around it.
+	const (
+		now         = iota
+		beforePark  // once the poller spun: it parks on its next round
+		whileParked // once the poller sleeps
+	)
+	// The first burst queues for a spinning poller, the second's last
+	// frame races the poller's park, and the third writes through a
+	// sleeping one.
+	bursts := [][]int{{now, now}, {now, beforePark}, {whileParked}}
+	const spin = 2 // empty rounds before the poller parks
+	return func(s exec.Scheduler) error {
+		var (
+			queued, written  int // frames appended, frames on the wire
+			txQueued, parked bool
+			idle             int  // the poller's empty rounds in a row
+			ready, quit      bool // the poller's stream is readable; Close
+			answered         int  // bursts rank 2 has answered
+			epollMu, rxMu    sync.Mutex
+			seqMu            sync.Mutex
+		)
+		env := exec.NewSimEnvSched(s)
+		epoll := env.NewGate(&epollMu) // the poller's blocking epoll_wait
+		rx := env.NewGate(&rxMu)       // rank 2's read of the stream
+		// The sequence's own waits block on a gate, never spin.
+		seq := env.NewGate(&seqMu)
+		await := func(p *exec.Proc, cond func() bool) {
+			seqMu.Lock()
+			for !cond() {
+				seq.Wait(p)
+			}
+			seqMu.Unlock()
+		}
+		// flush is one writev of the stream's whole queue, under its mutex.
+		flush := func() {
+			if written < queued {
+				written = queued
+				rx.Broadcast()
+			}
+		}
+		return env.Run(3, func(p *exec.Proc) {
+			switch p.Rank() {
+			case 0: // the rank's Sends
+				for b, frames := range bursts {
+					await(p, func() bool { return answered >= b })
+					for _, when := range frames {
+						switch when {
+						case beforePark:
+							await(p, func() bool { return idle >= spin })
+						case whileParked:
+							await(p, func() bool { return parked })
+						}
+						queued++ // appended under the stream's mutex
+						if loadFirst {
+							sawParked := parked
+							p.Yield()
+							txQueued = true
+							if sawParked {
+								flush()
+							}
+						} else {
+							txQueued = true
+							p.Yield()
+							if parked {
+								flush()
+							}
+						}
+						p.Yield()
+					}
+				}
+			case 1: // the poller
+				for !quit {
+					if ready { // a read round
+						ready, idle = false, 0
+						p.Yield()
+						continue
+					}
+					if idle > 0 { // a round after an empty one
+						if idle >= spin {
+							parked = true
+							seq.Broadcast()
+							p.Yield()
+						}
+						if txQueued { // flushQueued
+							txQueued = false
+							p.Yield()
+							flush()
+						}
+						if parked {
+							epollMu.Lock()
+							for !ready && !quit {
+								epoll.Wait(p)
+							}
+							epollMu.Unlock()
+							parked = false
+						}
+					}
+					idle++
+					seq.Broadcast()
+					p.Yield()
+				}
+			case 2: // the peer
+				total := 0
+				for b, frames := range bursts {
+					total += len(frames)
+					rxMu.Lock()
+					for written < total {
+						rx.Wait(p)
+					}
+					rxMu.Unlock()
+					answered = b + 1
+					seq.Broadcast()
+					ready = true // the answer reaches the poller's stream
+					epoll.Broadcast()
+					p.Yield()
+				}
+				quit = true
+				epoll.Broadcast()
 			}
 		})
 	}

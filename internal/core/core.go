@@ -11,9 +11,8 @@
 //     rank and tag are encoded in its two half-words. The data movement is
 //     entirely "hardware" (fabric); only the lightweight notification is
 //     processed in software at the target.
-//   - Each window registers a notification sink with the NIC, which
-//     dispatches destination-CQ entries to the owning window's matcher at
-//     delivery time. The matcher keeps a hash table of armed persistent
+//   - Each window's region carries a notification sink, its matcher, to
+//     which the NIC hands every notification at delivery time. The matcher keeps a hash table of armed persistent
 //     requests keyed by <source, tag> plus ordered wildcard lists
 //     (AnySource / AnyTag / both), so an arriving notification finds the
 //     earliest-armed matching request in O(1) — there is no shared queue

@@ -512,7 +512,8 @@ func TestMatchingEquivalentToReferenceModel(t *testing.T) {
 			queries[i] = q
 		}
 
-		// Reference: simple FIFO queue with linear matching.
+		// Reference: simple FIFO queue with linear matching. Its length
+		// after each query is the store depth the matcher must report.
 		ref := make([]notif, len(notifs))
 		copy(ref, notifs)
 		refMatch := func(q query) (last notif, ok bool) {
@@ -533,13 +534,14 @@ func TestMatchingEquivalentToReferenceModel(t *testing.T) {
 		}
 
 		type result struct {
-			st Status
-			ok bool
+			st    Status
+			ok    bool
+			depth int
 		}
 		var gotResults, wantResults []result
 		for _, q := range queries {
 			nt, ok := refMatch(q)
-			wantResults = append(wantResults, result{Status{Source: nt.src, Tag: nt.tag}, ok})
+			wantResults = append(wantResults, result{Status{Source: nt.src, Tag: nt.tag}, ok, len(ref)})
 		}
 
 		err := runtime.Run(runtime.Options{Ranks: senders + 1, Mode: exec.Sim}, func(p *runtime.Proc) {
@@ -554,17 +556,13 @@ func TestMatchingEquivalentToReferenceModel(t *testing.T) {
 				for _, q := range queries {
 					req := NotifyInit(win, q.source, q.tag, q.count)
 					req.Start()
-					done := req.Test()
-					// Drain any CQ stragglers deterministically.
-					for !done && PendingNotificationsTotal(p) > 0 {
-						done = req.Test()
-					}
-					if done {
-						gotResults = append(gotResults, result{req.Status(), true})
-					} else {
-						gotResults = append(gotResults, result{Status{}, false})
+					r := result{ok: req.Test()}
+					if r.ok {
+						r.st = req.Status()
 					}
 					req.Free()
+					r.depth = MatcherStats(win).Depth
+					gotResults = append(gotResults, r)
 				}
 			} else {
 				for _, nt := range notifs {
@@ -585,7 +583,7 @@ func TestMatchingEquivalentToReferenceModel(t *testing.T) {
 			return false
 		}
 		for i := range gotResults {
-			if gotResults[i].ok != wantResults[i].ok {
+			if gotResults[i].ok != wantResults[i].ok || gotResults[i].depth != wantResults[i].depth {
 				return false
 			}
 			if gotResults[i].ok && gotResults[i].st != wantResults[i].st {
@@ -597,11 +595,6 @@ func TestMatchingEquivalentToReferenceModel(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
 	}
-}
-
-// PendingNotificationsTotal is a test helper: total undelivered CQ entries.
-func PendingNotificationsTotal(p *runtime.Proc) int {
-	return p.NIC().DestDepth()
 }
 
 func TestUQDepthDiagnostic(t *testing.T) {

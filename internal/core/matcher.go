@@ -109,9 +109,9 @@ func (s *naState) matcherLocked(regionID int) *winMatcher {
 }
 
 // WindowCreated implements runtime.WindowObserver: it takes ownership of
-// the window's notification delivery by installing a sink on the NIC and
-// ingesting any backlog that accumulated in the shared queues before the
-// handover.
+// the window's notification delivery by installing itself as the region's
+// sink, and ingests, under s.mu, the notifications that waited on the
+// region before the handover, so no later Deliver overtakes them.
 func (s *naState) WindowCreated(userRegionID int) {
 	s.mu.Lock()
 	s.matcherLocked(userRegionID)

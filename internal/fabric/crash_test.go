@@ -18,35 +18,43 @@ var liveness = simtime.Duration(beat.Policy{}.WithDefaults().Timeout)
 
 // TestCrashedRankUnblocksWaiters crashes a rank from the start under Sim
 // and checks that (a) ops targeting it complete with ErrPeerFailed instead
-// of hanging, (b) the crashed rank's own blocked wait unwinds with the
-// failure, and (c) the declaration lands exactly one liveness timeout in.
+// of hanging, (b) a survivor parked on its region's sink for a
+// notification only the dead rank would send unwinds with the failure,
+// woken through the FailureHook as the matcher is, and (c) the declaration
+// lands exactly one liveness timeout in.
 // The wall-clock engines are covered by runtime's
 // TestCrashFanoutEveryEngine, which waits the timeout out once for all.
 func TestCrashedRankUnblocksWaiters(t *testing.T) {
 	env := exec.New(exec.Sim)
 	c := DefaultConfig(3)
 	c.FaultPlan = &fault.Plan{Ranks: []fault.RankFault{{Rank: 2, Mode: fault.Crash}}}
+	sinks := make([]*testSink, 3)
+	c.FailureHook = func(observer, failed int, err error) { sinks[observer].fail(err) }
 	f := New(env, c)
 	defer f.Close()
 	err := env.Run(3, func(p *exec.Proc) {
 		nic := f.NIC(p.Rank())
 		reg := nic.Register(make([]byte, 8))
+		sinks[p.Rank()] = sinkOn(reg)
 		switch p.Rank() {
-		case 0, 1:
+		case 0:
 			op := nic.Put(p, 2, reg.ID, 0, []byte{1}, WithImm(9))
 			op.Await(p)
 			var pf *PeerFailedError
-			if err := op.Err(); !errors.As(err, &pf) || pf.Observer != p.Rank() || pf.Rank != 2 {
-				t.Errorf("rank %d: op error %v, want rank 2 failed as observed by rank %d", p.Rank(), err, p.Rank())
+			if err := op.Err(); !errors.As(err, &pf) || pf.Observer != 0 || pf.Rank != 2 {
+				t.Errorf("op error %v, want rank 2 failed as observed by rank 0", err)
 			}
 			if p.Now() != simtime.Time(0).Add(liveness) {
 				t.Errorf("detection at %v, want %v", p.Now(), liveness)
 			}
+		case 1:
+			// Parked on a notification only rank 2 would send: the
+			// declaration must wake and unwind the wait rather than
+			// deadlock.
+			sinks[1].wait(p)
+			t.Error("sink wait for the dead rank's notification returned normally")
 		case 2:
-			// The crashed rank parks on a CQE that can never arrive; the
-			// declaration must unwind it rather than deadlock.
-			nic.WaitDest(p)
-			t.Error("WaitDest on crashed rank returned normally")
+			// Crashed: a dead process runs nothing.
 		}
 	})
 	if !errors.Is(err, ErrPeerFailed) {
@@ -169,6 +177,7 @@ func TestFaultNICCloseDrainRace(t *testing.T) {
 			env := exec.New(exec.Real)
 			f := New(env, DefaultConfig(2))
 			reg := f.NIC(1).Register(make([]byte, 4096))
+			sink := sinkOn(reg)
 
 			var wg sync.WaitGroup
 			for g := 0; g < 4; g++ {
@@ -182,10 +191,10 @@ func TestFaultNICCloseDrainRace(t *testing.T) {
 					}
 				}(g)
 			}
-			// Consume some CQEs so the destination queue churns too.
+			// Consume some CQEs so the sink's queue churns too.
 			go func() {
 				for i := 0; i < 100; i++ {
-					f.NIC(1).PollDest()
+					sink.poll()
 				}
 			}()
 			time.Sleep(time.Duration(trial) * 200 * time.Microsecond)

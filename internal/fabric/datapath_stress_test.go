@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	grt "runtime"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/exec"
@@ -44,6 +45,52 @@ func TestPutHotPathZeroAlloc(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// countSink counts the notifications it is handed.
+type countSink struct{ n atomic.Int64 }
+
+func (s *countSink) Deliver(CQE) { s.n.Add(1) }
+
+// TestNotifiedPutHotPathZeroAlloc is TestPutHotPathZeroAlloc with a
+// notification: with the pools warm, an 8 B notified put's round trip,
+// its CQE handed to the region's sink at delivery included, must not
+// allocate.
+func TestNotifiedPutHotPathZeroAlloc(t *testing.T) {
+	env := exec.New(exec.Real)
+	f := New(env, DefaultConfig(2))
+	defer f.Close()
+	reg := f.NIC(1).Register(make([]byte, 64))
+	var sink countSink
+	if early := f.NIC(1).InstallNotifySink(reg.ID, &sink); len(early) != 0 {
+		t.Fatalf("%d notifications before any put", len(early))
+	}
+	err := env.Run(1, func(p *exec.Proc) {
+		nic := f.NIC(0)
+		buf := make([]byte, 8)
+		settle := func() {
+			for nic.Pending(1) > 0 {
+				grt.Gosched()
+			}
+		}
+		for i := 0; i < 64; i++ {
+			nic.Put(nil, 1, reg.ID, 0, buf, WithImm(uint32(i))).Detach()
+		}
+		settle()
+		avg := testing.AllocsPerRun(200, func() {
+			nic.Put(nil, 1, reg.ID, 0, buf, WithImm(7)).Detach()
+			settle()
+		})
+		if avg >= 1 {
+			t.Errorf("steady-state notified put allocates %.2f allocs/op, want 0", avg)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := sink.n.Load(), int64(64+201); got != want { // AllocsPerRun adds one warm-up call
+		t.Fatalf("sink counted %d notifications, want %d", got, want)
 	}
 }
 

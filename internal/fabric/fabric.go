@@ -46,11 +46,6 @@ type Config struct {
 	RanksPerNode int
 	// Model supplies LogGP parameters and software-overhead constants.
 	Model loggp.Model
-	// InlineThreshold is the largest intra-node put payload (bytes) that is
-	// carried inside the 64-byte notification ring entry ("inline
-	// transfer"); larger intra-node puts pay the memcpy cost. 0 disables
-	// inlining.
-	InlineThreshold int
 	// ChargeOverheads controls whether posting calls charge the modeled
 	// o_s send overhead to the calling proc (Sim engine only).
 	ChargeOverheads bool
@@ -121,7 +116,6 @@ func DefaultConfig(ranks int) Config {
 		Ranks:           ranks,
 		RanksPerNode:    1,
 		Model:           loggp.DefaultCrayXC30(),
-		InlineThreshold: 32,
 		ChargeOverheads: true,
 	}
 }
@@ -230,10 +224,6 @@ func New(env exec.Env, cfg Config) *Fabric {
 	if cfg.RanksPerNode <= 0 {
 		cfg.RanksPerNode = 1
 	}
-	if cfg.InlineThreshold > RingInlineCapacity {
-		// An entry is one cache line; larger payloads cannot ride inline.
-		cfg.InlineThreshold = RingInlineCapacity
-	}
 	f := &Fabric{
 		cfg:        cfg,
 		env:        env,
@@ -298,12 +288,17 @@ func (f *Fabric) wireParams(origin, target, size int) loggp.Params {
 	return f.cfg.Model.Select(f.Transport(origin, target, size))
 }
 
+// inlineBytes is the largest intra-node notified payload the Sim model
+// prices as riding inside its notification's cache-line entry ("inline
+// transfer", paper §IV-C).
+const inlineBytes = 32
+
 // wireTime computes the one-way wire duration for a payload, honoring the
-// intra-node inline-transfer optimization: payloads that fit in the
-// notification ring entry cost a single cache-line transfer (L only).
+// intra-node inline-transfer optimization: a notified payload of at most
+// inlineBytes costs a single cache-line transfer (L only).
 func (f *Fabric) wireTime(origin, target, size int, inlineEligible bool) simtime.Duration {
 	p := f.wireParams(origin, target, size)
-	if inlineEligible && f.SameNode(origin, target) && size <= f.cfg.InlineThreshold {
+	if inlineEligible && f.SameNode(origin, target) && size <= inlineBytes {
 		return p.L
 	}
 	return p.Time(size)
@@ -313,12 +308,10 @@ func (f *Fabric) wireTime(origin, target, size int, inlineEligible bool) simtime
 // and copy source → destination memory directly at delivery time: Real
 // engine only (under Sim the staging copy keeps delivered bytes — and so
 // modeled timings — independent of later source mutations), intra-node,
-// and at least BTE-sized (small transfers gain nothing, and inline-ring
-// payloads must stay staged copies).
+// and at least BTE-sized (small transfers gain nothing).
 func (f *Fabric) zeroCopyEligible(origin, target, size int) bool {
 	return f.env.Mode().Wallclock() &&
 		size >= f.cfg.Model.FMABTECrossover &&
-		size > f.cfg.InlineThreshold &&
 		f.SameNode(origin, target)
 }
 

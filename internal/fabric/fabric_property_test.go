@@ -25,15 +25,14 @@ func TestFIFOPropertyRandomSizes(t *testing.T) {
 		err := env.Run(2, func(p *exec.Proc) {
 			nic := f.NIC(p.Rank())
 			reg := nic.Register(make([]byte, 1<<17))
+			sink := sinkOn(reg)
 			if p.Rank() == 0 {
 				for i, s := range sizes {
 					nic.Put(p, 1, reg.ID, 0, make([]byte, s), WithImm(uint32(i)))
 				}
 			} else {
 				for i := 0; i < n; i++ {
-					nic.WaitDest(p)
-					cqe, _ := nic.PollDest()
-					if cqe.Imm != uint32(i) {
+					if sink.wait(p).Imm != uint32(i) {
 						ok = false
 					}
 				}

@@ -42,8 +42,8 @@ func (k OpKind) String() string {
 }
 
 // Imm is an optional 4-byte immediate attached to a remote operation and
-// surfaced in the target's destination completion queue — the uGNI feature
-// Notified Access is built on.
+// surfaced at the target as a notification — uGNI's destination-CQ
+// feature, which Notified Access is built on.
 type Imm struct {
 	Valid bool
 	Val   uint32
@@ -52,7 +52,7 @@ type Imm struct {
 // WithImm constructs a valid immediate.
 func WithImm(v uint32) Imm { return Imm{Valid: true, Val: v} }
 
-// CQE is a destination completion queue entry: the record that a remote
+// CQE is a destination completion entry: the record that a remote
 // operation with an immediate committed against local memory.
 type CQE struct {
 	Origin   int    // originating rank (known to the NIC hardware)
@@ -63,15 +63,15 @@ type CQE struct {
 	Len      int
 }
 
-// NotifySink receives destination notifications for one registered region
-// at delivery time, instead of the region's consumer draining the shared
-// destination CQ. A sink's Deliver is invoked outside the NIC lock: under
-// Sim in kernel context (on the goroutine holding the baton) at the
-// packet's arrival time, under the wall-clock engines on the goroutine
-// that sent the packet (in-process) or read its frame (link) — it must not
-// block in any case. Deliveries from different senders run on different
-// goroutines, so Deliver must be safe for concurrent calls, and no sender
-// may post to a NIC while holding a lock that Deliver takes.
+// NotifySink receives the notifications for one registered region at delivery
+// time: the region's consumer matches them as they arrive, with no queue in
+// between (InstallNotifySink). Deliver is invoked outside every fabric lock:
+// under Sim in kernel context (on the goroutine holding the baton) at the
+// packet's arrival time, under the wall-clock engines on the goroutine that
+// sent the packet (in-process) or read its frame (link) — it must not block in
+// any case. Deliveries from different senders run on different goroutines, so
+// Deliver must be safe for concurrent calls, and no sender may post to a NIC
+// while holding a lock that Deliver takes.
 type NotifySink interface {
 	Deliver(cqe CQE)
 }
@@ -263,6 +263,12 @@ type MemRegion struct {
 	buf  []byte
 	lock *rwLock // &own, or the window's slot lock in the arena
 	own  rwLock
+
+	// notifyMu guards sink and early. Delivery reads the sink under it
+	// and calls Deliver after releasing it.
+	notifyMu sync.Mutex
+	sink     NotifySink
+	early    []CQE // arrived before the sink, in arrival order
 }
 
 // inArena reports whether the region's bytes and lock live in the
@@ -379,12 +385,9 @@ type NIC struct {
 	// held (TryLock failed) — the sharded data plane's contention signal.
 	regionContention atomic.Int64
 
-	mu       sync.Mutex
-	destCQ   match.FIFO[CQE]
-	sinks    map[int]NotifySink // per-region delivery-time dispatch
-	destGate exec.Gate
-	opGate   exec.Gate
-	opFree   []*Op // recycled detached op handles
+	mu     sync.Mutex
+	opGate exec.Gate
+	opFree []*Op // recycled detached op handles
 
 	// Class-bucketed message dispatch engine: one FIFO per Msg.Class,
 	// created on first use, plus a rank-wide arrival sequence so
@@ -406,19 +409,16 @@ type NIC struct {
 	opAwaitWaiters int
 	opFlushWaiters int
 
-	destHighWater int
-	ring          shmRing // intra-node notification ring (paper §IV-C)
-
 	// closed is set by Close; a packet that reaches a closed NIC is
 	// discarded instead of committed.
 	//
 	// Checker-audit note: delivery never parks — it runs on the goroutine
 	// that sent the packet (in-process) or read its frame (link) and takes
 	// only mutexes — so every blocking edge in this package (op
-	// await/flush, destination CQ waits, class-bucket message waits, the
-	// failure declaration's timer) goes through exec.Gate or Env.Schedule,
-	// and the interleaving checker (internal/check) observes the complete
-	// blocking/wake graph under Sim.
+	// await/flush, class-bucket message waits, the failure declaration's
+	// timer) goes through exec.Gate or Env.Schedule, and the interleaving
+	// checker (internal/check) observes the complete blocking/wake graph
+	// under Sim.
 	closed atomic.Bool
 
 	// Peer-failure state (a fabric under a fault plan, or a distributed
@@ -437,7 +437,6 @@ func newNIC(f *Fabric, rank int) *NIC {
 		rank:        rank,
 		outstanding: make([]int, f.cfg.Ranks),
 	}
-	n.destGate = f.env.NewGate(&n.mu)
 	n.opGate = f.env.NewGate(&n.mu)
 	return n
 }
@@ -549,8 +548,8 @@ func (n *NIC) region(id int) *MemRegion {
 	return n.regions[id]
 }
 
-// regionOrNil is the tolerant lookup used when draining stale ring entries
-// whose region may have been deregistered.
+// regionOrNil is the tolerant lookup for a notification without data,
+// which may trail its window's Free.
 func (n *NIC) regionOrNil(id int) *MemRegion {
 	n.regMu.RLock()
 	defer n.regMu.RUnlock()
@@ -683,9 +682,10 @@ func (n *NIC) failOp(op *Op, err error) {
 
 // notePeerFailure records a declared rank failure against this NIC: every
 // pending op targeting the rank completes with the error, and every
-// blocked waiter (op awaiters, flushers, destination pollers, message
-// consumers) is woken so it can observe the failure instead of parking
-// forever.
+// blocked waiter (op awaiters, flushers, message consumers) is woken so it
+// can observe the failure instead of parking forever. Notification
+// consumers wait on their sink's own gate, which the sink's owner wakes
+// from the fabric's FailureHook.
 func (n *NIC) notePeerFailure(failed int, err error) {
 	n.mu.Lock()
 	if n.peerErr == nil {
@@ -722,7 +722,6 @@ func (n *NIC) notePeerFailure(failed int, err error) {
 	}
 	n.mu.Unlock()
 	n.opGate.Broadcast()
-	n.destGate.Broadcast()
 	for _, w := range wake {
 		w.gate.Broadcast()
 	}
@@ -751,10 +750,10 @@ func (n *NIC) peerPanicLocked() error {
 }
 
 // Put writes data into (target, regionID, offset) and returns the origin
-// handle. If imm is valid, a CQE carrying it appears in the target's
-// destination completion queue once the data is committed — this is the
-// primitive Notified Access builds on. p may be nil when called outside a
-// rank (no overhead is charged then).
+// handle. If imm is valid, a CQE carrying it reaches the target region's
+// notification sink once the data is committed — this is the primitive
+// Notified Access builds on. p may be nil when called outside a rank (no
+// overhead is charged then).
 //
 // The payload is staged in a pooled bounce buffer (recycled when the
 // target commits it), except on the intra-node zero-copy fast path: above
@@ -799,8 +798,8 @@ func (n *NIC) Put(p *exec.Proc, target, regionID, offset int, data []byte, imm I
 }
 
 // Get reads len(dst) bytes from (target, regionID, offset) into dst. If imm
-// is valid, a CQE appears in the *target's* destination completion queue as
-// soon as the data has been read there (the notified-get semantics for
+// is valid, a CQE reaches the *target* region's notification sink as soon
+// as the data has been read there (the notified-get semantics for
 // reliable networks discussed in the paper §VIII). A get from a peer's
 // arena window is the origin's own copy, complete when Get returns.
 func (n *NIC) Get(p *exec.Proc, target, regionID, offset int, dst []byte, imm Imm) *Op {
@@ -962,7 +961,7 @@ func (n *NIC) notifyArena(target, regionID, offset, length int, kind OpKind, imm
 // Atomic posts a remote atomic on the uint64 at (target, regionID, offset).
 // For AtomicCAS, compare is the expected value and operand the replacement.
 // The fetched previous value is available via Op.Result after completion.
-// A valid imm notifies the target's destination CQ (notified accumulate).
+// A valid imm notifies the target region's sink (notified atomic).
 func (n *NIC) Atomic(p *exec.Proc, target, regionID, offset int, aop AtomicOp, operand, compare uint64, imm Imm) *Op {
 	n.checkTarget(target)
 	n.f.chargeSend(p)
@@ -978,10 +977,10 @@ func (n *NIC) Atomic(p *exec.Proc, target, regionID, offset int, aop AtomicOp, o
 	return op
 }
 
-// Accumulate applies an element-wise float64 reduction of data into
-// (target, regionID, offset) at the target, executed by the target NIC
-// (no target CPU involvement). A valid imm notifies the destination CQ.
-// Operands are encoded into a pooled buffer, recycled once applied.
+// Accumulate applies an element-wise float64 reduction of data into (target,
+// regionID, offset) at the target, executed by the target NIC (no target CPU
+// involvement). A valid imm notifies the target region's sink. Operands are
+// encoded into a pooled buffer, recycled once applied.
 func (n *NIC) Accumulate(p *exec.Proc, target, regionID, offset int, data []float64, aop AccumOp, imm Imm) *Op {
 	n.checkTarget(target)
 	n.f.chargeSend(p)
@@ -1115,7 +1114,7 @@ func (n *NIC) deliver(pkt *packet) {
 			}
 		}
 		reg.unlockW()
-		n.postCQE(pkt.origin, pkt.imm, pkt.regionID, pkt.offset, OpAtomic, 8)
+		reg.notify(pkt.origin, pkt.imm, OpAtomic, pkt.offset, 8)
 		n.sendAck(pkt.op, pkt.opID, pkt.origin, old, int64(n.f.cfg.Model.TAtomic))
 
 	case pktAccum:
@@ -1139,7 +1138,7 @@ func (n *NIC) deliver(pkt *packet) {
 		}
 		reg.unlockW()
 		n.recycleData(pkt)
-		n.postCQE(pkt.origin, pkt.imm, pkt.regionID, pkt.offset, OpAccum, length)
+		reg.notify(pkt.origin, pkt.imm, OpAccum, pkt.offset, length)
 		n.sendAck(pkt.op, pkt.opID, pkt.origin, 0, int64(n.f.cfg.Model.TAtomic))
 
 	case pktAck:
@@ -1148,7 +1147,9 @@ func (n *NIC) deliver(pkt *packet) {
 		}
 
 	case pktNotify:
-		n.postCQE(pkt.origin, pkt.imm, pkt.regionID, pkt.offset, OpKind(pkt.compare), int(pkt.operand))
+		if reg := n.regionOrNil(pkt.regionID); reg != nil {
+			reg.notify(pkt.origin, pkt.imm, OpKind(pkt.compare), pkt.offset, int(pkt.operand))
+		}
 
 	case pktCtrl, pktData:
 		n.mu.Lock()
@@ -1165,44 +1166,18 @@ func (n *NIC) deliver(pkt *packet) {
 	releasePacket(pkt)
 }
 
-// deliverPut commits an arriving put: payload copy under the region lock,
-// notification dispatch under the control-plane mu.
+// deliverPut commits an arriving put under the region lock, then hands
+// its notification to the region's sink.
 func (n *NIC) deliverPut(pkt *packet) {
 	reg := n.region(pkt.regionID)
 	if pkt.offset < 0 || pkt.offset+len(pkt.data) > len(reg.buf) {
 		panic(fmt.Sprintf("fabric: rank %d: put out of bounds: region %d off %d len %d (region len %d)",
 			n.rank, pkt.regionID, pkt.offset, len(pkt.data), len(reg.buf)))
 	}
-	inline := pkt.imm.Valid && n.f.SameNode(pkt.origin, n.rank) &&
-		len(pkt.data) <= n.f.cfg.InlineThreshold && len(pkt.data) > 0
-	if inline {
-		// Inline transfer (paper §IV-C): the payload rides inside the
-		// notification ring entry; the consumer copies it into the
-		// window when it processes the notification.
-		n.mu.Lock()
-		if sink := n.sinks[pkt.regionID]; sink != nil {
-			// A sink owns this region: commit the inline payload now and
-			// dispatch the notification directly, bypassing the ring.
-			n.mu.Unlock()
-			reg.commit(pkt.offset, pkt.data)
-			length := len(pkt.data)
-			sink.Deliver(CQE{Origin: pkt.origin, Imm: pkt.imm.Val, Kind: OpPut,
-				RegionID: pkt.regionID, Offset: pkt.offset, Len: length})
-			n.recycleData(pkt)
-		} else {
-			n.ring.push(ringEntry{source: pkt.origin, imm: pkt.imm.Val, kind: OpPut,
-				regionID: pkt.regionID, offset: pkt.offset, length: len(pkt.data),
-				inline: pkt.data, pooled: pkt.pooled})
-			pkt.data, pkt.pooled = nil, false // the ring owns the buffer now
-			n.mu.Unlock()
-			n.destGate.Broadcast()
-		}
-	} else {
-		reg.commit(pkt.offset, pkt.data)
-		length := len(pkt.data)
-		n.recycleData(pkt)
-		n.postCQE(pkt.origin, pkt.imm, pkt.regionID, pkt.offset, OpPut, length)
-	}
+	reg.commit(pkt.offset, pkt.data)
+	length := len(pkt.data)
+	n.recycleData(pkt)
+	reg.notify(pkt.origin, pkt.imm, OpPut, pkt.offset, length)
 	n.sendAck(pkt.op, pkt.opID, pkt.origin, 0, 0)
 }
 
@@ -1247,43 +1222,28 @@ func (n *NIC) deliverGetReq(pkt *packet) {
 	} else {
 		// Reliable network with read-with-immediate: notify as soon as
 		// the data has been read here at the data holder.
-		n.postCQE(pkt.origin, pkt.imm, pkt.regionID, pkt.offset, OpGet, length)
+		reg.notify(pkt.origin, pkt.imm, OpGet, pkt.offset, length)
 	}
 	n.f.transmit(resp)
 }
 
-// postCQE records a destination notification for an operation carrying an
-// immediate. When the owning region has a registered sink the entry is
-// dispatched to it directly at delivery time; otherwise intra-node
-// notifications go through the shared-memory ring (the XPMEM path) and
-// inter-node ones through the uGNI-style destination CQ.
-func (n *NIC) postCQE(origin int, imm Imm, regionID, offset int, kind OpKind, length int) {
+// notify hands the notification of an operation carrying an immediate to
+// the region's sink, or, before InstallNotifySink gave the region one,
+// keeps it on the region in arrival order. It takes no NIC-wide lock.
+func (r *MemRegion) notify(origin int, imm Imm, kind OpKind, offset, length int) {
 	if !imm.Valid {
 		return
 	}
-	n.mu.Lock()
-	if sink := n.sinks[regionID]; sink != nil {
-		n.mu.Unlock()
-		sink.Deliver(CQE{
-			Origin: origin, Imm: imm.Val, Kind: kind,
-			RegionID: regionID, Offset: offset, Len: length,
-		})
-		return
+	cqe := CQE{Origin: origin, Imm: imm.Val, Kind: kind, RegionID: r.ID, Offset: offset, Len: length}
+	r.notifyMu.Lock()
+	sink := r.sink
+	if sink == nil {
+		r.early = append(r.early, cqe)
 	}
-	if n.f.SameNode(origin, n.rank) {
-		n.ring.push(ringEntry{source: origin, imm: imm.Val, kind: kind,
-			regionID: regionID, offset: offset, length: length})
-	} else {
-		n.destCQ.Push(CQE{
-			Origin: origin, Imm: imm.Val, Kind: kind,
-			RegionID: regionID, Offset: offset, Len: length,
-		})
-		if n.destCQ.Len() > n.destHighWater {
-			n.destHighWater = n.destCQ.Len()
-		}
+	r.notifyMu.Unlock()
+	if sink != nil {
+		sink.Deliver(cqe)
 	}
-	n.mu.Unlock()
-	n.destGate.Broadcast()
 }
 
 // sendAck returns a remote-completion acknowledgement to the origin. opID
@@ -1322,77 +1282,6 @@ func (r *MemRegion) Store64(off int, v uint64) {
 	r.lockW()
 	binary.LittleEndian.PutUint64(r.buf[off:], v)
 	r.unlockW()
-}
-
-// commitInlineLocked commits a drained ring entry's inline payload into
-// its region (tolerating a deregistered region) and recycles the pooled
-// buffer. Caller holds n.mu; the region lock nests inside it.
-func (n *NIC) commitInlineLocked(e ringEntry) {
-	if e.inline == nil {
-		return
-	}
-	if reg := n.regionOrNil(e.regionID); reg != nil {
-		reg.commit(e.offset, e.inline)
-	}
-	if e.pooled {
-		n.f.pool.put(e.inline)
-	}
-}
-
-// PollDest pops the oldest destination notification, if any: first the
-// uGNI-style CQ, then the shared-memory ring (the target "checks the XPMEM
-// notification queue in addition to the uGNI completion queue", §IV-C).
-// Inline ring payloads are committed to the window here.
-func (n *NIC) PollDest() (CQE, bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.destCQ.Len() > 0 {
-		return n.destCQ.Pop(), true
-	}
-	if e, ok := n.ring.pop(); ok {
-		n.commitInlineLocked(e)
-		return CQE{Origin: e.source, Imm: e.imm, Kind: e.kind,
-			RegionID: e.regionID, Offset: e.offset, Len: e.length}, true
-	}
-	return CQE{}, false
-}
-
-// WaitDest parks p until a destination notification is available (CQ or
-// shared-memory ring). Only the owning rank may call it (single consumer).
-// Once a peer failure is recorded, an empty queue panics with the failure
-// (unwrapping to ErrPeerFailed) instead of parking forever: the expected
-// notification may never come, and job teardown beats a silent hang.
-func (n *NIC) WaitDest(p *exec.Proc) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	for n.destCQ.Len() == 0 && n.ring.count == 0 {
-		if n.anyPeerFailed {
-			panic(n.peerPanicLocked())
-		}
-		n.destGate.Wait(p)
-	}
-}
-
-// DestDepth returns the number of pending destination notifications (CQ
-// plus ring).
-func (n *NIC) DestDepth() int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.destCQ.Len() + n.ring.count
-}
-
-// RingHighWater returns the maximum shared-memory ring occupancy observed.
-func (n *NIC) RingHighWater() int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.ring.highWater
-}
-
-// DestHighWater returns the maximum destination CQ depth observed.
-func (n *NIC) DestHighWater() int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.destHighWater
 }
 
 // RegionLockContention returns the number of region-lock acquisitions on
@@ -1591,64 +1480,29 @@ func (n *NIC) MsgClassHighWater() map[int]int {
 	return out
 }
 
-// InstallNotifySink routes all future destination notifications for
-// regionID directly to sink at delivery time, and extracts any backlog that
-// already accumulated in the shared queues: destination-CQ entries first,
-// then shared-memory ring entries, matching PollDest's drain order so
-// arrival order is preserved across the handover. Inline ring payloads are
-// committed to the region during extraction. The returned backlog must be
-// ingested by the caller before it releases whatever lock serializes the
-// sink's Deliver, or handover ordering is lost.
+// InstallNotifySink makes sink the receiver of every notification for
+// regionID from now on, and returns those that arrived before it, in
+// arrival order. The caller must ingest them before it releases whatever
+// lock serializes the sink's Deliver, or a later notification overtakes
+// them.
 func (n *NIC) InstallNotifySink(regionID int, sink NotifySink) []CQE {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.sinks == nil {
-		n.sinks = make(map[int]NotifySink)
-	}
-	n.sinks[regionID] = sink
-	var backlog []CQE
-	if n.destCQ.Len() > 0 {
-		var kept []CQE
-		for n.destCQ.Len() > 0 {
-			e := n.destCQ.Pop()
-			if e.RegionID == regionID {
-				backlog = append(backlog, e)
-			} else {
-				kept = append(kept, e)
-			}
-		}
-		for _, e := range kept {
-			n.destCQ.Push(e)
-		}
-	}
-	if n.ring.count > 0 {
-		var keep []ringEntry
-		for {
-			e, ok := n.ring.pop()
-			if !ok {
-				break
-			}
-			if e.regionID != regionID {
-				keep = append(keep, e)
-				continue
-			}
-			n.commitInlineLocked(e)
-			backlog = append(backlog, CQE{Origin: e.source, Imm: e.imm, Kind: e.kind,
-				RegionID: e.regionID, Offset: e.offset, Len: e.length})
-		}
-		for _, e := range keep {
-			n.ring.push(e)
-		}
-	}
-	return backlog
+	r := n.region(regionID)
+	r.notifyMu.Lock()
+	defer r.notifyMu.Unlock()
+	r.sink = sink
+	early := r.early
+	r.early = nil
+	return early
 }
 
-// RemoveNotifySink stops delivery-time dispatch for regionID. Notifications
-// arriving afterwards fall back to the shared destination CQ / ring.
+// RemoveNotifySink detaches regionID's sink. Notifications that arrive
+// afterwards stay on the region until Deregister drops it.
 func (n *NIC) RemoveNotifySink(regionID int) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	delete(n.sinks, regionID)
+	if r := n.regionOrNil(regionID); r != nil {
+		r.notifyMu.Lock()
+		r.sink = nil
+		r.notifyMu.Unlock()
+	}
 }
 
 // Pending returns the number of operations to target awaiting remote

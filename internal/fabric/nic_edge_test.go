@@ -190,6 +190,7 @@ func TestRealPutCompleteOnReturn(t *testing.T) {
 	f := New(exec.NewRealEnv(), DefaultConfig(2))
 	defer f.Close()
 	reg := f.NIC(1).Register(make([]byte, 16))
+	sink := sinkOn(reg)
 	op := f.NIC(0).Put(nil, 1, reg.ID, 4, []byte("inline"), WithImm(77))
 	if !op.Done() {
 		t.Fatal("op not remotely complete when Put returned")
@@ -197,9 +198,9 @@ func TestRealPutCompleteOnReturn(t *testing.T) {
 	if err := op.Err(); err != nil {
 		t.Fatalf("op error %v", err)
 	}
-	cqe, ok := f.NIC(1).PollDest()
+	cqe, ok := sink.poll()
 	if !ok {
-		t.Fatal("no destination CQE when Put returned")
+		t.Fatal("no notification at the sink when Put returned")
 	}
 	if cqe.Imm != 77 || cqe.Origin != 0 || cqe.Offset != 4 || cqe.Len != 6 {
 		t.Fatalf("CQE %+v", cqe)

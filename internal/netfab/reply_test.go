@@ -196,14 +196,33 @@ func TestHeldReplyPrecedesLaterSend(t *testing.T) {
 			t.Fatalf("frame %d never arrived", want)
 		}
 	}
-	<-delivered // the Send returned: its write is counted
+	<-delivered
+	// A write counts its frames, then itself, then its TxCoalesce bucket,
+	// after writev returns on whichever goroutine wrote: wait until the
+	// three frames and every counted write are in the counters.
 	after := meshes[1].ReadStats()
+	settle := time.Now().Add(5 * time.Second)
+	for !txSettled(before, after, 3) && time.Now().Before(settle) {
+		time.Sleep(time.Millisecond)
+		after = meshes[1].ReadStats()
+	}
 	if n := after.TxFlushes - before.TxFlushes; n != 1 {
 		t.Errorf("two held replies and a Send took %d writes, want 1 (the Send's, replies riding along)", n)
 	}
 	if n := after.TxCoalesce[2] - before.TxCoalesce[2]; n != 1 {
 		t.Errorf("TxCoalesce[2-4 frames] grew by %d, want 1 write of three frames; histogram %v", n, after.TxCoalesce)
 	}
+}
+
+// txSettled reports whether after counts at least frames more frames than
+// before, and at least one write, each with its TxCoalesce bucket.
+func txSettled(before, after Stats, frames uint64) bool {
+	var buckets uint64
+	for i := range after.TxCoalesce {
+		buckets += after.TxCoalesce[i] - before.TxCoalesce[i]
+	}
+	flushes := after.TxFlushes - before.TxFlushes
+	return after.FramesSent-before.FramesSent >= frames && flushes >= 1 && flushes == buckets
 }
 
 // TestReplyPathZeroAlloc prices the held-reply path in allocations: a

@@ -54,9 +54,6 @@ type Options struct {
 	// message-passing layer; larger messages use rendezvous. Default 8192
 	// (the kink the paper observes at 8 KB).
 	EagerThreshold int
-	// InlineThreshold is the largest intra-node put carried inline in a
-	// notification ring entry. Default 32.
-	InlineThreshold int
 	// DisableOverheads turns off modeled o_s charging (used by a few
 	// calibration tests).
 	DisableOverheads bool
@@ -102,9 +99,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.EagerThreshold == 0 {
 		o.EagerThreshold = 8192
-	}
-	if o.InlineThreshold == 0 {
-		o.InlineThreshold = 32
 	}
 	return o
 }
@@ -153,7 +147,6 @@ func newWorld(opts Options, env Engine) (*World, fabric.Config) {
 		Ranks:           opts.Ranks,
 		RanksPerNode:    opts.RanksPerNode,
 		Model:           *opts.Model,
-		InlineThreshold: opts.InlineThreshold,
 		ChargeOverheads: !opts.DisableOverheads,
 		GetNotifyMode:   opts.GetNotifyMode,
 		Trace:           opts.Trace,

@@ -37,9 +37,8 @@ func TestRunBothModes(t *testing.T) {
 
 // TestSimLaunchAllocatesLittle pins the memory a Sim launch costs: a
 // 16-rank Run with one Barrier allocates under 256 KiB in total. Every NIC
-// used to embed its notification ring (~320 KiB, 5.4 MB per such launch);
-// the ring is made by its first push, which most NICs never see. An eager
-// per-NIC or per-rank table of that size fails this pin.
+// once embedded a fixed notification ring (~320 KiB, 5.4 MB per such
+// launch); an eager per-NIC or per-rank table of that size fails this pin.
 func TestSimLaunchAllocatesLittle(t *testing.T) {
 	const ranks, limit = 16, 256 << 10
 	launch := func() {
@@ -64,9 +63,6 @@ func TestOptionsDefaults(t *testing.T) {
 	o := w.Options()
 	if o.EagerThreshold != 8192 {
 		t.Errorf("EagerThreshold = %d", o.EagerThreshold)
-	}
-	if o.InlineThreshold != 32 {
-		t.Errorf("InlineThreshold = %d", o.InlineThreshold)
 	}
 	if o.Model == nil || o.Model.OSend != simtime.FromMicros(0.29) {
 		t.Errorf("Model default wrong")

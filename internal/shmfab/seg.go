@@ -3,12 +3,13 @@
 // rings plus a bump-allocated bulk region, over which two OS processes on
 // the same machine exchange wire frames with zero socket traffic. It is
 // the XPMEM analog of the paper's intra-node mode — the entry layout
-// mirrors fabric/shmring.go (64-byte cache-line entries, 24-byte header,
-// 40-byte inline payload, 4096-entry bounded queue) and publication uses
-// exactly the release/acquire discipline the interleaving checker's
-// Snippet-1 model verifies: payload and entry stores are plain (relaxed),
-// the producer's tail store is a release, the consumer's tail load an
-// acquire, all via sync/atomic on the mapped words.
+// follows the paper's notification queue (64-byte cache-line entries,
+// 24-byte header, 40-byte inline payload, 4096-entry bounded queue) and
+// publication uses exactly the release/acquire discipline the
+// interleaving checker's Snippet-1 model verifies: payload and entry
+// stores are plain (relaxed), the producer's tail store is a release, the
+// consumer's tail load an acquire, all via sync/atomic on the mapped
+// words.
 //
 // Like netfab, the package is a leaf: it depends only on internal/wire and
 // internal/beat (the stall detector both meshes share) and satisfies
@@ -23,10 +24,9 @@ import (
 	"unsafe"
 )
 
-// Ring geometry. EntrySize/InlineCapacity/RingEntries deliberately equal
-// fabric's RingEntrySize/RingInlineCapacity/RingCapacity: the cross-process
-// ring is the same structure as the in-process notification ring, shared
-// over mmap instead of the NIC mutex.
+// Ring geometry: the paper's XPMEM notification queue (§IV-C), a bounded
+// ring of cache-line entries whose header leaves 40 bytes for an inline
+// payload, shared over mmap.
 const (
 	// EntrySize is one ring entry: a cache line.
 	EntrySize = 64
