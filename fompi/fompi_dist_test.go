@@ -292,6 +292,82 @@ func TestDistPairFIFOAcrossSizeClasses(t *testing.T) {
 	}
 }
 
+// TestTCPWaiterConsumesStreams is TestWaiterConsumesRings on TCP: a
+// notified-put ping-pong over a 2-rank loopback cluster in bursts, each
+// turn one rank putting burst notified puts into distinct slots
+// (alternating small and 64 KiB payloads) with tags 1..burst, flushing,
+// and waiting for the partner's echo burst. Ranks blocked in Wait or
+// Flush drive their own streams, so some frames must be read on the
+// waiting goroutine (Net.WaiterFrames > 0); the notifications must still
+// match in the pair's FIFO order and every payload arrive intact.
+func TestTCPWaiterConsumesStreams(t *testing.T) {
+	const (
+		rounds = 150
+		burst  = 4
+		slot   = 80 << 10
+	)
+	payload := func(rank, round, k int) []byte {
+		size := 8 + k*13
+		if k%2 == 1 {
+			size = 64<<10 + k*97
+		}
+		b := make([]byte, size)
+		for i := range b {
+			b[i] = byte(rank*59 + round*31 + k*17 + i*7)
+		}
+		return b
+	}
+	var waiterFrames [2]uint64
+	errs := fompi.RunLocalCluster(fompi.Options{Ranks: 2}, func(p *fompi.Proc) {
+		win := p.WinAllocate(burst * slot)
+		defer win.Free()
+		partner := 1 - p.Rank()
+		req := win.NotifyInit(partner, fompi.AnyTag, 1)
+		defer req.Free()
+		send := func(round int) {
+			for k := 0; k < burst; k++ {
+				win.PutNotify(partner, k*slot, payload(p.Rank(), round, k), 1+k)
+			}
+			win.Flush(partner)
+		}
+		recv := func(round int) {
+			for k := 0; k < burst; k++ {
+				req.Start()
+				if st := req.Wait(); st.Source != partner || st.Tag != 1+k {
+					panic(fmt.Sprintf("rank %d round %d: notification %d is <%d,%d>, want <%d,%d>",
+						p.Rank(), round, k, st.Source, st.Tag, partner, 1+k))
+				}
+			}
+			for k := 0; k < burst; k++ {
+				want := payload(partner, round, k)
+				if got := win.Buffer()[k*slot : k*slot+len(want)]; !bytes.Equal(got, want) {
+					panic(fmt.Sprintf("rank %d round %d: slot %d holds wrong bytes", p.Rank(), round, k))
+				}
+			}
+		}
+		for round := 0; round < rounds; round++ {
+			if p.Rank() == 0 {
+				send(round)
+				recv(round)
+			} else {
+				recv(round)
+				send(round)
+			}
+		}
+		waiterFrames[p.Rank()] = p.QueueStats().Net.WaiterFrames
+	})
+	for r, err := range errs {
+		if err != nil {
+			t.Fatalf("rank %d: %v", r, err)
+		}
+	}
+	for r, n := range waiterFrames {
+		if n == 0 {
+			t.Errorf("rank %d: no frame was read by a waiting rank", r)
+		}
+	}
+}
+
 // TestDistPeerFailureUnblocks kills rank 1 (panic mid-run) and requires
 // rank 0 — parked on a notification that will never arrive — to unblock
 // with an error unwrapping to ErrPeerFailed instead of hanging.

@@ -42,6 +42,8 @@ func CheckStats() *Table {
 		{"segring-doorbell-reload-planted", "dfs p<=2", check.Options{MaxPreemptions: 2, MaxSchedules: 2 * budget}, check.SegRingDoorbell(true), true},
 		{"tx-backstop", "dfs p<=2", check.Options{MaxPreemptions: 2, MaxSchedules: 5 * budget}, check.TxBackstop(false), false},
 		{"tx-backstop-load-first-planted", "dfs p<=2", check.Options{MaxPreemptions: 2, MaxSchedules: budget}, check.TxBackstop(true), true},
+		{"tx-backstop-driven", "dfs p<=2", check.Options{MaxPreemptions: 2, MaxSchedules: 5 * budget}, check.TxBackstopDriven(false), false},
+		{"tx-backstop-driver-no-load-planted", "dfs p<=2", check.Options{MaxPreemptions: 2, MaxSchedules: budget}, check.TxBackstopDriven(true), true},
 		{"arena-notify", "dfs p<=2", check.Options{MaxPreemptions: 2, MaxSchedules: 2 * budget}, check.ArenaNotify(false), false},
 		{"arena-notify-copy-after-planted", "dfs p<=2", check.Options{MaxPreemptions: 2, MaxSchedules: budget}, check.ArenaNotify(true), true},
 		{"am-xonce", "dfs p<=2", check.Options{MaxPreemptions: 2, MaxSchedules: budget}, check.AMExactlyOnce(false), false},
@@ -75,7 +77,7 @@ func CheckStats() *Table {
 	}
 	t.Notes = append(t.Notes,
 		"dfs p<=N enumerates every schedule deviating from time order in at most N places (exhausted=true makes the row a proof over that space); sample derives one RNG per iteration from the seed",
-		"planted rows run a broken publication order (Snippet-1 trace P2 for the in-process ring; relaxed cursor-before-payload for the cross-process segment ring; notification entry before the copy for a window-arena put), a doorbell sleeper that re-loads the word it waits on, or a TCP Send that loads pollParked before it stores txQueued, and must be caught; the trace token replays the counterexample via check.Replay",
+		"planted rows run a broken publication order (Snippet-1 trace P2 for the in-process ring; relaxed cursor-before-payload for the cross-process segment ring; notification entry before the copy for a window-arena put), a doorbell sleeper that re-loads the word it waits on, a TCP Send that loads pollParked before it stores txQueued, or a TCP driving rank that defers its reply without loading pollParked, and must be caught; the trace token replays the counterexample via check.Replay",
 		"a FAIL outcome prints the replay trace of the first counterexample — run go test ./internal/check/ for the assertion detail")
 	return t
 }

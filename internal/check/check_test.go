@@ -377,6 +377,33 @@ func TestTxBackstopLoadFirstCaught(t *testing.T) {
 	}
 }
 
+// TestTxBackstopDriven proves the handshake with the third flusher, a
+// rank that waits for each answer by driving the streams: it writes every
+// queue at the start of each round and leaves its replies queued under
+// Send's handshake. No frame and no reply strands under any 2-preemption
+// schedule.
+func TestTxBackstopDriven(t *testing.T) {
+	res := mustPass(t, check.Options{MaxPreemptions: 2, MaxSchedules: 50000}, check.TxBackstopDriven(false))
+	if !res.Exhausted {
+		t.Fatalf("the 2-preemption space was not exhausted in %d schedules", res.Schedules)
+	}
+}
+
+// TestTxBackstopDriverNoLoadCaught plants a driver that defers its reply
+// without loading pollParked, and requires the checker to find the reply
+// stranded behind a sleeping poller (a deadlock) with a replayable trace.
+func TestTxBackstopDriverNoLoadCaught(t *testing.T) {
+	res := check.Explore(check.Options{MaxPreemptions: 2, MaxSchedules: 50000}, check.TxBackstopDriven(true))
+	t.Logf("%d schedules, trace %q", res.Schedules, res.FailingTrace.String())
+	var dl *exec.DeadlockError
+	if !errors.As(res.Err, &dl) {
+		t.Fatalf("checker did not find the stranded reply: %v", res.Err)
+	}
+	if err := check.Replay(res.FailingTrace, check.Options{}, check.TxBackstopDriven(true)); !errors.As(err, &dl) {
+		t.Fatalf("replay of %q did not reproduce the deadlock: %v", res.FailingTrace.String(), err)
+	}
+}
+
 // TestArenaNotifyP4Safe proves the window-arena notified put's order —
 // the origin's plain copy, then the notification entry's release of tail
 // — never lets the target read a window slot's old bytes after it

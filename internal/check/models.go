@@ -804,7 +804,23 @@ func SegRingDoorbell(reloadWant bool) Workload {
 // than forever; the model counts it lost.) loadFirst=true plants the
 // swapped order: the Send loads pollParked before it stores txQueued, so
 // the last frame of a burst can strand.
-func TxBackstop(loadFirst bool) Workload {
+func TxBackstop(loadFirst bool) Workload { return txBackstop(loadFirst, false, false) }
+
+// TxBackstopDriven is TxBackstop with the third flusher, a driving rank
+// (netfab's Progress): rank 0 waits for each answer by running poll
+// rounds itself, under the round lock the poller's reads take too. Each
+// round first writes every queue (flushQueued), then reads the answer if
+// it is readable, and the delivery's reply stays queued for the rank's
+// next round under Send's handshake: store txQueued, then load
+// pollParked, and write now if the poller sleeps. The poller, reading an
+// answer itself, writes the reply before its next read. The peer reads
+// each reply before it goes on, and after the last one closes. noLoad=true
+// plants a driver that defers without loading pollParked: the reply to
+// the last answer, which no later round or Send takes along, strands
+// behind a sleeping poller.
+func TxBackstopDriven(noLoad bool) Workload { return txBackstop(false, true, noLoad) }
+
+func txBackstop(loadFirst, driven, noLoad bool) Workload {
 	// When each frame is sent: the sequence pins each hand-off once, and
 	// the explorer interleaves everything around it.
 	const (
@@ -824,6 +840,8 @@ func TxBackstop(loadFirst bool) Workload {
 			idle             int  // the poller's empty rounds in a row
 			ready, quit      bool // the poller's stream is readable; Close
 			answered         int  // bursts rank 2 has answered
+			delivered        int  // answers read on rank 0's side (driven)
+			reading          bool // the round lock: a read round runs (driven)
 			epollMu, rxMu    sync.Mutex
 			seqMu            sync.Mutex
 		)
@@ -846,11 +864,52 @@ func TxBackstop(loadFirst bool) Workload {
 				rx.Broadcast()
 			}
 		}
+		// drive is rank 0 waiting for answer k: a round when the wait
+		// starts, then one each time the answer turns readable with the
+		// round lock free, until an answer k is delivered.
+		drive := func(p *exec.Proc, k int) {
+			round := func() {
+				if reading {
+					return // TryLock failed: the poller reads
+				}
+				reading = true
+				if txQueued { // flushQueued, first in every round
+					txQueued = false
+					p.Yield()
+					flush()
+				}
+				if ready {
+					ready = false
+					delivered++
+					seq.Broadcast()
+					queued++ // the delivery's reply, appended and held
+					p.Yield()
+					txQueued = true // the read came up empty: defer the reply
+					if !noLoad {
+						p.Yield()
+						if parked {
+							flush()
+						}
+					}
+				}
+				reading = false
+				seq.Broadcast()
+			}
+			round()
+			for delivered < k {
+				await(p, func() bool { return delivered >= k || ready && !reading })
+				round()
+			}
+		}
 		return env.Run(3, func(p *exec.Proc) {
 			switch p.Rank() {
 			case 0: // the rank's Sends
 				for b, frames := range bursts {
-					await(p, func() bool { return answered >= b })
+					if driven {
+						drive(p, b)
+					} else {
+						await(p, func() bool { return answered >= b })
+					}
 					for _, when := range frames {
 						switch when {
 						case beforePark:
@@ -876,10 +935,22 @@ func TxBackstop(loadFirst bool) Workload {
 						p.Yield()
 					}
 				}
+				if driven {
+					drive(p, len(bursts))
+				}
 			case 1: // the poller
 				for !quit {
-					if ready { // a read round
+					if ready && !reading { // a read round
 						ready, idle = false, 0
+						if driven { // deliver, and write the reply before the next read
+							reading = true
+							delivered++
+							queued++
+							p.Yield()
+							flush()
+							reading = false
+							seq.Broadcast()
+						}
 						p.Yield()
 						continue
 					}
@@ -911,6 +982,9 @@ func TxBackstop(loadFirst bool) Workload {
 				total := 0
 				for b, frames := range bursts {
 					total += len(frames)
+					if driven && b > 0 {
+						total++ // the reply to the previous answer, queued first
+					}
 					rxMu.Lock()
 					for written < total {
 						rx.Wait(p)
@@ -920,7 +994,17 @@ func TxBackstop(loadFirst bool) Workload {
 					seq.Broadcast()
 					ready = true // the answer reaches the poller's stream
 					epoll.Broadcast()
+					if driven {
+						seq.Broadcast()
+					}
 					p.Yield()
+				}
+				if driven { // the last answer's reply
+					rxMu.Lock()
+					for written < total+1 {
+						rx.Wait(p)
+					}
+					rxMu.Unlock()
 				}
 				quit = true
 				epoll.Broadcast()

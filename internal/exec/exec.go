@@ -502,7 +502,8 @@ type RealEnv struct {
 }
 
 // Progressor is a link's progress engine as the wall-clock engines drive
-// it (SetProgress). Only the shm link has one.
+// it (SetProgress): the shm mesh consumes its segment rings, the TCP mesh
+// runs a poll round over its streams.
 type Progressor interface {
 	// Progress consumes inbound traffic on the calling goroutine
 	// (delivering it, so a gate may be broadcast before it returns), never
@@ -522,9 +523,9 @@ type Progressor interface {
 // Chosen from the sweep in EXPERIMENTS.md, "Waiters drive the rings": the
 // smallest budget that covers a 20 µs wait on the segment rings; 1000
 // tries cost 40 % more CPU than none on waits of 500 µs. On shm the tries
-// are one drive (Progressor.BeginDrive/EndDrive): the poller steps aside
-// for it, and a waiter whose tries run out resumes the poller before it
-// parks (EXPERIMENTS.md, "The shm poller sleeps on a futex doorbell").
+// are one drive (Progressor.BeginDrive/EndDrive): the link's poller steps
+// aside for it, and a waiter whose tries run out resumes the poller before
+// it parks (EXPERIMENTS.md, "The shm poller sleeps on a futex doorbell").
 const waiterTries = 50
 
 // NewRealEnv returns a fresh wall-clock engine.

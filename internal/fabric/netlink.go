@@ -5,7 +5,8 @@ package fabric
 // shared-memory segment rings). Only the local rank's NIC exists; dispatch
 // routes any packet addressed to a remote rank through netSend (packet →
 // wire.Frame → link) and inbound frames re-enter through ingestFrame (frame
-// → packet → committed on the link's rx goroutine before rx returns). No
+// → packet → committed on the goroutine that read it — the link's poller,
+// or a rank driving the link in a wait — before rx returns). No
 // receive lane sits between the bytes and the commit: the reader is the
 // target NIC, as in the paper, and per-pair FIFO is the stream's own order.
 // A self-targeted packet never reaches the link: like every packet of the
@@ -75,13 +76,14 @@ type Link interface {
 	N() int
 	// Send submits one frame to target. It must not retain fr or its
 	// slices after returning. It may return before the frame is written:
-	// a link may queue it, but must write it by its rx goroutine's next
-	// empty round, so no frame waits for the rank's next call. Frames to
-	// one target arrive exactly once, in the order of the Send and
-	// SendReply calls. Send may block while the link is full (rank
-	// context: that is the backpressure).
+	// a link may queue it, but must write it by the next round of its
+	// poller (for netfab, within a step-aside nap of 1 ms while a rank
+	// drives it) or of a rank driving it, so no frame waits for the
+	// rank's next call. Frames to one target arrive exactly once, in the
+	// order of the Send and SendReply calls. Send may block while the
+	// link is full (rank context: that is the backpressure).
 	Send(target int, fr *wire.Frame) error
-	// SendReply is Send for frames produced by delivery on the rx
+	// SendReply is Send for frames produced by delivery on the reading
 	// goroutine: it never parks, queueing whatever the link cannot take
 	// at once, and it is exempt from Send's bound on queued bytes.
 	SendReply(target int, fr *wire.Frame) error
@@ -237,7 +239,7 @@ func (f *Fabric) netFrame(pkt *packet, fr *wire.Frame) {
 // netSend serializes a packet onto the link: encode, send, dispose. The
 // link has finished with the packet's bytes when Send returns, so a pooled
 // payload goes back to the pool here. Packets produced by delivery take
-// SendReply, which never parks the rx goroutine.
+// SendReply, which never parks the reading goroutine.
 func (f *Fabric) netSend(pkt *packet) {
 	var fr wire.Frame
 	f.netFrame(pkt, &fr)
@@ -264,7 +266,7 @@ func (f *Fabric) netSend(pkt *packet) {
 // ---------------------------------------------------------------------------
 
 // ingestFrame converts an arriving frame into a packet and delivers it on
-// the link's rx goroutine before returning. fr.Data aliases the link's
+// the goroutine that read it before returning. fr.Data aliases the link's
 // receive buffer, valid until rx returns, so puts, get responses,
 // accumulates, atomics and notifications commit straight from it. Only a
 // message's payload is copied into the pool, because its class queue keeps

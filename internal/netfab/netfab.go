@@ -142,6 +142,9 @@ type Stats struct {
 	// the memory the never-park rule costs. Zero unless a peer's
 	// outstanding gets and puts outran the socket.
 	ReplyQueuedHighWater uint64
+	// WaiterFrames counts the frames read by ranks driving the streams
+	// (Progress) rather than by the poller.
+	WaiterFrames uint64
 }
 
 // txChunk is one pending flush segment: encoded frames appended back to
@@ -171,20 +174,22 @@ const (
 //
 // Frames queue as encoded chunks, and whoever claims the conn (flushing)
 // writes the whole queue as one batch. On a stream the poller reads, a
-// Send only queues its frame: the queue leaves with the rx goroutine's
-// next flush of the stream, which comes before its next read of it (see
-// pump) or on its next empty round (pollLoop), or with the Send that
-// would grow it past txChunkSize. Replies the rx goroutine makes to what
-// one read brought in are held the same way. While the poller sleeps,
-// while the rx goroutine delivers from the stream (the frame then carries
-// the replies it holds), and on every stream the poller does not read, a
-// Send writes the queue with its own frame at the end, blocking. What a
-// flush leaves queued goes to the writer goroutine (writeLoop), woken by
-// the doorbell.
+// Send only queues its frame: the queue leaves with the next flush of the
+// stream, which comes before the poller's next read of it (see pump), at
+// the start of a driving rank's next round (Progress), on the poller's
+// next empty round (pollLoop), or with the Send that would grow it past
+// txChunkSize. Replies to what one read brought in are held the same way:
+// the poller writes them before its next read, and a driving rank leaves
+// them for its next round, so they ride the Send its returning wait
+// makes. While the poller sleeps, while a read's frames are delivered
+// from the stream (the frame then carries the held replies), and on every
+// stream the poller does not read, a Send writes the queue with its own
+// frame at the end, blocking. What a flush leaves queued goes to the
+// writer goroutine (writeLoop), woken by the doorbell.
 type peer struct {
 	rank   int
 	conn   net.Conn
-	nb     nbWriter // nonblocking writes on conn's fd (the rx goroutine's flushes)
+	nb     nbWriter // nonblocking writes on conn's fd (flushes that must not park)
 	polled bool     // the poller reads this stream and flushes what Send queues; set by Start, before any Send
 
 	// Only the goroutine that set flushing touches these. wbufs is the copy
@@ -198,7 +203,7 @@ type peer struct {
 	free         []*txChunk // chunk recycle list
 	pendingBytes int        // unwritten bytes in chunks
 	flushing     bool       // a goroutine is writing a batch on the conn
-	holding      bool       // the rx goroutine delivers a read from this stream: replies wait for the next
+	holding      bool       // a read's frames are being delivered from this stream: replies wait for the next flush
 	sent         bool       // a frame was submitted since the beat loop last looked
 	closed       bool       // local close: writes are errors
 	bye          bool       // remote sent Bye: writes are silently dropped
@@ -225,21 +230,39 @@ type Mesh struct {
 	txFlushes, rxReads     atomic.Uint64
 	txCoalesce, rxCoalesce [RxCoalesceBuckets]atomic.Uint64
 	replyHighWater         atomic.Uint64
+	waiterFrames           atomic.Uint64
 
 	// The tx handshake between Send and the poller. A Send that queues on
 	// a polled stream stores txQueued, then loads pollParked: set, the
-	// poller sleeps and the Send writes the queue itself. The poller
-	// stores pollParked before it flushes every queued stream and sleeps,
-	// so one side or the other always sees the frame.
+	// poller sleeps and the Send writes the queue itself. A driving rank
+	// that leaves its replies queued does the same. The poller stores
+	// pollParked before it flushes every queued stream and sleeps, so one
+	// side or the other always sees the frame.
 	txQueued, pollParked atomic.Bool
 
 	// poller, when non-nil, is the process-wide rx driver: one goroutine
 	// multiplexing every pollable stream (see poller_linux.go). Streams it
 	// cannot take run a fallback reader goroutine each; rxGoroutines is
-	// the resulting total, fixed at Start.
+	// the resulting total, fixed at Start. polling is set at Start when
+	// the poll loop runs.
 	poller       *poller
 	pollerWG     sync.WaitGroup
 	rxGoroutines int
+	polling      bool
+
+	// rxMu makes its holder the reader of every polled stream: the
+	// poller's rounds and a driving rank's (Progress) take it with
+	// TryLock, so one round runs at a time. The streams' rx state, the
+	// poller's stream map and lastCheck, the last liveness check, belong
+	// to its holder; the epoll set closes under it.
+	rxMu      sync.Mutex
+	lastCheck time.Time
+
+	// drivers counts ranks between BeginDrive and EndDrive; aside is set
+	// while the poller steps aside for them, and resume wakes it.
+	drivers atomic.Int32
+	aside   atomic.Bool
+	resume  chan struct{}
 
 	// gen is the world generation adopted at bootstrap (the root's
 	// cfg.Gen, learned from the Roster by everyone else); rejoined lists
@@ -554,6 +577,7 @@ func newMesh(cfg Config) *Mesh {
 		peers:   make([]*peer, cfg.N),
 		hb:      beat.Policy{}.WithDefaults(),
 		quit:    make(chan struct{}),
+		resume:  make(chan struct{}, 1),
 		byeFrom: make(map[int]bool),
 		byeCond: make(chan struct{}),
 	}
@@ -620,14 +644,17 @@ func (m *Mesh) N() int { return m.cfg.N }
 // goroutines: one writer per peer stream, one beat loop, and on the
 // receive side a single process-wide poller multiplexing every pollable
 // stream (with a fallback reader goroutine for streams the kernel cannot
-// poll — see rx.go and poller_linux.go). rx runs on the rx goroutine
-// driving that peer; the frame's Data slice aliases the read buffer and is
-// valid until rx returns. rx may send (SendReply, never Send: a reader
-// parked on a full socket stops every stream). peerDown fires at most once
-// per peer, only for streams that end or fall silent without a clean Bye.
+// poll — see rx.go and poller_linux.go). rx runs on whichever goroutine
+// reads that peer's stream — the poller, a rank driving the streams
+// (Progress) or the stream's fallback reader — one at a time per stream;
+// the frame's Data slice aliases the read buffer and is valid until rx
+// returns. rx may send (SendReply, never Send: a reader parked on a full
+// socket stops every stream). peerDown fires at most once per peer, only
+// for streams that end or fall silent without a clean Bye.
 func (m *Mesh) Start(rx func(from int, fr *wire.Frame), peerDown func(rank int, err error)) {
 	m.rx = rx
 	m.peerDown = peerDown
+	m.lastCheck = time.Now()
 	m.poller = newPoller()
 	fallback := 0
 	for _, p := range m.peers {
@@ -652,10 +679,64 @@ func (m *Mesh) Start(rx func(from int, fr *wire.Frame), peerDown func(rank int, 
 	if m.poller != nil {
 		if m.poller.count() > 0 {
 			m.rxGoroutines++
+			m.polling = true
 		}
 		m.poller.launch(m)
 	}
 }
+
+// Progress runs one poll round on the calling goroutine — a rank blocked
+// in a wait, or polling (exec.RealEnv.SetProgress) — and reports whether
+// it read any frame: it writes what Send queued, takes the ready streams
+// in one epoll_wait that does not block, and reads and delivers each, so
+// the event the rank waits for commits on its own goroutine. Replies to
+// what it read stay queued for its next round, which writes them with
+// the Send its returning wait makes. It never blocks: while the poller or
+// another rank runs a round, once the mesh is closed, and on streams the
+// poller does not read (net.Pipe, platforms without a poller, whose
+// reader goroutines stay), it returns false.
+func (m *Mesh) Progress() bool {
+	if !m.polling {
+		return false
+	}
+	_, frames, _ := m.round(m.poller, time.Now(), true, true)
+	if frames == 0 {
+		return false
+	}
+	m.waiterFrames.Add(frames)
+	return true
+}
+
+// BeginDrive hands the streams to a rank about to drive them
+// (exec.Progressor): a spinning poller steps aside once its own rounds
+// have been empty for asideSpin.
+func (m *Mesh) BeginDrive() { m.drivers.Add(1) }
+
+// EndDrive takes the streams back from a driver. If the last driver out
+// gave up, its rank parks until a delivery wakes it, so a poller that
+// stepped aside resumes now; if it found its event, the poller stays
+// aside until its nap ends or a later driver gives up. The driver count
+// changes before aside is read, and the poller stores aside before it
+// re-reads the count.
+func (m *Mesh) EndDrive(found bool) {
+	if m.drivers.Add(-1) == 0 && !found && m.aside.Load() {
+		m.resumePoller()
+	}
+}
+
+// resumePoller wakes a poller that stepped aside; a token left while it
+// was not waiting only makes its next step-aside return at once.
+func (m *Mesh) resumePoller() {
+	select {
+	case m.resume <- struct{}{}:
+	default:
+	}
+}
+
+// driven reports whether a rank drives the streams, so the poller should
+// step aside. Once the mesh is closing nobody counts: the poller must see
+// the peers' goodbyes.
+func (m *Mesh) driven() bool { return m.drivers.Load() > 0 && !m.closed.Load() }
 
 // RxGoroutines reports how many goroutines the receive side runs: 1 (the
 // poller) when every stream is kernel-pollable, plus one per fallback
@@ -715,15 +796,17 @@ func (m *Mesh) noteBye(p *peer) {
 //
 // Send may return before the frame is written, with no syscall: on a
 // stream the poller reads, the frame joins the queue, which leaves in one
-// writev by the rx goroutine's next empty round (see peer). Frames still
-// leave in Send order. A Send that would grow the queue past txChunkSize
-// (so one carrying that many bytes), one made while the poller sleeps or
-// while the rx goroutine holds replies for the stream, and one on a
-// stream the poller does not read write the queue with their own frame at
-// the end, blocking. With the conn taken by a flush the frame joins the
-// queue behind it, and a sender finding txMaxPending bytes queued blocks.
-// A write error on a queued frame surfaces through peerDown rather than
-// this return value.
+// writev with the next flush of the stream (see peer): a driving rank's
+// next round, or the poller's next empty round at the latest. Frames
+// still leave in Send order. A Send that would grow the queue past
+// txChunkSize (so one carrying that many bytes), one made while the
+// poller sleeps or while a read's frames are delivered from the stream,
+// and one on a stream the poller does not read write the queue with
+// their own frame at the end, blocking. With the conn taken by a flush a
+// small frame joins the queue behind it; a frame of txChunkSize or more,
+// and any sender finding txMaxPending bytes queued, waits for the conn
+// instead. A write error on a queued frame surfaces through peerDown
+// rather than this return value.
 func (m *Mesh) Send(target int, fr *wire.Frame) error {
 	p, err := m.peerFor(target)
 	if err != nil {
@@ -732,13 +815,13 @@ func (m *Mesh) Send(target int, fr *wire.Frame) error {
 	return m.send(p, fr, p.polled)
 }
 
-// SendReply is Send for a frame produced by delivery on the rx goroutine,
-// which must never park: if it blocked on a full socket it would stop
-// reading every stream, and a peer doing the same would wedge the job.
-// A reply to the stream the rx goroutine is delivering from waits for its
-// next read (see pump); any other is written at once, without parking
-// (flushNowLocked). Replies are exempt from txMaxPending. The queue they
-// build is bounded by what the peer has outstanding against this rank
+// SendReply is Send for a frame produced by delivery, which must never
+// park: if it blocked on a full socket it would stop reading every
+// stream, and a peer doing the same would wedge the job. A reply to the
+// stream being delivered from waits for the end of the read (see pump);
+// any other is written at once, without parking (flushNowLocked).
+// Replies are exempt from txMaxPending. The queue they build is bounded
+// by what the peer has outstanding against this rank
 // (ReplyQueuedHighWater reports how far past the bound it went).
 func (m *Mesh) SendReply(target int, fr *wire.Frame) error {
 	p, err := m.peerFor(target)
@@ -791,7 +874,7 @@ func (p *peer) refuseLocked(fr *wire.Frame) (bool, error) {
 }
 
 // writeFrame writes fr on p's stream before it returns, after whatever is
-// queued: the rendezvous frames and Bye, which no rx goroutine flushes.
+// queued: the rendezvous frames and Bye, which no poll round flushes.
 func (m *Mesh) writeFrame(p *peer, fr *wire.Frame) error {
 	return m.send(p, fr, false)
 }
@@ -800,8 +883,11 @@ func (m *Mesh) writeFrame(p *peer, fr *wire.Frame) error {
 // allows (see Send), written at once otherwise.
 func (m *Mesh) send(p *peer, fr *wire.Frame, mayQueue bool) error {
 	p.mu.Lock()
-	for p.flushing && p.pendingBytes >= txMaxPending && !p.closed && !p.down {
-		p.sendable.Wait() // backpressure: the conn is this far behind
+	// Backpressure: the conn is this far behind. A big frame waits for
+	// the conn too rather than being copied into the queue, where its
+	// chunk would outgrow txChunkRecycleCap and go to the GC.
+	for p.flushing && (p.pendingBytes >= txMaxPending || len(fr.Data) >= txChunkSize) && !p.closed && !p.down {
+		p.sendable.Wait()
 	}
 	if refused, err := p.refuseLocked(fr); refused {
 		p.mu.Unlock()
@@ -835,9 +921,9 @@ func (m *Mesh) send(p *peer, fr *wire.Frame, mayQueue bool) error {
 
 // flushNowLocked writes p's queue without parking: one nonblocking writev,
 // with what the socket does not take handed to the writer goroutine. It
-// leaves the queue to the rx goroutine while that holds it for its next
-// read, and to a flush already holding the conn. Caller holds p.mu;
-// flushNowLocked releases it.
+// leaves the queue to the stream's reader while that holds it (a read's
+// frames are being delivered), and to a flush already holding the conn.
+// Caller holds p.mu; flushNowLocked releases it.
 func (m *Mesh) flushNowLocked(p *peer) {
 	if !p.holding && p.flushableLocked() {
 		m.flushLocked(p, nil, false) // a failure marks the stream down
@@ -847,6 +933,24 @@ func (m *Mesh) flushNowLocked(p *peer) {
 	if ring {
 		ringDoorbell(p)
 	}
+}
+
+// deferLocked leaves the replies a driving rank's read made queued for
+// its next round, which writes them with the Send its returning wait
+// makes (pp8's ack and reverse put leave in one writev). It is Send's
+// handshake: txQueued is stored before pollParked is loaded, so a poller
+// that has gone to sleep is seen and the queue written now, and a poller
+// still awake flushes it on its next empty round. Caller holds p.mu;
+// deferLocked releases it.
+func (m *Mesh) deferLocked(p *peer) {
+	if p.pendingBytes > 0 {
+		m.txQueued.Store(true) // before loading pollParked: see Mesh.txQueued
+		if m.pollParked.Load() {
+			m.flushNowLocked(p)
+			return
+		}
+	}
+	p.mu.Unlock()
 }
 
 // flushableLocked reports whether frames wait on a live stream that no
@@ -1086,6 +1190,7 @@ func (m *Mesh) Close(graceful bool) error {
 					m.writeFrame(p, bye) // best effort; ordered after queued data
 				}
 			}
+			m.resumePoller() // the peers' goodbyes are the poller's to read
 			deadline := time.Now().Add(2 * time.Second)
 			for _, p := range m.peers {
 				if p != nil {
@@ -1125,10 +1230,10 @@ func (m *Mesh) Close(graceful bool) error {
 // abruptly closed mesh leaks no goroutines even though Close never runs.
 func (m *Mesh) abruptClose() {
 	m.closed.Store(true)
+	m.quitOnce.Do(func() { close(m.quit) }) // first: it ends a step-aside
 	if m.poller != nil {
 		m.poller.stop(m)
 	}
-	m.quitOnce.Do(func() { close(m.quit) })
 	for _, p := range m.peers {
 		if p != nil {
 			p.conn.Close()
@@ -1176,6 +1281,7 @@ func (m *Mesh) ReadStats() Stats {
 		RxReads:    m.rxReads.Load(),
 
 		ReplyQueuedHighWater: m.replyHighWater.Load(),
+		WaiterFrames:         m.waiterFrames.Load(),
 	}
 	for i := range m.rxCoalesce {
 		st.TxCoalesce[i] = m.txCoalesce[i].Load()

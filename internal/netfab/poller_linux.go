@@ -3,14 +3,16 @@
 package netfab
 
 // The process-wide receive poller: every pollable peer stream registers
-// its fd in one epoll set (level-triggered), and a single goroutine pumps
+// its fd in one epoll set (level-triggered), and a poll round pumps
 // whichever stream has bytes, so the idle rx cost of a mesh is O(1)
-// goroutines in the job size instead of O(P) blocked readers. Reads go
-// through the raw fd (never parking in the runtime's netpoller); EAGAIN
-// surfaces as errWouldBlock and the stream resumes on its next readiness
-// event. Streams the kernel cannot poll this way — in-memory pipes used
-// by loopback tests — fall back to one blocking goroutine each, driving
-// the same state machine (rx.go).
+// goroutines in the job size instead of O(P) blocked readers. Rounds run
+// on a single poller goroutine and on ranks blocked in a wait that drive
+// the streams themselves (Progress), one at a time under the mesh's rxMu.
+// Reads go through the raw fd (never parking in the runtime's
+// netpoller); EAGAIN surfaces as errWouldBlock and the stream resumes on
+// its next readiness event. Streams the kernel cannot poll this way —
+// in-memory pipes used by loopback tests — fall back to one blocking
+// goroutine each, driving the same state machine (rx.go).
 
 import (
 	"io"
@@ -24,9 +26,10 @@ import (
 
 type poller struct {
 	epfd    int
-	wakeR   int               // self-pipe read end, registered in the epoll set
-	wakeW   int               // write end: any byte means "shut down"
-	streams map[int]*rxStream // live registered streams, by fd
+	wakeR   int                  // self-pipe read end, registered in the epoll set
+	wakeW   int                  // write end: any byte means "shut down"
+	streams map[int]*rxStream    // live registered streams, by fd; under rxMu once running
+	events  []syscall.EpollEvent // a round's ready list, under rxMu
 
 	stopOnce sync.Once
 }
@@ -44,7 +47,8 @@ func newPoller() *poller {
 		syscall.Close(epfd)
 		return nil
 	}
-	pl := &poller{epfd: epfd, wakeR: pfds[0], wakeW: pfds[1], streams: make(map[int]*rxStream)}
+	pl := &poller{epfd: epfd, wakeR: pfds[0], wakeW: pfds[1], streams: make(map[int]*rxStream),
+		events: make([]syscall.EpollEvent, 128)}
 	ev := syscall.EpollEvent{Events: syscall.EPOLLIN, Fd: int32(pl.wakeR)}
 	if err := syscall.EpollCtl(epfd, syscall.EPOLL_CTL_ADD, pl.wakeR, &ev); err != nil {
 		pl.destroy()
@@ -92,15 +96,18 @@ func (pl *poller) launch(m *Mesh) {
 }
 
 // stop wakes the poll loop, waits for it to exit, and releases the epoll
-// set. It must complete before any registered conn is closed: a closed fd
-// number can be reused by an unrelated file while still in our map.
-// Idempotent.
+// set under rxMu, so no driving rank's round is inside it; the mesh is
+// closed first, so no later round enters. It must complete before any
+// registered conn is closed: a closed fd number can be reused by an
+// unrelated file while still in our map. Idempotent.
 func (pl *poller) stop(m *Mesh) {
 	pl.stopOnce.Do(func() {
 		var one [1]byte
 		syscall.Write(pl.wakeW, one[:])
 		m.pollerWG.Wait()
+		m.rxMu.Lock()
 		pl.destroy()
+		m.rxMu.Unlock()
 	})
 }
 
@@ -122,11 +129,24 @@ func (pl *poller) destroy() {
 // the peer) without burning meaningful CPU on a mesh that went quiet.
 const pollSpin = 5 * time.Millisecond
 
-// pollLoop is the single rx goroutine: wait for readiness, pump the ready
-// stream until it would block, repeat. Level triggering makes partially
-// drained streams re-fire, so stopping at EAGAIN is the only obligation.
-// Once per beat interval — a blocking wait never sleeps longer — it also
-// samples every stream's liveness (checkStalls).
+// asideSpin is how long the poller's own rounds must come up empty while a
+// rank drives the streams before it steps aside, as on shm: a rank that
+// takes all its traffic in its waits parks the poller within one wait.
+const asideSpin = 20 * time.Microsecond
+
+// asideNap bounds a step-aside. A driver that found its event leaves the
+// poller aside, so a frame a rank queues and then computes past, and
+// traffic for a rank that computes, wait at most this long for the
+// poller's next round.
+const asideNap = time.Millisecond
+
+// pollLoop is the poller goroutine: run a round, and yield the processor
+// after an empty one. Level triggering makes partially drained streams
+// re-fire, so stopping at EAGAIN is the only obligation. Once its own
+// rounds have found nothing for asideSpin while a rank drives the streams
+// it steps aside (stepAside); once they have found nothing for pollSpin it
+// sleeps in a blocking epoll_wait (park), which never sleeps longer than a
+// beat interval, so the liveness checks keep their pace.
 //
 // It is also the tx backstop: the round after an empty one first writes
 // every queue Send left (flushQueued), so no queued frame waits for its
@@ -135,64 +155,141 @@ const pollSpin = 5 * time.Millisecond
 func (m *Mesh) pollLoop(pl *poller) {
 	defer func() {
 		m.pollParked.Store(true) // nobody flushes for Send any more
+		m.rxMu.Lock()
 		m.flushQueued(pl)
+		m.rxMu.Unlock()
 		m.pollerWG.Done()
 	}()
-	events := make([]syscall.EpollEvent, 128)
+	probe := make([]syscall.EpollEvent, 1)
 	blockMs := max(1, int(m.hb.Interval/time.Millisecond))
-	var idleSince time.Time
-	lastCheck := time.Now()
+	nap := time.NewTimer(asideNap)
+	nap.Stop()
+	var idleSince time.Time // zero while the poller's own rounds find streams
 	for {
 		now := time.Now()
-		if now.Sub(lastCheck) >= m.hb.Interval {
-			lastCheck = now
-			m.checkStalls(pl, now)
-		}
-		wait := 0 // poll: see pollSpin
 		if !idleSince.IsZero() {
-			if now.Sub(idleSince) >= pollSpin {
-				wait = blockMs // idle for the whole spin budget: block until readiness or the next check
-				m.pollParked.Store(true)
+			idle := now.Sub(idleSince)
+			if idle >= asideSpin && m.driven() {
+				m.stepAside(nap)
+				now = time.Now()
+				idleSince = now // the round after the nap flushes
+			} else if idle >= pollSpin {
+				if !m.park(pl, probe, blockMs) {
+					return
+				}
+				now = time.Now()
 			}
-			m.flushQueued(pl) // after storing pollParked: see Mesh.txQueued
 		}
-		n, err := syscall.EpollWait(pl.epfd, events, wait)
-		if err == syscall.EINTR {
-			continue // a parked poller stays parked: the next round blocks again
-		}
-		if wait > 0 {
-			m.pollParked.Store(false)
-		}
-		if err != nil {
+		ready, _, quit := m.round(pl, now, !idleSince.IsZero(), false)
+		if quit {
 			return
 		}
-		if n == 0 {
-			if idleSince.IsZero() {
-				idleSince = now
-			}
-			runtime.Gosched()
+		if ready > 0 {
+			idleSince = time.Time{}
 			continue
 		}
-		idleSince = time.Time{}
-		for i := 0; i < n; i++ {
-			fd := int(events[i].Fd)
-			if fd == pl.wakeR {
-				return // only shutdown writes the self-pipe
-			}
-			s := pl.streams[fd]
-			if s == nil || s.dead {
+		if idleSince.IsZero() {
+			idleSince = now
+		}
+		runtime.Gosched()
+	}
+}
+
+// round is one poll round at now, if no other goroutine runs one (TryLock
+// on rxMu): with flush set it first writes what Send queued, then runs the
+// liveness checks when one is due, takes the ready streams in one
+// epoll_wait that does not block, and drains each. waiter says a rank
+// runs it (Progress): it leaves its replies queued for its next round
+// (pump), ignores the shutdown pipe, and after Close does nothing. It
+// reports how many streams were ready, how many frames it read, and
+// whether the poller should exit.
+func (m *Mesh) round(pl *poller, now time.Time, flush, waiter bool) (ready int, frames uint64, quit bool) {
+	if !m.rxMu.TryLock() {
+		return 0, 0, false
+	}
+	defer m.rxMu.Unlock()
+	if waiter && m.closed.Load() {
+		return 0, 0, false // the epoll set and the conns may be gone
+	}
+	if flush {
+		m.flushQueued(pl)
+	}
+	if now.Sub(m.lastCheck) >= m.hb.Interval {
+		m.lastCheck = now
+		m.checkStalls(pl, now, waiter)
+	}
+	n, err := syscall.EpollWait(pl.epfd, pl.events, 0)
+	if err != nil {
+		return 0, 0, err != syscall.EINTR && !waiter
+	}
+	for _, ev := range pl.events[:n] {
+		fd := int(ev.Fd)
+		if fd == pl.wakeR {
+			if waiter {
 				continue
 			}
-			if !m.drain(s) {
-				pl.drop(fd)
+			return ready, frames, true // only shutdown writes the self-pipe
+		}
+		s := pl.streams[fd]
+		if s == nil || s.dead {
+			continue
+		}
+		ready++
+		before := s.frames
+		if !m.drain(s, waiter) {
+			pl.drop(fd)
+		}
+		frames += s.frames - before
+	}
+	return ready, frames, false
+}
+
+// stepAside parks the poller while ranks drive the streams: on a channel,
+// so waking it is a goroutine switch, never an OS thread wakeup. It
+// returns when the last driver gives up (resume), when Close quits, or
+// after asideNap, whichever comes first. aside is stored before the
+// driver count is re-read, and EndDrive changes the count before it reads
+// aside.
+func (m *Mesh) stepAside(nap *time.Timer) {
+	m.aside.Store(true)
+	if m.driven() {
+		nap.Reset(asideNap)
+		select {
+		case <-m.resume:
+		case <-nap.C:
+		case <-m.quit:
+		}
+		if !nap.Stop() {
+			select {
+			case <-nap.C:
+			default:
 			}
 		}
 	}
+	m.aside.Store(false)
+}
+
+// park sleeps in a blocking epoll_wait, outside rxMu so driving ranks
+// keep their rounds, until a stream turns readable, the shutdown pipe is
+// written or blockMs passes. It stores pollParked first and then writes
+// every queue Send left, so from then on a Send writes its own frame. It
+// reports whether the poll loop may go on.
+func (m *Mesh) park(pl *poller, probe []syscall.EpollEvent, blockMs int) bool {
+	m.pollParked.Store(true)
+	m.rxMu.Lock()
+	m.flushQueued(pl) // after storing pollParked: see Mesh.txQueued
+	m.rxMu.Unlock()
+	_, err := syscall.EpollWait(pl.epfd, probe, blockMs)
+	for err == syscall.EINTR {
+		_, err = syscall.EpollWait(pl.epfd, probe, blockMs)
+	}
+	m.pollParked.Store(false)
+	return err == nil
 }
 
 // flushQueued writes, without parking, the queue of every stream a Send
 // queued on since the last call; what a socket does not take goes to its
-// writer goroutine.
+// writer goroutine. Caller holds rxMu.
 func (m *Mesh) flushQueued(pl *poller) {
 	if !m.txQueued.Load() || !m.txQueued.Swap(false) {
 		return
@@ -204,23 +301,23 @@ func (m *Mesh) flushQueued(pl *poller) {
 }
 
 // drop deregisters a finished stream (EOF keeps the fd readable forever
-// under level triggering).
+// under level triggering). Caller holds rxMu.
 func (pl *poller) drop(fd int) {
 	syscall.EpollCtl(pl.epfd, syscall.EPOLL_CTL_DEL, fd, nil)
 	delete(pl.streams, fd)
 }
 
-// checkStalls runs every stream through the liveness detector. This
-// goroutine may just have spent the whole timeout parked in rx on one
-// stream while the others' bytes piled up in their sockets, so an apparent
-// stall is re-judged after a read: only a stream that is silent and has
-// nothing to read convicts its peer.
-func (m *Mesh) checkStalls(pl *poller, now time.Time) {
+// checkStalls runs every stream through the liveness detector. The
+// reader may just have spent the whole timeout parked in rx on one stream
+// while the others' bytes piled up in their sockets, so an apparent stall
+// is re-judged after a read: only a stream that is silent and has nothing
+// to read convicts its peer. Caller holds rxMu.
+func (m *Mesh) checkStalls(pl *poller, now time.Time, waiter bool) {
 	for fd, s := range pl.streams {
 		if _, dead := m.stalled(s, now); !dead {
 			continue
 		}
-		if !m.drain(s) {
+		if !m.drain(s, waiter) {
 			pl.drop(fd) // ended on its own, already classified
 			continue
 		}
@@ -234,8 +331,9 @@ func (m *Mesh) checkStalls(pl *poller, now time.Time) {
 // fdReader reads a socket without ever blocking the calling goroutine:
 // EAGAIN surfaces as errWouldBlock instead of parking in the runtime's
 // netpoller, which is the property that lets one goroutine multiplex
-// every stream. It reads the raw fd number, allocating nothing: only the
-// poll loop reads, and stop returns before any registered conn closes.
+// every stream. It reads the raw fd number, allocating nothing: only a
+// round reads, under rxMu, and stop returns before any registered conn
+// closes.
 type fdReader int
 
 func (fd fdReader) Read(b []byte) (int, error) {

@@ -4,10 +4,14 @@ package netfab
 
 // No kernel poller on this platform: newPoller reports none and every
 // stream takes a fallback reader goroutine driving the state machine in
-// rx.go — same behavior, O(P) idle goroutines. Nor a nonblocking write:
-// the rx goroutine's flushes hand every queue to the writer goroutine.
+// rx.go — same behavior, O(P) idle goroutines, and no rounds for a
+// waiting rank to drive (Progress reports false). Nor a nonblocking
+// write: the readers' flushes hand every queue to the writer goroutine.
 
-import "net"
+import (
+	"net"
+	"time"
+)
 
 type poller struct{}
 
@@ -16,6 +20,10 @@ func (pl *poller) add(p *peer) bool { return false }
 func (pl *poller) count() int       { return 0 }
 func (pl *poller) launch(m *Mesh)   {}
 func (pl *poller) stop(m *Mesh)     {}
+
+func (m *Mesh) round(pl *poller, now time.Time, flush, waiter bool) (int, uint64, bool) {
+	return 0, 0, false
+}
 
 type nbWriter struct{}
 

@@ -6,10 +6,11 @@ package netfab
 // peer's liveness monitor. Pumping the machine is identical whether the
 // bytes come from a blocking conn (fallback goroutine, one per stream —
 // in-memory pipes and platforms without a poller) or from a nonblocking fd
-// driven by the process-wide poller: either reader returns errWouldBlock
-// when it has nothing (the fd at once, the conn after one idle beat
-// interval), and the machine simply stops mid-stride and resumes on the
-// next call.
+// read in a poll round, by the process-wide poller or by a rank driving
+// the streams (Progress), whichever holds the mesh's rxMu: either reader
+// returns errWouldBlock when it has nothing (the fd at once, the conn
+// after one idle beat interval), and the machine simply stops mid-stride
+// and resumes on the next call.
 //
 // Liveness is judged here and nowhere else, by the goroutine that reads
 // the stream, right after a read came up empty: a reader parked inside rx
@@ -47,7 +48,8 @@ type rxStream struct {
 	rxBytes uint64
 	mon     beat.Monitor
 
-	sinceRead int // frames completed since the last counted read
+	sinceRead int    // frames completed since the last counted read
+	frames    uint64 // frames completed, ever
 	dead      bool
 }
 
@@ -56,10 +58,10 @@ func newRxStream(p *peer, r io.Reader) *rxStream {
 }
 
 // drain pumps s until its reader would block or the stream ends, which it
-// classifies through streamEnded. It reports whether the stream is still
-// alive.
-func (m *Mesh) drain(s *rxStream) bool {
-	err := m.pump(s)
+// classifies through streamEnded; waiter says a driving rank reads (see
+// pump). It reports whether the stream is still alive.
+func (m *Mesh) drain(s *rxStream, waiter bool) bool {
+	err := m.pump(s, waiter)
 	if err == errWouldBlock {
 		return true
 	}
@@ -72,7 +74,13 @@ func (m *Mesh) drain(s *rxStream) bool {
 // decode each and hand it to rx, read more when the buffer runs dry. It
 // returns only on a reader error (errWouldBlock, EOF or a real error) or a
 // protocol error; it never returns nil.
-func (m *Mesh) pump(s *rxStream) error {
+//
+// The replies one read's frames make are held (peer.holding) and leave
+// together: the poller writes them before its next read, a driving rank
+// right after its next read brought more. A driving rank whose next read
+// comes up empty leaves them queued for its next round instead
+// (deferLocked), to ride the Send its returning wait makes.
+func (m *Mesh) pump(s *rxStream, waiter bool) error {
 	p := s.p
 	for {
 		body, err := s.fram.Next()
@@ -81,12 +89,22 @@ func (m *Mesh) pump(s *rxStream) error {
 		}
 		if body == nil {
 			// The buffer is spent: the replies its frames made leave
-			// together, before the next read (see peer.holding).
-			p.mu.Lock()
-			p.holding = false
-			m.flushNowLocked(p)
+			// together, the poller's before its next read.
+			if !waiter {
+				p.mu.Lock()
+				p.holding = false
+				m.flushNowLocked(p)
+			}
 			n, err := s.fram.Fill(s.r)
-			if err != nil {
+			if waiter { // a driving rank's after it, or with its next round
+				p.mu.Lock()
+				p.holding = false
+				if err != nil {
+					m.deferLocked(p)
+					return err
+				}
+				m.flushNowLocked(p)
+			} else if err != nil {
 				return err // errWouldBlock: sinceRead carries to the resume
 			}
 			p.mu.Lock()
@@ -102,6 +120,7 @@ func (m *Mesh) pump(s *rxStream) error {
 			return fmt.Errorf("netfab: undecodable frame from rank %d: %w", p.rank, err)
 		}
 		s.sinceRead++
+		s.frames++
 		m.framesRecv.Add(1)
 		m.bytesRecv.Add(uint64(wire.LengthPrefix + len(body)))
 		switch s.fr.Kind {
@@ -144,7 +163,7 @@ func (m *Mesh) convict(s *rxStream, d time.Duration) {
 // where the peer's silence is measured.
 func (m *Mesh) readLoop(s *rxStream) {
 	defer m.readersWG.Done()
-	for m.drain(s) {
+	for m.drain(s, false) {
 		if d, dead := m.stalled(s, time.Now()); dead {
 			m.convict(s, d)
 			return

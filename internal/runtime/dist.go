@@ -18,7 +18,6 @@ import (
 	"repro/internal/fabric"
 	"repro/internal/fault"
 	"repro/internal/netfab"
-	"repro/internal/shmfab"
 )
 
 // DistOptions configures one process's membership in a distributed job.
@@ -99,6 +98,7 @@ func linkOptions(opts Options, self int) (Options, error) {
 // over segment rings) as the rank runner uses it.
 type rankMesh interface {
 	fabric.Link
+	exec.Progressor
 	Close(graceful bool) error
 	SuppressHeartbeat()
 }
@@ -115,14 +115,13 @@ func runRank(opts Options, mesh rankMesh, arenas fabric.WindowArenas, body func(
 	env := exec.NewDistEnv(mesh.Self(), opts.Ranks)
 	w, cfg := newWorld(opts, env)
 	w.fab = fabric.NewDistributed(env, cfg, mesh, arenas)
-	// A rank blocked in a wait consumes its own segment rings before it
-	// parks, so a notification or ack it waits for commits on its own
-	// goroutine instead of reaching it through the poller and a gate wakeup;
-	// the poller sleeps on the doorbell meanwhile. TCP keeps its rx
-	// goroutine (EXPERIMENTS.md, "Waiters drive the rings").
-	if sm, ok := mesh.(*shmfab.Mesh); ok {
-		env.SetProgress(sm)
-	}
+	// A rank blocked in a wait drives its own link before it parks — the
+	// segment rings on shm, the streams on TCP — so a notification or ack
+	// it waits for commits on its own goroutine instead of reaching it
+	// through the poller and a gate wakeup; the poller steps aside
+	// meanwhile (EXPERIMENTS.md, "Waiters drive the rings" and "TCP
+	// waiters drive their own streams").
+	env.SetProgress(mesh)
 	// Mirror injected rank failure into the mesh's heartbeat: a rank the
 	// fault plan crashes or hangs keeps its links open (and, for hang,
 	// keeps consuming), so the only way survivors can notice is the beat
