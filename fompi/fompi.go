@@ -472,6 +472,12 @@ type QueueStats struct {
 	// traffic actually collided on one region after lock sharding (always 0
 	// under the deterministic Sim engine).
 	RegionLockContention int64
+	// ArenaFallbacks counts the windows this rank allocated on the heap
+	// although the transport has window arenas (shm), because the arena
+	// was full or its region-table slot taken: such a window works, but
+	// its puts and gets travel as frames (fabric.NIC.ArenaFallbacks).
+	// Always 0 on the other transports.
+	ArenaFallbacks int64
 	// Faults is the link-repair snapshot: all-zero on every engine, since
 	// every link is lossless and a failure is fail-stop (fabric.FaultStats).
 	Faults fabric.FaultStats
@@ -503,6 +509,7 @@ func (p *Proc) QueueStats() QueueStats {
 		MsgClassHighWater:    n.MsgClassHighWater(),
 		Pool:                 p.p.World().Fabric().PoolStats(),
 		RegionLockContention: n.RegionLockContention(),
+		ArenaFallbacks:       n.ArenaFallbacks(),
 		Faults:               p.p.World().Fabric().FaultStats(),
 		AM:                   core.AMStats(p.p),
 	}

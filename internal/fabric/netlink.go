@@ -87,11 +87,16 @@ type Link interface {
 	// goroutine: it never parks, queueing whatever the link cannot take
 	// at once, and it is exempt from Send's bound on queued bytes.
 	SendReply(target int, fr *wire.Frame) error
-	// Start installs the receive callbacks: rx for every data/control
+	// Serve installs the receive callbacks: rx for every data/control
 	// frame (its slices alias a reused buffer, valid until rx returns),
 	// peerDown exactly once per peer whose stream ends or goes silent
-	// without a clean goodbye.
-	Start(rx func(from int, fr *wire.Frame), peerDown func(rank int, err error))
+	// without a clean goodbye. place, which a link may ignore, is offered
+	// a bulk put whose payload the link can read straight into its
+	// destination (netfab.PlaceFunc); a frame it declines comes through
+	// rx.
+	Serve(rx func(from int, fr *wire.Frame),
+		place func(fr *wire.Frame, size int, rest func(dst []byte) error) (bool, error),
+		peerDown func(rank int, err error))
 }
 
 // WindowArenas is the window memory of a job whose ranks map each other's
@@ -142,7 +147,7 @@ func NewDistributed(env exec.Env, cfg Config, link Link, arenas WindowArenas) *F
 	if cfg.FaultPlan != nil {
 		f.inj = fault.NewInjector(*cfg.FaultPlan)
 	}
-	link.Start(f.ingestFrame, f.netPeerDown)
+	link.Serve(f.ingestFrame, f.placeFrame, f.netPeerDown)
 	return f
 }
 
@@ -277,6 +282,38 @@ func (f *Fabric) ingestFrame(_ int, fr *wire.Frame) {
 	if kind > pktNotify || fr.Target != f.self {
 		return // control frame the mesh already handled, or not ours: drop
 	}
+	f.nics[f.self].deliverGuarded(f.netPacket(fr))
+}
+
+// placeFrame is the link's placement callback (Link.Serve): fr is the
+// head of a bulk put, fr.Data the part of its size-byte payload the link
+// has buffered, and rest reads the remainder from the link. A put to a
+// live window of this rank, in bounds, is placed: the buffered part and
+// the remainder land in the window under one write hold (MemRegion.place),
+// and the put is delivered as placed, its notification and ack as for any
+// put. Anything else is declined, to reach ingestFrame and deliver's
+// checks once the link has buffered it.
+func (f *Fabric) placeFrame(fr *wire.Frame, size int, rest func(dst []byte) error) (bool, error) {
+	n := f.nics[f.self]
+	if fr.Target != f.self || n.closed.Load() {
+		return false, nil
+	}
+	reg := n.regionOrNil(fr.RegionID)
+	if reg == nil || fr.Offset > len(reg.buf)-size {
+		return false, nil
+	}
+	if err := reg.place(fr.Offset, size, fr.Data, rest); err != nil {
+		return true, err
+	}
+	pkt := f.netPacket(fr)
+	pkt.data, pkt.placed = reg.buf[fr.Offset:fr.Offset+size], true
+	n.deliverGuarded(pkt)
+	return true, nil
+}
+
+// netPacket converts an arriving data-plane frame into a packet.
+func (f *Fabric) netPacket(fr *wire.Frame) *packet {
+	kind := fr.Kind
 	pkt := newPacket()
 	*pkt = packet{
 		kind: kind, origin: fr.Origin, target: fr.Target,
@@ -297,7 +334,7 @@ func (f *Fabric) ingestFrame(_ int, fr *wire.Frame) {
 	case pktAck, pktGetResp:
 		pkt.op = f.netLookupOp(fr.OpID)
 	}
-	f.nics[f.self].deliverGuarded(pkt)
+	return pkt
 }
 
 // netPeerDown maps the link's verdict on a peer (RST, EOF without goodbye,

@@ -149,6 +149,7 @@ type packet struct {
 	data           []byte
 	pooled         bool // data came from the fabric's buffer pool; recycle at commit
 	dstDirect      bool // getResp: payload already committed straight into op.dst (zero-copy)
+	placed         bool // put: the link read the payload into the window, data aliases it (placeFrame)
 	imm            Imm
 	wireSize       int
 	inlineEligible bool
@@ -311,6 +312,17 @@ func (r *MemRegion) commit(off int, data []byte) {
 	r.unlockW()
 }
 
+// place lands a put of size bytes at off that a link reads straight into
+// the region (Fabric.placeFrame): it copies head, the part the link has
+// buffered, then has rest read the remainder in after it, under one write
+// hold, so a reader sees the put's bytes all old or all new.
+func (r *MemRegion) place(off, size int, head []byte, rest func(dst []byte) error) error {
+	r.lockW()
+	defer r.unlockW()
+	dst := r.buf[off : off+size]
+	return rest(dst[copy(dst, head):])
+}
+
 // readInto copies length bytes at off into dst under the region read lock,
 // so concurrent gets against one region proceed in parallel.
 func (r *MemRegion) readInto(off int, dst []byte) {
@@ -384,6 +396,9 @@ type NIC struct {
 	// regionContention counts region-lock acquisitions that found the lock
 	// held (TryLock failed) — the sharded data plane's contention signal.
 	regionContention atomic.Int64
+	// arenaFallbacks counts windows RegisterWindow put on the heap though
+	// the link has window arenas.
+	arenaFallbacks atomic.Int64
 
 	mu     sync.Mutex
 	opGate exec.Gate
@@ -502,8 +517,8 @@ func (n *NIC) Register(buf []byte) *MemRegion {
 // RegisterWindow allocates size zeroed bytes of window memory and
 // registers them. On a link with window arenas (shm) the bytes come from
 // this rank's arena, published in its region table, so peers copy into
-// and out of them themselves; a window the arena cannot hold, and every
-// window on the other engines, is heap memory.
+// and out of them themselves; a window the arena cannot hold (counted,
+// ArenaFallbacks), and every window on the other engines, is heap memory.
 func (n *NIC) RegisterWindow(size int) *MemRegion {
 	n.regMu.Lock()
 	defer n.regMu.Unlock()
@@ -511,9 +526,16 @@ func (n *NIC) RegisterWindow(size int) *MemRegion {
 		if buf, lock, ok := a.AllocWindow(len(n.regions), size); ok {
 			return n.addRegionLocked(buf, lockWords(lock))
 		}
+		n.arenaFallbacks.Add(1)
 	}
 	return n.addRegionLocked(make([]byte, size), nil)
 }
+
+// ArenaFallbacks reports how many windows RegisterWindow put on the heap
+// although the link has window arenas: the arena was full, or the
+// window's slot in its region table was taken. Such a window travels as
+// frames, like a window on TCP. Always 0 on the other engines.
+func (n *NIC) ArenaFallbacks() int64 { return n.arenaFallbacks.Load() }
 
 // addRegionLocked appends a region over buf, locked by lock (an arena
 // slot's) or by its own when lock is nil. Caller holds regMu.
@@ -1166,15 +1188,18 @@ func (n *NIC) deliver(pkt *packet) {
 	releasePacket(pkt)
 }
 
-// deliverPut commits an arriving put under the region lock, then hands
-// its notification to the region's sink.
+// deliverPut commits an arriving put under the region lock, unless the
+// link placed it there already, then hands its notification to the
+// region's sink.
 func (n *NIC) deliverPut(pkt *packet) {
 	reg := n.region(pkt.regionID)
 	if pkt.offset < 0 || pkt.offset+len(pkt.data) > len(reg.buf) {
 		panic(fmt.Sprintf("fabric: rank %d: put out of bounds: region %d off %d len %d (region len %d)",
 			n.rank, pkt.regionID, pkt.offset, len(pkt.data), len(reg.buf)))
 	}
-	reg.commit(pkt.offset, pkt.data)
+	if !pkt.placed {
+		reg.commit(pkt.offset, pkt.data)
+	}
 	length := len(pkt.data)
 	n.recycleData(pkt)
 	reg.notify(pkt.origin, pkt.imm, OpPut, pkt.offset, length)

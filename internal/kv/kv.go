@@ -500,46 +500,74 @@ func (s *Store) Stats() Stats {
 // only written here and read by Stats after quiescence (Close/Flush
 // +Barrier), so they need no lock.
 func (s *Store) apply(m *fompi.AMsg) {
-	rec := m.Data()
-	if len(rec) < recHdr {
-		s.srvBadRecord++
+	if !s.applyRecord(m.Data()) {
 		return
-	}
-	count := int(rec[0])
-	body := int(binary.LittleEndian.Uint16(rec[2:4]))
-	if recHdr+body > len(rec) {
-		s.srvBadRecord++
-		return
-	}
-	s.srvBatches++
-	off := recHdr
-	for i := 0; i < count; i++ {
-		if off+recOpHdr > recHdr+body {
-			s.srvBadRecord++
-			break
-		}
-		kind := rec[off]
-		kl := int(rec[off+1])
-		vl := int(binary.LittleEndian.Uint16(rec[off+2 : off+4]))
-		if off+recOpHdr+kl+vl > recHdr+body {
-			s.srvBadRecord++
-			break
-		}
-		key := rec[off+recOpHdr : off+recOpHdr+kl]
-		val := rec[off+recOpHdr+kl : off+recOpHdr+kl+vl]
-		switch kind {
-		case opPut:
-			s.applyPut(key, val)
-		case opDel:
-			s.applyDel(key)
-		default:
-			s.srvBadRecord++
-		}
-		off += recOpHdr + kl + vl
 	}
 	// The ack releases the lane slot at the client: chain it only after
 	// every op of the record hit the table.
 	s.log.ChainPutNotify(m.Source, 0, nil, tagAck)
+}
+
+// applyRecord applies the ops of one record (walkRecord) and counts it;
+// it reports whether the record was a batch, which the client awaits an
+// ack for.
+func (s *Store) applyRecord(rec []byte) bool {
+	batch, bad := walkRecord(rec, s.opt.SlotBytes, s.applyOp)
+	s.srvBadRecord += uint64(bad)
+	if batch {
+		s.srvBatches++
+	}
+	return batch
+}
+
+// applyOp applies one well-formed op of a record.
+func (s *Store) applyOp(kind byte, key, val []byte) {
+	if kind == opPut {
+		s.applyPut(key, val)
+	} else {
+		s.applyDel(key)
+	}
+}
+
+// walkRecord decodes a record, bytes a peer deposited: a recHdr header
+// (op count, body length), then that many ops, each a recOpHdr header
+// (kind, key length, value length), the key and the value. It calls op
+// for each well-formed op in order, and reports whether the header was
+// well formed (the record is a batch) and how many bad entries it met:
+// a short or overlong header is one and ends the record, so does an op
+// that overruns the body; an op of unknown kind, and a put whose entry
+// would not fit a slot of slotBytes, is one and is skipped.
+func walkRecord(rec []byte, slotBytes int, op func(kind byte, key, val []byte)) (batch bool, bad int) {
+	if len(rec) < recHdr {
+		return false, 1
+	}
+	count := int(rec[0])
+	end := recHdr + int(binary.LittleEndian.Uint16(rec[2:4]))
+	if end > len(rec) {
+		return false, 1
+	}
+	off := recHdr
+	for i := 0; i < count; i++ {
+		if off+recOpHdr > end {
+			return true, bad + 1
+		}
+		kind := rec[off]
+		kl := int(rec[off+1])
+		vl := int(binary.LittleEndian.Uint16(rec[off+2 : off+4]))
+		next := off + recOpHdr + kl + vl
+		if next > end {
+			return true, bad + 1
+		}
+		key := rec[off+recOpHdr : off+recOpHdr+kl]
+		switch {
+		case kind == opPut && slotHdr+kl+vl <= slotBytes, kind == opDel:
+			op(kind, key, rec[off+recOpHdr+kl:next])
+		default:
+			bad++
+		}
+		off = next
+	}
+	return true, bad
 }
 
 // commitTable is the single table write path: under Replicate it routes

@@ -145,7 +145,23 @@ type Stats struct {
 	// WaiterFrames counts the frames read by ranks driving the streams
 	// (Progress) rather than by the poller.
 	WaiterFrames uint64
+	// PlacedFrames counts the bulk puts whose payload was read straight
+	// into the target window (PlaceFunc) instead of through the framer;
+	// each is also one of RxReads and FramesRecv.
+	PlacedFrames uint64
 }
+
+// PlaceFunc is the placement callback a mesh's reader offers a bulk put
+// to (Serve): fr is the frame's head, decoded, with fr.Data the part of
+// its payload already buffered, and size the payload's full length; the
+// rest of the payload and the frame's end are still in the socket, all
+// of it. A callback that takes the frame copies fr.Data to its
+// destination, calls rest once with the destination's remaining
+// size-len(fr.Data) bytes, which reads them from the socket and consumes
+// the frame, delivers the frame, and reports true with rest's error.
+// One that reports false has not called rest: the frame then arrives
+// through rx once it is buffered, like any other.
+type PlaceFunc = func(fr *wire.Frame, size int, rest func(dst []byte) error) (bool, error)
 
 // txChunk is one pending flush segment: encoded frames appended back to
 // back, written as one element of a net.Buffers batch.
@@ -194,8 +210,13 @@ type peer struct {
 
 	// Only the goroutine that set flushing touches these. wbufs is the copy
 	// of the batch WriteTo consumes: a field, so writing allocates nothing.
+	// encBuf holds the encoding of a frame a Send writes at once; for a
+	// bulk frame only its head, which a gather write sends with the
+	// caller's data and trailer (zero: no strings) after it.
 	bufs, wbufs net.Buffers
 	encBuf      []byte
+	tail        [3][]byte
+	trailer     [wire.TrailerLen]byte
 
 	mu           sync.Mutex // guards all fields below
 	sendable     sync.Cond  // signaled when a flush completes or state changes
@@ -218,6 +239,7 @@ type Mesh struct {
 	peers []*peer // index by rank; nil at Self
 
 	rx       func(from int, fr *wire.Frame)
+	place    PlaceFunc
 	peerDown func(rank int, err error)
 
 	// hb is the liveness timing: the shared detector's defaults, which
@@ -231,6 +253,7 @@ type Mesh struct {
 	txCoalesce, rxCoalesce [RxCoalesceBuckets]atomic.Uint64
 	replyHighWater         atomic.Uint64
 	waiterFrames           atomic.Uint64
+	placedFrames           atomic.Uint64
 
 	// The tx handshake between Send and the poller. A Send that queues on
 	// a polled stream stores txQueued, then loads pollParked: set, the
@@ -650,9 +673,19 @@ func (m *Mesh) N() int { return m.cfg.N }
 // the frame's Data slice aliases the read buffer and is valid until rx
 // returns. rx may send (SendReply, never Send: a reader parked on a full
 // socket stops every stream). peerDown fires at most once per peer, only
-// for streams that end or fall silent without a clean Bye.
+// for streams that end or fall silent without a clean Bye. Start offers
+// no frame for placement: it is Serve with place nil.
 func (m *Mesh) Start(rx func(from int, fr *wire.Frame), peerDown func(rank int, err error)) {
+	m.Serve(rx, nil, peerDown)
+}
+
+// Serve is Start with a placement callback: a reader that finds the head
+// of a put with txChunkSize or more data in a polled stream, the rest of
+// the frame all in the socket, offers it to place, on the goroutine and
+// under the rules rx runs by (see rx.go, "Placed reads").
+func (m *Mesh) Serve(rx func(from int, fr *wire.Frame), place PlaceFunc, peerDown func(rank int, err error)) {
 	m.rx = rx
+	m.place = place
 	m.peerDown = peerDown
 	m.lastCheck = time.Now()
 	m.poller = newPoller()
@@ -899,7 +932,7 @@ func (m *Mesh) send(p *peer, fr *wire.Frame, mayQueue bool) error {
 		p.mu.Unlock()
 		return nil
 	}
-	var tail []byte
+	var tail [][]byte
 	if mayQueue && !p.holding && p.pendingBytes+len(fr.Data) < txChunkSize {
 		p.appendPendingLocked(fr)
 		m.txQueued.Store(true) // before loading pollParked: see Mesh.txQueued
@@ -907,12 +940,20 @@ func (m *Mesh) send(p *peer, fr *wire.Frame, mayQueue bool) error {
 			p.mu.Unlock()
 			return nil
 		}
+	} else if len(fr.Data) >= txChunkSize && len(fr.Strs) == 0 {
+		// A gather write: the data leaves from the caller's buffer, which
+		// the blocking write below is done with before Send returns.
+		p.encBuf = wire.AppendHead(p.encBuf[:0], fr)
+		p.tail = [3][]byte{p.encBuf, fr.Data, p.trailer[:]}
+		tail = p.tail[:]
 	} else {
 		p.encBuf = wire.AppendFrame(p.encBuf[:0], fr)
-		tail = p.encBuf
+		p.tail[0] = p.encBuf
+		tail = p.tail[:1]
 	}
 	err := m.flushLocked(p, tail, true)
-	m.flushNowLocked(p) // what was queued behind the write
+	p.tail = [3][]byte{} // keep no caller buffer reachable
+	m.flushNowLocked(p)  // what was queued behind the write
 	if err != nil {
 		return fmt.Errorf("netfab: write to rank %d: %w", p.rank, err)
 	}
@@ -960,18 +1001,20 @@ func (p *peer) flushableLocked() bool {
 }
 
 // flushLocked claims the free conn and writes p's queue, then tail if
-// any, as one batch: blocking under the write deadline, or one nonblocking
-// writev (tail nil) that leaves queued what the socket does not take. A
-// failed write marks the stream down. Caller holds p.mu, released across
-// the write.
-func (m *Mesh) flushLocked(p *peer, tail []byte, block bool) error {
+// any (the buffers of one frame), as one batch: blocking under the write
+// deadline, or one nonblocking writev (tail nil) that leaves queued what
+// the socket does not take. A failed write marks the stream down. Caller
+// holds p.mu, released across the write.
+func (m *Mesh) flushLocked(p *peer, tail [][]byte, block bool) error {
 	p.flushing = true
 	p.bufs = p.bufs[:0]
 	for _, c := range p.chunks {
 		p.bufs = append(p.bufs, c.buf[c.off:])
 	}
-	if tail != nil {
-		p.bufs = append(p.bufs, tail)
+	tailLen := 0
+	for _, b := range tail {
+		p.bufs = append(p.bufs, b)
+		tailLen += len(b)
 	}
 	queued := p.pendingBytes
 	p.mu.Unlock()
@@ -1001,7 +1044,7 @@ func (m *Mesh) flushLocked(p *peer, tail []byte, block bool) error {
 		return err
 	}
 	frames := p.retireLocked(min(int(n), queued))
-	if tail != nil && int(n) == queued+len(tail) {
+	if tail != nil && int(n) == queued+tailLen {
 		frames++
 	}
 	if n > 0 {
@@ -1282,6 +1325,7 @@ func (m *Mesh) ReadStats() Stats {
 
 		ReplyQueuedHighWater: m.replyHighWater.Load(),
 		WaiterFrames:         m.waiterFrames.Load(),
+		PlacedFrames:         m.placedFrames.Load(),
 	}
 	for i := range m.rxCoalesce {
 		st.TxCoalesce[i] = m.txCoalesce[i].Load()

@@ -4,7 +4,7 @@ package netfab
 
 // No kernel poller on this platform: newPoller reports none and every
 // stream takes a fallback reader goroutine driving the state machine in
-// rx.go — same behavior, O(P) idle goroutines, and no rounds for a
+// rx.go — same behavior (no placed reads), O(P) idle goroutines, and no rounds for a
 // waiting rank to drive (Progress reports false). Nor a nonblocking
 // write: the readers' flushes hand every queue to the writer goroutine.
 
@@ -24,6 +24,11 @@ func (pl *poller) stop(m *Mesh)     {}
 func (m *Mesh) round(pl *poller, now time.Time, flush, waiter bool) (int, uint64, bool) {
 	return 0, 0, false
 }
+
+// placer is never made here: every stream is a fallback stream.
+type placer struct{}
+
+func (m *Mesh) offer(s *rxStream, n int, head []byte) (int, bool, error) { return 0, false, nil }
 
 type nbWriter struct{}
 

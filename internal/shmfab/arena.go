@@ -55,15 +55,17 @@ const (
 // A heap arena (NewHeapArena) keeps the header and table in Go memory but
 // has no data area: each window is its own Go allocation, which the owner
 // stores in heap[slot] before it publishes the slot, so an arena costs
-// nothing until a window is allocated, as a heap window does.
+// nothing until a window is allocated, as a heap window does. Its
+// allocator still places each window in a data area of ArenaSize, so it
+// holds exactly the windows a mapped arena would.
 type Arena struct {
 	mem   []byte
 	heap  [][]byte     // heap arena: window bytes by slot; nil for a mapped file
 	unmap func() error // mapped file: releases mem; nil for a heap arena
 
-	// Owner-side allocator of a mapped arena: top is the bump cursor,
-	// high the most the data area was ever handed out (bytes below it
-	// may be dirty), live the allocations in address order.
+	// Owner-side allocator: top is the bump cursor, high the most the
+	// data area was ever handed out (bytes below it may be dirty), live
+	// the allocations in address order.
 	top, high int
 	live      []arenaAlloc
 }
@@ -120,27 +122,26 @@ func (a *Arena) Alloc(id, size int) ([]byte, *[2]uint64, bool) {
 	if size < 0 || atomic.LoadUint64(a.word(s+slotState)) != 0 {
 		return nil, nil, false
 	}
+	off := (max(a.top, arenaData) + arenaAlign - 1) &^ (arenaAlign - 1)
+	if size > ArenaSize-off {
+		return nil, nil, false
+	}
+	end := off + size
 	var buf []byte
-	off := 0
 	if a.heap != nil {
 		buf = make([]byte, size)
 		a.heap[i] = buf
 	} else {
-		off = (max(a.top, arenaData) + arenaAlign - 1) &^ (arenaAlign - 1)
-		if size > len(a.mem)-off {
-			return nil, nil, false
-		}
-		end := off + size
 		// Bytes never handed out are still zero: clear only what an
 		// earlier window dirtied, so a fresh arena is never touched ahead
 		// of use.
 		if off < a.high {
 			clear(a.mem[off:min(end, a.high)])
 		}
-		a.top, a.high = end, max(a.high, end)
-		a.live = append(a.live, arenaAlloc{id: id, off: off})
 		buf = a.mem[off:end:end]
 	}
+	a.top, a.high = end, max(a.high, end)
+	a.live = append(a.live, arenaAlloc{id: id, off: off})
 	atomic.StoreUint64(a.word(s+slotLock), 0)
 	atomic.StoreUint64(a.word(s+slotOffset), uint64(off))
 	atomic.StoreUint64(a.word(s+slotLen), uint64(size))
@@ -148,10 +149,10 @@ func (a *Arena) Alloc(id, size int) ([]byte, *[2]uint64, bool) {
 	return buf, a.lock(s), true
 }
 
-// Free unpublishes region id and, in a mapped arena, rewinds the bump
-// cursor past every freed allocation at the top. Owner only; the layers
-// above free a window only once no peer can still access it (rma's Free
-// is collective).
+// Free unpublishes region id and rewinds the bump cursor past every
+// freed allocation at the top. Owner only; the layers above free a
+// window only once no peer can still access it (rma's Free is
+// collective).
 func (a *Arena) Free(id int) {
 	s := a.slot(id)
 	if atomic.LoadUint64(a.word(s+slotState)) != uint64(id)+1 {
@@ -160,7 +161,6 @@ func (a *Arena) Free(id int) {
 	atomic.StoreUint64(a.word(s+slotState), 0)
 	if a.heap != nil {
 		a.heap[id%ArenaSlots] = nil
-		return
 	}
 	for i := range a.live {
 		if a.live[i].id == id && !a.live[i].freed {

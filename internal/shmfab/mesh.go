@@ -515,6 +515,14 @@ func (m *Mesh) Start(rx func(from int, fr *wire.Frame), peerDown func(rank int, 
 	}
 }
 
+// Serve is Start for a fabric.Link: a ring entry is read in place, so
+// place, the TCP stream's placed read, has nothing to do here.
+func (m *Mesh) Serve(rx func(from int, fr *wire.Frame),
+	_ func(fr *wire.Frame, size int, rest func(dst []byte) error) (bool, error),
+	peerDown func(rank int, err error)) {
+	m.Start(rx, peerDown)
+}
+
 // pollSpin is how long the poller yield-spins over idle rings before it
 // sleeps on the doorbell: traffic that resumes within a round trip finds
 // it awake, without a FUTEX_WAKE on the producer's path.

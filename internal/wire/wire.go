@@ -209,6 +209,25 @@ func checkRange(name string, v int, max uint64) {
 // Append serializes fr onto dst and returns the extended slice. It panics
 // if a field is out of the encodable range (sender-side programming error).
 func Append(dst []byte, fr *Frame) []byte {
+	dst = appendHead(dst, fr)
+	if len(fr.Strs) > maxStrs {
+		panic(fmt.Sprintf("wire: too many frame strings: %d", len(fr.Strs)))
+	}
+	dst = append(dst, fr.Data...)
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(fr.Strs)))
+	for _, s := range fr.Strs {
+		if len(s) > maxStrLen {
+			panic(fmt.Sprintf("wire: frame string too long: %d", len(s)))
+		}
+		dst = binary.LittleEndian.AppendUint16(dst, uint16(len(s)))
+		dst = append(dst, s...)
+	}
+	return dst
+}
+
+// appendHead serializes what precedes fr's data section: the fixed
+// header and the data length.
+func appendHead(dst []byte, fr *Frame) []byte {
 	if !fr.Kind.valid() {
 		panic(fmt.Sprintf("wire: encoding invalid kind %d", fr.Kind))
 	}
@@ -220,9 +239,6 @@ func Append(dst []byte, fr *Frame) []byte {
 	checkRange("offset", fr.Offset, 1<<62)
 	if len(fr.Data) > MaxData {
 		panic(fmt.Sprintf("wire: frame data too large: %d", len(fr.Data)))
-	}
-	if len(fr.Strs) > maxStrs {
-		panic(fmt.Sprintf("wire: too many frame strings: %d", len(fr.Strs)))
 	}
 
 	var flags byte
@@ -247,18 +263,7 @@ func Append(dst []byte, fr *Frame) []byte {
 	dst = binary.LittleEndian.AppendUint64(dst, fr.Compare)
 	dst = binary.LittleEndian.AppendUint64(dst, fr.Gen)
 	dst = binary.LittleEndian.AppendUint32(dst, fr.Imm)
-
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(fr.Data)))
-	dst = append(dst, fr.Data...)
-	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(fr.Strs)))
-	for _, s := range fr.Strs {
-		if len(s) > maxStrLen {
-			panic(fmt.Sprintf("wire: frame string too long: %d", len(s)))
-		}
-		dst = binary.LittleEndian.AppendUint16(dst, uint16(len(s)))
-		dst = append(dst, s...)
-	}
-	return dst
+	return binary.LittleEndian.AppendUint32(dst, uint32(len(fr.Data)))
 }
 
 // decodeFixed parses the fixed header portion of a frame body into fr,
@@ -304,6 +309,26 @@ func decodeFixed(b []byte, fr *Frame) error {
 	return nil
 }
 
+// PeekHead parses the head of a frame body, the part before its data
+// section, into fr and returns the data section's length; fr.Data and
+// fr.Strs stay nil. b may hold the whole body or only a prefix of at
+// least HeadLen-LengthPrefix bytes. It refuses what Decode refuses in
+// that prefix, so a body Decode accepts peeks to the same fixed fields
+// and len(Data) (FuzzPeekHead).
+func PeekHead(b []byte, fr *Frame) (int, error) {
+	if err := decodeFixed(b, fr); err != nil {
+		return 0, err
+	}
+	if len(b) < fixedHeaderLen+4 {
+		return 0, ErrTruncated
+	}
+	n := binary.LittleEndian.Uint32(b[fixedHeaderLen:])
+	if n > MaxData {
+		return 0, fmt.Errorf("wire: section length %d exceeds limit %d", n, MaxData)
+	}
+	return int(n), nil
+}
+
 // Decode parses one frame body into fr. The Data slice aliases b: the
 // caller must copy it out before reusing the buffer. A non-nil
 // error means b is not a well-formed frame; fr is then in an unspecified
@@ -318,6 +343,19 @@ func Decode(b []byte, fr *Frame) error {
 	if fr.Data, rest, err = takeBytes(rest, MaxData); err != nil {
 		return fmt.Errorf("data section: %w", err)
 	}
+	return decodeStrs(rest, fr)
+}
+
+// CheckTrailer returns the error Decode returns for a frame body whose
+// data section is followed by exactly t (TrailerLen bytes): nil when t is
+// an empty string table.
+func CheckTrailer(t []byte) error {
+	var fr Frame
+	return decodeStrs(t, &fr)
+}
+
+// decodeStrs parses the string table that ends a frame body into fr.
+func decodeStrs(rest []byte, fr *Frame) error {
 	if len(rest) < 2 {
 		return ErrTruncated
 	}
