@@ -207,6 +207,7 @@ type Fabric struct {
 	netMu    sync.Mutex
 	netOps   map[uint64]*Op
 	netOpSeq uint64
+	acks     [][]byte // per peer: the (ID, value) pairs the current read of its stream owes it (holdAck)
 
 	// Peer-failure bookkeeping: each dead rank is declared exactly once
 	// (declarePeerFailed). closed makes a declaration that fires after

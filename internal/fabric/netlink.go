@@ -19,8 +19,18 @@ package fabric
 // wedge. Such packets are marked reply and leave through Link.SendReply,
 // which queues what the link cannot take at once. The queue is bounded by
 // what the peer has outstanding against us: its posted get bytes (for which
-// it already holds destination memory) plus one ack per put in flight
-// (which its own send-side bound limits).
+// it already holds destination memory) plus one ack frame per read of its
+// stream, whose pairs number the puts, accumulates and atomics that read
+// delivered (its own send-side bound limits those).
+//
+// Acks to a peer across the link are batched per read: delivery appends
+// each (wire ID, value) pair to the peer's slot in f.acks, which only the
+// goroutine reading that peer's stream touches, and the link's end-of-read
+// callback (readEnd) sends them as one frame, beside the read's other
+// replies. A read that acked one op sends the plain ack frame; more go as
+// one batch (wire.Frame, "ack"), which the origin completes under one hold
+// of each lock (completeAcks). A self-targeted op never reaches the link
+// and is acked at once, as on every single-process engine.
 //
 // A Link is lossless and FIFO per pair in Send-call order — a TCP stream
 // and an SPSC ring both are, like every other fabric's wire. What a link
@@ -33,11 +43,15 @@ package fabric
 // op under a process-local wire ID at post time (transmit); acks and get
 // responses echo the ID and ingestFrame resolves it back to the handle. IDs are
 // never reused (monotonic counter), so a stale echo after the op completed
-// resolves to nothing and the packet is dropped by deliver's nil guard.
+// resolves to nothing: completeAcks skips it, and deliver's nil guard
+// drops a get response. Acks keep IDs rather than a per-peer count: sends
+// to one peer leave from the rank and from AM workers at once, so the
+// order the target acks in is not the order the origin posted in.
 
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"repro/internal/exec"
 	"repro/internal/fault"
@@ -93,9 +107,13 @@ type Link interface {
 	// without a clean goodbye. place, which a link may ignore, is offered
 	// a bulk put whose payload the link can read straight into its
 	// destination (netfab.PlaceFunc); a frame it declines comes through
-	// rx.
+	// rx. readEnd(from) must follow, on the same goroutine, every read
+	// that delivered frames from peer from (through rx or place), before
+	// that read's replies leave and before the next read of the stream:
+	// the fabric sends the read's acks there.
 	Serve(rx func(from int, fr *wire.Frame),
 		place func(fr *wire.Frame, size int, rest func(dst []byte) error) (bool, error),
+		readEnd func(from int),
 		peerDown func(rank int, err error))
 }
 
@@ -142,12 +160,13 @@ func NewDistributed(env exec.Env, cfg Config, link Link, arenas WindowArenas) *F
 		self:   link.Self(),
 		arenas: arenas,
 		netOps: make(map[uint64]*Op),
+		acks:   make([][]byte, cfg.Ranks),
 	}
 	f.nics[f.self] = newNIC(f, f.self)
 	if cfg.FaultPlan != nil {
 		f.inj = fault.NewInjector(*cfg.FaultPlan)
 	}
-	link.Serve(f.ingestFrame, f.placeFrame, f.netPeerDown)
+	link.Serve(f.ingestFrame, f.placeFrame, f.readEnd, f.netPeerDown)
 	return f
 }
 
@@ -241,19 +260,28 @@ func (f *Fabric) netFrame(pkt *packet, fr *wire.Frame) {
 	}
 }
 
+// framePool recycles the frames netSend hands a link. A frame passed
+// through the Link interface escapes, so a local one would be a heap
+// allocation per frame sent; a field of the packet would grow every
+// packet of every engine, Sim's included, by half.
+var framePool = sync.Pool{New: func() any { return new(wire.Frame) }}
+
 // netSend serializes a packet onto the link: encode, send, dispose. The
 // link has finished with the packet's bytes when Send returns, so a pooled
 // payload goes back to the pool here. Packets produced by delivery take
-// SendReply, which never parks the reading goroutine.
+// SendReply, which never parks the reading goroutine. The frame comes
+// from framePool.
 func (f *Fabric) netSend(pkt *packet) {
-	var fr wire.Frame
-	f.netFrame(pkt, &fr)
+	fr, target := framePool.Get().(*wire.Frame), pkt.target
+	f.netFrame(pkt, fr)
 	var err error
 	if pkt.reply {
-		err = f.link.SendReply(pkt.target, &fr)
+		err = f.link.SendReply(target, fr)
 	} else {
-		err = f.link.Send(pkt.target, &fr)
+		err = f.link.Send(target, fr)
 	}
+	*fr = wire.Frame{} // keep no payload reachable from the pool
+	framePool.Put(fr)
 	if pkt.pooled {
 		f.pool.put(pkt.data)
 	}
@@ -262,7 +290,88 @@ func (f *Fabric) netSend(pkt *packet) {
 		// The stream to this peer is broken. The mesh's reader will
 		// normally notice first; declaring here too makes a failed write
 		// surface even when the read side is quiescent (idempotent).
-		f.declarePeerFailed(fr.Target, fmt.Sprintf("send failed: %v", err))
+		f.declarePeerFailed(target, fmt.Sprintf("send failed: %v", err))
+	}
+}
+
+// holdAck adds the ack of op id, with value, to the pairs this rank owes
+// origin for the frames the current read of its stream delivered
+// (f.acks[origin]). Only the goroutine reading that stream touches them:
+// a link delivers a remote origin's put, accumulate or atomic on no other.
+// It counts and admits the ack as transmit does a packet; a frame naming
+// an origin outside the job has no stream to be acked on.
+func (f *Fabric) holdAck(origin int, id, value uint64) {
+	f.Stats.AckPackets.Add(1)
+	if uint(origin) >= uint(len(f.acks)) || f.inj != nil && !f.inj.Admit(f.self, origin) {
+		return
+	}
+	f.acks[origin] = wire.AppendAckPair(f.acks[origin], id, value)
+}
+
+// readEnd is the link's end-of-read callback (Link.Serve): the acks the
+// read's frames from peer made leave as one frame, a plain ack for one
+// and a batch for more.
+func (f *Fabric) readEnd(peer int) {
+	pairs := f.acks[peer]
+	if len(pairs) == 0 {
+		return
+	}
+	fr := framePool.Get().(*wire.Frame)
+	*fr = wire.Frame{Kind: wire.KindAck, Origin: f.self, Target: peer}
+	if len(pairs) == wire.AckPairLen {
+		fr.OpID, fr.Operand = wire.AckPair(pairs, 0)
+	} else {
+		fr.Data = pairs
+	}
+	err := f.link.SendReply(peer, fr)
+	*fr = wire.Frame{}
+	framePool.Put(fr)
+	f.acks[peer] = pairs[:0]
+	if err != nil {
+		f.declarePeerFailed(peer, fmt.Sprintf("send failed: %v", err))
+	}
+}
+
+// ackChunk is how many acks completeAcks resolves per hold of each lock.
+const ackChunk = 32
+
+// completeAcks completes the ops an ack frame from a peer names: fr.OpID,
+// or every pair of a batch, in order. It takes the op table's lock and the
+// NIC's once per ackChunk acks. An ID the table does not hold (its op
+// failed with the peer, or the ID is hostile) completes nothing; a torn
+// last pair, which wire.Decode refuses, is ignored.
+func (f *Fabric) completeAcks(fr *wire.Frame) {
+	n := f.nics[f.self]
+	if n.closed.Load() {
+		return
+	}
+	total := len(fr.Data) / wire.AckPairLen
+	if len(fr.Data) == 0 {
+		total = 1
+	}
+	var ops [ackChunk]*Op
+	var vals [ackChunk]uint64
+	for i := 0; i < total; {
+		k := 0
+		f.netMu.Lock()
+		for ; i < total && k < ackChunk; i++ {
+			id, v := fr.OpID, fr.Operand
+			if len(fr.Data) > 0 {
+				id, v = wire.AckPair(fr.Data, i)
+			}
+			if op := f.netOps[id]; op != nil {
+				delete(f.netOps, id)
+				ops[k], vals[k] = op, v
+				k++
+			}
+		}
+		f.netMu.Unlock()
+		n.completeOps(ops[:k], vals[:k])
+	}
+	if tr := f.cfg.Trace; tr != nil {
+		for range total {
+			tr(TraceEvent{Kind: pktAck.String(), Origin: fr.Origin, Target: fr.Target})
+		}
 	}
 }
 
@@ -281,6 +390,10 @@ func (f *Fabric) ingestFrame(_ int, fr *wire.Frame) {
 	kind := fr.Kind
 	if kind > pktNotify || fr.Target != f.self {
 		return // control frame the mesh already handled, or not ours: drop
+	}
+	if kind == pktAck {
+		f.completeAcks(fr)
+		return
 	}
 	f.nics[f.self].deliverGuarded(f.netPacket(fr))
 }
@@ -331,7 +444,7 @@ func (f *Fabric) netPacket(fr *wire.Frame) *packet {
 		pkt.msg = &Msg{Origin: fr.Origin, Class: fr.MsgClass,
 			Hdr:  MsgHdr{int(fr.OpID), int(fr.Operand), int(fr.Compare)},
 			Data: f.pool.clone(fr.Data), ChargeCopy: fr.ChargeCopy}
-	case pktAck, pktGetResp:
+	case pktGetResp:
 		pkt.op = f.netLookupOp(fr.OpID)
 	}
 	return pkt

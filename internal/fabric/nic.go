@@ -638,11 +638,43 @@ func (n *NIC) recycleOpLocked(op *Op) {
 
 func (n *NIC) completeOp(op *Op, result uint64) {
 	n.mu.Lock()
+	wake, netID := n.completeLocked(op, result)
+	n.mu.Unlock()
+	if netID != 0 {
+		n.f.netForgetOp(netID)
+	}
+	if wake {
+		n.opGate.Broadcast()
+	}
+}
+
+// completeOps completes ops with results under one hold of mu, with one
+// broadcast. The caller has dropped their wire registrations already.
+func (n *NIC) completeOps(ops []*Op, results []uint64) {
+	if len(ops) == 0 {
+		return
+	}
+	wake := false
+	n.mu.Lock()
+	for i, op := range ops {
+		w, _ := n.completeLocked(op, results[i])
+		wake = wake || w
+	}
+	n.mu.Unlock()
+	if wake {
+		n.opGate.Broadcast()
+	}
+}
+
+// completeLocked marks op complete with result and recycles it if
+// detached. It reports whether a waiter can observe the completion, and
+// the wire ID the op was registered under (0 if none, or if the op had
+// completed already). Caller holds mu.
+func (n *NIC) completeLocked(op *Op, result uint64) (wake bool, netID uint64) {
 	if op.done {
 		// Already completed by the peer-failure detector; this is a late
 		// ack that raced the declaration. The counters were adjusted then.
-		n.mu.Unlock()
-		return
+		return false, 0
 	}
 	op.done = true
 	op.result = result
@@ -656,19 +688,13 @@ func (n *NIC) completeOp(op *Op, result uint64) {
 	// when an outstanding count they watch hits zero. A completion with
 	// nobody parked (the overwhelmingly common case on pipelined put
 	// streams) stays silent instead of stampeding every sleeper.
-	wake := n.opAwaitWaiters > 0 ||
+	wake = n.opAwaitWaiters > 0 ||
 		(n.opFlushWaiters > 0 && (n.outstanding[op.target] == 0 || n.totalOut == 0))
-	netID := op.netID
+	netID = op.netID
 	if op.detached {
 		n.recycleOpLocked(op)
 	}
-	n.mu.Unlock()
-	if netID != 0 {
-		n.f.netForgetOp(netID)
-	}
-	if wake {
-		n.opGate.Broadcast()
-	}
+	return wake, netID
 }
 
 // failOpLocked completes an op with a peer-failure error. Failed ops are
@@ -1273,8 +1299,13 @@ func (r *MemRegion) notify(origin int, imm Imm, kind OpKind, offset, length int)
 
 // sendAck returns a remote-completion acknowledgement to the origin. opID
 // is the wire identity of op, echoed for cross-process completions (the
-// pointer itself is meaningless outside the origin process).
+// pointer itself is meaningless outside the origin process). An origin
+// across a link gets it in the ack frame that ends the read (holdAck).
 func (n *NIC) sendAck(op *Op, opID uint64, origin int, value uint64, extraDelay int64) {
+	if f := n.f; f.link != nil && origin != f.self {
+		f.holdAck(origin, opID, value)
+		return
+	}
 	pkt := newPacket()
 	*pkt = packet{
 		kind: pktAck, origin: n.rank, target: origin,

@@ -9,24 +9,46 @@ import (
 	"repro/internal/wire"
 )
 
-// stubLink is a Link with no peer behind it: it keeps the placement
-// callback Serve installs and counts the replies delivery sends.
+// stubLink is a Link with no peer behind it: it keeps the callbacks Serve
+// installs and records what the fabric sends. Its place callback ends the
+// read as a link's does, with readEnd(0).
 type stubLink struct {
-	place   func(fr *wire.Frame, size int, rest func(dst []byte) error) (bool, error)
-	acks    atomic.Int64
-	lastAck atomic.Uint64
+	place    func(fr *wire.Frame, size int, rest func(dst []byte) error) (bool, error)
+	readEnd  func(from int)
+	peerDown func(rank int, err error)
+	acks     atomic.Int64  // ack frames SendReply carried
+	lastAck  atomic.Uint64 // the last one's OpID
+	sent     []uint64      // the wire ID of each op Send carried
+	pairs    [][2]uint64   // every (ID, value) those ack frames carried, in order
 }
 
-func (l *stubLink) Self() int                   { return 1 }
-func (l *stubLink) N() int                      { return 2 }
-func (l *stubLink) Send(int, *wire.Frame) error { return nil }
-func (l *stubLink) Serve(_ func(int, *wire.Frame), place func(*wire.Frame, int, func([]byte) error) (bool, error), _ func(int, error)) {
-	l.place = place
+func (l *stubLink) Self() int { return 1 }
+func (l *stubLink) N() int    { return 2 }
+func (l *stubLink) Send(_ int, fr *wire.Frame) error {
+	l.sent = append(l.sent, fr.OpID)
+	return nil
+}
+func (l *stubLink) Serve(_ func(int, *wire.Frame), place func(*wire.Frame, int, func([]byte) error) (bool, error),
+	readEnd func(int), peerDown func(int, error)) {
+	l.place = func(fr *wire.Frame, size int, rest func([]byte) error) (bool, error) {
+		ok, err := place(fr, size, rest)
+		readEnd(0)
+		return ok, err
+	}
+	l.readEnd, l.peerDown = readEnd, peerDown
 }
 func (l *stubLink) SendReply(_ int, fr *wire.Frame) error {
-	if fr.Kind == wire.KindAck {
-		l.acks.Add(1)
-		l.lastAck.Store(fr.OpID)
+	if fr.Kind != wire.KindAck {
+		return nil
+	}
+	l.acks.Add(1)
+	l.lastAck.Store(fr.OpID)
+	if len(fr.Data) == 0 {
+		l.pairs = append(l.pairs, [2]uint64{fr.OpID, fr.Operand})
+	}
+	for i := 0; i < len(fr.Data)/wire.AckPairLen; i++ {
+		id, v := wire.AckPair(fr.Data, i)
+		l.pairs = append(l.pairs, [2]uint64{id, v})
 	}
 	return nil
 }
@@ -93,16 +115,23 @@ func TestPlaceFrame(t *testing.T) {
 		t.Fatalf("placed put: %d acks, last for op %d; want one for op 41", link.acks.Load(), link.lastAck.Load())
 	}
 
-	// Placing a put allocates no more than delivering it from a buffered
-	// frame does (whose ack's frame netSend allocates, see CHANGES.md).
+	// Placing a put and delivering one from a buffered frame, each with
+	// the ack frame that ends its read, allocate nothing.
 	plain := put(1, reg.ID, 0)
 	plain.ImmValid = false
-	placed := testing.AllocsPerRun(100, func() { link.place(plain, size, rest) })
+	placed := testing.AllocsPerRun(100, func() {
+		link.place(plain, size, rest)
+		link.pairs = link.pairs[:0]
+	})
 	whole := *plain
 	whole.Data = make([]byte, size)
-	framed := testing.AllocsPerRun(100, func() { f.ingestFrame(0, &whole) })
-	if placed > framed {
-		t.Errorf("placing a put: %.2f allocs, delivering it from a buffer %.2f", placed, framed)
+	framed := testing.AllocsPerRun(100, func() {
+		f.ingestFrame(0, &whole)
+		link.readEnd(0)
+		link.pairs = link.pairs[:0]
+	})
+	if placed != 0 || framed != 0 {
+		t.Errorf("placing a put: %.2f allocs, delivering it from a buffer %.2f; want 0", placed, framed)
 	}
 
 	nic.Close()

@@ -169,6 +169,7 @@ type txChunk struct {
 	buf    []byte
 	off    int // leading bytes of buf already written (only the queue's first chunk)
 	frames int
+	solo   bool // holds one frame of txChunkSize or more data, sized to it (soloChunkLocked)
 }
 
 const (
@@ -181,6 +182,8 @@ const (
 	txMaxPending = 4 << 20
 	// txChunkRecycleCap: chunks that grew beyond this are handed to the
 	// GC instead of the freelist, so one jumbo frame doesn't pin memory.
+	// A frame queued with txChunkSize or more data gets a chunk of its
+	// own instead, of which a peer keeps one, up to txMaxPending.
 	txChunkRecycleCap = 256 << 10
 	// rxBufSize is the framer's initial read-buffer size per stream.
 	rxBufSize = 256 << 10
@@ -222,6 +225,7 @@ type peer struct {
 	sendable     sync.Cond  // signaled when a flush completes or state changes
 	chunks       []*txChunk // pending encoded frames, in send order
 	free         []*txChunk // chunk recycle list
+	solo         *txChunk   // the kept solo chunk, for the next big reply
 	pendingBytes int        // unwritten bytes in chunks
 	flushing     bool       // a goroutine is writing a batch on the conn
 	holding      bool       // a read's frames are being delivered from this stream: replies wait for the next flush
@@ -240,6 +244,7 @@ type Mesh struct {
 
 	rx       func(from int, fr *wire.Frame)
 	place    PlaceFunc
+	readEnd  func(from int)
 	peerDown func(rank int, err error)
 
 	// hb is the liveness timing: the shared detector's defaults, which
@@ -674,18 +679,23 @@ func (m *Mesh) N() int { return m.cfg.N }
 // returns. rx may send (SendReply, never Send: a reader parked on a full
 // socket stops every stream). peerDown fires at most once per peer, only
 // for streams that end or fall silent without a clean Bye. Start offers
-// no frame for placement: it is Serve with place nil.
+// no frame for placement and calls nothing at the end of a read: it is
+// Serve with place and readEnd nil.
 func (m *Mesh) Start(rx func(from int, fr *wire.Frame), peerDown func(rank int, err error)) {
-	m.Serve(rx, nil, peerDown)
+	m.Serve(rx, nil, nil, peerDown)
 }
 
-// Serve is Start with a placement callback: a reader that finds the head
-// of a put with txChunkSize or more data in a polled stream, the rest of
-// the frame all in the socket, offers it to place, on the goroutine and
-// under the rules rx runs by (see rx.go, "Placed reads").
-func (m *Mesh) Serve(rx func(from int, fr *wire.Frame), place PlaceFunc, peerDown func(rank int, err error)) {
+// Serve is Start with two more callbacks. A reader that finds the head of
+// a put with txChunkSize or more data in a polled stream, the rest of the
+// frame all in the socket, offers it to place (see rx.go, "Placed
+// reads"). readEnd(from) runs once the frames a read of from's stream
+// brought in are delivered, before the replies they made leave, so what
+// it sends (SendReply) leaves in the same write (see pump). Both run on
+// the goroutine and under the rules rx runs by.
+func (m *Mesh) Serve(rx func(from int, fr *wire.Frame), place PlaceFunc, readEnd func(from int), peerDown func(rank int, err error)) {
 	m.rx = rx
 	m.place = place
+	m.readEnd = readEnd
 	m.peerDown = peerDown
 	m.lastCheck = time.Now()
 	m.poller = newPoller()
@@ -1088,13 +1098,19 @@ func (m *Mesh) noteReplyQueued(over uint64) {
 	}
 }
 
-// appendPendingLocked encodes fr onto the peer's pending chunk list.
-// Caller holds p.mu.
+// appendPendingLocked encodes fr onto the peer's pending chunk list: a
+// frame with txChunkSize or more data (a big get reply) into a solo chunk,
+// any other at the end of the last chunk while that is short of
+// txChunkSize. Caller holds p.mu.
 func (p *peer) appendPendingLocked(fr *wire.Frame) {
 	var c *txChunk
-	if n := len(p.chunks); n > 0 && len(p.chunks[n-1].buf) < txChunkSize {
+	switch n := len(p.chunks); {
+	case len(fr.Data) >= txChunkSize:
+		c = p.soloChunkLocked(wire.HeadLen + len(fr.Data) + wire.TrailerLen)
+		p.chunks = append(p.chunks, c)
+	case n > 0 && len(p.chunks[n-1].buf) < txChunkSize:
 		c = p.chunks[n-1]
-	} else {
+	default:
 		c = p.newChunkLocked()
 		p.chunks = append(p.chunks, c)
 	}
@@ -1115,15 +1131,31 @@ func (p *peer) newChunkLocked() *txChunk {
 	return &txChunk{buf: make([]byte, 0, txChunkSize)}
 }
 
-// recycleChunkLocked returns a flushed chunk to the freelist (jumbo ones
-// go to the GC). Caller holds p.mu.
-func (p *peer) recycleChunkLocked(c *txChunk) {
-	if cap(c.buf) > txChunkRecycleCap || len(p.free) >= 8 {
-		return
+// soloChunkLocked returns an empty solo chunk of at least size bytes: the
+// kept one if it is big enough, else one sized to the frame. Caller holds
+// p.mu.
+func (p *peer) soloChunkLocked(size int) *txChunk {
+	if c := p.solo; c != nil && cap(c.buf) >= size {
+		p.solo = nil
+		return c
 	}
+	return &txChunk{buf: make([]byte, 0, size), solo: true}
+}
+
+// recycleChunkLocked returns a flushed chunk to the freelist (jumbo ones
+// go to the GC). A solo chunk of at most txMaxPending bytes is kept
+// instead if it is bigger than the one kept. Caller holds p.mu.
+func (p *peer) recycleChunkLocked(c *txChunk) {
 	c.buf = c.buf[:0]
 	c.off, c.frames = 0, 0
-	p.free = append(p.free, c)
+	switch {
+	case c.solo:
+		if cap(c.buf) <= txMaxPending && (p.solo == nil || cap(p.solo.buf) < cap(c.buf)) {
+			p.solo = c
+		}
+	case cap(c.buf) <= txChunkRecycleCap && len(p.free) < 8:
+		p.free = append(p.free, c)
+	}
 }
 
 // ringDoorbell wakes p's writer goroutine (non-blocking: one pending ring

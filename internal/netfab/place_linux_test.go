@@ -96,7 +96,7 @@ func TestPlacementWaitsForWholePayload(t *testing.T) {
 		c := *fr
 		c.Data = append([]byte(nil), fr.Data...)
 		framed <- &c
-	}, placeInto(placed), peerDown)
+	}, placeInto(placed), nil, peerDown)
 
 	check := func(how string, ch <-chan *wire.Frame, opID uint64, b byte) {
 		t.Helper()
@@ -201,7 +201,7 @@ func TestPlacedRoundZeroAlloc(t *testing.T) {
 			landed.Store(fr.OpID)
 			ack.OpID = fr.OpID
 			return true, meshes[1].SendReply(0, &ack)
-		}, peerDown)
+		}, nil, peerDown)
 	var acks atomic.Uint64
 	meshes[0].Start(func(int, *wire.Frame) { acks.Add(1) }, peerDown)
 
@@ -269,7 +269,7 @@ func TestPlacementDeclinesBufferedTrailer(t *testing.T) {
 		c.Data = dst
 		placed <- &c
 		return true, nil
-	}, peerDown)
+	}, nil, peerDown)
 
 	waitInq := func(want int) {
 		t.Helper()

@@ -278,3 +278,100 @@ func TestReplyPathZeroAlloc(t *testing.T) {
 		t.Errorf("held reply + flush + ride-along Send: %.2f allocs per round of 5 frames, want 0", avg)
 	}
 }
+
+// TestReadEndAfterEachRead is Serve's end-of-read callback: rank 1's
+// reader parks inside the first frame of a burst while the rest piles up
+// in its socket, answers every frame with a held reply, and its readEnd
+// sends one frame naming the frames delivered since its last call, as the
+// fabric's ack batch does. Every frame is named exactly once, in order,
+// by the readEnd frame right behind its read's replies: readEnd runs after
+// the frames of each read and before their replies leave, and its frame
+// leaves in the same write, at most one write per four frames.
+func TestReadEndAfterEachRead(t *testing.T) {
+	const frames = 256
+	meshes := tcpMeshes(t, 2)
+	for _, m := range meshes {
+		m.hb.Interval = time.Hour // no Beat frames: TxFlushes counts replies only
+	}
+	defer closeAll(meshes)
+	parked, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	resume := func() { once.Do(func() { close(release) }) }
+	defer resume() // runs before closeAll: Close waits for the reader
+
+	peerDown := func(rank int, err error) { t.Errorf("peerDown(%d): %v", rank, err) }
+	var read []byte // the IDs delivered since the last readEnd; only the reader touches it
+	meshes[1].Serve(func(from int, fr *wire.Frame) {
+		if fr.OpID == 0 {
+			close(parked)
+			<-release
+		}
+		read = wire.AppendAckPair(read, fr.OpID, 0)
+		reply := wire.Frame{Kind: wire.KindGetResp, Origin: 1, Target: 0, OpID: fr.OpID}
+		if err := meshes[1].SendReply(0, &reply); err != nil {
+			t.Error(err)
+		}
+	}, nil, func(from int) {
+		if len(read) == 0 {
+			return
+		}
+		batch := wire.Frame{Kind: wire.KindAck, Origin: 1, Target: 0, Data: read}
+		if err := meshes[1].SendReply(from, &batch); err != nil {
+			t.Error(err)
+		}
+		read = read[:0]
+	}, peerDown)
+	got := make(chan wire.Frame, 2*frames)
+	meshes[0].Start(func(from int, fr *wire.Frame) {
+		c := *fr
+		c.Data = append([]byte(nil), fr.Data...)
+		got <- c
+	}, peerDown)
+
+	before := meshes[1].ReadStats().TxFlushes
+	put := &wire.Frame{Kind: wire.KindPut, Origin: 0, Target: 1, Data: make([]byte, 64)}
+	for i := 0; i < frames; i++ {
+		put.OpID = uint64(i)
+		if err := meshes[0].Send(1, put); err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			<-parked
+		}
+	}
+	resume()
+	var replied []uint64 // replies not yet named by a batch
+	biggest := 0
+	for named := 0; named < frames; {
+		select {
+		case fr := <-got:
+			if fr.Kind == wire.KindGetResp {
+				if want := uint64(named + len(replied)); fr.OpID != want {
+					t.Fatalf("reply %d arrived in position %d", fr.OpID, want)
+				}
+				replied = append(replied, fr.OpID)
+				continue
+			}
+			n := len(fr.Data) / wire.AckPairLen
+			for i := 0; i < n; i++ {
+				if id, _ := wire.AckPair(fr.Data, i); i >= len(replied) || id != replied[i] {
+					t.Fatalf("readEnd's frame names %d at %d; the replies before it were %v", id, i, replied)
+				}
+			}
+			if n != len(replied) {
+				t.Fatalf("readEnd's frame names %d frames; %d replies preceded it", n, len(replied))
+			}
+			biggest = max(biggest, n)
+			named += n
+			replied = replied[:0]
+		case <-time.After(10 * time.Second):
+			t.Fatalf("only %d of %d frames named by readEnd", named, frames)
+		}
+	}
+	if biggest < 2 {
+		t.Errorf("no read delivered more than one frame: the burst did not pile up")
+	}
+	if n := meshes[1].ReadStats().TxFlushes - before; n > frames/4 {
+		t.Errorf("%d replies and their readEnd frames took %d writes, want at most %d", frames, n, frames/4)
+	}
+}

@@ -116,7 +116,8 @@ func (m *Mesh) drain(s *rxStream, waiter bool) bool {
 // together: the poller writes them before its next read, a driving rank
 // right after its next read brought more. A driving rank whose next read
 // comes up empty leaves them queued for its next round instead
-// (deferLocked), to ride the Send its returning wait makes.
+// (deferLocked), to ride the Send its returning wait makes. What readEnd
+// sends once the read's frames are delivered is one of those replies.
 func (m *Mesh) pump(s *rxStream, waiter bool) error {
 	p := s.p
 	for {
@@ -127,6 +128,9 @@ func (m *Mesh) pump(s *rxStream, waiter bool) error {
 		if body == nil {
 			// The buffer is spent: the replies its frames made leave
 			// together, the poller's before its next read.
+			if m.readEnd != nil {
+				m.readEnd(p.rank)
+			}
 			if !waiter {
 				p.mu.Lock()
 				p.holding = false

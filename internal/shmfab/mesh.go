@@ -99,6 +99,7 @@ type Mesh struct {
 	segs    []*Segment
 
 	rx       func(from int, fr *wire.Frame)
+	readEnd  func(from int) // after each peer's batch in a round; nil from Start
 	peerDown func(rank int, err error)
 
 	hb beat.Policy
@@ -516,10 +517,14 @@ func (m *Mesh) Start(rx func(from int, fr *wire.Frame), peerDown func(rank int, 
 }
 
 // Serve is Start for a fabric.Link: a ring entry is read in place, so
-// place, the TCP stream's placed read, has nothing to do here.
+// place, the TCP stream's placed read, has nothing to do here. readEnd
+// runs after each peer's batch of entries in a consuming round (pollOnce),
+// on the goroutine that consumed them.
 func (m *Mesh) Serve(rx func(from int, fr *wire.Frame),
 	_ func(fr *wire.Frame, size int, rest func(dst []byte) error) (bool, error),
+	readEnd func(from int),
 	peerDown func(rank int, err error)) {
+	m.readEnd = readEnd
 	m.Start(rx, peerDown)
 }
 
@@ -772,7 +777,8 @@ func (m *Mesh) pollOnce() (spilling bool) {
 			p.mu.Unlock()
 		}
 		spilling = spilling || p.spillN.Load() > 0
-		for i := 0; ; i++ {
+		i := 0
+		for ; ; i++ {
 			e, ok := p.cons.poll()
 			if !ok {
 				if p.cons.closedAndDrained() {
@@ -785,6 +791,9 @@ func (m *Mesh) pollOnce() (spilling bool) {
 				break
 			}
 			m.consume(p, e)
+		}
+		if i > 0 && m.readEnd != nil {
+			m.readEnd(p.rank)
 		}
 	}
 	return spilling

@@ -29,7 +29,10 @@ import (
 // Version 5 dropped the last of the link-repair protocol: the payload
 // checksum, the sequenced flag and the link ack/nack kinds. The 64-bit
 // word the sequence number used is now Gen, carried by hello and rejoin.
-const Version = 5
+// Version 6 added the batched ack: an ack with OpID 0 whose data section
+// is packed (op ID, value) pairs, which a version 5 peer would read as
+// the ack of op 0.
+const Version = 6
 
 // MaxData bounds a frame's raw payload section (64 MiB): larger transfers
 // must be chunked by the layer above, and a length prefix beyond it is
@@ -145,7 +148,7 @@ func (k Kind) String() string {
 //	get-resp        op handle  read length    -            WireSize Data; NotifyBack with RegionID Offset Imm ImmValid
 //	atomic          op handle  operand        CAS compare  RegionID Offset Imm ImmValid AtomicOp WireSize
 //	accum           op handle  -              -            RegionID Offset Imm ImmValid AccumOp WireSize Data
-//	ack             op handle  fetched value  -            -
+//	ack             op handle  fetched value  -            -; a batch: OpID 0, Data AckPairLen-byte pairs
 //	ctrl, data      word 0     word 1         word 2       MsgClass WireSize; data adds ChargeCopy Data
 //	notify          -          length         op kind      RegionID Offset Imm ImmValid
 //	hello, rejoin   -          job size       Version      Gen (world generation) Strs[0] (listener address)
@@ -155,6 +158,13 @@ func (k Kind) String() string {
 // A message (ctrl/data) is not an op and moves no region bytes, so its
 // three header words — ints stored as uint64, sign preserved — take the
 // words an op would use.
+//
+// An ack completes one op, or, as a batch, several: a link's reader acks
+// the puts, accumulates and atomics one read delivered from a peer in one
+// frame. A batch has OpID 0 and Operand 0, and its Data is the acks in
+// delivery order, each AckPairLen bytes: the op handle, then the fetched
+// value, little-endian (AppendAckPair, AckPair). Decode refuses a batch
+// that is not whole pairs.
 type Frame struct {
 	Kind     Kind
 	Origin   int // sending rank
@@ -191,6 +201,22 @@ const fixedHeaderLen = 1 + 1 + 1 + 1 + 1 + // version, kind, flags, aop, accop
 	5*4 + // origin, target, regionID, msgClass, wireSize
 	5*8 + // offset, opID, operand, compare, gen
 	4 // imm
+
+// AckPairLen is the length of one ack in a batch's data section.
+const AckPairLen = 16
+
+// AppendAckPair appends the ack of op id with value to a batch's data
+// section.
+func AppendAckPair(dst []byte, id, value uint64) []byte {
+	dst = binary.LittleEndian.AppendUint64(dst, id)
+	return binary.LittleEndian.AppendUint64(dst, value)
+}
+
+// AckPair returns the i-th ack of a batch's data section.
+func AckPair(data []byte, i int) (id, value uint64) {
+	p := data[i*AckPairLen : (i+1)*AckPairLen]
+	return binary.LittleEndian.Uint64(p), binary.LittleEndian.Uint64(p[8:])
+}
 
 // ErrTruncated reports a frame shorter than its length fields claim.
 var ErrTruncated = errors.New("wire: truncated frame")
@@ -342,6 +368,9 @@ func Decode(b []byte, fr *Frame) error {
 	var err error
 	if fr.Data, rest, err = takeBytes(rest, MaxData); err != nil {
 		return fmt.Errorf("data section: %w", err)
+	}
+	if fr.Kind == KindAck && len(fr.Data)%AckPairLen != 0 {
+		return fmt.Errorf("wire: ack batch of %d bytes is not whole %d-byte pairs", len(fr.Data), AckPairLen)
 	}
 	return decodeStrs(rest, fr)
 }

@@ -22,6 +22,7 @@ func sampleFrames() []Frame {
 		{Kind: KindAccum, Origin: 2, Target: 3, RegionID: 1, Offset: 16,
 			AccumOp: 1, Data: []byte{0, 0, 0, 1}},
 		{Kind: KindAck, Origin: 3, Target: 2, OpID: 5, Operand: 99},
+		{Kind: KindAck, Origin: 3, Target: 2, Data: AppendAckPair(AppendAckPair(nil, 5, 99), 6, 0)}, // a batch of two
 		{Kind: KindCtrl, Origin: 0, Target: 1, MsgClass: 22, WireSize: 16,
 			OpID: 3, Operand: 1 << 62, Compare: ^uint64(0)}, // message header words: {3, 1<<62, -1}
 		{Kind: KindData, Origin: 0, Target: 1, MsgClass: 13, OpID: 7, Operand: 2, Data: []byte("body"), ChargeCopy: true},
@@ -77,8 +78,8 @@ func TestTrailingGarbageRejected(t *testing.T) {
 	}
 }
 
-// Any other version stamp is refused, the previous one (v4, whose header
-// carried a payload checksum) included.
+// Any other version stamp is refused, the previous one (v5, which would
+// read a batched ack as the ack of op 0) included.
 func TestBadVersionRejected(t *testing.T) {
 	fr := Frame{Kind: KindCtrl, Origin: 1, Target: 0, MsgClass: 1}
 	for _, v := range []byte{Version - 1, Version + 1} {
@@ -87,6 +88,31 @@ func TestBadVersionRejected(t *testing.T) {
 		var got Frame
 		if err := Decode(b, &got); !errors.Is(err, ErrVersion) {
 			t.Fatalf("Decode(v%d frame) = %v, want ErrVersion", v, err)
+		}
+	}
+}
+
+// An ack batch is whole AckPairLen-byte pairs, read back in order; one
+// with a torn last pair is refused.
+func TestAckBatch(t *testing.T) {
+	var data []byte
+	for i := uint64(1); i <= 3; i++ {
+		data = AppendAckPair(data, 100+i, 7*i)
+	}
+	b := Append(nil, &Frame{Kind: KindAck, Origin: 1, Target: 0, Data: data})
+	var got Frame
+	if err := Decode(b, &got); err != nil || len(got.Data) != 3*AckPairLen {
+		t.Fatalf("Decode(batch of 3) = %v, %d data bytes", err, len(got.Data))
+	}
+	for i := 0; i < 3; i++ {
+		if id, v := AckPair(got.Data, i); id != uint64(101+i) || v != uint64(7*(i+1)) {
+			t.Errorf("pair %d = (%d, %d)", i, id, v)
+		}
+	}
+	for cut := 1; cut < AckPairLen; cut++ {
+		torn := Append(nil, &Frame{Kind: KindAck, Origin: 1, Target: 0, Data: data[:len(data)-cut]})
+		if err := Decode(torn, &got); err == nil {
+			t.Errorf("Decode accepted a batch %d bytes short of whole pairs", cut)
 		}
 	}
 }
