@@ -1,3 +1,5 @@
+//go:build linux
+
 package netfab
 
 import (
@@ -10,16 +12,16 @@ import (
 )
 
 // TestBatchedOrderAndPayload drives many concurrent senders through the
-// doorbell/writev tx path into the buffered rx framer over a net.Pipe
-// loopback and asserts the stream contract: per-sender FIFO order and
-// byte-exact payloads survive arbitrary coalescing. Run under -race this
-// also exercises the writer-goroutine handoff.
+// queued writev tx path into the buffered rx framer over a Loopback mesh
+// and asserts the stream contract: per-sender FIFO order and byte-exact
+// payloads survive arbitrary coalescing. Run under -race this also
+// exercises frames appended while another sender's flush holds the conn.
 func TestBatchedOrderAndPayload(t *testing.T) {
 	const (
 		senders   = 8
 		perSender = 400
 	)
-	meshes := Loopback(2)
+	meshes := loopback(t, 2)
 	for _, m := range meshes {
 		m.hb.Interval = time.Hour // no Beat frames: the stats below count data frames exactly
 	}
@@ -46,7 +48,7 @@ func TestBatchedOrderAndPayload(t *testing.T) {
 	})
 
 	// Each sender interleaves tiny and multi-KiB payloads so both the
-	// low-latency bypass and the queued/doorbell path get traffic; the
+	// write-at-once and the queued path get traffic; the
 	// payload body encodes (sender, index) so corruption is detectable
 	// beyond the header fields.
 	payload := func(sender, index, size int) []byte {

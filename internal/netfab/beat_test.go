@@ -1,3 +1,5 @@
+//go:build linux
+
 package netfab
 
 import (
@@ -16,16 +18,16 @@ import (
 // goroutines the scheduler merely kept waiting on a loaded two-core box).
 var testBeat = beat.Policy{Interval: 5 * time.Millisecond, Timeout: 200 * time.Millisecond, StartupGrace: 400 * time.Millisecond}
 
-// beatModes runs a liveness test over both rx drivers: in-memory pipes
-// (one fallback reader goroutine per stream) and real localhost TCP (the
-// single epoll poller on Linux).
+// beatModes runs a liveness test over both ways of building a mesh: one
+// connected pair by pair (Loopback) and one through the rendezvous
+// (Bootstrap). Both are localhost TCP read by the single epoll poller.
 func beatModes(t *testing.T, n int, test func(t *testing.T, meshes []*Mesh)) {
 	t.Parallel() // these tests mostly sleep
 	for _, mode := range []struct {
 		name string
 		mesh func(testing.TB, int) []*Mesh
 	}{
-		{"pipe", func(_ testing.TB, n int) []*Mesh { return Loopback(n) }},
+		{"loopback", loopback},
 		{"tcp", tcpMeshes},
 	} {
 		t.Run(mode.name, func(t *testing.T) {

@@ -14,9 +14,6 @@ import (
 	"repro/internal/wire"
 )
 
-// Driving ranks (Progress) exist only on streams the poller reads: these
-// tests run on real localhost sockets, never Loopback's net.Pipe.
-
 // driveUntil is a rank blocked in a wait that drives its mesh: one drive
 // (BeginDrive .. EndDrive) of poll rounds until done holds.
 func driveUntil(m *Mesh, done func() bool) {

@@ -35,21 +35,50 @@ func readFrame(conn net.Conn, deadline time.Time) (*wire.Frame, error) {
 	return fr, nil
 }
 
-// Loopback builds n fully meshed Meshes inside one process over in-memory
-// pipes, skipping the TCP rendezvous entirely. It exists for unit tests of
-// the framing, goodbye, and failure-classification logic; full-stack
-// in-process clusters use real localhost TCP via runtime.RunLocalCluster.
-func Loopback(n int) []*Mesh {
-	meshes := make([]*Mesh, n)
-	for i := range meshes {
-		meshes[i] = newMesh(Config{Self: i, N: n, WriteTimeout: 10 * time.Second})
+// Loopback builds n fully meshed Meshes inside one process over localhost
+// TCP, each pair connected directly, skipping the rendezvous. It exists
+// for unit tests of the framing, goodbye, and failure-classification
+// logic; full-stack in-process clusters bootstrap through
+// runtime.RunLocalCluster.
+func Loopback(n int) ([]*Mesh, error) {
+	meshes := make([]*Mesh, 0, n)
+	fail := func(err error) ([]*Mesh, error) {
+		for _, m := range meshes {
+			m.abruptClose()
+		}
+		return nil, err
 	}
 	for i := 0; i < n; i++ {
+		m, err := newMesh((&Config{Self: i, N: n}).withDefaults())
+		if err != nil {
+			return fail(err)
+		}
+		meshes = append(meshes, m)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return fail(err)
+	}
+	defer ln.Close()
+	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			a, b := net.Pipe()
+			a, err := net.Dial("tcp", ln.Addr().String())
+			if err != nil {
+				return fail(err)
+			}
+			b, err := ln.Accept()
+			if err != nil {
+				a.Close()
+				return fail(err)
+			}
 			meshes[i].peers[j] = newPeer(j, a)
 			meshes[j].peers[i] = newPeer(i, b)
 		}
 	}
-	return meshes
+	for _, m := range meshes {
+		if err := m.register(); err != nil {
+			return fail(err)
+		}
+	}
+	return meshes, nil
 }

@@ -9,6 +9,14 @@
 // gets exactly one connection), peers report Ready, and the root releases
 // the job with Go.
 //
+// Every stream is a socket in one epoll set, built at bootstrap, and a
+// started mesh runs two goroutines whatever the job size: the poller,
+// which reads every stream and writes what Send queued (poller_linux.go),
+// and the beat loop. A rank blocked in a wait runs the poller's rounds
+// itself (Progress). No goroutine blocks on a socket: a queue the socket
+// refuses waits for the round that finds it writable again (EPOLLOUT).
+// Meshes need Linux; elsewhere Bootstrap returns an error.
+//
 // Teardown distinguishes clean shutdown from failure with a Bye handshake:
 // a rank that finishes its body sends Bye on every stream before closing.
 // A stream that ends without a Bye — RST, EOF, write timeout — is a peer
@@ -60,9 +68,10 @@ type Config struct {
 	// racing the root's bind resolve themselves.
 	DialTimeout time.Duration
 
-	// WriteTimeout bounds each frame write on an established stream
-	// (default 10s). A peer that stops draining its socket for this long
-	// is treated as failed.
+	// WriteTimeout bounds each blocking frame write on an established
+	// stream, and how long the socket may refuse a queue without taking a
+	// byte (default 10s). A peer that stops draining its socket for this
+	// long is treated as failed.
 	WriteTimeout time.Duration
 
 	// KeepRootListener leaves RootListener open after bootstrap instead of
@@ -177,8 +186,8 @@ const (
 	// frame larger than this gets a chunk to itself.
 	txChunkSize = 64 << 10
 	// txMaxPending bounds the queued-but-unflushed bytes per peer:
-	// rank-context senders beyond it block until the writer drains
-	// (backpressure). Replies never block and may exceed it.
+	// rank-context senders beyond it block until the conn's flush drains
+	// it (backpressure). Replies never block and may exceed it.
 	txMaxPending = 4 << 20
 	// txChunkRecycleCap: chunks that grew beyond this are handed to the
 	// GC instead of the freelist, so one jumbo frame doesn't pin memory.
@@ -201,15 +210,16 @@ const (
 // the poller writes them before its next read, and a driving rank leaves
 // them for its next round, so they ride the Send its returning wait
 // makes. While the poller sleeps, while a read's frames are delivered
-// from the stream (the frame then carries the held replies), and on every
-// stream the poller does not read, a Send writes the queue with its own
-// frame at the end, blocking. What a flush leaves queued goes to the
-// writer goroutine (writeLoop), woken by the doorbell.
+// from the stream (the frame then carries the held replies), a Send writes
+// the queue with its own frame at the end, blocking. A flush that must not
+// park writes until the queue is empty or the socket refuses bytes
+// (writeQueueLocked); a refusal arms EPOLLOUT, and the poll round that
+// finds the socket writable writes the rest.
 type peer struct {
-	rank   int
-	conn   net.Conn
-	nb     nbWriter // nonblocking writes on conn's fd (flushes that must not park)
-	polled bool     // the poller reads this stream and flushes what Send queues; set by Start, before any Send
+	rank int
+	conn net.Conn
+	fd   int      // conn's socket, as registered in the epoll set
+	nb   nbWriter // nonblocking writes on fd (flushes that must not park)
 
 	// Only the goroutine that set flushing touches these. wbufs is the copy
 	// of the batch WriteTo consumes: a field, so writing allocates nothing.
@@ -233,8 +243,8 @@ type peer struct {
 	closed       bool       // local close: writes are errors
 	bye          bool       // remote sent Bye: writes are silently dropped
 	down         bool       // stream failed: writes are errors, peerDown fired
-
-	doorbell chan struct{} // capacity 1: wakes the writer goroutine
+	outArmed     bool       // EPOLLOUT is armed on fd: the socket refused the queue
+	refusedAt    time.Time  // while outArmed: the socket's first refusal since it last took bytes
 }
 
 // Mesh is one rank's set of streams to every other rank in the job.
@@ -260,25 +270,19 @@ type Mesh struct {
 	waiterFrames           atomic.Uint64
 	placedFrames           atomic.Uint64
 
-	// The tx handshake between Send and the poller. A Send that queues on
-	// a polled stream stores txQueued, then loads pollParked: set, the
+	// The tx handshake between Send and the poller. A Send that queues
+	// stores txQueued, then loads pollParked: set, the
 	// poller sleeps and the Send writes the queue itself. A driving rank
 	// that leaves its replies queued does the same. The poller stores
 	// pollParked before it flushes every queued stream and sleeps, so one
 	// side or the other always sees the frame.
 	txQueued, pollParked atomic.Bool
 
-	// poller, when non-nil, is the process-wide rx driver: one goroutine
-	// multiplexing every pollable stream (see poller_linux.go). Streams it
-	// cannot take run a fallback reader goroutine each; rxGoroutines is
-	// the resulting total, fixed at Start. polling is set at Start when
-	// the poll loop runs.
-	poller       *poller
-	pollerWG     sync.WaitGroup
-	rxGoroutines int
-	polling      bool
+	// poller is the epoll set every stream is registered in at bootstrap,
+	// read by one goroutine (see poller_linux.go).
+	poller *poller
 
-	// rxMu makes its holder the reader of every polled stream: the
+	// rxMu makes its holder the reader of every stream: the
 	// poller's rounds and a driving rank's (Progress) take it with
 	// TryLock, so one round runs at a time. The streams' rx state, the
 	// poller's stream map and lastCheck, the last liveness check, belong
@@ -299,11 +303,9 @@ type Mesh struct {
 	rejoined []int
 
 	closeOnce sync.Once
-	quitOnce  sync.Once // Close and abruptClose both release the writers
 	closed    atomic.Bool
-	quit      chan struct{} // closed at teardown: writer goroutines exit
-	readersWG sync.WaitGroup
-	writersWG sync.WaitGroup // per-peer writers and the beat loop
+	quit      chan struct{}  // closed at teardown: the beat loop exits, a step-aside ends
+	loops     sync.WaitGroup // the poll loop and the beat loop
 
 	byeMu   sync.Mutex
 	byeFrom map[int]bool
@@ -313,31 +315,47 @@ type Mesh struct {
 // ErrMeshClosed is returned by Send after the mesh has been closed.
 var ErrMeshClosed = errors.New("netfab: mesh closed")
 
-// Bootstrap performs the rendezvous and returns a connected Mesh. It
-// blocks until every pair of ranks has an established stream and the root
-// has released the job. The returned mesh is quiescent: no reader
-// goroutines run until Start is called, so the caller can install
-// callbacks before the first frame can arrive.
+// Bootstrap performs the rendezvous and returns a connected Mesh, every
+// stream registered in its epoll set. It blocks until every pair of ranks
+// has an established stream and the root has released the job. The
+// returned mesh is quiescent: nothing reads its streams until Start is
+// called, so the caller can install callbacks before the first frame can
+// arrive.
 func Bootstrap(cfg Config) (*Mesh, error) {
 	cfg = cfg.withDefaults()
 	if cfg.N <= 0 || cfg.Self < 0 || cfg.Self >= cfg.N {
 		return nil, fmt.Errorf("netfab: bad rank %d of %d", cfg.Self, cfg.N)
 	}
-	m := newMesh(cfg)
-	if cfg.N == 1 {
-		return m, nil
+	m, err := newMesh(cfg)
+	if err != nil || cfg.N == 1 {
+		return m, err
 	}
-	var err error
 	if cfg.Self == 0 {
 		err = m.bootstrapRoot()
 	} else {
 		err = m.bootstrapPeer()
+	}
+	if err == nil {
+		err = m.register()
 	}
 	if err != nil {
 		m.abruptClose()
 		return nil, err
 	}
 	return m, nil
+}
+
+// register puts every stream in the mesh's epoll set.
+func (m *Mesh) register() error {
+	for _, p := range m.peers {
+		if p == nil {
+			continue
+		}
+		if err := m.poller.add(p); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // bootstrapRoot accepts one Hello per peer, broadcasts the Roster, waits
@@ -599,25 +617,30 @@ func checkRendezvous(fr *wire.Frame, want wire.Kind, self, n int) error {
 	return nil
 }
 
-func newMesh(cfg Config) *Mesh {
+// newMesh returns a mesh with no streams yet and its epoll set built.
+func newMesh(cfg Config) (*Mesh, error) {
+	pl, err := newPoller()
+	if err != nil {
+		return nil, err
+	}
 	return &Mesh{
 		cfg:     cfg,
 		peers:   make([]*peer, cfg.N),
 		hb:      beat.Policy{}.WithDefaults(),
+		poller:  pl,
 		quit:    make(chan struct{}),
 		resume:  make(chan struct{}, 1),
 		byeFrom: make(map[int]bool),
 		byeCond: make(chan struct{}),
-	}
+	}, nil
 }
 
 func newPeer(rank int, conn net.Conn) *peer {
 	if tc, ok := conn.(*net.TCPConn); ok {
 		tc.SetNoDelay(true) // latency-sensitive small frames (acks, immediates)
 	}
-	p := &peer{rank: rank, conn: conn, doorbell: make(chan struct{}, 1)}
+	p := &peer{rank: rank, conn: conn}
 	p.sendable.L = &p.mu
-	p.nb.init(conn)
 	return p
 }
 
@@ -668,15 +691,12 @@ func (m *Mesh) Self() int { return m.cfg.Self }
 // N returns the job size.
 func (m *Mesh) N() int { return m.cfg.N }
 
-// Start installs the receive callbacks and launches the data-plane
-// goroutines: one writer per peer stream, one beat loop, and on the
-// receive side a single process-wide poller multiplexing every pollable
-// stream (with a fallback reader goroutine for streams the kernel cannot
-// poll — see rx.go and poller_linux.go). rx runs on whichever goroutine
-// reads that peer's stream — the poller, a rank driving the streams
-// (Progress) or the stream's fallback reader — one at a time per stream;
-// the frame's Data slice aliases the read buffer and is valid until rx
-// returns. rx may send (SendReply, never Send: a reader parked on a full
+// Start installs the receive callbacks and launches the mesh's two
+// goroutines, whatever the job size: the poller, which reads every stream
+// and writes what Send queued (poller_linux.go), and the beat loop. rx
+// runs on whichever goroutine reads that peer's stream — the poller or a
+// rank driving the streams (Progress) — one at a time; the frame's Data
+// slice aliases the read buffer and is valid until rx returns. rx may send (SendReply, never Send: a reader parked on a full
 // socket stops every stream). peerDown fires at most once per peer, only
 // for streams that end or fall silent without a clean Bye. Start offers
 // no frame for placement and calls nothing at the end of a read: it is
@@ -686,9 +706,8 @@ func (m *Mesh) Start(rx func(from int, fr *wire.Frame), peerDown func(rank int, 
 }
 
 // Serve is Start with two more callbacks. A reader that finds the head of
-// a put with txChunkSize or more data in a polled stream, the rest of the
-// frame all in the socket, offers it to place (see rx.go, "Placed
-// reads"). readEnd(from) runs once the frames a read of from's stream
+// a put with txChunkSize or more data in a stream, the rest of the frame
+// all in the socket, offers it to place (see rx.go, "Placed reads"). readEnd(from) runs once the frames a read of from's stream
 // brought in are delivered, before the replies they made leave, so what
 // it sends (SendReply) leaves in the same write (see pump). Both run on
 // the goroutine and under the rules rx runs by.
@@ -698,33 +717,10 @@ func (m *Mesh) Serve(rx func(from int, fr *wire.Frame), place PlaceFunc, readEnd
 	m.readEnd = readEnd
 	m.peerDown = peerDown
 	m.lastCheck = time.Now()
-	m.poller = newPoller()
-	fallback := 0
-	for _, p := range m.peers {
-		if p == nil {
-			continue
-		}
-		m.writersWG.Add(1)
-		go m.writeLoop(p)
-		if m.poller != nil && m.poller.add(p) {
-			p.polled = true
-			continue
-		}
-		fallback++
-		m.readersWG.Add(1)
-		go m.readLoop(newRxStream(p, &idleReader{conn: p.conn, idle: m.hb.Interval}))
-	}
+	m.poller.launch(m)
 	if m.cfg.N > 1 {
-		m.writersWG.Add(1)
+		m.loops.Add(1)
 		go m.beatLoop()
-	}
-	m.rxGoroutines = fallback
-	if m.poller != nil {
-		if m.poller.count() > 0 {
-			m.rxGoroutines++
-			m.polling = true
-		}
-		m.poller.launch(m)
 	}
 }
 
@@ -735,13 +731,9 @@ func (m *Mesh) Serve(rx func(from int, fr *wire.Frame), place PlaceFunc, readEnd
 // the event the rank waits for commits on its own goroutine. Replies to
 // what it read stay queued for its next round, which writes them with
 // the Send its returning wait makes. It never blocks: while the poller or
-// another rank runs a round, once the mesh is closed, and on streams the
-// poller does not read (net.Pipe, platforms without a poller, whose
-// reader goroutines stay), it returns false.
+// another rank runs a round, and once the mesh is closed, it returns
+// false. Call it on a started mesh.
 func (m *Mesh) Progress() bool {
-	if !m.polling {
-		return false
-	}
 	_, frames, _ := m.round(m.poller, time.Now(), true, true)
 	if frames == 0 {
 		return false
@@ -781,10 +773,9 @@ func (m *Mesh) resumePoller() {
 // the peers' goodbyes.
 func (m *Mesh) driven() bool { return m.drivers.Load() > 0 && !m.closed.Load() }
 
-// RxGoroutines reports how many goroutines the receive side runs: 1 (the
-// poller) when every stream is kernel-pollable, plus one per fallback
-// stream. O(1) in the job size on platforms with a poller.
-func (m *Mesh) RxGoroutines() int { return m.rxGoroutines }
+// RxGoroutines reports how many goroutines the receive side runs: 1, the
+// poller, whatever the job size.
+func (m *Mesh) RxGoroutines() int { return 1 }
 
 // streamEnded classifies the end of a peer stream: after a Bye (or after
 // our own Close) any termination is clean; otherwise it is a failure.
@@ -803,8 +794,8 @@ func (m *Mesh) streamEnded(p *peer, err error) {
 
 // markDown records a failed stream (idempotently): subsequent sends fail
 // fast, blocked senders wake, and peerDown fires exactly once. Reached
-// from the reader (stream error, heartbeat stall) and from a failed flush
-// (write error); whichever detects it first reports it.
+// from the reader (stream error, heartbeat stall, write stall) and from a
+// failed flush (write error); whichever detects it first reports it.
 func (m *Mesh) markDown(p *peer, err error) {
 	p.mu.Lock()
 	already := p.down
@@ -837,15 +828,14 @@ func (m *Mesh) noteBye(p *peer) {
 // Writes to a peer that already said goodbye succeed silently (the peer is
 // legitimately gone; in-flight traffic to it is moot).
 //
-// Send may return before the frame is written, with no syscall: on a
-// stream the poller reads, the frame joins the queue, which leaves in one
-// writev with the next flush of the stream (see peer): a driving rank's
-// next round, or the poller's next empty round at the latest. Frames
-// still leave in Send order. A Send that would grow the queue past
-// txChunkSize (so one carrying that many bytes), one made while the
-// poller sleeps or while a read's frames are delivered from the stream,
-// and one on a stream the poller does not read write the queue with
-// their own frame at the end, blocking. With the conn taken by a flush a
+// Send may return before the frame is written, with no syscall: the
+// frame joins the queue, which leaves in one writev with the next flush
+// of the stream (see peer): a driving rank's next round, or the poller's
+// next empty round at the latest. Frames still leave in Send order. A
+// Send that would grow the queue past txChunkSize (so one carrying that
+// many bytes), and one made while the poller sleeps or while a read's
+// frames are delivered from the stream, write the queue with their own
+// frame at the end, blocking. With the conn taken by a flush a
 // small frame joins the queue behind it; a frame of txChunkSize or more,
 // and any sender finding txMaxPending bytes queued, waits for the conn
 // instead. A write error on a queued frame surfaces through peerDown
@@ -855,7 +845,7 @@ func (m *Mesh) Send(target int, fr *wire.Frame) error {
 	if err != nil {
 		return err
 	}
-	return m.send(p, fr, p.polled)
+	return m.send(p, fr, true)
 }
 
 // SendReply is Send for a frame produced by delivery, which must never
@@ -961,7 +951,7 @@ func (m *Mesh) send(p *peer, fr *wire.Frame, mayQueue bool) error {
 		p.tail[0] = p.encBuf
 		tail = p.tail[:1]
 	}
-	err := m.flushLocked(p, tail, true)
+	_, err := m.flushLocked(p, tail, true)
 	p.tail = [3][]byte{} // keep no caller buffer reachable
 	m.flushNowLocked(p)  // what was queued behind the write
 	if err != nil {
@@ -970,19 +960,46 @@ func (m *Mesh) send(p *peer, fr *wire.Frame, mayQueue bool) error {
 	return nil
 }
 
-// flushNowLocked writes p's queue without parking: one nonblocking writev,
-// with what the socket does not take handed to the writer goroutine. It
-// leaves the queue to the stream's reader while that holds it (a read's
-// frames are being delivered), and to a flush already holding the conn.
-// Caller holds p.mu; flushNowLocked releases it.
+// flushNowLocked writes p's queue without parking (writeQueueLocked),
+// unless the stream's reader holds it (a read's frames are being
+// delivered). Caller holds p.mu; flushNowLocked releases it.
 func (m *Mesh) flushNowLocked(p *peer) {
-	if !p.holding && p.flushableLocked() {
-		m.flushLocked(p, nil, false) // a failure marks the stream down
+	if !p.holding {
+		m.writeQueueLocked(p)
 	}
-	ring := !p.holding && p.flushableLocked()
 	p.mu.Unlock()
-	if ring {
-		ringDoorbell(p)
+}
+
+// writeQueueLocked writes p's queue in nonblocking writevs until it is
+// empty or the socket refuses bytes, and leaves it to a flush already
+// holding the conn, which does the same once its write is done. EPOLLOUT
+// is armed on the stream while, and only while, the socket has refused
+// the queue: the poll round that finds the socket writable calls this
+// again, and so disarms it once the queue is empty. A socket that takes
+// no byte for WriteTimeout convicts the peer (checkStalls). Caller holds
+// p.mu.
+func (m *Mesh) writeQueueLocked(p *peer) {
+	refused, moved := false, false
+	for p.flushableLocked() {
+		n, err := m.flushLocked(p, nil, false)
+		if err != nil {
+			break // the stream is down or closed
+		}
+		if n == 0 {
+			refused = true
+			break
+		}
+		moved = true
+	}
+	if p.closed {
+		return // the epoll set may be gone
+	}
+	if refused && (moved || !p.outArmed) {
+		p.refusedAt = time.Now()
+	}
+	if refused != p.outArmed {
+		p.outArmed = refused
+		m.poller.watchOut(p, refused)
 	}
 }
 
@@ -1013,9 +1030,9 @@ func (p *peer) flushableLocked() bool {
 // flushLocked claims the free conn and writes p's queue, then tail if
 // any (the buffers of one frame), as one batch: blocking under the write
 // deadline, or one nonblocking writev (tail nil) that leaves queued what
-// the socket does not take. A failed write marks the stream down. Caller
-// holds p.mu, released across the write.
-func (m *Mesh) flushLocked(p *peer, tail [][]byte, block bool) error {
+// the socket does not take. It reports the bytes written. A failed write
+// marks the stream down. Caller holds p.mu, released across the write.
+func (m *Mesh) flushLocked(p *peer, tail [][]byte, block bool) (int64, error) {
 	p.flushing = true
 	p.bufs = p.bufs[:0]
 	for _, c := range p.chunks {
@@ -1051,7 +1068,7 @@ func (m *Mesh) flushLocked(p *peer, tail [][]byte, block bool) error {
 			m.markDown(p, fmt.Errorf("netfab: write to rank %d: %w", p.rank, err))
 			p.mu.Lock()
 		}
-		return err
+		return n, err
 	}
 	frames := p.retireLocked(min(int(n), queued))
 	if tail != nil && int(n) == queued+tailLen {
@@ -1063,7 +1080,7 @@ func (m *Mesh) flushLocked(p *peer, tail [][]byte, block bool) error {
 		m.txFlushes.Add(1)
 		m.txCoalesce[coalesceBucket(frames)].Add(1)
 	}
-	return err
+	return n, nil
 }
 
 // retireLocked drops n written bytes from the front of the queue,
@@ -1158,37 +1175,6 @@ func (p *peer) recycleChunkLocked(c *txChunk) {
 	}
 }
 
-// ringDoorbell wakes p's writer goroutine (non-blocking: one pending ring
-// is enough).
-func ringDoorbell(p *peer) {
-	select {
-	case p.doorbell <- struct{}{}:
-	default:
-	}
-}
-
-// writeLoop is p's writer goroutine: woken by the doorbell, it writes the
-// entire queue as one blocking batch — many frames, one writev syscall —
-// until it is empty, a write fails, or another flush owns the conn (which
-// hands on what it leaves).
-func (m *Mesh) writeLoop(p *peer) {
-	defer m.writersWG.Done()
-	for {
-		select {
-		case <-p.doorbell:
-		case <-m.quit:
-			return
-		}
-		p.mu.Lock()
-		for p.flushableLocked() {
-			if m.flushLocked(p, nil, true) != nil {
-				break
-			}
-		}
-		p.mu.Unlock()
-	}
-}
-
 // SuppressHeartbeat stops this rank's Beat frames, so a mesh that also
 // sends nothing else looks to its peers exactly like a frozen process: an
 // open stream gone silent. Peer monitoring continues. Tests use it to play
@@ -1198,12 +1184,13 @@ func (m *Mesh) SuppressHeartbeat() { m.suppress.Store(true) }
 // beatLoop keeps every outbound stream audibly alive: once per interval, a
 // stream nothing was submitted on since the last look gets one empty Beat
 // frame, so the peer's detector never mistakes an idle job for a hung one.
-// The frame goes through the queue to the peer's writer goroutine — this
-// loop never blocks on a socket, so one stuck peer cannot silence the
-// beats to the others. While traffic flows no Beat is sent at all. Replies
-// held that long (delivery stuck) go to the writer as the beat instead.
+// The frame joins the queue, which the loop writes without parking
+// (writeQueueLocked) — it never blocks on a socket, so one stuck peer
+// cannot silence the beats to the others, and a poller parked in rx
+// cannot silence this rank's. While traffic flows no Beat is sent at all.
+// Replies held that long (delivery stuck) leave as the beat instead.
 func (m *Mesh) beatLoop() {
-	defer m.writersWG.Done()
+	defer m.loops.Done()
 	t := time.NewTicker(m.hb.Interval)
 	defer t.Stop()
 	fr := &wire.Frame{Kind: wire.KindBeat, Origin: m.cfg.Self}
@@ -1223,13 +1210,13 @@ func (m *Mesh) beatLoop() {
 			p.mu.Lock()
 			quiet := !p.sent && !p.flushing && !p.bye && !p.closed && !p.down
 			p.sent = false
-			if quiet && p.pendingBytes == 0 {
-				p.appendPendingLocked(fr)
+			if quiet {
+				if p.pendingBytes == 0 {
+					p.appendPendingLocked(fr)
+				}
+				m.writeQueueLocked(p) // held replies too: the reader is stuck
 			}
 			p.mu.Unlock()
-			if quiet {
-				ringDoorbell(p)
-			}
 		}
 	}
 }
@@ -1256,7 +1243,6 @@ func (p *peer) drainSends(deadline time.Time) {
 // which peers that are still healthy will report as a failure — exactly
 // right when this rank is dying.
 func (m *Mesh) Close(graceful bool) error {
-	var err error
 	m.closeOnce.Do(func() {
 		if graceful {
 			bye := &wire.Frame{Kind: wire.KindBye, Origin: m.cfg.Self}
@@ -1274,48 +1260,42 @@ func (m *Mesh) Close(graceful bool) error {
 			}
 			m.waitByes(5 * time.Second)
 		}
-		m.closed.Store(true)
-		m.quitOnce.Do(func() { close(m.quit) })
-		// The poller must be fully stopped before any conn is closed: a
-		// closed fd number can be reused while still in the epoll set.
-		if m.poller != nil {
-			m.poller.stop(m)
-		}
-		for _, p := range m.peers {
-			if p == nil {
-				continue
-			}
-			p.mu.Lock()
-			p.closed = true
-			p.sendable.Broadcast()
-			p.mu.Unlock()
-			p.conn.Close()
-		}
-		m.writersWG.Wait()
-		m.readersWG.Wait()
+		m.shutdown()
 	})
-	return err
+	return nil
 }
 
 // abruptClose drops every stream without the goodbye handshake: on a
-// failed rendezvous (no data-plane goroutines exist yet) and in tests
-// simulating a crashing rank. The poller, if running, stops before the
-// conns close (fd reuse hazard); fallback readers notice the close and
-// exit through streamEnded; writers are released through quit — an
-// abruptly closed mesh leaks no goroutines even though Close never runs.
-func (m *Mesh) abruptClose() {
+// failed rendezvous and in tests simulating a crashing rank. It leaks no
+// goroutine even though Close never runs.
+func (m *Mesh) abruptClose() { m.closeOnce.Do(m.shutdown) }
+
+// shutdown stops the poll and beat loops, marks every stream closed and
+// closes the conns. The epoll set goes before any conn closes (a closed
+// fd number can be reused while still in the set) and after every stream
+// is marked closed (no flush arms EPOLLOUT on a closed stream).
+func (m *Mesh) shutdown() {
 	m.closed.Store(true)
-	m.quitOnce.Do(func() { close(m.quit) }) // first: it ends a step-aside
-	if m.poller != nil {
-		m.poller.stop(m)
+	close(m.quit) // first: it ends a step-aside
+	m.poller.wake()
+	m.loops.Wait()
+	for _, p := range m.peers {
+		if p == nil {
+			continue
+		}
+		p.mu.Lock()
+		p.closed = true
+		p.sendable.Broadcast()
+		p.mu.Unlock()
 	}
+	m.rxMu.Lock() // no driving rank's round is inside the set
+	m.poller.destroy()
+	m.rxMu.Unlock()
 	for _, p := range m.peers {
 		if p != nil {
 			p.conn.Close()
 		}
 	}
-	m.writersWG.Wait()
-	m.readersWG.Wait()
 }
 
 // waitByes blocks until every live peer has said goodbye, or the timeout.

@@ -1,3 +1,5 @@
+//go:build linux
+
 package netfab
 
 import (
@@ -5,6 +7,7 @@ import (
 	"fmt"
 	"net"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -38,6 +41,16 @@ func tcpMeshes(tb testing.TB, n int) []*Mesh {
 		if err != nil {
 			tb.Fatalf("rank %d bootstrap: %v", r, err)
 		}
+	}
+	return meshes
+}
+
+// loopback builds an n-rank mesh with Loopback.
+func loopback(tb testing.TB, n int) []*Mesh {
+	tb.Helper()
+	meshes, err := Loopback(n)
+	if err != nil {
+		tb.Fatal(err)
 	}
 	return meshes
 }
@@ -144,7 +157,7 @@ func TestBootstrapAndExchange(t *testing.T) {
 // A socket that dies without a Bye must surface as peerDown; a clean Close
 // must not.
 func TestAbruptLossIsPeerDown(t *testing.T) {
-	meshes := Loopback(2)
+	meshes := loopback(t, 2)
 	down := make(chan int, 2)
 	meshes[0].Start(func(int, *wire.Frame) {}, func(rank int, err error) { down <- rank })
 	meshes[1].Start(func(int, *wire.Frame) {}, func(rank int, err error) { down <- rank })
@@ -171,7 +184,7 @@ func TestAbruptLossIsPeerDown(t *testing.T) {
 
 // Bye then close is clean on both sides.
 func TestGoodbyeIsClean(t *testing.T) {
-	meshes := Loopback(2)
+	meshes := loopback(t, 2)
 	var mu sync.Mutex
 	var downs []int
 	for _, m := range meshes {
@@ -211,7 +224,7 @@ func TestShutdownReleasesGoroutines(t *testing.T) {
 	}
 	base := runtime.NumGoroutine()
 
-	meshes := Loopback(3)
+	meshes := loopback(t, 3)
 	for _, m := range meshes {
 		m.Start(func(int, *wire.Frame) {}, func(int, error) {})
 	}
@@ -228,7 +241,7 @@ func TestShutdownReleasesGoroutines(t *testing.T) {
 		t.Fatalf("graceful close leaked goroutines: %d running, baseline %d", runtime.NumGoroutine(), base)
 	}
 
-	pair := Loopback(2)
+	pair := loopback(t, 2)
 	for _, m := range pair {
 		m.Start(func(int, *wire.Frame) {}, func(int, error) {})
 	}
@@ -236,6 +249,30 @@ func TestShutdownReleasesGoroutines(t *testing.T) {
 	pair[1].abruptClose()
 	if !settled(base) {
 		t.Fatalf("abrupt close leaked goroutines: %d running, baseline %d", runtime.NumGoroutine(), base)
+	}
+}
+
+// TestStartedMeshRunsTwoGoroutines: a started mesh runs the poller and the
+// beat loop, whatever the job size. Per-peer writers or readers would make
+// the count grow with N.
+func TestStartedMeshRunsTwoGoroutines(t *testing.T) {
+	// Goroutines the package's own code starts, as their stacks name it.
+	meshGoroutines := func() int {
+		buf := make([]byte, 1<<20)
+		buf = buf[:runtime.Stack(buf, true)]
+		return strings.Count(string(buf), "created by repro/internal/netfab.(*")
+	}
+	for _, n := range []int{2, 5} {
+		meshes := loopback(t, n)
+		before := meshGoroutines()
+		for _, m := range meshes {
+			m.Start(func(int, *wire.Frame) {}, func(int, error) {})
+		}
+		started := meshGoroutines() - before
+		closeAll(meshes)
+		if started != 2*n {
+			t.Errorf("N = %d: %d started meshes run %d goroutines, want 2 each (poller and beat)", n, n, started)
+		}
 	}
 }
 

@@ -2,28 +2,27 @@
 
 package netfab
 
-// The process-wide receive poller: every pollable peer stream registers
-// its fd in one epoll set (level-triggered), and a poll round pumps
-// whichever stream has bytes, so the idle rx cost of a mesh is O(1)
-// goroutines in the job size instead of O(P) blocked readers. Rounds run
-// on a single poller goroutine and on ranks blocked in a wait that drive
-// the streams themselves (Progress), one at a time under the mesh's rxMu.
-// Reads go through the raw fd (never parking in the runtime's
-// netpoller); EAGAIN surfaces as errWouldBlock and the stream resumes on
-// its next readiness event. Streams the kernel cannot poll this way —
-// in-memory pipes used by loopback tests — fall back to one blocking
-// goroutine each, driving the same state machine (rx.go).
+// The process-wide poller: every peer stream registers its fd in one
+// epoll set (level-triggered) at bootstrap, and a poll round pumps
+// whichever stream has bytes, so the rx cost of a mesh is one goroutine
+// whatever the job size. Rounds run on a single poller goroutine and on
+// ranks blocked in a wait that drive the streams themselves (Progress),
+// one at a time under the mesh's rxMu. Reads go through the raw fd (never
+// parking in the runtime's netpoller); EAGAIN surfaces as errWouldBlock
+// and the stream resumes on its next readiness event. The set also watches
+// for EPOLLOUT on a stream whose socket refused part of its queue
+// (writeQueueLocked): the round that sees it writes the rest.
 
 import (
+	"errors"
 	"fmt"
 	"io"
-	"net"
 	"runtime"
-	"sync"
 	"syscall"
 	"time"
 	"unsafe"
 
+	"repro/internal/beat"
 	"repro/internal/wire"
 )
 
@@ -33,94 +32,92 @@ type poller struct {
 	wakeW   int                  // write end: any byte means "shut down"
 	streams map[int]*rxStream    // live registered streams, by fd; under rxMu once running
 	events  []syscall.EpollEvent // a round's ready list, under rxMu
-
-	stopOnce sync.Once
 }
 
-// newPoller builds the epoll set and its shutdown self-pipe, or returns
-// nil when the kernel refuses (every stream then takes a fallback
-// goroutine).
-func newPoller() *poller {
+// newPoller builds the epoll set and its shutdown self-pipe.
+func newPoller() (*poller, error) {
 	epfd, err := syscall.EpollCreate1(syscall.EPOLL_CLOEXEC)
 	if err != nil {
-		return nil
+		return nil, fmt.Errorf("netfab: epoll_create1: %w", err)
 	}
 	var pfds [2]int
 	if err := syscall.Pipe2(pfds[:], syscall.O_NONBLOCK|syscall.O_CLOEXEC); err != nil {
 		syscall.Close(epfd)
-		return nil
+		return nil, fmt.Errorf("netfab: poller pipe: %w", err)
 	}
 	pl := &poller{epfd: epfd, wakeR: pfds[0], wakeW: pfds[1], streams: make(map[int]*rxStream),
 		events: make([]syscall.EpollEvent, 128)}
 	ev := syscall.EpollEvent{Events: syscall.EPOLLIN, Fd: int32(pl.wakeR)}
 	if err := syscall.EpollCtl(epfd, syscall.EPOLL_CTL_ADD, pl.wakeR, &ev); err != nil {
 		pl.destroy()
-		return nil
+		return nil, fmt.Errorf("netfab: poller pipe: %w", err)
 	}
-	return pl
+	return pl, nil
 }
 
-// add registers p's stream in the epoll set. ok is false when the conn
-// has no pollable fd (net.Pipe) and must take a fallback goroutine.
-// Must not be called once the poll loop is running.
-func (pl *poller) add(p *peer) bool {
-	sc, isSC := p.conn.(syscall.Conn)
-	if !isSC {
-		return false
+// add registers p's stream in the epoll set and binds its nonblocking
+// writer. Called before the poll loop runs.
+func (pl *poller) add(p *peer) error {
+	sc, ok := p.conn.(syscall.Conn)
+	if !ok {
+		return fmt.Errorf("netfab: the stream to rank %d has no socket", p.rank)
 	}
 	raw, err := sc.SyscallConn()
 	if err != nil {
-		return false
+		return fmt.Errorf("netfab: the stream to rank %d: %w", p.rank, err)
 	}
-	var fd int
 	var ctlErr error
 	if err := raw.Control(func(f uintptr) {
-		fd = int(f)
+		p.fd = int(f)
 		ev := syscall.EpollEvent{Events: syscall.EPOLLIN, Fd: int32(f)}
-		ctlErr = syscall.EpollCtl(pl.epfd, syscall.EPOLL_CTL_ADD, fd, &ev)
+		ctlErr = syscall.EpollCtl(pl.epfd, syscall.EPOLL_CTL_ADD, p.fd, &ev)
 	}); err != nil || ctlErr != nil {
-		return false
+		return fmt.Errorf("netfab: polling the stream to rank %d: %w", p.rank, errors.Join(err, ctlErr))
 	}
-	s := newRxStream(p, fdReader(fd))
-	s.place = &placer{fd: fd, rank: p.rank}
+	p.nb.init(raw)
+	s := newRxStream(p, fdReader(p.fd))
+	s.place = &placer{fd: p.fd, rank: p.rank}
 	s.place.rest = s.place.readRest
-	pl.streams[fd] = s
-	return true
+	pl.streams[p.fd] = s
+	return nil
 }
 
-// count reports how many streams the poller took.
-func (pl *poller) count() int { return len(pl.streams) }
-
-// launch starts the poll loop (if any stream registered), accounted in
-// wg so stop can join it.
+// launch starts the poll loop, accounted in the mesh's loops; the
+// streams' liveness clocks start now.
 func (pl *poller) launch(m *Mesh) {
-	if len(pl.streams) == 0 {
-		return
+	now := time.Now()
+	for _, s := range pl.streams {
+		s.mon = beat.NewMonitor(now)
 	}
-	m.pollerWG.Add(1)
+	m.loops.Add(1)
 	go m.pollLoop(pl)
 }
 
-// stop wakes the poll loop, waits for it to exit, and releases the epoll
-// set under rxMu, so no driving rank's round is inside it; the mesh is
-// closed first, so no later round enters. It must complete before any
-// registered conn is closed: a closed fd number can be reused by an
-// unrelated file while still in our map. Idempotent.
-func (pl *poller) stop(m *Mesh) {
-	pl.stopOnce.Do(func() {
-		var one [1]byte
-		syscall.Write(pl.wakeW, one[:])
-		m.pollerWG.Wait()
-		m.rxMu.Lock()
-		pl.destroy()
-		m.rxMu.Unlock()
-	})
+// wake tells the poll loop to exit.
+func (pl *poller) wake() {
+	var one [1]byte
+	syscall.Write(pl.wakeW, one[:])
 }
 
+// destroy releases the epoll set and the self-pipe. The caller has joined
+// the poll loop, holds rxMu (no driving rank's round is inside the set)
+// and has marked every stream closed (no flush arms EPOLLOUT any more),
+// and no registered conn is closed yet: a closed fd number can be reused
+// by an unrelated file while still in our map.
 func (pl *poller) destroy() {
 	syscall.Close(pl.epfd)
 	syscall.Close(pl.wakeR)
 	syscall.Close(pl.wakeW)
+}
+
+// watchOut sets whether the set reports p's socket writable (EPOLLOUT) as
+// well as readable. The caller holds p.mu, on a stream not closed.
+func (pl *poller) watchOut(p *peer, on bool) {
+	ev := syscall.EpollEvent{Events: syscall.EPOLLIN, Fd: int32(p.fd)}
+	if on {
+		ev.Events |= syscall.EPOLLOUT
+	}
+	syscall.EpollCtl(pl.epfd, syscall.EPOLL_CTL_MOD, p.fd, &ev) // ENOENT: the stream was dropped
 }
 
 // pollSpin is how long the poll loop yield-spins on an idle epoll set
@@ -164,7 +161,7 @@ func (m *Mesh) pollLoop(pl *poller) {
 		m.rxMu.Lock()
 		m.flushQueued(pl)
 		m.rxMu.Unlock()
-		m.pollerWG.Done()
+		m.loops.Done()
 	}()
 	probe := make([]syscall.EpollEvent, 1)
 	blockMs := max(1, int(m.hb.Interval/time.Millisecond))
@@ -204,7 +201,8 @@ func (m *Mesh) pollLoop(pl *poller) {
 // round is one poll round at now, if no other goroutine runs one (TryLock
 // on rxMu): with flush set it first writes what Send queued, then runs the
 // liveness checks when one is due, takes the ready streams in one
-// epoll_wait that does not block, and drains each. waiter says a rank
+// epoll_wait that does not block, writes the queue of each that turned
+// writable (EPOLLOUT) and drains each that has input. waiter says a rank
 // runs it (Progress): it leaves its replies queued for its next round
 // (pump), ignores the shutdown pipe, and after Close does nothing. It
 // reports how many streams were ready, how many frames it read, and
@@ -241,6 +239,14 @@ func (m *Mesh) round(pl *poller, now time.Time, flush, waiter bool) (ready int, 
 			continue
 		}
 		ready++
+		if ev.Events&syscall.EPOLLOUT != 0 {
+			s.p.mu.Lock()
+			m.writeQueueLocked(s.p)
+			s.p.mu.Unlock()
+		}
+		if ev.Events&^syscall.EPOLLOUT == 0 {
+			continue
+		}
 		before := s.frames
 		if !m.drain(s, waiter) {
 			pl.drop(fd)
@@ -294,8 +300,7 @@ func (m *Mesh) park(pl *poller, probe []syscall.EpollEvent, blockMs int) bool {
 }
 
 // flushQueued writes, without parking, the queue of every stream a Send
-// queued on since the last call; what a socket does not take goes to its
-// writer goroutine. Caller holds rxMu.
+// queued on since the last call. Caller holds rxMu.
 func (m *Mesh) flushQueued(pl *poller) {
 	if !m.txQueued.Load() || !m.txQueued.Swap(false) {
 		return
@@ -313,13 +318,25 @@ func (pl *poller) drop(fd int) {
 	delete(pl.streams, fd)
 }
 
-// checkStalls runs every stream through the liveness detector. The
-// reader may just have spent the whole timeout parked in rx on one stream
-// while the others' bytes piled up in their sockets, so an apparent stall
-// is re-judged after a read: only a stream that is silent and has nothing
-// to read convicts its peer. Caller holds rxMu.
+// checkStalls runs every stream through the liveness detector, and
+// convicts a peer whose socket has refused this rank's queue for
+// WriteTimeout. The reader may just have spent the whole timeout parked
+// in rx on one stream while the others' bytes piled up in their sockets
+// (or their sockets turned writable), so an apparent stall is re-judged
+// after a read (a write): only a stream that is silent and has nothing to
+// read (still refuses the queue) convicts its peer. Caller holds rxMu.
 func (m *Mesh) checkStalls(pl *poller, now time.Time, waiter bool) {
 	for fd, s := range pl.streams {
+		if _, stuck := m.writeStalled(s.p, now); stuck {
+			s.p.mu.Lock()
+			m.writeQueueLocked(s.p)
+			s.p.mu.Unlock()
+			if d, stuck := m.writeStalled(s.p, now); stuck {
+				m.convict(s, fmt.Errorf("netfab: rank %d took no byte for %v", s.p.rank, d.Round(time.Millisecond)))
+				pl.drop(fd)
+				continue
+			}
+		}
 		if _, dead := m.stalled(s, now); !dead {
 			continue
 		}
@@ -328,7 +345,7 @@ func (m *Mesh) checkStalls(pl *poller, now time.Time, waiter bool) {
 			continue
 		}
 		if d, dead := m.stalled(s, now); dead {
-			m.convict(s, d)
+			m.convict(s, fmt.Errorf("netfab: rank %d heartbeat stalled for %v", s.p.rank, d.Round(time.Millisecond)))
 			pl.drop(fd)
 		}
 	}
@@ -359,7 +376,7 @@ func (fd fdReader) Read(b []byte) (int, error) {
 	}
 }
 
-// placer is a polled stream's half of a placed read (rx.go, "Placed
+// placer is a stream's half of a placed read (rx.go, "Placed
 // reads"): it asks the socket how much it holds and reads a placed
 // frame's rest straight into its destination. Like fdReader it is used
 // only by a round, under rxMu, and allocates nothing.
@@ -438,7 +455,7 @@ func (pl *placer) readRest(dst []byte) error {
 // callback and iovec array are built once per stream, so a write allocates
 // nothing. Only the goroutine holding the stream's flushing flag writes.
 type nbWriter struct {
-	raw syscall.RawConn // nil: no pollable fd (in-memory pipe)
+	raw syscall.RawConn
 	iov []syscall.Iovec
 	n   int64
 	err syscall.Errno
@@ -448,15 +465,7 @@ type nbWriter struct {
 // maxIOV is the most buffers one writev takes (the kernel's IOV_MAX).
 const maxIOV = 1024
 
-func (w *nbWriter) init(conn net.Conn) {
-	sc, ok := conn.(syscall.Conn)
-	if !ok {
-		return
-	}
-	raw, err := sc.SyscallConn()
-	if err != nil {
-		return
-	}
+func (w *nbWriter) init(raw syscall.RawConn) {
 	w.raw = raw
 	w.fn = func(fd uintptr) bool {
 		for {
@@ -471,12 +480,8 @@ func (w *nbWriter) init(conn net.Conn) {
 
 // writev makes one nonblocking writev of bufs (at least one, none empty)
 // and reports how many bytes the socket took: 0 and no error when its
-// send buffer is full, or when the stream has no fd to write to this way
-// (its writer goroutine takes it).
+// send buffer is full.
 func (w *nbWriter) writev(bufs [][]byte) (int64, error) {
-	if w.raw == nil {
-		return 0, nil
-	}
 	for _, b := range bufs[:min(len(bufs), maxIOV)] {
 		w.iov = append(w.iov, syscall.Iovec{Base: &b[0]})
 		w.iov[len(w.iov)-1].SetLen(len(b))

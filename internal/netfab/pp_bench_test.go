@@ -1,3 +1,5 @@
+//go:build linux
+
 package netfab
 
 // Benchmark scaffolding for the rx path: a two-mesh ping-pong over real

@@ -3,20 +3,20 @@ package netfab
 // The receive path as a resumable state machine.
 //
 // Every peer stream owns an rxStream: the framer, the scratch frame and the
-// peer's liveness monitor. Pumping the machine is identical whether the
-// bytes come from a blocking conn (fallback goroutine, one per stream —
-// in-memory pipes and platforms without a poller) or from a nonblocking fd
-// read in a poll round, by the process-wide poller or by a rank driving
-// the streams (Progress), whichever holds the mesh's rxMu: either reader
-// returns errWouldBlock when it has nothing (the fd at once, the conn
-// after one idle beat interval), and the machine simply stops mid-stride
-// and resumes on the next call.
+// peer's liveness monitor. The bytes come from a nonblocking fd read in a
+// poll round, by the process-wide poller or by a rank driving the streams
+// (Progress), whichever holds the mesh's rxMu: the read returns
+// errWouldBlock when the socket has nothing, and the machine simply stops
+// mid-stride and resumes on the next round.
 //
 // Liveness is judged here and nowhere else, by the goroutine that reads
 // the stream, right after a read came up empty: a reader parked inside rx
 // (committing a delivery) judges nobody, and when it resumes it reads what
 // piled up in the socket before it measures any silence. A stalled local
-// reader therefore never convicts a healthy peer.
+// reader therefore never convicts a healthy peer. The same goroutine
+// judges the outbound side (writeStalled): a peer whose socket refused
+// this rank's queue is convicted only if a write made then still finds
+// it refusing, so a round that comes late to EPOLLOUT convicts nobody.
 //
 // Placed reads. A put of txChunkSize or more data need not pass through
 // the framer's buffer. When the buffer holds such a frame's head (and
@@ -27,15 +27,13 @@ package netfab
 // then the fabric delivers the put as placed (notification and ack as for
 // any put). The first time the framer holds a bulk frame's head decides
 // it: a frame declined then (payload still arriving, part of its trailer
-// already buffered, not a put, no callback, a fallback stream) completes
-// through the framer, as every frame did before.
+// already buffered, not a put, no callback) completes through the framer,
+// as every frame did before.
 
 import (
 	"errors"
 	"fmt"
 	"io"
-	"net"
-	"os"
 	"time"
 
 	"repro/internal/beat"
@@ -51,7 +49,7 @@ var errWouldBlock = errors.New("netfab: read would block")
 // at any reader would-block point.
 type rxStream struct {
 	p    *peer
-	r    io.Reader // fdReader (poller) or idleReader (fallback)
+	r    io.Reader // the socket's fdReader
 	fram *wire.Framer
 	fr   wire.Frame // scratch: decoded bodies
 
@@ -66,8 +64,7 @@ type rxStream struct {
 
 	// Placement state (see "Placed reads"): decided is set once the
 	// framer's incomplete head frame has been judged for placement. place
-	// is the placed-read half on streams that have one (a polled fd), nil
-	// on fallback streams.
+	// is the stream's placed-read half.
 	decided bool
 	place   *placer
 }
@@ -83,7 +80,7 @@ func newRxStream(p *peer, r io.Reader) *rxStream {
 func (m *Mesh) read(s *rxStream) (n, placed int, err error) {
 	if body, head := s.fram.Head(); body >= txChunkSize && !s.decided && len(head) >= wire.HeadLen-wire.LengthPrefix {
 		s.decided = true
-		if s.place != nil && m.place != nil {
+		if m.place != nil {
 			if n, ok, err := m.offer(s, body, head); ok {
 				s.decided = false
 				return n, body, err
@@ -201,39 +198,23 @@ func (m *Mesh) stalled(s *rxStream, now time.Time) (time.Duration, bool) {
 	return d, !exempt
 }
 
-// convict ends s: its peer kept the connection but went silent for d.
-func (m *Mesh) convict(s *rxStream, d time.Duration) {
+// writeStalled samples p's outbound side at now: how long the socket has
+// refused its queue without taking a byte, and whether that reaches
+// WriteTimeout, convicting a peer that stopped draining. The exemptions
+// are stalled's.
+func (m *Mesh) writeStalled(p *peer, now time.Time) (time.Duration, bool) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if !p.outArmed || p.bye || p.closed || p.down || m.closed.Load() {
+		return 0, false
+	}
+	d := now.Sub(p.refusedAt)
+	return d, d >= m.cfg.WriteTimeout
+}
+
+// convict ends s: its peer kept the connection but stopped talking or
+// draining, as err says.
+func (m *Mesh) convict(s *rxStream, err error) {
 	s.dead = true
-	m.markDown(s.p, fmt.Errorf("netfab: rank %d heartbeat stalled for %v", s.p.rank, d.Round(time.Millisecond)))
-}
-
-// readLoop is the fallback rx driver for streams the poller cannot take
-// (in-memory pipes, platforms without one): a blocking goroutine per
-// stream pumping the same state machine the poller drives. Its idleReader
-// turns every beat interval without bytes into a would-block, which is
-// where the peer's silence is measured.
-func (m *Mesh) readLoop(s *rxStream) {
-	defer m.readersWG.Done()
-	for m.drain(s, false) {
-		if d, dead := m.stalled(s, time.Now()); dead {
-			m.convict(s, d)
-			return
-		}
-	}
-}
-
-// idleReader is a blocking conn that gives up after idle without a byte,
-// reporting errWouldBlock like the poller's nonblocking fdReader does.
-type idleReader struct {
-	conn net.Conn
-	idle time.Duration
-}
-
-func (r *idleReader) Read(b []byte) (int, error) {
-	r.conn.SetReadDeadline(time.Now().Add(r.idle))
-	n, err := r.conn.Read(b)
-	if n == 0 && errors.Is(err, os.ErrDeadlineExceeded) {
-		err = errWouldBlock
-	}
-	return n, err
+	m.markDown(s.p, err)
 }

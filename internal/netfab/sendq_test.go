@@ -1,3 +1,5 @@
+//go:build linux
+
 package netfab
 
 import (
@@ -9,9 +11,6 @@ import (
 
 	"repro/internal/wire"
 )
-
-// The queued tx path exists only on streams the poller reads: these tests
-// run on real localhost sockets (tcpMeshes), never Loopback's net.Pipe.
 
 // queuePair bootstraps two ranks with no Beat frames (TxFlushes then counts
 // data frames only) and starts them. Rank 1 hands every KindPut it receives
